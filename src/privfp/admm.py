@@ -28,7 +28,7 @@ from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
 from .fixedpoint import RunTrace
-from .operators import ProxSpec, QuadraticRankOneProx, clip
+from .operators import ProxSpec, QuadraticRankOneProx, clip, clip_rows
 
 # ---------------------------------------------------------------------------
 # Problems and state
@@ -121,6 +121,8 @@ def _check_lam(lam: float):
 
 def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
     """2*lam*(clip(x_i - z_ref) + eta_i/2) for each i in rows, stacked."""
+    if sigma < 0:
+        raise ParameterError(f"noise std must be >= 0, got {sigma}")
     specs = [problem.prox_f[i] for i in rows]
     V = 2.0 * z_ref - U[rows]
     if specs and all(isinstance(s, QuadraticRankOneProx) for s in specs) \
@@ -133,14 +135,16 @@ def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
         X = np.stack([np.asarray(s(v), dtype=float) for s, v in zip(specs, V)])
     dev = X - z_ref
     if problem.clip_threshold is not None:
-        norms = np.linalg.norm(dev, axis=1)
-        over = norms > problem.clip_threshold
-        if np.any(over):
-            dev[over] *= (problem.clip_threshold / norms[over])[:, None]
+        dev = clip_rows(dev, problem.clip_threshold)
     if sigma > 0:
         eta = np.stack([rng.gaussian_block(seed, k, int(i), sigma, U.shape[1]) for i in rows])
         return 2.0 * lam * (dev + 0.5 * eta)
     return 2.0 * lam * dev
+
+
+def _record(trace, k, mask, z, objective, reference):
+    trace.record(k, mask, obj=None if objective is None else objective(z),
+                 dist=None if reference is None else float(np.sum((z - reference) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +163,6 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
     of z when callbacks are given.
     """
     _check_lam(lam)
-    if sigma < 0:
-        raise ParameterError(f"noise std must be >= 0, got {sigma}")
     if K < 1:
         raise ParameterError(f"round count must be >= 1, got {K}")
     if u0.n_blocks != problem.n:
@@ -172,11 +174,7 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
     for k in range(K):
         z = np.asarray(problem.prox_r(U.mean(axis=0)), dtype=float)
         U += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
-        trace.record(
-            k, np.ones(problem.n, dtype=bool),
-            obj=None if objective is None else objective(z),
-            dist=None if reference is None else float(np.sum((z - reference) ** 2)),
-        )
+        _record(trace, k, np.ones(problem.n, dtype=bool), z, objective, reference)
     return z, trace
 
 
@@ -224,11 +222,7 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
         state = federated_round(problem, state, rows, lam, sigma, seed)
         mask = np.zeros(problem.n, dtype=bool)
         mask[rows] = True
-        trace.record(
-            k, mask,
-            obj=None if objective is None else objective(state.z),
-            dist=None if reference is None else float(np.sum((state.z - reference) ** 2)),
-        )
+        _record(trace, k, mask, state.z, objective, reference)
     return state.z, trace
 
 
@@ -278,11 +272,7 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
         mask = np.zeros(problem.n, dtype=bool)
         mask[current] = True
         state, current = decentralized_step(problem, state, current, lam, sigma, seed, log)
-        trace.record(
-            k, mask,
-            obj=None if objective is None else objective(state.z),
-            dist=None if reference is None else float(np.sum((state.z - reference) ** 2)),
-        )
+        _record(trace, k, mask, state.z, objective, reference)
     return state.z, trace, log
 
 

@@ -19,8 +19,12 @@ against noise sigma, matching the same formulas at L*gamma = C/2.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import math
+import os
+import shutil
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -29,8 +33,8 @@ import numpy as np
 
 from . import admm, privacy, rng
 from .blocks import BlockVector
-from .errors import ParameterError, StructuralError
-from .operators import L1Prox, QuadraticRankOneProx, prox_l1
+from .errors import ModelError, ParameterError, StructuralError
+from .operators import L1Prox, QuadraticRankOneProx, clip, clip_rows, prox_l1
 
 # Rényi grid for the bench: the default grid extended upward so budgets
 # down to epsilon ~ 0.05 at delta = 1e-6 stay reachable after conversion.
@@ -109,17 +113,23 @@ def default_kappa(dataset: LassoDataset, fraction: float = 0.1) -> float:
 
 def reference_lasso(dataset: LassoDataset, kappa: float, max_iters: int = 100_000,
                     tol: float = 1e-10) -> np.ndarray:
-    """Proximal-gradient solution, iterated until the gradient-map norm falls below tol."""
+    """Proximal-gradient solution, iterated until the gradient-map norm falls below tol.
+
+    Raises ModelError if ``max_iters`` iterations end above tol.
+    """
     G = dataset.A.T @ dataset.A / dataset.n
     h = dataset.A.T @ dataset.b / dataset.n
     step = 1.0 / float(np.linalg.eigvalsh(G).max())
     x = np.zeros(dataset.p)
+    grad_map = math.inf
     for _ in range(max_iters):
         x_next = prox_l1(x - step * (G @ x - h), step * kappa)
-        if np.linalg.norm(x_next - x) / step < tol:
+        grad_map = float(np.linalg.norm(x_next - x) / step)
+        if grad_map < tol:
             return x_next
         x = x_next
-    return x
+    raise ModelError(f"reference solve did not reach tol={tol:g} within max_iters={max_iters}; "
+                     f"final gradient-map norm {grad_map:.6g}")
 
 
 def optimality_gap(dataset: LassoDataset, x: np.ndarray, kappa: float) -> np.ndarray:
@@ -159,15 +169,6 @@ def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
 # Proximal DP-SGD baseline
 
 
-def _clip_rows(X: np.ndarray, threshold: float) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1)
-    over = norms > threshold
-    if np.any(over):
-        X = X.copy()
-        X[over] *= (threshold / norms[over])[:, None]
-    return X
-
-
 def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
                    clip_threshold: float, sigma: float, K: int, seed: int,
                    item_order: str = "uniform") -> np.ndarray:
@@ -192,9 +193,7 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
             else:
                 raise ParameterError(f"unknown item order {item_order!r}")
             g = (dataset.A[i] @ x - dataset.b[i]) * dataset.A[i]
-        norm = np.linalg.norm(g)
-        if norm > clip_threshold:
-            g = g * (clip_threshold / norm)
+        g = clip(g, clip_threshold)
         eta = rng.gaussian_block(seed, k, 0, sigma, dataset.p)
         x = prox_l1(x - step * (g + eta), step * kappa)
     return x
@@ -210,8 +209,8 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
     x = np.zeros(dataset.p)
     for k in range(K):
         rows = np.sort(rng.schedule_rng(seed, k).choice(dataset.n, size=m, replace=False))
-        G = _clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
-                       clip_threshold)
+        G = clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
+                      clip_threshold)
         if sigma > 0:
             G = G + np.stack([rng.gaussian_block(seed, k, int(i), sigma, dataset.p)
                               for i in rows])
@@ -283,31 +282,28 @@ RESULT_COLUMNS = ("setting", "algorithm", "epsilon", "delta", "sigma", "K",
                   "seed", "train_obj", "test_obj", "runtime_ms")
 
 
-def _effective_lipschitz(config: ExperimentConfig, gamma: float, n_train: int) -> float:
-    C = config.clip_threshold
-    if config.algorithm == "dpsgd":
-        return C / (2.0 * gamma)
-    if config.setting == "centralized":
-        return n_train * C / gamma
-    return C / gamma
-
-
-def _accountant_setting(config: ExperimentConfig) -> str:
-    return {"centralized": "centralized", "federated": "federated_central",
-            "decentralized": "network"}[config.setting]
-
-
-def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
-                    n_train: int) -> float:
-    """Noise std meeting (epsilon, delta) for this cell via the accountant."""
-    m = max(1, int(round(config.sample_fraction * n_train)))
+def _curve(config: ExperimentConfig, sigma: float, gamma: float,
+           n_train: int) -> privacy.RdpCurve:
+    """The cell's Rényi curve at noise std sigma."""
     if config.setting == "centralized" and config.algorithm == "dpsgd":
-        return _calibrate_dpsgd_centralized(config, epsilon, n_train)
-    return privacy.calibrate_sigma(
-        _accountant_setting(config), epsilon=epsilon, delta=config.delta,
-        K=config.K, L=_effective_lipschitz(config, gamma, n_train), gamma=gamma,
-        n=n_train, m=m, K_i=privacy.estimated_participations(config.K, n_train),
-        alphas=config.alphas)
+        # Record-level DP-SGD: K compositions of the (1/n)-subsampled Gaussian
+        # mechanism on the clipped gradient (sensitivity 2C).
+        return privacy.grid_curve(
+            lambda a: config.K * privacy.subsampled_rdp(
+                a, 1.0 / n_train, 2.0 * config.clip_threshold, sigma),
+            config.alphas, f"subsampled regime empty at sigma={sigma:g}",
+            provenance=f"dpsgd_centralized(K={config.K},sigma={sigma:g})")
+    # The effective Lipschitz constant of the clipped release (module docstring).
+    C = config.clip_threshold
+    setting, L = {"centralized": ("centralized", n_train * C / gamma),
+                  "federated": ("federated_central", C / gamma),
+                  "decentralized": ("network", C / gamma)}[config.setting]
+    if config.algorithm == "dpsgd":
+        L = C / (2.0 * gamma)
+    return privacy.setting_curve(
+        setting, sigma, K=config.K, L=L, gamma=gamma, n=n_train,
+        m=max(1, int(round(config.sample_fraction * n_train))),
+        K_i=privacy.estimated_participations(config.K, n_train), alphas=config.alphas)
 
 
 def achieved_epsilon(config: ExperimentConfig, sigma: float, gamma: float,
@@ -315,73 +311,64 @@ def achieved_epsilon(config: ExperimentConfig, sigma: float, gamma: float,
     """DP epsilon actually certified by the accountant for the noise used."""
     if sigma == 0.0:
         return math.inf
-    m = max(1, int(round(config.sample_fraction * n_train)))
-    if config.setting == "centralized" and config.algorithm == "dpsgd":
-        curve = _dpsgd_centralized_curve(config, sigma, n_train)
-    else:
-        curve = privacy.setting_curve(
-            _accountant_setting(config), sigma, K=config.K,
-            L=_effective_lipschitz(config, gamma, n_train), gamma=gamma, n=n_train,
-            m=m, K_i=privacy.estimated_participations(config.K, n_train),
-            alphas=config.alphas)
-    return privacy.rdp_to_dp(curve, config.delta)
+    return privacy.rdp_to_dp(_curve(config, sigma, gamma, n_train), config.delta)
 
 
-def _dpsgd_centralized_curve(config, sigma, n_train):
-    # Record-level DP-SGD: K compositions of the (1/n)-subsampled Gaussian
-    # mechanism on the clipped gradient (sensitivity 2C).
-    grid, eps = [], []
-    for a in config.alphas:
-        try:
-            eps.append(config.K * privacy.subsampled_rdp(
-                a, 1.0 / n_train, 2.0 * config.clip_threshold, sigma))
-            grid.append(a)
-        except privacy.ConditionNotMet:
-            continue
-    if not grid:
-        raise privacy.ConditionNotMet("no valid Rényi order",
-                                      f"subsampled regime empty at sigma={sigma:g}")
-    return privacy.RdpCurve(tuple(grid), tuple(eps),
-                            provenance=f"dpsgd_centralized(K={config.K},sigma={sigma:g})")
+def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
+                    n_train: int) -> float:
+    """Noise std meeting (epsilon, delta) for this cell via the accountant.
+
+    Bisects ``achieved_epsilon`` itself, so the returned sigma certifies the budget.
+    """
+    if epsilon <= 0:
+        raise privacy.ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
+    return privacy._bisect(lambda sig: achieved_epsilon(config, sig, gamma, n_train),
+                           epsilon, 1e-6, 1e-3)
 
 
-def _calibrate_dpsgd_centralized(config, epsilon, n_train):
-    def account(sig):
-        return privacy.rdp_to_dp(_dpsgd_centralized_curve(config, sig, n_train), config.delta)
-    return privacy._bisect(account, epsilon, 1e-6, 1e-3)
+def _cell(config: ExperimentConfig) -> tuple[LassoDataset, LassoDataset, float, float]:
+    """The cell's train and test sets, Lasso weight kappa and prox step gamma."""
+    data = gen_lasso(config.n, config.p, config.support_size, config.noise_std,
+                     config.data_seed)
+    train, test = train_test_split(data, config.test_fraction, config.data_seed)
+    kappa = config.kappa if config.kappa is not None else default_kappa(train, config.kappa_fraction)
+    return train, test, kappa, config.gamma_scale * 2.0 * train.n
 
 
-def _run_once(config: ExperimentConfig, train: LassoDataset, kappa: float,
-              gamma: float, sigma: float, seed: int,
-              collect: bool = False) -> tuple[np.ndarray, dict]:
-    """Returns the released estimate plus optional artifacts (trace, log)."""
-    n_train = train.n
-    m = max(1, int(round(config.sample_fraction * n_train)))
+def _timed_row(config: ExperimentConfig, cell, sigma: float, epsilon: float, seed: int,
+               collect: bool = False) -> tuple[ResultRow, dict]:
+    """One timed run of the cell: its result row plus optional artifacts (trace, log)."""
+    train, test, kappa, gamma = cell
+    m = max(1, int(round(config.sample_fraction * train.n)))
     artifacts: dict = {}
-    if config.algorithm == "dpsgd":
-        if config.setting == "federated":
-            x = dpsgd_federated(train, kappa, config.step, config.clip_threshold,
-                                sigma, config.K, m, seed)
-        else:
-            x = dpsgd_baseline(train, kappa, config.step, config.clip_threshold,
-                               sigma, config.K, seed)
-        return x, artifacts
-    problem = lasso_consensus_problem(train, kappa, gamma, config.clip_threshold)
-    objective = (lambda z: lasso_objective(train, z, kappa)) if collect else None
-    if config.setting == "centralized":
-        z, trace = admm.centralized_run(problem, BlockVector.zeros(n_train, train.p),
-                                        config.lam, sigma, config.K, seed,
-                                        objective=objective)
-    elif config.setting == "federated":
-        z, trace = admm.federated_run(problem, train.p, m, config.lam, sigma,
-                                      config.K, seed, objective=objective)
+    start = time.perf_counter()
+    if config.algorithm == "dpsgd" and config.setting == "federated":
+        x = dpsgd_federated(train, kappa, config.step, config.clip_threshold,
+                            sigma, config.K, m, seed)
+    elif config.algorithm == "dpsgd":
+        x = dpsgd_baseline(train, kappa, config.step, config.clip_threshold,
+                           sigma, config.K, seed)
     else:
-        z, trace, log = admm.decentralized_run(problem, train.p, config.lam, sigma,
-                                               config.K, seed, objective=objective)
-        artifacts["observations"] = log
-    if collect:
-        artifacts["trace"] = trace
-    return z, artifacts
+        problem = lasso_consensus_problem(train, kappa, gamma, config.clip_threshold)
+        objective = (lambda z: lasso_objective(train, z, kappa)) if collect else None
+        if config.setting == "centralized":
+            x, trace = admm.centralized_run(problem, BlockVector.zeros(train.n, train.p),
+                                            config.lam, sigma, config.K, seed,
+                                            objective=objective)
+        elif config.setting == "federated":
+            x, trace = admm.federated_run(problem, train.p, m, config.lam, sigma,
+                                          config.K, seed, objective=objective)
+        else:
+            x, trace, artifacts["observations"] = admm.decentralized_run(
+                problem, train.p, config.lam, sigma, config.K, seed, objective=objective)
+        if collect:
+            artifacts["trace"] = trace
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    row = ResultRow(setting=config.setting, algorithm=config.algorithm, epsilon=epsilon,
+                    delta=config.delta, sigma=sigma, K=config.K, seed=seed,
+                    train_obj=lasso_objective(train, x, kappa),
+                    test_obj=lasso_objective(test, x, kappa), runtime_ms=elapsed_ms)
+    return row, artifacts
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -393,30 +380,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     budget). A fixed ``sigma`` skips calibration and still reports the
     accountant's epsilon for it.
     """
-    data = gen_lasso(config.n, config.p, config.support_size, config.noise_std,
-                     config.data_seed)
-    train, test = train_test_split(data, config.test_fraction, config.data_seed)
-    kappa = config.kappa if config.kappa is not None else default_kappa(train, config.kappa_fraction)
-    gamma = config.gamma_scale * 2.0 * train.n
+    cell = _cell(config)
+    train, _, _, gamma = cell
     if config.sigma is not None:
-        sigmas = [(config.sigma, achieved_epsilon(config, config.sigma, gamma, train.n))]
+        sigmas = [config.sigma]
     else:
-        sigmas = []
-        for eps in config.epsilons:
-            sig = calibrate_noise(config, eps, gamma, train.n)
-            sigmas.append((sig, achieved_epsilon(config, sig, gamma, train.n)))
-    rows = []
-    for sigma, eps_reported in sigmas:
-        for seed in config.seeds:
-            start = time.perf_counter()
-            x, _ = _run_once(config, train, kappa, gamma, sigma, seed)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            rows.append(ResultRow(
-                setting=config.setting, algorithm=config.algorithm,
-                epsilon=eps_reported, delta=config.delta, sigma=sigma, K=config.K,
-                seed=seed, train_obj=lasso_objective(train, x, kappa),
-                test_obj=lasso_objective(test, x, kappa), runtime_ms=elapsed_ms))
-    return rows
+        sigmas = [calibrate_noise(config, eps, gamma, train.n) for eps in config.epsilons]
+    accounted = [(sig, achieved_epsilon(config, sig, gamma, train.n)) for sig in sigmas]
+    return [_timed_row(config, cell, sigma, eps_reported, seed)[0]
+            for sigma, eps_reported in accounted for seed in config.seeds]
 
 
 def solve_once(config: ExperimentConfig, collect: bool = False) -> tuple[ResultRow, dict]:
@@ -425,25 +397,14 @@ def solve_once(config: ExperimentConfig, collect: bool = False) -> tuple[ResultR
     With ``collect`` the returned dict carries the run trace (per-round
     train objective) and, for decentralized runs, the observation log.
     """
-    data = gen_lasso(config.n, config.p, config.support_size, config.noise_std,
-                     config.data_seed)
-    train, test = train_test_split(data, config.test_fraction, config.data_seed)
-    kappa = config.kappa if config.kappa is not None else default_kappa(train, config.kappa_fraction)
-    gamma = config.gamma_scale * 2.0 * train.n
+    cell = _cell(config)
+    train, _, _, gamma = cell
     if config.sigma is not None:
         sigma = config.sigma
     else:
         sigma = calibrate_noise(config, min(config.epsilons), gamma, train.n)
-    seed = config.seeds[0]
-    start = time.perf_counter()
-    x, artifacts = _run_once(config, train, kappa, gamma, sigma, seed, collect=collect)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    row = ResultRow(setting=config.setting, algorithm=config.algorithm,
-                    epsilon=achieved_epsilon(config, sigma, gamma, train.n),
-                    delta=config.delta, sigma=sigma, K=config.K, seed=seed,
-                    train_obj=lasso_objective(train, x, kappa),
-                    test_obj=lasso_objective(test, x, kappa), runtime_ms=elapsed_ms)
-    return row, artifacts
+    return _timed_row(config, cell, sigma, achieved_epsilon(config, sigma, gamma, train.n),
+                      config.seeds[0], collect=collect)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +441,14 @@ def tune(config: ExperimentConfig, epsilon: float | None = None) -> ExperimentCo
     grid = ADMM_GRID if config.algorithm == "admm" else DPSGD_GRID
     names = list(grid)
     best, best_obj = None, math.inf
-    combos = [[]]
-    for name in names:
-        combos = [c + [v] for c in combos for v in grid[name]]
-    for values in combos:
+    for values in itertools.product(*grid.values()):
         candidate = replace(config, epsilons=(eps,), seeds=(TUNING_SEED,),
                             **dict(zip(names, values)))
         obj = run_experiment(candidate)[0].test_obj
         if obj < best_obj:
             best, best_obj = dict(zip(names, values)), obj
+    if best is None:
+        raise ModelError(f"no tuning candidate reached a finite test objective at epsilon={eps:g}")
     return replace(config, **best)
 
 
@@ -502,55 +462,56 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header: Sequence, rows, what: str) -> None:
+    """Write header and rows to a temporary file beside path, then rename it over path.
+
+    A failed write leaves the old file. The file gets the mode ``open(path, "w")`` gives.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:  # created under the umask, as "w" would be
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(target, tmp)  # "w" keeps an existing file's mode
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def emit_csv(results: Sequence[ResultRow], path) -> None:
     """Stable column order, full-precision locale-independent numbers."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RESULT_COLUMNS)
-            for row in results:
-                writer.writerow([_fmt(getattr(row, col)) for col in RESULT_COLUMNS])
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    _write_csv(path, RESULT_COLUMNS,
+               ([_fmt(getattr(row, col)) for col in RESULT_COLUMNS] for row in results),
+               "results")
 
 
 def emit_accountant_csv(curve: privacy.RdpCurve, path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("alpha", "epsilon", "provenance"))
-            for a, e in zip(curve.alphas, curve.epsilons):
-                writer.writerow([_fmt(float(a)), _fmt(float(e)), curve.provenance])
-    except OSError as exc:
-        raise OSError(f"cannot write accountant curve to {path}: {exc}") from exc
+    _write_csv(path, ("alpha", "epsilon", "provenance"),
+               ([_fmt(float(a)), _fmt(float(e)), curve.provenance]
+                for a, e in zip(curve.alphas, curve.epsilons)),
+               "accountant curve")
 
 
 def emit_trace_csv(trace, path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("iter", "objective", "dist_sq"))
-            for idx, k in enumerate(trace.iterations):
-                obj = trace.objective[idx] if idx < len(trace.objective) else ""
-                dist = trace.dist_sq[idx] if idx < len(trace.dist_sq) else ""
-                writer.writerow([k, _fmt(obj) if obj != "" else "",
-                                 _fmt(dist) if dist != "" else ""])
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    def cell(values, idx):
+        return _fmt(values[idx]) if idx < len(values) else ""
+
+    _write_csv(path, ("iter", "objective", "dist_sq"),
+               ([k, cell(trace.objective, idx), cell(trace.dist_sq, idx)]
+                for idx, k in enumerate(trace.iterations)),
+               "trace")
 
 
 def emit_observations_csv(log, path) -> None:
     """Per-user observation sequences: one row per hand-off, z by value."""
-    dim = 0
-    for seq in log.events.values():
-        for _, z in seq:
-            dim = max(dim, len(z))
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("user", "step") + tuple(f"z{j}" for j in range(dim)))
-            for user in sorted(log.events):
-                for k, z in log.events[user]:
-                    writer.writerow([user, k] + [_fmt(float(v)) for v in z])
-    except OSError as exc:
-        raise OSError(f"cannot write observations to {path}: {exc}") from exc
+    dim = max((len(z) for seq in log.events.values() for _, z in seq), default=0)
+    _write_csv(path, ("user", "step") + tuple(f"z{j}" for j in range(dim)),
+               ([user, k] + [_fmt(float(v)) for v in z]
+                for user in sorted(log.events) for k, z in log.events[user]),
+               "observations")

@@ -3,13 +3,15 @@
 Subcommands: ``solve`` (one run), ``bench`` (the full budget-grid
 experiment), ``account`` (print an RDP curve for given parameters), and
 ``calibrate`` (noise level for a target budget). Flags mirror the
-experiment configuration; a ``key = value`` config file can override any
-flag. Output files land in --outdir, defaulting to the PRIVFP_OUTDIR
-environment variable (or the working directory).
+experiment configuration; a ``key = value`` config file overrides the
+defaults, and explicit flags override the file. Output files land in
+--outdir, defaulting to the PRIVFP_OUTDIR environment variable (or the
+working directory).
 
 Exit codes: 0 success, 2 parameter error, 3 structural error, 4 model
-error, 5 out-of-regime condition, 1 anything else. Errors are printed to
-stderr as ``error category=<category>: <message>``.
+error, 5 out-of-regime condition, 6 I/O error (OSError). Errors are
+printed to stderr as ``error category=<category>: <message>``; any other
+exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _config_from_args(args) -> bench.ExperimentConfig:
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key = value file overriding flags")
+    parser.add_argument("--config", help="key = value file; explicit flags override it")
     parser.add_argument("--setting", choices=("centralized", "federated", "decentralized"))
     parser.add_argument("--algorithm", choices=("admm", "dpsgd"))
     parser.add_argument("--n", type=int)

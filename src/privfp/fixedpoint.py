@@ -293,7 +293,7 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
         u = np.asarray(u, dtype=float)
         return u - (2.0 / beta) * np.asarray(item_grads[item_at(k)](u), dtype=float)
 
-    handle = OperatorHandle(apply=apply, kind=NonExpansive(), data_dependent=True)
+    handle = OperatorHandle(apply=apply, kind=NonExpansive())
     cfg = IterationConfig(K=K, sigma=2.0 * sigma_grad / beta, lam=gamma * beta / 2.0,
                           schedule=AllBlocks(), seed=seed)
     return handle, cfg
@@ -324,7 +324,7 @@ def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
         return out.ravel()
 
     kind = Contractive(tau) if tau is not None else NonExpansive()
-    handle = OperatorHandle(apply=apply, kind=kind, data_dependent=True)
+    handle = OperatorHandle(apply=apply, kind=kind)
     cfg = IterationConfig(K=K, sigma=sigma, lam=1.0,
                           schedule=schedule or SingleUniform(), seed=seed)
     return handle, cfg

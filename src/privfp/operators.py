@@ -61,7 +61,6 @@ class OperatorHandle:
 
     apply: Callable[[np.ndarray, int], np.ndarray]
     kind: OperatorClass
-    data_dependent: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +107,19 @@ def clip(v: np.ndarray, threshold: float) -> np.ndarray:
     if norm <= threshold:
         return v
     return v * (threshold / norm)
+
+
+def clip_rows(X: np.ndarray, threshold: float) -> np.ndarray:
+    """``clip`` applied to each row of X; rows inside the ball come back unchanged."""
+    if threshold <= 0:
+        raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
+    X = np.asarray(X, dtype=float)
+    norms = np.linalg.norm(X, axis=1)
+    over = norms > threshold
+    if np.any(over):
+        X = X.copy()
+        X[over] *= (threshold / norms[over])[:, None]
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +258,7 @@ def gradient_step_operator(grad: Callable[[np.ndarray], np.ndarray], beta: float
         kind = Contractive((beta - mu) / (beta + mu))
     else:
         kind = NonExpansive()
-    return OperatorHandle(apply=apply, kind=kind, data_dependent=False)
+    return OperatorHandle(apply=apply, kind=kind)
 
 
 # ---------------------------------------------------------------------------

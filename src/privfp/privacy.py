@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConditionNotMet, ParameterError, StructuralError
 
@@ -273,19 +274,25 @@ def setting_curve(setting: str, sigma: float, *, K: int, L: float, gamma: float,
                   n: int, m: int | None = None, K_i: int | None = None,
                   alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> RdpCurve:
     """Evaluate a setting's formula over the grid, keeping only in-regime orders."""
+    return grid_curve(
+        lambda a: setting_epsilon(setting, a, sigma, K=K, L=L, gamma=gamma, n=n, m=m, K_i=K_i),
+        alphas, f"no grid order satisfies the {setting} regime at sigma={sigma:g}",
+        provenance=f"{setting}(K={K},sigma={sigma:g})")
+
+
+def grid_curve(epsilon_at: Callable[[float], float], alphas: tuple[float, ...],
+               empty_message: str, provenance: str) -> RdpCurve:
+    """epsilon_at(alpha) over the grid, dropping orders where it raises ConditionNotMet."""
     grid, eps = [], []
     for a in alphas:
         try:
-            eps.append(setting_epsilon(setting, a, sigma, K=K, L=L, gamma=gamma,
-                                       n=n, m=m, K_i=K_i))
+            eps.append(epsilon_at(a))
             grid.append(a)
         except ConditionNotMet:
             continue
     if not grid:
-        raise ConditionNotMet(
-            "no valid Rényi order",
-            f"no grid order satisfies the {setting} regime at sigma={sigma:g}")
-    return RdpCurve(tuple(grid), tuple(eps), provenance=f"{setting}(K={K},sigma={sigma:g})")
+        raise ConditionNotMet("no valid Rényi order", empty_message)
+    return RdpCurve(tuple(grid), tuple(eps), provenance=provenance)
 
 
 _LARGE_SIGMA = 1e8

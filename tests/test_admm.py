@@ -187,6 +187,20 @@ class TestCentralizedRun:
             assert b <= a * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("driver", [
+    lambda problem: centralized_run(problem, BlockVector.zeros(3, 2), 0.5, -1.0, K=2, seed=0),
+    lambda problem: federated_run(problem, 2, m=2, lam=0.5, sigma=-1.0, K=2, seed=0),
+    lambda problem: decentralized_run(problem, 2, 0.5, -1.0, K=2, seed=0),
+    lambda problem: federated_round(problem, initial_state(problem, 2), [0, 1], 0.5, -1.0, seed=0),
+    lambda problem: decentralized_step(problem, initial_state(problem, 2), 0, 0.5, -1.0, seed=0),
+], ids=["centralized_run", "federated_run", "decentralized_run", "federated_round",
+        "decentralized_step"])
+def test_negative_sigma_rejected_by_every_driver(driver):
+    problem, _ = simple_problem(3, 2)
+    with pytest.raises(ParameterError, match="noise std"):
+        driver(problem)
+
+
 class TestFederated:
     def test_full_participation_tracks_centralized_with_shift(self):
         problem, _ = simple_problem(6, 3)

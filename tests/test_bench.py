@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ from privfp.bench import (
     lasso_objective, optimality_gap, reference_lasso, run_experiment,
     train_test_split,
 )
-from privfp.errors import ParameterError, StructuralError
+from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import RunTrace
 from privfp.operators import prox_l1
 
@@ -86,6 +87,11 @@ class TestReferenceSolver:
         x = reference_lasso(data, kappa)
         assert np.max(optimality_gap(data, x, kappa)) < 1e-8
 
+    def test_unconverged_solve_raises(self):
+        data = gen_lasso(n=200, p=16, support_size=4, seed=6)
+        with pytest.raises(ModelError, match="max_iters=1;.*gradient-map norm"):
+            reference_lasso(data, default_kappa(data), max_iters=1)
+
 
 class TestDpsgdBaseline:
     def test_full_batch_quadratic_reaches_least_squares(self):
@@ -156,6 +162,17 @@ class TestRunExperiment:
         assert row.epsilon == want
         assert row.epsilon <= 2.0
 
+    def test_tune_without_a_finite_objective_raises(self, monkeypatch):
+        config = ExperimentConfig(n=60, p=6, support_size=2, K=5, epsilons=(1.0,))
+
+        def nan_rows(candidate):
+            return [bench.ResultRow(candidate.setting, candidate.algorithm, 1.0, 1e-6,
+                                    1.0, 5, 0, math.nan, math.nan, 0.0)]
+
+        monkeypatch.setattr(bench, "run_experiment", nan_rows)
+        with pytest.raises(ModelError, match="finite test objective"):
+            bench.tune(config)
+
     def test_decentralized_dpsgd_rejected(self):
         with pytest.raises(ParameterError):
             ExperimentConfig(setting="decentralized", algorithm="dpsgd")
@@ -213,3 +230,56 @@ class TestCsvExport:
     def test_io_error_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit_csv([], tmp_path / "no" / "such" / "dir.csv")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous contents\n")
+        before = path.read_bytes()
+
+        def rows():
+            yield ["a", "b"]
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            bench._write_csv(path, ("x", "y"), rows(), "rows")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_file_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w"):
+            pass
+        path = tmp_path / "new.csv"
+        emit_csv([], path)
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        os.chmod(path, 0o600)  # rewriting an existing file keeps its mode, as "w" does
+        emit_csv([], path)
+        assert os.stat(path).st_mode & 0o777 == 0o600
+
+
+CELLS = [("centralized", "admm"), ("centralized", "dpsgd"), ("federated", "admm"),
+         ("federated", "dpsgd"), ("decentralized", "admm")]
+
+
+class TestCellAccounting:
+    def test_calibration_equals_accountant_calibration(self):
+        config = ExperimentConfig(setting="federated", algorithm="admm")
+        n_train, gamma = 900, 1800.0
+        want = privacy.calibrate_sigma(
+            "federated_central", epsilon=0.1, delta=config.delta, K=config.K,
+            L=config.clip_threshold / gamma, gamma=gamma, n=n_train, m=90,
+            K_i=privacy.estimated_participations(config.K, n_train), alphas=config.alphas)
+        assert bench.calibrate_noise(config, 0.1, gamma, n_train) == want
+
+    @pytest.mark.parametrize("setting,algorithm", CELLS)
+    @pytest.mark.parametrize("epsilon", [0.3, 3.0])
+    def test_calibrated_sigma_certifies_budget(self, setting, algorithm, epsilon):
+        config = ExperimentConfig(setting=setting, algorithm=algorithm)
+        sigma = bench.calibrate_noise(config, epsilon, 1800.0, 900)
+        assert 0 < bench.achieved_epsilon(config, sigma, 1800.0, 900) <= epsilon
+
+    def test_nonpositive_budget_rejected(self):
+        config = ExperimentConfig(setting="centralized", algorithm="dpsgd")
+        with pytest.raises(privacy.ConditionNotMet) as info:
+            bench.calibrate_noise(config, 0.0, 1800.0, 900)
+        assert info.value.condition == "epsilon > 0"

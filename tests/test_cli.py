@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from privfp import bench
 from privfp.cli import main
 
 
@@ -94,6 +95,15 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "parameter_error" in err
+
+
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        def fail(config, collect=False):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(bench, "solve_once", fail)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["solve", "--sigma", "0"])
 
 
 class TestSolveArtifacts:

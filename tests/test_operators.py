@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from privfp.errors import ParameterError
 from privfp.operators import (
     Averaged, Contractive, CustomProx, L1Prox, NonExpansive, QuadraticProx,
-    QuadraticRankOneProx, ZeroProx, clip, empirical_lipschitz, gradient_step_operator,
+    QuadraticRankOneProx, ZeroProx, clip, clip_rows, empirical_lipschitz, gradient_step_operator,
     lions_mercier, prox_l1, prox_quadratic_rank_one, reflect, reflect_compose,
 )
 
@@ -231,3 +231,29 @@ class TestClip:
     def test_invalid_threshold(self):
         with pytest.raises(ParameterError):
             clip(np.ones(2), 0.0)
+
+
+class TestClipRows:
+    def test_rows_inside_ball_bit_unchanged(self):
+        X = np.array([[3.0, 4.0], [6.0, 8.0], [0.1, -0.2], [3.0, -4.0]])
+        out = clip_rows(X, 5.0)
+        assert np.array_equal(out[[0, 2, 3]], X[[0, 2, 3]])
+        np.testing.assert_allclose(out[1], [3.0, 4.0])
+        assert np.array_equal(X[1], [6.0, 8.0])  # the input is not modified
+
+    def test_matches_clip_row_by_row(self):
+        gen = np.random.default_rng(19)
+        X = gen.normal(size=(200, 7)) * gen.uniform(0.1, 5.0, size=(200, 1))
+        out = clip_rows(X, 2.0)
+        want = np.stack([clip(x, 2.0) for x in X])
+        inside = np.linalg.norm(X, axis=1) <= 2.0
+        assert 0 < inside.sum() < len(X)
+        assert np.array_equal(out[inside], want[inside])
+        # the row norms are summed in a different order than clip's, so the
+        # scale factors of clipped rows agree up to rounding
+        np.testing.assert_allclose(out, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_invalid_threshold(self, threshold):
+        with pytest.raises(ParameterError):
+            clip_rows(np.ones((2, 2)), threshold)
