@@ -7,14 +7,15 @@ solved by iterating, with fresh per-user Gaussian noise eta:
     x_i <- prox_f_i(2 z - u_i)
     u_i <- u_i + 2 lam (clip(x_i - z) + eta_i / 2)
 
-Three drivers share these updates: a centralized loop over all users per
-round, a federated loop where a sampled cohort computes local deltas that
-the server aggregates, and a sequential random walk where one user at a
-time updates and forwards the model. A matrix-constrained generalization
-(arbitrary A x + B z = c coupling) is provided with a consensus
-instantiation that reproduces the specialized path bit-for-bit under a
-shared seed. Every run returns only the public variable z (and a trace);
-the data-adjacent x iterates never leave a round.
+Three drivers share one round kernel and differ only in who takes part:
+a centralized loop over all users per round, a federated loop where a
+sampled cohort computes local deltas that the server aggregates, and a
+sequential random walk where one user at a time updates and forwards the
+model. A matrix-constrained generalization (arbitrary A x + B z = c
+coupling) is provided with a consensus instantiation that reproduces the
+specialized path bit-for-bit under a shared seed. Every run returns only
+the public variable z (and a trace); the data-adjacent x iterates never
+leave a round.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
 from .fixedpoint import RunTrace
-from .operators import ProxSpec, QuadraticRankOneProx, clip, clip_rows
+from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 # ---------------------------------------------------------------------------
 # Problems and state
@@ -38,13 +39,16 @@ from .operators import ProxSpec, QuadraticRankOneProx, clip, clip_rows
 class ConsensusProblem:
     """Per-item proximal maps, a regularizer prox, and the shared constants.
 
-    ``prox_f[i]`` evaluates the prox of the i-th loss at step gamma;
-    ``prox_r`` the regularizer's. ``lipschitz`` is the Lipschitz constant
-    of the per-item losses (feeds the accountant). ``clip_threshold``
-    caps ||x_i - z|| in the dual update when set.
+    ``prox_f`` holds the n per-item proxes at step gamma in one of two
+    forms: a tuple of specs, where ``prox_f[i]`` evaluates the i-th, or a
+    ``RowQuadraticProx`` that solves the squared-residual rows of a design
+    in batches. ``local_solves`` evaluates either. ``prox_r`` is the
+    regularizer's prox. ``lipschitz`` is the Lipschitz constant of the
+    per-item losses (feeds the accountant). ``clip_threshold`` caps
+    ||x_i - z|| in the dual update when set.
     """
 
-    prox_f: tuple[ProxSpec, ...]
+    prox_f: tuple[ProxSpec, ...] | RowQuadraticProx
     prox_r: ProxSpec
     gamma: float
     lipschitz: float
@@ -64,9 +68,11 @@ class ConsensusProblem:
     def n(self) -> int:
         return len(self.prox_f)
 
-    def deviation(self, x_i: np.ndarray, z: np.ndarray) -> np.ndarray:
-        d = x_i - z
-        return clip(d, self.clip_threshold) if self.clip_threshold is not None else d
+    def local_solves(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row j of the result is prox_f[rows[j]] evaluated at V[j]."""
+        if isinstance(self.prox_f, RowQuadraticProx):
+            return self.prox_f.rows(V, rows)
+        return np.stack([np.asarray(self.prox_f[i](v), dtype=float) for i, v in zip(rows, V)])
 
 
 @dataclass(frozen=True)
@@ -88,52 +94,20 @@ def initial_state(problem: ConsensusProblem, p: int,
 
 
 # ---------------------------------------------------------------------------
-# Elementary updates
+# The round kernel shared by the three drivers
 
 
-def z_update(state: AdmmState, problem: ConsensusProblem) -> np.ndarray:
-    """prox_r of the mean of the dual blocks."""
-    return np.asarray(problem.prox_r(state.u.mean_block()), dtype=float)
-
-
-def x_update(i: int, z: np.ndarray, state: AdmmState, problem: ConsensusProblem) -> np.ndarray:
-    """prox of the i-th loss at 2z - u_i."""
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"user index {i} out of range [0, {problem.n})")
-    return np.asarray(problem.prox_f[i](2.0 * z - state.u.block(i)), dtype=float)
-
-
-def u_update(i: int, x_i: np.ndarray, z: np.ndarray, state: AdmmState,
-             lam: float, eta_i: np.ndarray, problem: ConsensusProblem) -> np.ndarray:
-    """u_i + 2 lam (clipped deviation + eta_i / 2); noise enters with weight lam."""
-    _check_lam(lam)
-    return state.u.block(i) + 2.0 * lam * (problem.deviation(x_i, z) + 0.5 * np.asarray(eta_i))
-
-
-def _check_lam(lam: float):
+def _check_step(lam: float, sigma: float):
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"step size must lie in (0, 1], got {lam}")
-
-
-# ---------------------------------------------------------------------------
-# Vectorized per-round kernel (all users in `rows` against a fixed z_ref)
+    if sigma < 0:
+        raise ParameterError(f"noise std must be >= 0, got {sigma}")
 
 
 def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
     """2*lam*(clip(x_i - z_ref) + eta_i/2) for each i in rows, stacked."""
-    if sigma < 0:
-        raise ParameterError(f"noise std must be >= 0, got {sigma}")
-    specs = [problem.prox_f[i] for i in rows]
-    V = 2.0 * z_ref - U[rows]
-    if specs and all(isinstance(s, QuadraticRankOneProx) for s in specs) \
-            and len({(s.gamma, s.n) for s in specs}) == 1:
-        A = np.stack([np.asarray(s.a, dtype=float) for s in specs])
-        b = np.array([s.b for s in specs], dtype=float)
-        c = 2.0 * specs[0].n / specs[0].gamma
-        X = V + ((b - np.einsum("ij,ij->i", A, V)) / (c + np.einsum("ij,ij->i", A, A)))[:, None] * A
-    else:
-        X = np.stack([np.asarray(s(v), dtype=float) for s, v in zip(specs, V)])
-    dev = X - z_ref
+    _check_step(lam, sigma)
+    dev = problem.local_solves(2.0 * z_ref - U[rows], rows) - z_ref
     if problem.clip_threshold is not None:
         dev = clip_rows(dev, problem.clip_threshold)
     if sigma > 0:
@@ -142,9 +116,27 @@ def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
     return 2.0 * lam * dev
 
 
-def _record(trace, k, mask, z, objective, reference):
-    trace.record(k, mask, obj=None if objective is None else objective(z),
-                 dist=None if reference is None else float(np.sum((z - reference) ** 2)))
+def _advance(problem, state, rows, lam, sigma, seed):
+    """Users in rows update against z; the server sets z <- prox_r(z + sum of deltas / n)."""
+    U = state.u.data.copy()
+    deltas = _round_deltas(problem, U, rows, state.z, lam, sigma, seed, state.k)
+    U[rows] += deltas
+    z = np.asarray(problem.prox_r(state.z + deltas.sum(axis=0) / problem.n), dtype=float)
+    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1)
+
+
+def _loop(n, K, seed, step, objective, reference, unit="round"):
+    """Record ``step(k) -> (participants, z)`` for k < K; returns z_K and the trace."""
+    if K < 1:
+        raise ParameterError(f"{unit} count must be >= 1, got {K}")
+    trace = RunTrace(seed=seed)
+    for k in range(K):
+        rows, z = step(k)
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
+        trace.record(k, mask, obj=None if objective is None else objective(z),
+                     dist=None if reference is None else float(np.sum((z - reference) ** 2)))
+    return z, trace
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +154,17 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
     fixed seed. The trace records per-round objective / squared distance
     of z when callbacks are given.
     """
-    _check_lam(lam)
-    if K < 1:
-        raise ParameterError(f"round count must be >= 1, got {K}")
     if u0.n_blocks != problem.n:
         raise StructuralError(f"u0 has {u0.n_blocks} blocks for {problem.n} users")
     U = u0.data.copy()
     all_rows = np.arange(problem.n)
-    trace = RunTrace(seed=seed)
-    z = None
-    for k in range(K):
+
+    def step(k):
         z = np.asarray(problem.prox_r(U.mean(axis=0)), dtype=float)
-        U += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
-        _record(trace, k, np.ones(problem.n, dtype=bool), z, objective, reference)
-    return z, trace
+        U[:] += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
+        return all_rows, z
+
+    return _loop(problem.n, K, seed, step, objective, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +182,12 @@ def federated_round(problem: ConsensusProblem, state: AdmmState,
     cohort size — and applies the regularizer prox. Unsampled users'
     blocks are bit-unchanged.
     """
-    _check_lam(lam)
     rows = np.asarray(sorted(int(i) for i in set(sampled)), dtype=int)
     if rows.size == 0:
         raise ParameterError("sampled user set must not be empty")
     if rows[0] < 0 or rows[-1] >= problem.n:
         raise StructuralError(f"sampled users {rows} out of range [0, {problem.n})")
-    U = state.u.data.copy()
-    deltas = _round_deltas(problem, U, rows, state.z, lam, sigma, seed, state.k)
-    U[rows] += deltas
-    z_hat = state.z + deltas.sum(axis=0) / problem.n
-    return AdmmState(u=BlockVector(U), z=np.asarray(problem.prox_r(z_hat), dtype=float),
-                     k=state.k + 1)
+    return _advance(problem, state, rows, lam, sigma, seed)
 
 
 def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
@@ -213,17 +196,15 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
                   objective: Callable[[np.ndarray], float] | None = None,
                   reference: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
     """K federated rounds with uniform m-of-n user sampling; returns z_K."""
-    if K < 1:
-        raise ParameterError(f"round count must be >= 1, got {K}")
     state = initial_state(problem, p, u0)
-    trace = RunTrace(seed=seed)
-    for k in range(K):
+
+    def step(k):
+        nonlocal state
         rows = simnet.sample_users(problem.n, m, rng.schedule_rng(seed, k))
         state = federated_round(problem, state, rows, lam, sigma, seed)
-        mask = np.zeros(problem.n, dtype=bool)
-        mask[rows] = True
-        _record(trace, k, mask, state.z, objective, reference)
-    return state.z, trace
+        return rows, state.z
+
+    return _loop(problem.n, K, seed, step, objective, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +221,12 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     a log is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as
     the receiving user's observation.
     """
-    _check_lam(lam)
     if not 0 <= i < problem.n:
         raise StructuralError(f"user index {i} out of range [0, {problem.n})")
-    U = state.u.data.copy()
-    delta = _round_deltas(problem, U, np.array([i]), state.z, lam, sigma, seed, state.k)[0]
-    U[i] += delta
-    z_next = np.asarray(problem.prox_r(state.z + delta / problem.n), dtype=float)
+    new_state = _advance(problem, state, np.array([i]), lam, sigma, seed)
     next_user = simnet.walk_next(problem.n, rng.schedule_rng(seed, state.k))
-    new_state = AdmmState(u=BlockVector(U), z=z_next, k=state.k + 1)
     if log is not None:
-        simnet.record_observation(log, next_user, state.k + 1, z_next)
+        simnet.record_observation(log, next_user, new_state.k, new_state.z)
     return new_state, next_user
 
 
@@ -261,19 +237,19 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
                       reference: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
     """K random-walk steps; returns z_K, the trace, and the observation log."""
-    if K < 1:
-        raise ParameterError(f"step count must be >= 1, got {K}")
     state = initial_state(problem, p, u0)
     log = simnet.ObservationLog(n=problem.n)
     current = initial_user if initial_user is not None \
         else simnet.walk_next(problem.n, rng.schedule_rng(seed, 0, tag=1))
-    trace = RunTrace(seed=seed)
-    for k in range(K):
-        mask = np.zeros(problem.n, dtype=bool)
-        mask[current] = True
-        state, current = decentralized_step(problem, state, current, lam, sigma, seed, log)
-        _record(trace, k, mask, state.z, objective, reference)
-    return state.z, trace, log
+
+    def step(k):
+        nonlocal state, current
+        holder = current
+        state, current = decentralized_step(problem, state, holder, lam, sigma, seed, log)
+        return holder, state.z
+
+    z, trace = _loop(problem.n, K, seed, step, objective, reference, unit="step")
+    return z, trace, log
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +299,7 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
     consensus instantiation (one block per user) shares draws with the
     specialized drivers under the same seed.
     """
-    _check_lam(lam)
+    _check_step(lam, sigma)
     u = np.asarray(state.u, dtype=float)
     z = np.asarray(problem.g_argmin(u), dtype=float)
     x = np.asarray(problem.f_argmin(z, u), dtype=float)
@@ -380,9 +356,7 @@ def consensus_as_general(problem: ConsensusProblem, p: int) -> GeneralAdmmProble
         return np.asarray(problem.prox_r(u.reshape(n, p).mean(axis=0)), dtype=float)
 
     def f_argmin(z, u):
-        V = 2.0 * z - u.reshape(n, p)
-        return np.concatenate([np.asarray(problem.prox_f[i](V[i]), dtype=float)
-                               for i in range(n)])
+        return problem.local_solves(2.0 * z - u.reshape(n, p), np.arange(n)).ravel()
 
     return GeneralAdmmProblem(f_argmin=f_argmin, g_argmin=g_argmin,
                               A=np.eye(n * p), B=B, c=np.zeros(n * p),

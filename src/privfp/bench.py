@@ -31,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import admm, privacy, rng
+from . import admm, privacy, rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .operators import L1Prox, QuadraticRankOneProx, clip, clip_rows, prox_l1
+from .operators import L1Prox, RowQuadraticProx, clip, clip_rows, prox_l1
 
 # Rényi grid for the bench: the default grid extended upward so budgets
 # down to epsilon ~ 0.05 at delta = 1e-6 stay reachable after conversion.
@@ -154,13 +154,10 @@ def optimality_gap(dataset: LassoDataset, x: np.ndarray, kappa: float) -> np.nda
 def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
                             clip_threshold: float | None = None) -> admm.ConsensusProblem:
     """Consensus-splitting formulation of the Lasso on this dataset."""
-    proxes = tuple(QuadraticRankOneProx(a=dataset.A[i], b=float(dataset.b[i]),
-                                        gamma=gamma, n=dataset.n)
-                   for i in range(dataset.n))
     # Accounting consults the clipped sensitivity; sigma=0 runs never read this.
     lipschitz = clip_threshold / gamma if clip_threshold is not None else 1.0
     return admm.ConsensusProblem(
-        prox_f=proxes,
+        prox_f=RowQuadraticProx(dataset.A, dataset.b, gamma, dataset.n),
         prox_r=L1Prox(threshold=gamma * kappa / (2.0 * dataset.n)),
         gamma=gamma, lipschitz=lipschitz, clip_threshold=clip_threshold)
 
@@ -187,7 +184,7 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
             g = dataset.A.T @ (dataset.A @ x - dataset.b) / dataset.n
         else:
             if item_order == "uniform":
-                i = int(rng.schedule_rng(seed, k).integers(dataset.n))
+                i = simnet.walk_next(dataset.n, rng.schedule_rng(seed, k))
             elif item_order == "cyclic":
                 i = k % dataset.n
             else:
@@ -208,7 +205,7 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
         raise ParameterError("need step > 0, clip_threshold > 0, sigma >= 0, K >= 1")
     x = np.zeros(dataset.p)
     for k in range(K):
-        rows = np.sort(rng.schedule_rng(seed, k).choice(dataset.n, size=m, replace=False))
+        rows = simnet.sample_users(dataset.n, m, rng.schedule_rng(seed, k))
         G = clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
                       clip_threshold)
         if sigma > 0:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import rng
+from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ParameterError, StructuralError
 from .operators import Contractive, NonExpansive, OperatorHandle
@@ -69,7 +69,7 @@ class SingleUniform(BlockSchedule):
 
     def mask(self, n_blocks, seed, k):
         m = np.zeros(n_blocks, dtype=bool)
-        m[rng.schedule_rng(seed, k).integers(n_blocks)] = True
+        m[simnet.walk_next(n_blocks, rng.schedule_rng(seed, k))] = True
         return m
 
     def activation_probability(self, n_blocks):
@@ -87,10 +87,8 @@ class SubsetUniform(BlockSchedule):
             raise ParameterError(f"subset size must be >= 1, got {self.m}")
 
     def mask(self, n_blocks, seed, k):
-        if self.m > n_blocks:
-            raise ParameterError(f"subset size {self.m} exceeds block count {n_blocks}")
         m = np.zeros(n_blocks, dtype=bool)
-        m[rng.schedule_rng(seed, k).choice(n_blocks, size=self.m, replace=False)] = True
+        m[simnet.sample_users(n_blocks, self.m, rng.schedule_rng(seed, k))] = True
         return m
 
     def activation_probability(self, n_blocks):
@@ -285,7 +283,7 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
             if order == "cyclic":
                 return k % n_items
             if order == "uniform":
-                return int(rng.schedule_rng(seed, k, tag=2).integers(n_items))
+                return simnet.walk_next(n_items, rng.schedule_rng(seed, k, tag=2))
             raise ParameterError(f"unknown item order {order!r}")
         return int(order[k % len(order)])
 

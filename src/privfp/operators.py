@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, StructuralError
 
 # ---------------------------------------------------------------------------
 # Expansiveness classes
@@ -172,6 +172,36 @@ class QuadraticRankOneProx(ProxSpec):
 
     def __call__(self, v):
         return prox_quadratic_rank_one(self.a, self.b, self.gamma, self.n, v)
+
+
+class RowQuadraticProx:
+    """The proxes of every squared-residual row of a design, solved in batches.
+
+    Row i's prox is ``QuadraticRankOneProx(A[i], b[i], gamma, n)``; ``rows``
+    evaluates any set of rows with one vectorized Sherman-Morrison.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, gamma: float, n: int):
+        if gamma <= 0:
+            raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
+        if n < 1:
+            raise ParameterError(f"row weight n must be >= 1, got {n}")
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        if self.A.ndim != 2 or self.b.shape != self.A.shape[:1]:
+            raise StructuralError(f"targets of shape {self.b.shape} do not match "
+                                  f"a design of shape {self.A.shape}")
+        self.gamma, self.n = gamma, n
+        self._sq_norms = np.einsum("ij,ij->i", self.A, self.A)
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    def rows(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row j of the result is the prox of row ``rows[j]`` at ``V[j]``."""
+        A = self.A[rows]
+        return V + ((self.b[rows] - np.einsum("ij,ij->i", A, V))
+                    / (2.0 * self.n / self.gamma + self._sq_norms[rows]))[:, None] * A
 
 
 @dataclass(frozen=True)

@@ -177,15 +177,13 @@ def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float,
 
 
 def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
-                              sigma: float, m: int, n: int,
-                              secure_agg: bool = False) -> float:
+                              sigma: float, m: int, n: int) -> float:
     """Central-view Rényi DP of K federated rounds with m-of-n user sampling.
 
     Value: 16*alpha*K*L^2*gamma^2/(sigma^2 n^2), i.e. twice the centralized
-    bound; valid only in the subsampling regime with q = m/n. The
-    ``secure_agg`` flag does not change this central bound (it amplifies
-    the *local* guarantee, see ``local_epsilon``); it is accepted here so
-    experiment configs can carry it alongside the accounting call.
+    bound; valid only in the subsampling regime with q = m/n. Secure
+    aggregation does not change this central bound; it amplifies the
+    *local* guarantee (see ``local_epsilon``).
     """
     if m < 1 or n < 1 or m > n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")

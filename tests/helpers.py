@@ -2,9 +2,33 @@
 
 import numpy as np
 
-from privfp.admm import AdmmState, ConsensusProblem, u_update, x_update, z_update
+from privfp.admm import AdmmState, ConsensusProblem
 from privfp.blocks import BlockVector
-from privfp.operators import CustomProx, ZeroProx, prox_l1
+from privfp.errors import ParameterError, StructuralError
+from privfp.operators import CustomProx, ZeroProx, clip, prox_l1
+
+
+def z_update(state: AdmmState, problem: ConsensusProblem) -> np.ndarray:
+    """prox_r of the mean of the dual blocks."""
+    return np.asarray(problem.prox_r(state.u.mean_block()), dtype=float)
+
+
+def x_update(i: int, z: np.ndarray, state: AdmmState, problem: ConsensusProblem) -> np.ndarray:
+    """prox of the i-th loss at 2z - u_i (``problem.prox_f`` a tuple of specs)."""
+    if not 0 <= i < problem.n:
+        raise StructuralError(f"user index {i} out of range [0, {problem.n})")
+    return np.asarray(problem.prox_f[i](2.0 * z - state.u.block(i)), dtype=float)
+
+
+def u_update(i: int, x_i: np.ndarray, z: np.ndarray, state: AdmmState,
+             lam: float, eta_i: np.ndarray, problem: ConsensusProblem) -> np.ndarray:
+    """u_i + 2 lam (clipped deviation + eta_i / 2); noise enters with weight lam."""
+    if not 0.0 < lam <= 1.0:
+        raise ParameterError(f"step size must lie in (0, 1], got {lam}")
+    dev = x_i - z
+    if problem.clip_threshold is not None:
+        dev = clip(dev, problem.clip_threshold)
+    return state.u.block(i) + 2.0 * lam * (dev + 0.5 * np.asarray(eta_i))
 
 
 def one_round_u(problem: ConsensusProblem, U: np.ndarray, lam: float) -> np.ndarray:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import consensus_displacement_audit, one_round_u
+from helpers import consensus_displacement_audit, one_round_u, u_update, x_update, z_update
 from privfp import rng
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
     federated_round, federated_run, general_admm_run, general_admm_step,
-    initial_state, recover_x_from_z, u_update, x_update, z_update,
+    initial_state, recover_x_from_z,
 )
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
@@ -193,12 +193,31 @@ class TestCentralizedRun:
     lambda problem: decentralized_run(problem, 2, 0.5, -1.0, K=2, seed=0),
     lambda problem: federated_round(problem, initial_state(problem, 2), [0, 1], 0.5, -1.0, seed=0),
     lambda problem: decentralized_step(problem, initial_state(problem, 2), 0, 0.5, -1.0, seed=0),
+    lambda problem: general_admm_run(consensus_as_general(problem, 2), np.zeros(6), 0.5, -1.0,
+                                     K=2, seed=0, noise_blocks=3),
 ], ids=["centralized_run", "federated_run", "decentralized_run", "federated_round",
-        "decentralized_step"])
+        "decentralized_step", "general_admm_run"])
 def test_negative_sigma_rejected_by_every_driver(driver):
     problem, _ = simple_problem(3, 2)
     with pytest.raises(ParameterError, match="noise std"):
         driver(problem)
+
+
+@pytest.mark.parametrize("driver", [
+    lambda problem, n, p: centralized_run(problem, BlockVector.zeros(n, p), 0.7, 0.3, 25, seed=4),
+    lambda problem, n, p: federated_run(problem, p, 5, 0.7, 0.3, 25, seed=4),
+    lambda problem, n, p: decentralized_run(problem, p, 0.7, 0.3, 60, seed=4),
+], ids=["centralized_run", "federated_run", "decentralized_run"])
+def test_batched_lasso_rows_match_per_user_specs(driver):
+    data = bench.gen_lasso(n=30, p=6, support_size=2, noise_std=0.05, seed=8)
+    kappa, gamma = bench.default_kappa(data, 0.01), 2.0 * data.n  # every z entry nonzero
+    batched = bench.lasso_consensus_problem(data, kappa, gamma, clip_threshold=0.5)
+    per_user = dataclasses.replace(batched, prox_f=tuple(
+        QuadraticRankOneProx(a=data.A[i], b=float(data.b[i]), gamma=gamma, n=data.n)
+        for i in range(data.n)))
+    z_batched, z_per_user = driver(batched, data.n, data.p)[0], driver(per_user, data.n, data.p)[0]
+    assert np.all(z_batched != 0.0)
+    np.testing.assert_allclose(z_batched, z_per_user, rtol=0, atol=1e-12)
 
 
 class TestFederated:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from privfp.errors import ParameterError
+from privfp.errors import ParameterError, StructuralError
 from privfp.operators import (
     Averaged, Contractive, CustomProx, L1Prox, NonExpansive, QuadraticProx,
-    QuadraticRankOneProx, ZeroProx, clip, clip_rows, empirical_lipschitz, gradient_step_operator,
-    lions_mercier, prox_l1, prox_quadratic_rank_one, reflect, reflect_compose,
+    QuadraticRankOneProx, RowQuadraticProx, ZeroProx, clip, clip_rows, empirical_lipschitz,
+    gradient_step_operator, lions_mercier, prox_l1, prox_quadratic_rank_one, reflect,
+    reflect_compose,
 )
 
 
@@ -257,3 +258,29 @@ class TestClipRows:
     def test_invalid_threshold(self, threshold):
         with pytest.raises(ParameterError):
             clip_rows(np.ones((2, 2)), threshold)
+
+
+class TestRowQuadraticProx:
+    @pytest.mark.parametrize("rows", [np.arange(9), np.array([4]), np.array([0, 3, 7])],
+                             ids=["all", "one", "subset"])
+    def test_matches_rank_one_prox_row_by_row(self, rows):
+        gen = np.random.default_rng(23)
+        A, b, V = gen.normal(size=(9, 5)), gen.normal(size=9), gen.normal(size=(len(rows), 5))
+        got = RowQuadraticProx(A, b, gamma=1.7, n=9).rows(V, rows)
+        want = np.stack([prox_quadratic_rank_one(A[i], b[i], 1.7, 9, v) for i, v in zip(rows, V)])
+        assert got.shape == (len(rows), 5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_length_is_row_count(self):
+        assert len(RowQuadraticProx(np.ones((4, 2)), np.ones(4), 1.0, 4)) == 4
+
+    @pytest.mark.parametrize("A, b", [(np.ones((4, 2)), np.ones(3)), (np.ones(4), np.ones(4)),
+                                      (np.ones((4, 2)), np.ones((4, 1)))])
+    def test_shape_mismatch_rejected(self, A, b):
+        with pytest.raises(StructuralError):
+            RowQuadraticProx(A, b, 1.0, 4)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_invalid_gamma(self, gamma):
+        with pytest.raises(ParameterError):
+            RowQuadraticProx(np.ones((4, 2)), np.ones(4), gamma, 4)

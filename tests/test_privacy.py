@@ -149,11 +149,6 @@ class TestFederatedCentral:
         cen = centralized_epsilon(**args)
         assert fed == pytest.approx(2.0 * cen, rel=1e-15)
 
-    def test_secure_agg_flag_does_not_change_central_bound(self):
-        args = dict(alpha=2.0, K=10, L=1.0, gamma=0.1, sigma=4.0, m=10, n=100)
-        assert federated_central_epsilon(**args) == \
-            federated_central_epsilon(secure_agg=True, **args)
-
 
 class TestLocalEpsilon:
     def test_unit_value(self):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privfp import rng
+from privfp import admm, rng
 from privfp.errors import ParameterError
+from privfp.fixedpoint import SingleUniform, SubsetUniform
+from privfp.operators import ZeroProx
 from privfp.simnet import (
     ObservationLog, participation_counts, record_observation, sample_users, walk_next,
 )
@@ -72,6 +74,26 @@ class TestWalkNext:
             M[a, b] += 1
         M /= M.sum(axis=1, keepdims=True)
         assert np.max(np.abs(M - 1.0 / n)) < 0.02
+
+
+class TestScheduleDraws:
+    """The engine's schedules and the ADMM drivers make the same participation draws."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 91])
+    def test_subset_uniform_marks_the_sampled_cohort(self, seed):
+        for k in range(20):
+            want = np.zeros(12, dtype=bool)
+            want[sample_users(12, 4, rng.schedule_rng(seed, k))] = True
+            assert np.array_equal(SubsetUniform(4).mask(12, seed, k), want)
+
+    @pytest.mark.parametrize("seed", [0, 5, 91])
+    def test_walk_holder_follows_single_uniform_shifted_by_one(self, seed):
+        n, K = 7, 40
+        problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx(),
+                                        gamma=1.0, lipschitz=1.0)
+        _, trace, _ = admm.decentralized_run(problem, 1, 0.5, 0.0, K, seed)
+        for k in range(K - 1):
+            assert np.array_equal(trace.active[k + 1], SingleUniform().mask(n, seed, k))
 
 
 class TestObservationLog:
