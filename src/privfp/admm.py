@@ -43,15 +43,15 @@ class ConsensusProblem:
     forms: a tuple of specs, where ``prox_f[i]`` evaluates the i-th, or a
     ``RowQuadraticProx`` that solves the squared-residual rows of a design
     in batches. ``local_solves`` evaluates either. ``prox_r`` is the
-    regularizer's prox. ``lipschitz`` is the Lipschitz constant of the
-    per-item losses (feeds the accountant). ``clip_threshold`` caps
-    ||x_i - z|| in the dual update when set.
+    regularizer's prox. ``clip_threshold`` caps ||x_i - z|| in the dual
+    update when set. The problem carries no Lipschitz constant: the
+    accountant takes one as an argument, and ``bench`` derives the
+    effective constant of a clipped release from the clipping threshold.
     """
 
     prox_f: tuple[ProxSpec, ...] | RowQuadraticProx
     prox_r: ProxSpec
     gamma: float
-    lipschitz: float
     clip_threshold: float | None = None
 
     def __post_init__(self):
@@ -59,8 +59,6 @@ class ConsensusProblem:
             raise ParameterError("need at least one per-item prox")
         if self.gamma <= 0:
             raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
-        if self.lipschitz <= 0:
-            raise ParameterError(f"Lipschitz constant must be > 0, got {self.lipschitz}")
         if self.clip_threshold is not None and self.clip_threshold <= 0:
             raise ParameterError(f"clipping threshold must be > 0, got {self.clip_threshold}")
 
@@ -100,8 +98,8 @@ def initial_state(problem: ConsensusProblem, p: int,
 def _check_step(lam: float, sigma: float):
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"step size must lie in (0, 1], got {lam}")
-    if sigma < 0:
-        raise ParameterError(f"noise std must be >= 0, got {sigma}")
+    if not 0.0 <= sigma <= rng.MAX_SIGMA:
+        raise ParameterError(f"noise std must be >= 0 with a finite square, got {sigma}")
 
 
 def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
@@ -264,8 +262,7 @@ class GeneralAdmmProblem:
     ``f_argmin(z, u)`` solves argmin_x f(x) + (1/2 gamma)||A x + 2 B z + u - c||^2,
     ``g_argmin(u)``   solves argmin_z g(z) + (1/2 gamma)||B z + u||^2.
     ``omega_A`` is the smallest singular value of A (must be positive:
-    the privacy analysis needs A full rank) and ``A_norm`` its spectral
-    norm.
+    the privacy analysis needs A full rank).
     """
 
     f_argmin: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -274,7 +271,6 @@ class GeneralAdmmProblem:
     B: np.ndarray
     c: np.ndarray
     omega_A: float
-    A_norm: float
 
     def __post_init__(self):
         if self.omega_A <= 0:
@@ -360,4 +356,4 @@ def consensus_as_general(problem: ConsensusProblem, p: int) -> GeneralAdmmProble
 
     return GeneralAdmmProblem(f_argmin=f_argmin, g_argmin=g_argmin,
                               A=np.eye(n * p), B=B, c=np.zeros(n * p),
-                              omega_A=1.0, A_norm=1.0)
+                              omega_A=1.0)

@@ -26,7 +26,7 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -154,12 +154,10 @@ def optimality_gap(dataset: LassoDataset, x: np.ndarray, kappa: float) -> np.nda
 def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
                             clip_threshold: float | None = None) -> admm.ConsensusProblem:
     """Consensus-splitting formulation of the Lasso on this dataset."""
-    # Accounting consults the clipped sensitivity; sigma=0 runs never read this.
-    lipschitz = clip_threshold / gamma if clip_threshold is not None else 1.0
     return admm.ConsensusProblem(
         prox_f=RowQuadraticProx(dataset.A, dataset.b, gamma, dataset.n),
         prox_r=L1Prox(threshold=gamma * kappa / (2.0 * dataset.n)),
-        gamma=gamma, lipschitz=lipschitz, clip_threshold=clip_threshold)
+        gamma=gamma, clip_threshold=clip_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +174,9 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
     (the degenerate full-batch configuration, i.e. proximal gradient
     descent plus noise).
     """
-    if step <= 0 or clip_threshold <= 0 or sigma < 0 or K < 1:
-        raise ParameterError("need step > 0, clip_threshold > 0, sigma >= 0, K >= 1")
+    if step <= 0 or clip_threshold <= 0 or not 0.0 <= sigma <= rng.MAX_SIGMA or K < 1:
+        raise ParameterError("need step > 0, clip_threshold > 0, K >= 1, "
+                             "sigma >= 0 with a finite square")
     x = np.zeros(dataset.p)
     for k in range(K):
         if item_order == "full":
@@ -201,8 +200,9 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
                     seed: int) -> np.ndarray:
     """Federated proximal DP-SGD: per round, a sampled cohort of users each
     releases a clipped per-item gradient plus noise; the server averages and steps."""
-    if step <= 0 or clip_threshold <= 0 or sigma < 0 or K < 1:
-        raise ParameterError("need step > 0, clip_threshold > 0, sigma >= 0, K >= 1")
+    if step <= 0 or clip_threshold <= 0 or not 0.0 <= sigma <= rng.MAX_SIGMA or K < 1:
+        raise ParameterError("need step > 0, clip_threshold > 0, K >= 1, "
+                             "sigma >= 0 with a finite square")
     x = np.zeros(dataset.p)
     for k in range(K):
         rows = simnet.sample_users(dataset.n, m, rng.schedule_rng(seed, k))
@@ -219,6 +219,10 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
 # Experiment runner
 
 
+SETTINGS = ("centralized", "federated", "decentralized")
+ALGORITHMS = ("admm", "dpsgd")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark cell grid: data, algorithm, budgets, and tuned defaults.
@@ -228,34 +232,37 @@ class ExperimentConfig:
     epsilon grid with tuning seed 12345, shared across all budgets.
     ``gamma = gamma_scale * 2 * n_train`` (the row solve's natural scale).
     ``sigma`` overrides calibration when set (use 0.0 for non-private runs).
+    Each field is a CLI flag and config-file key; metadata holds its argparse keywords.
     """
 
-    setting: str = "federated"
-    algorithm: str = "admm"
+    setting: str = field(default="federated", metadata={"choices": SETTINGS})
+    algorithm: str = field(default="admm", metadata={"choices": ALGORITHMS})
     n: int = 1000
     p: int = 64
     support_size: int = 8
     noise_std: float = 0.1
     K: int = 200
-    lam: float = 0.1
-    gamma_scale: float = 1.0
-    step: float = 0.1
+    lam: float = field(default=0.1, metadata={"help": "splitting step size in (0, 1]"})
+    gamma_scale: float = field(default=1.0,
+                               metadata={"help": "prox step as a multiple of 2*n_train"})
+    step: float = field(default=0.1, metadata={"help": "DP-SGD step size"})
     clip_threshold: float = 0.1
     kappa: float | None = None
     kappa_fraction: float = 0.1
     sample_fraction: float = 0.1
     epsilons: tuple[float, ...] = (0.1, 0.3, 1.0, 3.0, 10.0)
     delta: float = 1e-6
-    sigma: float | None = None
+    sigma: float | None = field(default=None, metadata={
+        "help": "fixed noise std (skips calibration; 0 = non-private)"})
     seeds: tuple[int, ...] = tuple(range(10))
     data_seed: int = 0
     test_fraction: float = 0.1
     alphas: tuple[float, ...] = BENCH_ALPHAS
 
     def __post_init__(self):
-        if self.setting not in ("centralized", "federated", "decentralized"):
+        if self.setting not in SETTINGS:
             raise ParameterError(f"unknown setting {self.setting!r}")
-        if self.algorithm not in ("admm", "dpsgd"):
+        if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.setting == "decentralized" and self.algorithm == "dpsgd":
             raise ParameterError("the DP-SGD baseline has no decentralized variant")
@@ -319,8 +326,8 @@ def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
     """
     if epsilon <= 0:
         raise privacy.ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
-    return privacy._bisect(lambda sig: achieved_epsilon(config, sig, gamma, n_train),
-                           epsilon, 1e-6, 1e-3)
+    return privacy.bisect_sigma(lambda sig: achieved_epsilon(config, sig, gamma, n_train),
+                                epsilon, 1e-6, 1e-3)
 
 
 def _cell(config: ExperimentConfig) -> tuple[LassoDataset, LassoDataset, float, float]:

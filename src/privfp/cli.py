@@ -2,8 +2,9 @@
 
 Subcommands: ``solve`` (one run), ``bench`` (the full budget-grid
 experiment), ``account`` (print an RDP curve for given parameters), and
-``calibrate`` (noise level for a target budget). Flags mirror the
-experiment configuration; a ``key = value`` config file overrides the
+``calibrate`` (noise level for a target budget). Each field of
+``bench.ExperimentConfig`` is a ``solve``/``bench`` flag (``_`` as ``-``)
+and a key of the ``key = value`` config file; the file overrides the
 defaults, and explicit flags override the file. Output files land in
 --outdir, defaulting to the PRIVFP_OUTDIR environment variable (or the
 working directory).
@@ -33,12 +34,27 @@ _EXIT_CODES = [
 ]
 
 
-def _parse_alphas(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _numbers(kind):
+    """Parser of a comma- or space-separated, non-empty list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        values = tuple(kind(tok) for tok in text.replace(",", " ").split())
+        if not values:
+            raise ValueError(f"empty list {text!r}")
+        return values
+
+    parse.__name__ = f"{kind.__name__}s"  # argparse names it in "invalid ... value"
+    return parse
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Parse the documented `key = value` format (one pair per line, # comments)."""
+_floats = _numbers(float)
+# One parser per ExperimentConfig annotation; flags and config-file values share them.
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": float,
+            "tuple[float, ...]": _floats, "tuple[int, ...]": _numbers(int)}
+_EXPERIMENT_FIELDS = {f.name: f for f in fields(bench.ExperimentConfig)}
+
+
+def _read_config_file(path: str) -> dict:
+    """Parse `key = value` lines (# comments); values parse as the key's flag does."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -47,36 +63,23 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _EXPERIMENT_FIELDS:
+            raise ParameterError(f"unknown config key {key!r}")
+        try:
+            values[key] = _PARSERS[_EXPERIMENT_FIELDS[key].type](value.strip())
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
-_CONFIG_COERCIONS = {
-    "setting": str, "algorithm": str, "n": int, "p": int, "support_size": int,
-    "noise_std": float, "K": int, "lam": float, "gamma_scale": float, "step": float,
-    "clip_threshold": float, "kappa": float, "kappa_fraction": float,
-    "sample_fraction": float, "delta": float, "sigma": float, "data_seed": int,
-    "test_fraction": float,
-    "epsilons": lambda s: tuple(float(t) for t in s.replace(",", " ").split()),
-    "seeds": lambda s: tuple(int(t) for t in s.replace(",", " ").split()),
-    "alphas": _parse_alphas,
-}
-
-
 def _overrides_from_args(args) -> dict:
-    overrides = {}
-    if args.config:
-        raw = _read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_COERCIONS:
-                raise ParameterError(f"unknown config key {key!r}")
-            overrides[key] = _CONFIG_COERCIONS[key](value)
-    valid = {f.name for f in fields(bench.ExperimentConfig)}
-    for name in valid:
-        flag = getattr(args, name, None)
+    overrides = _read_config_file(args.config) if args.config else {}
+    for name in _EXPERIMENT_FIELDS:
+        flag = getattr(args, name)
         if flag is not None:
             overrides[name] = flag
-    return {k: v for k, v in overrides.items() if k in valid}
+    return overrides
 
 
 def _config_from_args(args) -> bench.ExperimentConfig:
@@ -85,29 +88,24 @@ def _config_from_args(args) -> bench.ExperimentConfig:
 
 def _add_experiment_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key = value file; explicit flags override it")
-    parser.add_argument("--setting", choices=("centralized", "federated", "decentralized"))
-    parser.add_argument("--algorithm", choices=("admm", "dpsgd"))
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--support-size", dest="support_size", type=int)
-    parser.add_argument("--noise-std", dest="noise_std", type=float)
-    parser.add_argument("--K", type=int)
-    parser.add_argument("--lam", type=float, help="splitting step size in (0, 1]")
-    parser.add_argument("--gamma-scale", dest="gamma_scale", type=float,
-                        help="prox step as a multiple of 2*n_train")
-    parser.add_argument("--step", type=float, help="DP-SGD step size")
-    parser.add_argument("--clip-threshold", dest="clip_threshold", type=float)
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--kappa-fraction", dest="kappa_fraction", type=float)
-    parser.add_argument("--sample-fraction", dest="sample_fraction", type=float)
-    parser.add_argument("--epsilons", type=lambda s: tuple(float(t) for t in s.split(",")))
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--sigma", type=float, help="fixed noise std (skips calibration; 0 = non-private)")
-    parser.add_argument("--seeds", type=lambda s: tuple(int(t) for t in s.split(",")))
-    parser.add_argument("--data-seed", dest="data_seed", type=int)
-    parser.add_argument("--test-fraction", dest="test_fraction", type=float)
-    parser.add_argument("--alphas", type=_parse_alphas)
+    for name, f in _EXPERIMENT_FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=_PARSERS[f.type], **f.metadata)
     parser.add_argument("--outdir", default=None, help="output directory (default: $PRIVFP_OUTDIR or .)")
+
+
+# Flags of the accountant commands (`account`, `calibrate`): name, type, required.
+_CURVE_FLAGS = (("K", int, True), ("L", float, True), ("gamma", float, True),
+                ("n", int, True), ("m", int, False), ("K_i", int, False))
+
+
+def _add_curve_flags(parser: argparse.ArgumentParser):
+    for name, kind, required in _CURVE_FLAGS:
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, required=required)
+
+
+def _curve_kwargs(args) -> dict:
+    kwargs = {name: getattr(args, name) for name, _, _ in _CURVE_FLAGS}
+    return dict(kwargs, alphas=args.alphas or privacy.DEFAULT_ALPHAS)
 
 
 def _outdir(args) -> Path:
@@ -144,7 +142,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     overrides = _overrides_from_args(args)
-    algorithms = ("admm", "dpsgd") if args.compare else \
+    algorithms = bench.ALGORITHMS if args.compare else \
         (overrides.get("algorithm", bench.ExperimentConfig().algorithm),)
     rows = []
     for algorithm in algorithms:
@@ -153,10 +151,8 @@ def _cmd_bench(args) -> int:
                                                   if k != "algorithm"})
         if args.tune:
             config = bench.tune(config)
-            names = ("lam", "clip_threshold", "gamma_scale") if algorithm == "admm" \
-                else ("step", "clip_threshold")
-            print(f"{algorithm} tuned parameters:",
-                  {k: getattr(config, k) for k in names})
+            grid = bench.ADMM_GRID if algorithm == "admm" else bench.DPSGD_GRID
+            print(f"{algorithm} tuned parameters:", {k: getattr(config, k) for k in grid})
         rows.extend(bench.run_experiment(config))
     path = _outdir(args) / args.out
     bench.emit_csv(rows, path)
@@ -165,9 +161,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_account(args) -> int:
-    curve = privacy.setting_curve(
-        args.setting, args.sigma, K=args.K, L=args.L, gamma=args.gamma, n=args.n,
-        m=args.m, K_i=args.K_i, alphas=args.alphas or privacy.DEFAULT_ALPHAS)
+    curve = privacy.setting_curve(args.setting, args.sigma, **_curve_kwargs(args))
     print("alpha,epsilon,provenance")
     for a, e in zip(curve.alphas, curve.epsilons):
         print(f"{format(a, '.17g')},{format(e, '.17g')},{curve.provenance}")
@@ -181,10 +175,8 @@ def _cmd_account(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    sigma = privacy.calibrate_sigma(
-        args.setting, epsilon=args.epsilon, delta=args.delta, alpha=args.alpha,
-        K=args.K, L=args.L, gamma=args.gamma, n=args.n, m=args.m, K_i=args.K_i,
-        alphas=args.alphas or privacy.DEFAULT_ALPHAS)
+    sigma = privacy.calibrate_sigma(args.setting, epsilon=args.epsilon, delta=args.delta,
+                                    alpha=args.alpha, **_curve_kwargs(args))
     print(format(sigma, ".12g"))
     return 0
 
@@ -215,14 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     account = sub.add_parser("account", help="print an RDP curve")
     account.add_argument("--setting", required=True, choices=privacy.SETTINGS)
     account.add_argument("--sigma", type=float, required=True)
-    account.add_argument("--K", type=int, required=True)
-    account.add_argument("--L", type=float, required=True)
-    account.add_argument("--gamma", type=float, required=True)
-    account.add_argument("--n", type=int, required=True)
-    account.add_argument("--m", type=int)
-    account.add_argument("--K-i", dest="K_i", type=int)
+    _add_curve_flags(account)
     account.add_argument("--delta", type=float, help="also convert to (epsilon, delta)-DP")
-    account.add_argument("--alphas", type=_parse_alphas)
+    account.add_argument("--alphas", type=_floats)
     account.add_argument("--out", help="write the curve as CSV")
     account.add_argument("--outdir", default=None)
     account.set_defaults(fn=_cmd_account)
@@ -232,13 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--epsilon", type=float, required=True)
     calibrate.add_argument("--delta", type=float)
     calibrate.add_argument("--alpha", type=float, help="fix a single Rényi order instead of delta")
-    calibrate.add_argument("--K", type=int, required=True)
-    calibrate.add_argument("--L", type=float, required=True)
-    calibrate.add_argument("--gamma", type=float, required=True)
-    calibrate.add_argument("--n", type=int, required=True)
-    calibrate.add_argument("--m", type=int)
-    calibrate.add_argument("--K-i", dest="K_i", type=int)
-    calibrate.add_argument("--alphas", type=_parse_alphas)
+    _add_curve_flags(calibrate)
+    calibrate.add_argument("--alphas", type=_floats)
     calibrate.set_defaults(fn=_cmd_calibrate)
     return parser
 

@@ -135,8 +135,8 @@ class IterationConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ParameterError(f"iteration count must be >= 1, got {self.K}")
-        if self.sigma < 0:
-            raise ParameterError(f"noise std must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma <= rng.MAX_SIGMA:
+            raise ParameterError(f"noise std must be >= 0 with a finite square, got {self.sigma}")
         lams = [self.lam] if np.isscalar(self.lam) else list(self.lam)
         if not np.isscalar(self.lam) and len(lams) < self.K:
             raise ParameterError(
@@ -274,8 +274,9 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
     if not 0.0 < gamma < 2.0 / beta:
         raise ParameterError(f"step gamma must lie in (0, 2/beta), got {gamma}")
-    if sigma_grad < 0:
-        raise ParameterError(f"gradient noise std must be >= 0, got {sigma_grad}")
+    if not 0.0 <= sigma_grad <= rng.MAX_SIGMA:
+        raise ParameterError(
+            f"gradient noise std must be >= 0 with a finite square, got {sigma_grad}")
     n_items = len(item_grads)
 
     def item_at(k: int) -> int:

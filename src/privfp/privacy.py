@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConditionNotMet, ParameterError, StructuralError
+from .rng import MAX_SIGMA
 
 # Default Rényi order grid; callers may extend it (conversion minimizes over it).
 DEFAULT_ALPHAS: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -41,12 +42,6 @@ class RdpCurve:
         for e in self.epsilons:
             if e < 0:
                 raise ParameterError(f"epsilon values must be >= 0, got {e}")
-
-    def epsilon_at(self, alpha: float) -> float:
-        try:
-            return self.epsilons[self.alphas.index(alpha)]
-        except ValueError:
-            raise StructuralError(f"alpha {alpha} not on the curve's grid") from None
 
 
 def compose(curves: list[RdpCurve]) -> RdpCurve:
@@ -73,10 +68,14 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
 # Elementary mechanisms and sensitivities
 
 
+def _check_sigma(sigma: float):
+    if not 0.0 < sigma <= MAX_SIGMA:
+        raise ParameterError(f"noise std must be > 0 with a finite square, got {sigma}")
+
+
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
     """Rényi DP of the Gaussian mechanism: alpha * Delta^2 / (2 sigma^2)."""
-    if sigma <= 0:
-        raise ParameterError(f"noise std must be > 0, got {sigma}")
+    _check_sigma(sigma)
     if alpha <= 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
     if sensitivity < 0:
@@ -135,8 +134,7 @@ def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> 
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
     if not 0.0 < q < 1.0:
         raise ParameterError(f"sampling probability must lie in (0, 1), got {q}")
-    if sigma <= 0:
-        raise ParameterError(f"noise std must be > 0, got {sigma}")
+    _check_sigma(sigma)
     if sensitivity < 0:
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
     _check_subsampling_regime(alpha, q, sigma)
@@ -189,8 +187,7 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
     if K < 0:
         raise ParameterError(f"round count must be >= 0, got {K}")
-    if sigma <= 0:
-        raise ParameterError(f"noise std must be > 0, got {sigma}")
+    _check_sigma(sigma)
     if alpha <= 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
     if K == 0:
@@ -226,6 +223,7 @@ def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
         raise ParameterError(f"walk needs n >= 2 users, got {n}")
     if K_i < 0:
         raise ParameterError(f"participation count must be >= 0, got {K_i}")
+    _check_sigma(sigma)
     threshold = 2.0 * L * gamma * math.sqrt(alpha * (alpha - 1.0))
     if not sigma > threshold:
         raise ConditionNotMet(
@@ -338,9 +336,9 @@ def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
         except ConditionNotMet:
             pass
         # The closed-form inverse landed out of regime; grow sigma until valid.
-        return _bisect(account, epsilon, max(sigma, 1e-6), rel_tol)
+        return bisect_sigma(account, epsilon, max(sigma, 1e-6), rel_tol)
 
-    return _bisect(account, epsilon, 1e-6, rel_tol)
+    return bisect_sigma(account, epsilon, 1e-6, rel_tol)
 
 
 def _regime_floor(setting: str, L: float, gamma: float, alpha: float | None) -> float:
@@ -356,7 +354,13 @@ def _tiny_floor(setting, L, gamma, alpha):
     return floor if floor > 0 else 1e-6
 
 
-def _bisect(account, epsilon, lo, rel_tol):
+def bisect_sigma(account: Callable[[float], float], epsilon: float, lo: float,
+                 rel_tol: float) -> float:
+    """Smallest noise std >= lo, within ``rel_tol``, with account(sigma) <= epsilon.
+
+    An account raising ConditionNotMet fails the target; raises ConditionNotMet
+    when 200 doublings of the upper end from max(lo, 1e-6) meet no target.
+    """
     def ok(sig):
         try:
             return account(sig) <= epsilon

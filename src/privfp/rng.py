@@ -10,6 +10,8 @@ reproduces the same draw.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -18,6 +20,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 NOISE = 0x01
 SCHEDULE = 0x02
 DATA = 0x03
+
+# Largest noise std whose variance sigma^2 is a finite float; drivers and the
+# accountant reject larger, infinite and NaN values.
+MAX_SIGMA = sys.float_info.max ** 0.5
 
 
 def substream(seed: int, domain: int, k: int, b: int) -> np.random.Generator:

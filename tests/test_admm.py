@@ -29,7 +29,7 @@ def simple_problem(n, p, prox_r=None, clip=None):
     targets = gen.normal(size=(n, p))
     proxes = tuple(QuadraticProx(Q=np.eye(p), c=-targets[i], gamma=1.0) for i in range(n))
     return ConsensusProblem(prox_f=proxes, prox_r=prox_r or ZeroProx(), gamma=1.0,
-                            lipschitz=1.0, clip_threshold=clip), targets
+                            clip_threshold=clip), targets
 
 
 class TestElementaryUpdates:
@@ -39,31 +39,31 @@ class TestElementaryUpdates:
 
     def test_z_is_mean_without_regularizer(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         np.testing.assert_array_equal(
             z_update(self.state([[1.0], [3.0]]), problem), [2.0])
 
     def test_z_soft_thresholds_the_mean(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()),
-                                   prox_r=L1Prox(2.0), gamma=1.0, lipschitz=1.0)
+                                   prox_r=L1Prox(2.0), gamma=1.0)
         np.testing.assert_array_equal(
             z_update(self.state([[1.0], [3.0]]), problem), [0.0])
 
     def test_single_user_z_is_its_block(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         np.testing.assert_array_equal(z_update(self.state([[4.0]]), problem), [4.0])
 
     def test_x_identity_prox(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         state = self.state([[1.0]])
         np.testing.assert_array_equal(
             x_update(0, np.array([2.0]), state, problem), [3.0])
 
     def test_x_soft_threshold(self):
         problem = ConsensusProblem(prox_f=(L1Prox(0.5),), prox_r=ZeroProx(),
-                                   gamma=0.5, lipschitz=1.0)
+                                   gamma=0.5)
         state = AdmmState(u=BlockVector(np.array([[0.8]])), z=np.array([1.0]))
         # 2z - u = 1.2, soft threshold at 0.5
         np.testing.assert_allclose(x_update(0, np.array([1.0]), state, problem), [0.7])
@@ -74,7 +74,7 @@ class TestElementaryUpdates:
         a, b_val, gamma = gen.normal(size=p), 0.4, 1.3
         problem = ConsensusProblem(
             prox_f=(QuadraticRankOneProx(a=a, b=b_val, gamma=gamma, n=n_weight),),
-            prox_r=ZeroProx(), gamma=gamma, lipschitz=1.0)
+            prox_r=ZeroProx(), gamma=gamma)
         u = gen.normal(size=p)
         z = gen.normal(size=p)
         state = AdmmState(u=BlockVector(u[None, :]), z=z)
@@ -85,27 +85,27 @@ class TestElementaryUpdates:
 
     def test_x_index_range(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         with pytest.raises(StructuralError):
             x_update(1, np.zeros(1), self.state([[0.0]]), problem)
 
     def test_u_plain_step(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         state = AdmmState(u=BlockVector(np.array([[1.0]])), z=np.array([0.6]))
         got = u_update(0, np.array([1.0]), state.z, state, 0.5, np.zeros(1), problem)
         np.testing.assert_allclose(got, [1.4])
 
     def test_u_clipped_step(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0, clip_threshold=0.1)
+                                   gamma=1.0, clip_threshold=0.1)
         state = AdmmState(u=BlockVector(np.array([[1.0]])), z=np.array([0.6]))
         got = u_update(0, np.array([1.0]), state.z, state, 0.5, np.zeros(1), problem)
         np.testing.assert_allclose(got, [1.1])
 
     def test_u_noise_enters_with_unit_weight_at_full_step(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         state = AdmmState(u=BlockVector(np.array([[0.0]])), z=np.array([0.0]))
         eta = np.array([0.37])
         got = u_update(0, np.array([0.2]), state.z, state, 1.0, eta, problem)
@@ -113,7 +113,7 @@ class TestElementaryUpdates:
 
     def test_u_noise_variance_scales_with_lam_squared(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         state = AdmmState(u=BlockVector(np.array([[0.0]])), z=np.array([0.0]))
         lam, sigma, draws = 0.6, 1.3, 20_000
         gen = np.random.default_rng(5)
@@ -127,7 +127,7 @@ class TestCentralizedRun:
     def test_single_quadratic_reaches_minimizer(self):
         problem = ConsensusProblem(
             prox_f=(QuadraticProx(Q=np.eye(1), c=np.array([-3.0]), gamma=1.0),),
-            prox_r=ZeroProx(), gamma=1.0, lipschitz=1.0)
+            prox_r=ZeroProx(), gamma=1.0)
         z, _ = centralized_run(problem, BlockVector.zeros(1, 1), lam=0.5,
                                sigma=0.0, K=200, seed=0)
         np.testing.assert_allclose(z, [3.0], atol=1e-10)
@@ -187,20 +187,30 @@ class TestCentralizedRun:
             assert b <= a * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("driver", [
-    lambda problem: centralized_run(problem, BlockVector.zeros(3, 2), 0.5, -1.0, K=2, seed=0),
-    lambda problem: federated_run(problem, 2, m=2, lam=0.5, sigma=-1.0, K=2, seed=0),
-    lambda problem: decentralized_run(problem, 2, 0.5, -1.0, K=2, seed=0),
-    lambda problem: federated_round(problem, initial_state(problem, 2), [0, 1], 0.5, -1.0, seed=0),
-    lambda problem: decentralized_step(problem, initial_state(problem, 2), 0, 0.5, -1.0, seed=0),
-    lambda problem: general_admm_run(consensus_as_general(problem, 2), np.zeros(6), 0.5, -1.0,
-                                     K=2, seed=0, noise_blocks=3),
-], ids=["centralized_run", "federated_run", "decentralized_run", "federated_round",
-        "decentralized_step", "general_admm_run"])
-def test_negative_sigma_rejected_by_every_driver(driver):
+_DRIVERS = {
+    "centralized_run": lambda problem, sigma: centralized_run(
+        problem, BlockVector.zeros(3, 2), 0.5, sigma, K=2, seed=0),
+    "federated_run": lambda problem, sigma: federated_run(
+        problem, 2, m=2, lam=0.5, sigma=sigma, K=2, seed=0),
+    "decentralized_run": lambda problem, sigma: decentralized_run(
+        problem, 2, 0.5, sigma, K=2, seed=0),
+    "federated_round": lambda problem, sigma: federated_round(
+        problem, initial_state(problem, 2), [0, 1], 0.5, sigma, seed=0),
+    "decentralized_step": lambda problem, sigma: decentralized_step(
+        problem, initial_state(problem, 2), 0, 0.5, sigma, seed=0),
+    "general_admm_run": lambda problem, sigma: general_admm_run(
+        consensus_as_general(problem, 2), np.zeros(6), 0.5, sigma, K=2, seed=0, noise_blocks=3),
+}
+
+
+# sigma = -1 runs under the bare driver id; NaN, inf and 1e200 (whose square overflows) get a suffix.
+@pytest.mark.parametrize("driver, sigma", [
+    pytest.param(driver, sigma, id=name if sigma == -1.0 else f"{name}-{sigma:g}")
+    for name, driver in _DRIVERS.items() for sigma in (-1.0, math.nan, math.inf, 1e200)])
+def test_negative_sigma_rejected_by_every_driver(driver, sigma):
     problem, _ = simple_problem(3, 2)
     with pytest.raises(ParameterError, match="noise std"):
-        driver(problem)
+        driver(problem, sigma)
 
 
 @pytest.mark.parametrize("driver", [
@@ -239,7 +249,7 @@ class TestFederated:
     def test_zero_delta_round_applies_regularizer_only(self):
         # identity per-item proxes with u_i = z make every delta vanish
         problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=L1Prox(0.05),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         z0 = np.array([0.4])
         state = AdmmState(u=BlockVector(np.tile(z0, (2, 1))), z=z0)
         new = federated_round(problem, state, [0], 1.0, 0.0, seed=0)
@@ -270,7 +280,7 @@ class TestFederated:
 class TestDecentralized:
     def test_zero_delta_keeps_model(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=ZeroProx(),
-                                   gamma=1.0, lipschitz=1.0)
+                                   gamma=1.0)
         z0 = np.array([0.8])
         state = AdmmState(u=BlockVector(np.tile(z0, (2, 1))), z=z0)
         new, _ = decentralized_step(problem, state, 0, 1.0, 0.0, seed=3)
@@ -291,7 +301,7 @@ class TestDecentralized:
         gen = np.random.default_rng(12)
         problem = ConsensusProblem(
             prox_f=(QuadraticProx(Q=np.eye(2), c=gen.normal(size=2), gamma=1.0),),
-            prox_r=ZeroProx(), gamma=1.0, lipschitz=1.0)
+            prox_r=ZeroProx(), gamma=1.0)
         u0 = BlockVector(gen.normal(size=(1, 2)))
         K, lam, sigma, seed = 10, 0.6, 0.2, 5
         cen_z = []
@@ -328,8 +338,7 @@ class TestGeneralSplitting:
         n, p = 4, 2
         proxes = tuple(QuadraticRankOneProx(a=gen.normal(size=p), b=float(gen.normal()),
                                             gamma=1.5, n=n) for _ in range(n))
-        problem = ConsensusProblem(prox_f=proxes, prox_r=L1Prox(0.02), gamma=1.5,
-                                   lipschitz=1.0)
+        problem = ConsensusProblem(prox_f=proxes, prox_r=L1Prox(0.02), gamma=1.5)
         K, lam, sigma, seed = 15, 0.8, 0.25, 3
 
         cen_z = []
@@ -355,7 +364,7 @@ class TestGeneralSplitting:
 
         problem = GeneralAdmmProblem(f_argmin=f_argmin, g_argmin=g_argmin,
                                      A=np.eye(p), B=np.eye(p), c=np.zeros(p),
-                                     omega_A=1.0, A_norm=1.0)
+                                     omega_A=1.0)
         z, state = general_admm_run(problem, np.zeros(p), lam=0.5, sigma=0.0,
                                     K=400, seed=0)
         x = f_argmin(z, state.u)
@@ -367,7 +376,7 @@ class TestGeneralSplitting:
     def test_step_size_precondition(self):
         problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
                                      A=np.eye(1), B=np.eye(1), c=np.zeros(1),
-                                     omega_A=1.0, A_norm=1.0)
+                                     omega_A=1.0)
         state = GeneralAdmmState(u=np.zeros(1), z=np.zeros(1))
         with pytest.raises(ParameterError):
             general_admm_step(problem, state, lam=0.0, sigma=0.0, seed=0)
@@ -376,7 +385,7 @@ class TestGeneralSplitting:
         with pytest.raises(ModelError):
             GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
                                A=np.zeros((1, 1)), B=np.eye(1), c=np.zeros(1),
-                               omega_A=0.0, A_norm=0.0)
+                               omega_A=0.0)
 
 
 class TestRecoverX:
@@ -390,7 +399,7 @@ class TestRecoverX:
     def test_scaled_identity(self):
         problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
                                      A=2 * np.eye(1), B=-np.eye(1), c=np.zeros(1),
-                                     omega_A=2.0, A_norm=2.0)
+                                     omega_A=2.0)
         np.testing.assert_allclose(recover_x_from_z(problem, np.array([4.0])), [2.0])
 
     def test_random_invertible_residual(self):
@@ -400,8 +409,7 @@ class TestRecoverX:
         c = gen.normal(size=4)
         svals = np.linalg.svd(A, compute_uv=False)
         problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
-                                     A=A, B=B, c=c, omega_A=float(svals.min()),
-                                     A_norm=float(svals.max()))
+                                     A=A, B=B, c=c, omega_A=float(svals.min()))
         z = gen.normal(size=3)
         x = recover_x_from_z(problem, z)
         assert np.linalg.norm(A @ x + B @ z - c) < 1e-10
@@ -409,7 +417,7 @@ class TestRecoverX:
     def test_non_square_rejected(self):
         problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
                                      A=np.ones((2, 1)), B=np.ones((2, 1)),
-                                     c=np.zeros(2), omega_A=1.0, A_norm=1.0)
+                                     c=np.zeros(2), omega_A=1.0)
         with pytest.raises(ModelError):
             recover_x_from_z(problem, np.zeros(1))
 

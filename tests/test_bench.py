@@ -127,6 +127,14 @@ class TestDpsgdBaseline:
         b = dpsgd_federated(data, 0.02, 0.2, 1.0, 0.5, 30, m=4, seed=5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, 1e200])
+    def test_out_of_range_sigma_rejected(self, sigma):
+        data = gen_lasso(n=20, p=3, support_size=1, seed=3)
+        with pytest.raises(ParameterError, match="sigma"):
+            dpsgd_baseline(data, 0.02, 0.2, 1.0, sigma, 5, seed=0)
+        with pytest.raises(ParameterError, match="sigma"):
+            dpsgd_federated(data, 0.02, 0.2, 1.0, sigma, 5, m=2, seed=0)
+
 
 class TestRunExperiment:
     def test_smoke_completes_quickly(self):

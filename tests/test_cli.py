@@ -1,8 +1,10 @@
+import argparse
 import csv
+import dataclasses
 
 import pytest
 
-from privfp import bench
+from privfp import bench, cli, privacy
 from privfp.cli import main
 
 
@@ -47,6 +49,17 @@ class TestAccount:
         with open(tmp_path / "curve.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and "alpha" in rows[0]
+
+
+    @pytest.mark.parametrize("setting", privacy.SETTINGS)
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e200"])
+    def test_non_finite_or_huge_sigma_rejected(self, capsys, setting, sigma):
+        code, out, err = run_cli(capsys, "account", "--setting", setting, "--sigma", sigma,
+                                 "--K", "10", "--L", "1", "--gamma", "0.1", "--n", "100",
+                                 "--m", "5")
+        assert code == 2
+        assert "parameter_error" in err
+        assert "nan" not in out
 
 
 class TestCalibrate:
@@ -96,6 +109,23 @@ class TestSolve:
         assert code == 2
         assert "parameter_error" in err
 
+    @pytest.mark.parametrize("line, key", [("n = abc", "n"), ("sigma = high", "sigma"),
+                                           ("seeds = 1,x", "seeds"), ("epsilons = ,", "epsilons")])
+    def test_malformed_config_value(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"p = 6\n{line}\n")
+        code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert "parameter_error" in err
+        assert f"{cfg}:2" in err and repr(key) in err
+
+    @pytest.mark.parametrize("setting", ["centralized", "federated", "decentralized"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e200"])
+    def test_non_finite_or_huge_sigma_rejected(self, capsys, setting, sigma):
+        code, _, err = run_cli(capsys, "solve", "--setting", setting, "--n", "30", "--p", "4",
+                               "--support-size", "2", "--K", "5", "--sigma", sigma)
+        assert code == 2
+        assert "parameter_error" in err
 
     def test_unexpected_exception_propagates(self, monkeypatch):
         def fail(config, collect=False):
@@ -159,3 +189,43 @@ class TestBench:
         with open(tmp_path / "cmp.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["algorithm"] for r in rows} == {"admm", "dpsgd"}
+
+
+# A value for every ExperimentConfig field that differs from its default.
+FIELD_SAMPLES = {
+    "setting": "centralized", "algorithm": "dpsgd", "n": "50", "p": "6", "support_size": "3",
+    "noise_std": "0.2", "K": "7", "lam": "0.5", "gamma_scale": "0.1", "step": "0.3",
+    "clip_threshold": "2.5", "kappa": "0.01", "kappa_fraction": "0.2",
+    "sample_fraction": "0.05", "epsilons": "0.5,2", "delta": "1e-5", "sigma": "0.7",
+    "seeds": "3,4", "data_seed": "9", "test_fraction": "0.2", "alphas": "2,8,64",
+}
+
+
+def subcommand_parser(command):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]
+
+
+class TestExperimentKnobs:
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_flags_config_keys_and_fields_are_one_set(self, command):
+        names = [f.name for f in dataclasses.fields(bench.ExperimentConfig)]
+        assert set(names) == set(FIELD_SAMPLES)
+        own = {"help", "config", "outdir", "out", "trace_out", "observations_out",
+               "compare", "tune"}
+        flags = {a.dest: a.option_strings for a in subcommand_parser(command)._actions
+                 if a.dest not in own}
+        assert flags == {name: ["--" + name.replace("_", "-")] for name in names}
+
+    @pytest.mark.parametrize("key", list(FIELD_SAMPLES))
+    def test_config_value_parses_like_its_flag(self, tmp_path, key):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {FIELD_SAMPLES[key]}\n")
+        parser = cli.build_parser()
+        from_file = cli._config_from_args(parser.parse_args(["solve", "--config", str(cfg)]))
+        flag = "--" + key.replace("_", "-")
+        from_flag = cli._config_from_args(parser.parse_args(["solve", flag, FIELD_SAMPLES[key]]))
+        assert getattr(from_file, key) == getattr(from_flag, key)
+        assert getattr(from_file, key) != getattr(bench.ExperimentConfig(), key)
+        assert from_file == from_flag

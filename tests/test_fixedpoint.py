@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,13 @@ class TestStep:
             IterationConfig(K=1, lam=0.0)
         with pytest.raises(ParameterError):
             IterationConfig(K=2, lam=[0.5, 1.5])
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e200])
+    def test_non_finite_or_huge_sigma_rejected(self, sigma):
+        with pytest.raises(ParameterError, match="noise std"):
+            IterationConfig(K=1, sigma=sigma)
+        with pytest.raises(ParameterError, match="noise std"):
+            dpsgd_instance([lambda u: u], beta=1.0, gamma=0.5, sigma_grad=sigma, K=1, seed=0)
 
     def test_iteration_index_range(self):
         cfg = IterationConfig(K=3)

@@ -30,6 +30,20 @@ class TestGaussianRdp:
             gaussian_rdp(1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf, 1e200])
+@pytest.mark.parametrize("formula", [
+    lambda sigma: gaussian_rdp(1.0, sigma, 2.0),
+    lambda sigma: subsampled_rdp(2.0, 0.1, 1.0, sigma),
+    lambda sigma: federated_central_epsilon(2.0, 10, 1.0, 1.0, sigma, 10, 100),
+    lambda sigma: network_rdp_epsilon(2.0, 1, 1.0, 1.0, sigma, 10),
+    lambda sigma: centralized_epsilon(2.0, 10, 1.0, 1.0, sigma, 100),
+    lambda sigma: local_epsilon(2.0, 10, 1.0, 1.0, sigma),
+], ids=["gaussian", "subsampled", "federated_central", "network", "centralized", "local"])
+def test_sigma_outside_finite_positive_range_rejected(formula, sigma):
+    with pytest.raises(ParameterError, match="noise std"):
+        formula(sigma)
+
+
 class TestCompose:
     def test_k_fold_gaussian(self):
         K = 7

@@ -90,7 +90,7 @@ class TestScheduleDraws:
     def test_walk_holder_follows_single_uniform_shifted_by_one(self, seed):
         n, K = 7, 40
         problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx(),
-                                        gamma=1.0, lipschitz=1.0)
+                                        gamma=1.0)
         _, trace, _ = admm.decentralized_run(problem, 1, 0.5, 0.0, K, seed)
         for k in range(K - 1):
             assert np.array_equal(trace.active[k + 1], SingleUniform().mask(n, seed, k))
