@@ -266,6 +266,9 @@ class ExperimentConfig:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.setting == "decentralized" and self.algorithm == "dpsgd":
             raise ParameterError("the DP-SGD baseline has no decentralized variant")
+        for name in ("epsilons", "seeds"):
+            if not getattr(self, name):
+                raise ParameterError(f"{name} must not be empty")
 
 
 @dataclass(frozen=True)

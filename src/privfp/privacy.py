@@ -117,6 +117,7 @@ def centralized_epsilon(alpha: float, K: int, L: float, gamma: float,
     """Record-level Rényi DP of K centralized rounds: 8*alpha*K*L^2*gamma^2/(sigma^2 n^2)."""
     if K < 0:
         raise ParameterError(f"round count must be >= 0, got {K}")
+    _check_sigma(sigma)
     if K == 0:
         return 0.0
     per_step = gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, n), sigma, alpha)
@@ -164,6 +165,7 @@ def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float,
     """
     if K_i < 0:
         raise ParameterError(f"participation count must be >= 0, got {K_i}")
+    _check_sigma(sigma)
     if K_i == 0:
         return 0.0
     eps = K_i * gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, 1), sigma, alpha)

@@ -6,11 +6,18 @@ index and block/user index. Streams for distinct ``(domain, k, b)`` never
 overlap, so noise assignment is independent of block schedules, sampling
 order, and any parallel evaluation: replaying ``(seed, k, b)`` always
 reproduces the same draw.
+
+``substream``, ``noise_rng`` and ``schedule_rng`` return a fresh generator
+that the caller owns. ``gaussian_block``, called once per (round, block),
+instead reuses one Philox generator per thread and resets its key, counter
+and buffer before each draw; addresses and values are the same as drawing
+from a fresh ``noise_rng(seed, k, b)``, without building a generator.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 
@@ -41,8 +48,25 @@ def schedule_rng(seed: int, k: int, tag: int = 0) -> np.random.Generator:
     return substream(seed, SCHEDULE, k, tag)
 
 
+# Each thread's reused noise generator, built on its first draw; it never
+# leaves this module, so no caller can hold it while its state is reset.
+_thread = threading.local()
+
+
 def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.ndarray:
     """Fresh N(0, sigma^2 I_size) draw from the (k, b) noise substream."""
     if sigma == 0.0:
         return np.zeros(size)
-    return noise_rng(seed, k, b).normal(0.0, sigma, size)
+    try:
+        gen = _thread.gen
+    except AttributeError:
+        gen = _thread.gen = np.random.Generator(np.random.Philox(0))
+    # The state a fresh Philox(key, counter) starts in: empty buffer, no
+    # cached half word, so the draw equals noise_rng(seed, k, b).normal(...).
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"key": (seed & _MASK64, NOISE),
+                  "counter": (0, 0, k & _MASK64, b & _MASK64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen.normal(0.0, sigma, size)

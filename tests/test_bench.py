@@ -185,6 +185,13 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             ExperimentConfig(setting="decentralized", algorithm="dpsgd")
 
+    @pytest.mark.parametrize("field", ["seeds", "epsilons"])
+    def test_empty_grid_rejected(self, field):
+        # an empty grid used to yield no rows (run_experiment) or an
+        # IndexError (solve_once) instead of a parameter error
+        with pytest.raises(ParameterError, match=field):
+            ExperimentConfig(sigma=0.0, **{field: ()})
+
     def test_decentralized_budget_path(self):
         config = ExperimentConfig(setting="decentralized", algorithm="admm",
                                   n=60, p=6, support_size=2, K=30,

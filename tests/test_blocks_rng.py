@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -62,3 +65,88 @@ class TestSubstreams:
         unit = rng.noise_rng(5, 2, 1).normal(0.0, 1.0, 1000)
         scaled = rng.noise_rng(5, 2, 1).normal(0.0, 2.5, 1000)
         np.testing.assert_allclose(scaled, 2.5 * unit, rtol=1e-12)
+
+
+def fresh_draw(seed, k, b, sigma, size):
+    """Oracle: a newly built generator for the (k, b) noise substream."""
+    return rng.noise_rng(seed, k, b).normal(0.0, sigma, size)
+
+
+class TestReusedGenerator:
+    """gaussian_block reuses one generator per thread; its values must not show it."""
+
+    def test_matches_fresh_generator_bit_for_bit(self):
+        pick = np.random.default_rng(2024)
+        cases = [(-3, 0, 0, 1), (2**63 + 11, 5, 9, 7), (2**64 - 1, 2**40, 3, 65)]
+        for _ in range(300):
+            cases.append((int(pick.integers(-2**62, 2**62)) * int(pick.integers(1, 5)),
+                          int(pick.integers(0, 2**40)), int(pick.integers(0, 2**20)),
+                          int(pick.integers(1, 130))))
+        for seed, k, b, size in cases:
+            sigma = 0.5 + 0.25 * (size % 7)
+            np.testing.assert_array_equal(rng.gaussian_block(seed, k, b, sigma, size),
+                                          fresh_draw(seed, k, b, sigma, size))
+
+    def test_interleaved_seeds(self):
+        for k in range(20):
+            for seed in (-3, 2**63 + 11):
+                np.testing.assert_array_equal(rng.gaussian_block(seed, k, k % 3, 1.5, 3),
+                                              fresh_draw(seed, k, k % 3, 1.5, 3))
+
+    def test_held_generators_are_not_disturbed(self):
+        held_noise, held_sub = rng.noise_rng(11, 2, 3), rng.substream(11, rng.DATA, 0, 0)
+        for k in range(50):
+            rng.gaussian_block(11, k, 3, 1.0, 17)
+        np.testing.assert_array_equal(held_noise.normal(0.0, 1.0, 9), fresh_draw(11, 2, 3, 1.0, 9))
+        np.testing.assert_array_equal(held_sub.normal(0.0, 1.0, 9),
+                                      rng.substream(11, rng.DATA, 0, 0).normal(0.0, 1.0, 9))
+
+    def test_two_threads_match_sequential_loop(self):
+        addresses = [(k, b) for k in range(40) for b in range(5)]
+        want = [fresh_draw(8, k, b, 1.0, 33) for k, b in addresses]
+        got = [None] * len(addresses)
+        start = threading.Barrier(2)
+
+        def draw(parity):
+            start.wait(timeout=10)
+            for j in range(parity, len(addresses), 2):
+                k, b = addresses[j]
+                got[j] = rng.gaussian_block(8, k, b, 1.0, 33)
+
+        threads = [threading.Thread(target=draw, args=(parity,)) for parity in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between a state reset and its draw
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_draws_build_at_most_one_bit_generator(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+
+        def draws():
+            for k in range(100):
+                rng.gaussian_block(3, k, k % 4, 1.0, 64)
+
+        # a new thread has no generator yet, so its first draw builds one
+        worker = threading.Thread(target=draws)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(built) <= 1
+        before = len(built)
+        rng.noise_rng(3, 0, 0)
+        assert len(built) == before + 1  # the wrapper sees every construction

@@ -61,6 +61,13 @@ class TestAccount:
         assert "parameter_error" in err
         assert "nan" not in out
 
+    def test_nan_sigma_rejected_at_zero_rounds(self, capsys):
+        code, out, err = run_cli(capsys, "account", "--setting", "centralized", "--sigma", "nan",
+                                 "--K", "0", "--L", "1", "--gamma", "0.1", "--n", "100")
+        assert code == 2
+        assert "parameter_error" in err
+        assert out == ""
+
 
 class TestCalibrate:
     def test_rdp_target_closed_form(self, capsys):

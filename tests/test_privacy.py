@@ -38,7 +38,11 @@ class TestGaussianRdp:
     lambda sigma: network_rdp_epsilon(2.0, 1, 1.0, 1.0, sigma, 10),
     lambda sigma: centralized_epsilon(2.0, 10, 1.0, 1.0, sigma, 100),
     lambda sigma: local_epsilon(2.0, 10, 1.0, 1.0, sigma),
-], ids=["gaussian", "subsampled", "federated_central", "network", "centralized", "local"])
+    # zero rounds must not skip the sigma check
+    lambda sigma: centralized_epsilon(2.0, 0, 1.0, 1.0, sigma, 100),
+    lambda sigma: local_epsilon(2.0, 0, 1.0, 1.0, sigma),
+], ids=["gaussian", "subsampled", "federated_central", "network", "centralized", "local",
+        "centralized_K0", "local_K0"])
 def test_sigma_outside_finite_positive_range_rejected(formula, sigma):
     with pytest.raises(ParameterError, match="noise std"):
         formula(sigma)
