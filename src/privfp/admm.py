@@ -11,11 +11,13 @@ Three drivers share one round kernel and differ only in who takes part:
 a centralized loop over all users per round, a federated loop where a
 sampled cohort computes local deltas that the server aggregates, and a
 sequential random walk where one user at a time updates and forwards the
-model. A matrix-constrained generalization (arbitrary A x + B z = c
-coupling) is provided with a consensus instantiation that reproduces the
-specialized path bit-for-bit under a shared seed. Every run returns only
-the public variable z (and a trace); the data-adjacent x iterates never
-leave a round.
+model. Each run updates only the participants' rows of its own duals in
+place, so a walk step costs O(p); the public steps ``federated_round`` and
+``decentralized_step`` return a new state over a copy. A
+matrix-constrained generalization (arbitrary A x + B z = c coupling) is
+provided with a consensus instantiation that reproduces the specialized
+path bit-for-bit under a shared seed. Every run returns only the public
+variable z (and a trace); the data-adjacent x iterates never leave a round.
 """
 
 from __future__ import annotations
@@ -114,13 +116,22 @@ def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
     return 2.0 * lam * dev
 
 
-def _advance(problem, state, rows, lam, sigma, seed):
-    """Users in rows update against z; the server sets z <- prox_r(z + sum of deltas / n)."""
-    U = state.u.data.copy()
-    deltas = _round_deltas(problem, U, rows, state.z, lam, sigma, seed, state.k)
+def _advance(problem, U, z, rows, lam, sigma, seed, k):
+    """Round k in place: rows of U update against z; returns prox_r(z + sum of deltas / n)."""
+    deltas = _round_deltas(problem, U, rows, z, lam, sigma, seed, k)
     U[rows] += deltas
-    z = np.asarray(problem.prox_r(state.z + deltas.sum(axis=0) / problem.n), dtype=float)
-    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1)
+    return np.asarray(problem.prox_r(z + deltas.sum(axis=0) / problem.n), dtype=float)
+
+
+def _walk_step(problem, U, z, i, lam, sigma, seed, k, log):
+    """Walk step k in place: holder i updates, then forwards z; returns (z, next holder)."""
+    if not 0 <= i < problem.n:
+        raise StructuralError(f"user index {i} out of range [0, {problem.n})")
+    z = _advance(problem, U, z, np.array([i]), lam, sigma, seed, k)
+    next_user = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+    if log is not None:
+        simnet.record_observation(log, next_user, k + 1, z)
+    return z, next_user
 
 
 def _loop(n, K, seed, step, objective, reference, unit="round"):
@@ -178,14 +189,16 @@ def federated_round(problem: ConsensusProblem, state: AdmmState,
     prox, delta_i = 2 lam (clip(x_i - z) + eta_i/2). The server adds
     (1/n) * sum of deltas — divided by the population size n, not the
     cohort size — and applies the regularizer prox. Unsampled users'
-    blocks are bit-unchanged.
+    blocks are bit-unchanged. ``state`` is left unchanged: the round updates a copy.
     """
     rows = np.asarray(sorted(int(i) for i in set(sampled)), dtype=int)
     if rows.size == 0:
         raise ParameterError("sampled user set must not be empty")
     if rows[0] < 0 or rows[-1] >= problem.n:
         raise StructuralError(f"sampled users {rows} out of range [0, {problem.n})")
-    return _advance(problem, state, rows, lam, sigma, seed)
+    U = state.u.data.copy()
+    z = _advance(problem, U, state.z, rows, lam, sigma, seed, state.k)
+    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1)
 
 
 def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
@@ -195,12 +208,13 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
                   reference: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
     """K federated rounds with uniform m-of-n user sampling; returns z_K."""
     state = initial_state(problem, p, u0)
+    U, z = state.u.data, state.z
 
     def step(k):
-        nonlocal state
-        rows = simnet.sample_users(problem.n, m, rng.schedule_rng(seed, k))
-        state = federated_round(problem, state, rows, lam, sigma, seed)
-        return rows, state.z
+        nonlocal z
+        rows = simnet.sample_users(problem.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+        z = _advance(problem, U, z, rows, lam, sigma, seed, k)
+        return rows, z
 
     return _loop(problem.n, K, seed, step, objective, reference)
 
@@ -217,15 +231,12 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     Only block i changes; z absorbs (1/n) of the delta and passes through
     the regularizer prox; the next holder is uniform over all users. When
     a log is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as
-    the receiving user's observation.
+    the receiving user's observation. ``state`` is left unchanged: the step
+    updates a copy.
     """
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"user index {i} out of range [0, {problem.n})")
-    new_state = _advance(problem, state, np.array([i]), lam, sigma, seed)
-    next_user = simnet.walk_next(problem.n, rng.schedule_rng(seed, state.k))
-    if log is not None:
-        simnet.record_observation(log, next_user, new_state.k, new_state.z)
-    return new_state, next_user
+    U = state.u.data.copy()
+    z, next_user = _walk_step(problem, U, state.z, i, lam, sigma, seed, state.k, log)
+    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1), next_user
 
 
 def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: float,
@@ -236,15 +247,16 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
     """K random-walk steps; returns z_K, the trace, and the observation log."""
     state = initial_state(problem, p, u0)
+    U, z = state.u.data, state.z
     log = simnet.ObservationLog(n=problem.n)
     current = initial_user if initial_user is not None \
-        else simnet.walk_next(problem.n, rng.schedule_rng(seed, 0, tag=1))
+        else simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
 
     def step(k):
-        nonlocal state, current
+        nonlocal z, current
         holder = current
-        state, current = decentralized_step(problem, state, holder, lam, sigma, seed, log)
-        return holder, state.z
+        z, current = _walk_step(problem, U, z, holder, lam, sigma, seed, k, log)
+        return holder, z
 
     z, trace = _loop(problem.n, K, seed, step, objective, reference, unit="step")
     return z, trace, log

@@ -183,7 +183,7 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
             g = dataset.A.T @ (dataset.A @ x - dataset.b) / dataset.n
         else:
             if item_order == "uniform":
-                i = simnet.walk_next(dataset.n, rng.schedule_rng(seed, k))
+                i = simnet.walk_next(dataset.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
             elif item_order == "cyclic":
                 i = k % dataset.n
             else:
@@ -205,7 +205,7 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
                              "sigma >= 0 with a finite square")
     x = np.zeros(dataset.p)
     for k in range(K):
-        rows = simnet.sample_users(dataset.n, m, rng.schedule_rng(seed, k))
+        rows = simnet.sample_users(dataset.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
         G = clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
                       clip_threshold)
         if sigma > 0:
@@ -492,7 +492,14 @@ def _write_csv(path, header: Sequence, rows, what: str) -> None:
 
 
 def emit_csv(results: Sequence[ResultRow], path) -> None:
-    """Stable column order, full-precision locale-independent numbers."""
+    """Stable column order, full-precision locale-independent numbers; a
+    non-finite objective raises ModelError before anything is written."""
+    for row in results:
+        if not math.isfinite(row.train_obj) or not math.isfinite(row.test_obj):
+            raise ModelError(
+                f"{row.setting} {row.algorithm} run at seed {row.seed}, epsilon={row.epsilon:g} "
+                f"ended with a non-finite objective (train_obj={row.train_obj}, "
+                f"test_obj={row.test_obj}); nothing written to {path}")
     _write_csv(path, RESULT_COLUMNS,
                ([_fmt(getattr(row, col)) for col in RESULT_COLUMNS] for row in results),
                "results")

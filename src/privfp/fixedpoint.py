@@ -57,7 +57,7 @@ class BernoulliPerBlock(BlockSchedule):
             raise ParameterError(f"activation probability must be in (0, 1], got {self.q}")
 
     def mask(self, n_blocks, seed, k):
-        return rng.schedule_rng(seed, k).random(n_blocks) < self.q
+        return rng._reset_to(seed, rng.SCHEDULE, k, 0).random(n_blocks) < self.q
 
     def activation_probability(self, n_blocks):
         return self.q
@@ -69,7 +69,7 @@ class SingleUniform(BlockSchedule):
 
     def mask(self, n_blocks, seed, k):
         m = np.zeros(n_blocks, dtype=bool)
-        m[simnet.walk_next(n_blocks, rng.schedule_rng(seed, k))] = True
+        m[simnet.walk_next(n_blocks, rng._reset_to(seed, rng.SCHEDULE, k, 0))] = True
         return m
 
     def activation_probability(self, n_blocks):
@@ -88,7 +88,7 @@ class SubsetUniform(BlockSchedule):
 
     def mask(self, n_blocks, seed, k):
         m = np.zeros(n_blocks, dtype=bool)
-        m[simnet.sample_users(n_blocks, self.m, rng.schedule_rng(seed, k))] = True
+        m[simnet.sample_users(n_blocks, self.m, rng._reset_to(seed, rng.SCHEDULE, k, 0))] = True
         return m
 
     def activation_probability(self, n_blocks):
@@ -101,7 +101,7 @@ class CyclicPermutation(BlockSchedule):
 
     def mask(self, n_blocks, seed, k):
         cycle, pos = divmod(k, n_blocks)
-        perm = rng.schedule_rng(seed, cycle, tag=1).permutation(n_blocks)
+        perm = rng._reset_to(seed, rng.SCHEDULE, cycle, 1).permutation(n_blocks)
         m = np.zeros(n_blocks, dtype=bool)
         m[perm[pos]] = True
         return m
@@ -284,7 +284,7 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
             if order == "cyclic":
                 return k % n_items
             if order == "uniform":
-                return simnet.walk_next(n_items, rng.schedule_rng(seed, k, tag=2))
+                return simnet.walk_next(n_items, rng._reset_to(seed, rng.SCHEDULE, k, 2))
             raise ParameterError(f"unknown item order {order!r}")
         return int(order[k % len(order)])
 

@@ -8,10 +8,10 @@ order, and any parallel evaluation: replaying ``(seed, k, b)`` always
 reproduces the same draw.
 
 ``substream``, ``noise_rng`` and ``schedule_rng`` return a fresh generator
-that the caller owns. ``gaussian_block``, called once per (round, block),
-instead reuses one Philox generator per thread and resets its key, counter
-and buffer before each draw; addresses and values are the same as drawing
-from a fresh ``noise_rng(seed, k, b)``, without building a generator.
+that the caller owns. Per-round draws (``gaussian_block`` noise, and every
+schedule's cohorts, walk holders, masks and item orders) instead reuse one
+Philox generator per thread, which ``_reset_to`` sets to the draw's address;
+values are those of a fresh ``noise_rng`` or ``schedule_rng``.
 """
 
 from __future__ import annotations
@@ -48,25 +48,31 @@ def schedule_rng(seed: int, k: int, tag: int = 0) -> np.random.Generator:
     return substream(seed, SCHEDULE, k, tag)
 
 
-# Each thread's reused noise generator, built on its first draw; it never
-# leaves this module, so no caller can hold it while its state is reset.
+# Each thread's reused generator, built on its first draw; callers consume it
+# inside one call and never store it, so no holder sees its state reset.
 _thread = threading.local()
+
+
+def _reset_to(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
+    """This thread's generator, as a fresh ``substream(seed, domain, k, b)`` starts.
+
+    Consume it before the next reset on this thread."""
+    try:
+        gen = _thread.gen
+    except AttributeError:
+        gen = _thread.gen = np.random.Generator(np.random.Philox(0))
+    # Empty buffer and no cached half word, as in a fresh Philox(key, counter).
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"key": (seed & _MASK64, domain & _MASK64),
+                  "counter": (0, 0, k & _MASK64, b & _MASK64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.ndarray:
     """Fresh N(0, sigma^2 I_size) draw from the (k, b) noise substream."""
     if sigma == 0.0:
         return np.zeros(size)
-    try:
-        gen = _thread.gen
-    except AttributeError:
-        gen = _thread.gen = np.random.Generator(np.random.Philox(0))
-    # The state a fresh Philox(key, counter) starts in: empty buffer, no
-    # cached half word, so the draw equals noise_rng(seed, k, b).normal(...).
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"key": (seed & _MASK64, NOISE),
-                  "counter": (0, 0, k & _MASK64, b & _MASK64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return gen.normal(0.0, sigma, size)
+    return _reset_to(seed, NOISE, k, b).normal(0.0, sigma, size)

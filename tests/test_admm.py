@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from helpers import consensus_displacement_audit, one_round_u, u_update, x_update, z_update
-from privfp import rng
+from privfp import rng, simnet
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
@@ -330,6 +330,63 @@ class TestDecentralized:
             assert len(s1) == len(s2)
             for (k1, z1), (k2, z2) in zip(s1, s2):
                 assert k1 == k2 and np.array_equal(z1, z2)
+
+
+class TestRunsEqualLoopsOfTheirSteps:
+    """The runs update their own duals in place; the public steps work on copies."""
+
+    def test_federated_run_is_a_loop_of_federated_round(self):
+        problem, _ = simple_problem(10, 3, prox_r=L1Prox(0.05), clip=0.8)
+        u0 = BlockVector(np.random.default_rng(4).normal(size=(10, 3)))
+        u0_before = u0.data.copy()
+        K, m, lam, sigma, seed = 15, 4, 0.6, 0.4, 31
+        zs = []
+        z_run, trace = federated_run(problem, 3, m, lam, sigma, K, seed, u0=u0,
+                                     objective=lambda z: zs.append(z.copy()) or 0.0)
+        assert np.array_equal(u0.data, u0_before)
+        state = initial_state(problem, 3, u0)
+        for k in range(K):
+            rows = simnet.sample_users(10, m, rng.schedule_rng(seed, k))
+            state = federated_round(problem, state, rows, lam, sigma, seed)
+            assert np.array_equal(trace.active[k], np.isin(np.arange(10), rows))
+            assert np.array_equal(zs[k], state.z)
+        assert np.array_equal(z_run, state.z)
+
+    def test_decentralized_run_is_a_loop_of_decentralized_step(self):
+        problem, _ = simple_problem(7, 3, prox_r=L1Prox(0.05), clip=0.8)
+        u0 = BlockVector(np.random.default_rng(5).normal(size=(7, 3)))
+        u0_before = u0.data.copy()
+        K, lam, sigma, seed = 40, 0.6, 0.4, 2**63 + 5
+        zs = []
+        z_run, trace, log_run = decentralized_run(
+            problem, 3, lam, sigma, K, seed, u0=u0,
+            objective=lambda z: zs.append(z.copy()) or 0.0)
+        assert np.array_equal(u0.data, u0_before)
+        state = initial_state(problem, 3, u0)
+        log = simnet.ObservationLog(n=7)
+        holder = simnet.walk_next(7, rng.schedule_rng(seed, 0, tag=1))
+        for k in range(K):
+            assert np.array_equal(trace.active[k], np.arange(7) == holder)
+            state, holder = decentralized_step(problem, state, holder, lam, sigma, seed, log)
+            assert np.array_equal(zs[k], state.z)
+        assert np.array_equal(z_run, state.z)
+        assert sorted(log_run.events) == sorted(log.events)
+        for user, seq in log.events.items():
+            assert len(log_run.sequence(user)) == len(seq)
+            for (k_run, z_logged_run), (k_step, z_logged) in zip(log_run.sequence(user), seq):
+                assert k_run == k_step and np.array_equal(z_logged_run, z_logged)
+
+    @pytest.mark.parametrize("step", [
+        lambda problem, state: federated_round(problem, state, [1, 4], 0.5, 0.7, seed=11),
+        lambda problem, state: decentralized_step(problem, state, 3, 0.5, 0.7, seed=11)[0],
+    ], ids=["federated_round", "decentralized_step"])
+    def test_step_leaves_its_input_state_bit_unchanged(self, step):
+        problem, _ = simple_problem(8, 2, clip=0.5)
+        state = initial_state(problem, 2, BlockVector(np.random.default_rng(3).normal(size=(8, 2))))
+        u_before, z_before = state.u.data.copy(), state.z.copy()
+        new = step(problem, state)
+        assert np.array_equal(state.u.data, u_before) and np.array_equal(state.z, z_before)
+        assert not np.array_equal(new.u.data, u_before) and new.k == state.k + 1
 
 
 class TestGeneralSplitting:

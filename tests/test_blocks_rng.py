@@ -4,9 +4,14 @@ import threading
 import numpy as np
 import pytest
 
-from privfp import rng
+from privfp import admm, rng
 from privfp.blocks import BlockVector
 from privfp.errors import StructuralError
+from privfp.fixedpoint import (
+    BernoulliPerBlock, CyclicPermutation, SingleUniform, SubsetUniform, dpsgd_instance,
+)
+from privfp.operators import ZeroProx
+from privfp.simnet import sample_users, walk_next
 
 
 class TestBlockVector:
@@ -149,4 +154,124 @@ class TestReusedGenerator:
         assert len(built) <= 1
         before = len(built)
         rng.noise_rng(3, 0, 0)
+        assert len(built) == before + 1  # the wrapper sees every construction
+
+
+def _one_hot(n, active):
+    mask = np.zeros(n, dtype=bool)
+    mask[active] = True
+    return mask
+
+
+def _uniform_item(seed, k):
+    """The item dpsgd_instance's uniform order applies at step k (item i has gradient -i)."""
+    grads = [lambda u, i=i: np.full(1, -float(i)) for i in range(50)]
+    handle, _ = dpsgd_instance(grads, beta=2.0, gamma=0.5, sigma_grad=0.0, K=1, seed=seed,
+                               order="uniform")
+    return int(handle.apply(np.zeros(1), k)[0])
+
+
+def _walk_holder(seed, k):
+    problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * 1000, prox_r=ZeroProx(), gamma=1.0)
+    state = admm.AdmmState(u=BlockVector.zeros(1000, 1), z=np.zeros(1), k=k)
+    return admm.decentralized_step(problem, state, 0, 0.5, 0.0, seed)[1]
+
+
+# Each schedule site that draws from the reused generator, beside the same draw
+# from a fresh schedule_rng oracle.
+SCHEDULE_SITES = {
+    "walk_next": (lambda seed, k: SingleUniform().mask(1000, seed, k),
+                  lambda seed, k: _one_hot(1000, walk_next(1000, rng.schedule_rng(seed, k)))),
+    "walk_holder": (_walk_holder, lambda seed, k: walk_next(1000, rng.schedule_rng(seed, k))),
+    "sample_users": (lambda seed, k: SubsetUniform(90).mask(1000, seed, k),
+                     lambda seed, k: _one_hot(1000, sample_users(1000, 90,
+                                                                 rng.schedule_rng(seed, k)))),
+    "bernoulli": (lambda seed, k: BernoulliPerBlock(0.3).mask(1000, seed, k),
+                  lambda seed, k: rng.schedule_rng(seed, k).random(1000) < 0.3),
+    "cyclic": (lambda seed, k: CyclicPermutation().mask(7, seed, k),
+               lambda seed, k: _one_hot(7, rng.schedule_rng(seed, k // 7, tag=1).permutation(7)
+                                        [k % 7])),
+    "uniform_item_order": (_uniform_item,
+                           lambda seed, k: walk_next(50, rng.schedule_rng(seed, k, tag=2))),
+}
+
+
+class TestReusedScheduleGenerator:
+    """Schedule draws reuse the per-thread generator too; their values must not show it."""
+
+    @pytest.mark.parametrize("site", SCHEDULE_SITES)
+    @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
+    def test_matches_fresh_schedule_rng_bit_for_bit(self, site, seed):
+        draw, oracle = SCHEDULE_SITES[site]
+        for k in [*range(12), 2**40 + 3, 2**64 - 1]:
+            np.testing.assert_array_equal(draw(seed, k), oracle(seed, k))
+
+    def test_held_schedule_generator_is_not_disturbed(self):
+        held = rng.schedule_rng(11, 2)
+        first = held.random(3)
+        for k in range(50):
+            for draw, _ in SCHEDULE_SITES.values():
+                draw(11, k)
+        np.testing.assert_array_equal(np.concatenate([first, held.random(3)]),
+                                      rng.schedule_rng(11, 2).random(6))
+
+    def test_interleaved_with_noise_draws(self):
+        for k in range(30):
+            mask = SubsetUniform(90).mask(1000, 5, k)
+            noise = rng.gaussian_block(5, k, 3, 1.0, 17)
+            walk = SingleUniform().mask(1000, 5, k)
+            np.testing.assert_array_equal(mask, SCHEDULE_SITES["sample_users"][1](5, k))
+            np.testing.assert_array_equal(noise, fresh_draw(5, k, 3, 1.0, 17))
+            np.testing.assert_array_equal(walk, SCHEDULE_SITES["walk_next"][1](5, k))
+
+    def test_two_threads_match_sequential_loop(self):
+        steps = range(200)
+        want = [(SCHEDULE_SITES["sample_users"][1](8, k), fresh_draw(8, k, 1, 1.0, 33))
+                for k in steps]
+        got = [None] * len(steps)
+        start = threading.Barrier(2)
+
+        def draw(parity):
+            start.wait(timeout=10)
+            for k in range(parity, len(steps), 2):
+                got[k] = (SubsetUniform(90).mask(1000, 8, k), rng.gaussian_block(8, k, 1, 1.0, 33))
+
+        threads = [threading.Thread(target=draw, args=(parity,)) for parity in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between a state reset and its draw
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (mask, noise), (want_mask, want_noise) in zip(got, want):
+            np.testing.assert_array_equal(mask, want_mask)
+            np.testing.assert_array_equal(noise, want_noise)
+
+    def test_draws_build_at_most_one_bit_generator(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        schedules = [SingleUniform(), SubsetUniform(90), BernoulliPerBlock(0.3), CyclicPermutation()]
+
+        def draws():
+            for k in range(100):
+                schedules[k % 4].mask(1000, 3, k)
+
+        # a new thread has no generator yet, so its first draw builds one
+        worker = threading.Thread(target=draws)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(built) <= 1
+        before = len(built)
+        rng.schedule_rng(3, 0)
         assert len(built) == before + 1  # the wrapper sees every construction

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 
+import numpy as np
 import pytest
 
 from privfp import bench, cli, privacy
@@ -134,6 +135,19 @@ class TestSolve:
         assert code == 2
         assert "parameter_error" in err
 
+    @pytest.mark.parametrize("setting", ["federated", "centralized"])
+    def test_non_finite_objective_is_not_written(self, capsys, tmp_path, setting):
+        out = tmp_path / "o.csv"
+        out.write_text("old\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(capsys, "solve", "--setting", setting, "--algorithm", "dpsgd",
+                                   "--step", "1e300", "--n", "200", "--p", "8", "--K", "20",
+                                   "--sigma", "8", "--outdir", str(tmp_path), "--out", "o.csv")
+        assert code == 4
+        assert "model_error" in err
+        assert f"{setting} dpsgd run at seed 0, epsilon=" in err
+        assert out.read_text() == "old\n"
+
     def test_unexpected_exception_propagates(self, monkeypatch):
         def fail(config, collect=False):
             raise RuntimeError("unexpected")
@@ -196,6 +210,18 @@ class TestBench:
         with open(tmp_path / "cmp.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["algorithm"] for r in rows} == {"admm", "dpsgd"}
+
+
+    def test_non_finite_objective_is_not_written(self, capsys, tmp_path):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(capsys, "bench", "--setting", "centralized",
+                                   "--algorithm", "dpsgd", "--step", "1e300", "--n", "200",
+                                   "--p", "8", "--K", "20", "--sigma", "8", "--seeds", "2",
+                                   "--outdir", str(tmp_path), "--out", "res.csv")
+        assert code == 4
+        assert "model_error" in err
+        assert "centralized dpsgd run at seed 2, epsilon=" in err
+        assert not (tmp_path / "res.csv").exists()
 
 
 # A value for every ExperimentConfig field that differs from its default.
