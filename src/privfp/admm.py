@@ -7,15 +7,15 @@ solved by iterating, with fresh per-user Gaussian noise eta:
     x_i <- prox_f_i(2 z - u_i)
     u_i <- u_i + 2 lam (clip(x_i - z) + eta_i / 2)
 
-Three drivers share one round kernel and differ only in who takes part:
-a centralized loop over all users per round, a federated loop where a
-sampled cohort computes local deltas that the server aggregates, and a
-sequential random walk where one user at a time updates and forwards the
-model. Each run updates only the participants' rows of its own duals in
-place, so a walk step costs O(p); the public steps ``federated_round`` and
-``decentralized_step`` return a new state over a copy. A
-matrix-constrained generalization (arbitrary A x + B z = c coupling) is
-provided with a consensus instantiation that reproduces the specialized
+Three drivers share one round kernel and the traced loop
+``fixedpoint.iterate``, and differ only in who takes part: every user in
+each round (centralized), a sampled cohort whose local deltas the server
+aggregates (federated), or one user at a time, who updates and forwards the
+model (a random walk). Each run updates only the participants' rows of its
+own duals in place, so a walk step costs O(p); the public steps
+``federated_round`` and ``decentralized_step`` return a new state over a
+copy. A matrix-constrained generalization (arbitrary A x + B z = c coupling)
+is provided with a consensus instantiation that reproduces the specialized
 path bit-for-bit under a shared seed. Every run returns only the public
 variable z (and a trace); the data-adjacent x iterates never leave a round.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import RunTrace
+from .fixedpoint import RunTrace, iterate
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,7 @@ def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
     if problem.clip_threshold is not None:
         dev = clip_rows(dev, problem.clip_threshold)
     if sigma > 0:
-        eta = np.stack([rng.gaussian_block(seed, k, int(i), sigma, U.shape[1]) for i in rows])
-        return 2.0 * lam * (dev + 0.5 * eta)
+        return 2.0 * lam * (dev + 0.5 * rng.gaussian_rows(seed, k, rows, sigma, U.shape[1]))
     return 2.0 * lam * dev
 
 
@@ -132,20 +131,6 @@ def _walk_step(problem, U, z, i, lam, sigma, seed, k, log):
     if log is not None:
         simnet.record_observation(log, next_user, k + 1, z)
     return z, next_user
-
-
-def _loop(n, K, seed, step, objective, reference, unit="round"):
-    """Record ``step(k) -> (participants, z)`` for k < K; returns z_K and the trace."""
-    if K < 1:
-        raise ParameterError(f"{unit} count must be >= 1, got {K}")
-    trace = RunTrace(seed=seed)
-    for k in range(K):
-        rows, z = step(k)
-        mask = np.zeros(n, dtype=bool)
-        mask[rows] = True
-        trace.record(k, mask, obj=None if objective is None else objective(z),
-                     dist=None if reference is None else float(np.sum((z - reference) ** 2)))
-    return z, trace
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +153,12 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
     U = u0.data.copy()
     all_rows = np.arange(problem.n)
 
-    def step(k):
+    def advance(k):
         z = np.asarray(problem.prox_r(U.mean(axis=0)), dtype=float)
         U[:] += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
         return all_rows, z
 
-    return _loop(problem.n, K, seed, step, objective, reference)
+    return iterate(K, seed, problem.n, advance, objective, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +195,13 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
     state = initial_state(problem, p, u0)
     U, z = state.u.data, state.z
 
-    def step(k):
+    def advance(k):
         nonlocal z
         rows = simnet.sample_users(problem.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
         z = _advance(problem, U, z, rows, lam, sigma, seed, k)
         return rows, z
 
-    return _loop(problem.n, K, seed, step, objective, reference)
+    return iterate(K, seed, problem.n, advance, objective, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +226,6 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
 
 def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: float,
                       K: int, seed: int, u0: BlockVector | None = None,
-                      initial_user: int | None = None,
                       objective: Callable[[np.ndarray], float] | None = None,
                       reference: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
@@ -249,17 +233,15 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
     state = initial_state(problem, p, u0)
     U, z = state.u.data, state.z
     log = simnet.ObservationLog(n=problem.n)
-    current = initial_user if initial_user is not None \
-        else simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
+    current = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
 
-    def step(k):
+    def advance(k):
         nonlocal z, current
         holder = current
         z, current = _walk_step(problem, U, z, holder, lam, sigma, seed, k, log)
         return holder, z
 
-    z, trace = _loop(problem.n, K, seed, step, objective, reference, unit="step")
-    return z, trace, log
+    return (*iterate(K, seed, problem.n, advance, objective, reference), log)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +296,8 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
     residual = problem.A @ x + problem.B @ z - problem.c
     if sigma > 0:
         if u.size % noise_blocks != 0:
-            raise StructuralError(
-                f"u of size {u.size} does not split into {noise_blocks} noise blocks")
-        width = u.size // noise_blocks
-        eta = np.concatenate([rng.gaussian_block(seed, state.k, b, sigma, width)
-                              for b in range(noise_blocks)])
+            raise StructuralError(f"u of size {u.size} does not split into {noise_blocks} noise blocks")
+        eta = rng.gaussian_rows(seed, state.k, range(noise_blocks), sigma, u.size // noise_blocks).ravel()
     else:
         eta = np.zeros(u.size)
     new_u = u + 2.0 * lam * (residual + 0.5 * eta)

@@ -209,8 +209,7 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
         G = clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
                       clip_threshold)
         if sigma > 0:
-            G = G + np.stack([rng.gaussian_block(seed, k, int(i), sigma, dataset.p)
-                              for i in rows])
+            G = G + rng.gaussian_rows(seed, k, rows, sigma, dataset.p)
         x = prox_l1(x - step * G.mean(axis=0), step * kappa)
     return x
 

@@ -7,7 +7,8 @@ The engine iterates
 where rho is a random block-activation mask, e an optional error term, and
 eta fresh Gaussian noise drawn from a per-(iteration, block) substream so
 that schedules and evaluation order cannot perturb noise assignment.
-Stochastic gradient and coordinate-descent instantiations are provided.
+``iterate`` is the one traced loop: ``run`` and the three ``admm`` runs
+call it. Stochastic gradient and coordinate-descent instantiations are provided.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import rng, simnet
 from .blocks import BlockVector
-from .errors import ParameterError, StructuralError
+from .errors import ModelError, ParameterError, StructuralError
 from .operators import Contractive, NonExpansive, OperatorHandle
 
 # ---------------------------------------------------------------------------
@@ -195,37 +196,57 @@ def step(u: BlockVector, operator: OperatorHandle, cfg: IterationConfig, k: int)
     """One noisy block-coordinate update; inactive blocks are returned bit-unchanged."""
     if k < 0 or k >= cfg.K:
         raise ParameterError(f"iteration index {k} out of range for K={cfg.K}")
-    mask = cfg.schedule.mask(u.n_blocks, cfg.seed, k)
-    return _masked_update(u, operator, cfg, k, mask)[0]
+    return BlockVector(_update(u, operator, cfg, k, cfg.schedule.mask(u.n_blocks, cfg.seed, k)))
 
 
-def _masked_update(u, operator, cfg, k, mask):
-    lam = cfg.step_size(k)
+def _update(u, operator, cfg, k, mask):
+    """The data of u after step k on the active blocks, all computed from u; u is not modified."""
     target = np.asarray(operator.apply(u.flat, k), dtype=float)
     if target.shape != u.flat.shape:
-        raise StructuralError(
-            f"operator returned shape {target.shape}, expected {u.flat.shape}")
+        raise StructuralError(f"operator returned shape {target.shape}, expected {u.flat.shape}")
     target = target.reshape(u.data.shape)
     if cfg.error_injector is not None:
-        err = np.asarray(cfg.error_injector(u.flat, k), dtype=float).reshape(u.data.shape)
-        target = target + err
-    new = u.data.copy()
-    for b in np.flatnonzero(mask):
-        eta = rng.gaussian_block(cfg.seed, k, int(b), cfg.sigma, u.block_dim)
-        new[b] = u.data[b] + lam * (target[b] + eta - u.data[b])
-    return BlockVector(new), mask
+        target = target + np.asarray(cfg.error_injector(u.flat, k), dtype=float).reshape(u.data.shape)
+    rows = np.flatnonzero(mask)
+    old, new = u.data.take(rows, axis=0), u.data.copy()
+    eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, u.block_dim)
+    new[rows] = old + cfg.step_size(k) * (target.take(rows, axis=0) + eta - old)
+    return new
+
+
+def iterate(K: int, seed: int, n: int, advance: Callable[[int], tuple],
+            objective: Callable[[np.ndarray], float] | None = None,
+            reference: np.ndarray | None = None,
+            record_iterates: bool = False) -> tuple[np.ndarray, RunTrace]:
+    """The traced loop of every run; returns the last released iterate and the trace.
+
+    ``advance(k)`` performs step k and returns its active blocks (indices or
+    an (n,) mask) and the released iterate, which must be finite."""
+    if K < 1:
+        raise ParameterError(f"iteration count must be >= 1, got {K}")
+    trace = RunTrace(seed=seed)
+    for k in range(K):
+        active, x = advance(k)
+        if not np.isfinite(x).all():
+            raise ModelError(f"released iterate is not finite at round {k}")
+        mask = np.zeros(n, dtype=bool)
+        mask[active] = True
+        trace.record(k, mask, obj=None if objective is None else objective(x),
+                     dist=None if reference is None else float(np.sum((x - np.ravel(reference)) ** 2)),
+                     iterate=x if record_iterates else None)
+    return x, trace
 
 
 def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
         objective: Callable[[np.ndarray], float] | None = None,
         reference: np.ndarray | None = None,
         record_iterates: bool = False) -> tuple[BlockVector, RunTrace]:
-    """Apply ``step`` K times; bit-identical traces for identical seeds.
+    """Apply ``step`` K times through ``iterate``; bit-identical traces for identical seeds.
 
     Parameters
     ----------
     u0 : BlockVector
-        Initial point.
+        Initial point (left unchanged).
     operator : OperatorHandle
         The (possibly iteration-dependent) map applied at every step.
     cfg : IterationConfig
@@ -237,17 +258,15 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
     record_iterates : bool
         Store full iterate snapshots (off by default; memory).
     """
-    u = u0.copy()
-    trace = RunTrace(seed=cfg.seed)
-    for k in range(cfg.K):
-        mask = cfg.schedule.mask(u.n_blocks, cfg.seed, k)
-        u, _ = _masked_update(u, operator, cfg, k, mask)
-        trace.record(
-            k, mask,
-            obj=None if objective is None else objective(u.flat),
-            dist=None if reference is None else float(np.sum((u.flat - np.asarray(reference).ravel()) ** 2)),
-            iterate=u.flat if record_iterates else None,
-        )
+    u = u0
+
+    def advance(k):
+        nonlocal u
+        mask = np.asarray(cfg.schedule.mask(u.n_blocks, cfg.seed, k), dtype=bool)
+        u = BlockVector(_update(u, operator, cfg, k, mask))
+        return mask, u.flat
+
+    trace = iterate(cfg.K, cfg.seed, u0.n_blocks, advance, objective, reference, record_iterates)[1]
     return u, trace
 
 

@@ -76,3 +76,11 @@ def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.nda
     if sigma == 0.0:
         return np.zeros(size)
     return _reset_to(seed, NOISE, k, b).normal(0.0, sigma, size)
+
+
+def gaussian_rows(seed: int, k: int, blocks, sigma: float, size: int) -> np.ndarray:
+    """Round k's noise for many blocks: row j is ``gaussian_block(seed, k, blocks[j], sigma, size)``."""
+    out = np.empty((len(blocks), size))
+    for j, b in enumerate(blocks):
+        out[j] = gaussian_block(seed, k, int(b), sigma, size)
+    return out

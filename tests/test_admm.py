@@ -17,7 +17,7 @@ from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import RunTrace
 from privfp.operators import (
-    L1Prox, QuadraticProx, QuadraticRankOneProx, ZeroProx,
+    CustomProx, L1Prox, QuadraticProx, QuadraticRankOneProx, ZeroProx,
 )
 from privfp.privacy import sensitivity_consensus
 from privfp import bench
@@ -387,6 +387,27 @@ class TestRunsEqualLoopsOfTheirSteps:
         new = step(problem, state)
         assert np.array_equal(state.u.data, u_before) and np.array_equal(state.z, z_before)
         assert not np.array_equal(new.u.data, u_before) and new.k == state.k + 1
+
+
+class TestNonFiniteIterate:
+    """A run stops with ModelError at the first round whose released z is not finite."""
+
+    @pytest.mark.parametrize("run, initial_calls", [
+        (lambda problem: centralized_run(problem, BlockVector.zeros(4, 2), 0.5, 0.2, 10, 1), 0),
+        (lambda problem: federated_run(problem, 2, 2, 0.5, 0.2, 10, 1), 1),
+        (lambda problem: decentralized_run(problem, 2, 0.5, 0.2, 10, 1), 1),
+    ], ids=["centralized", "federated", "decentralized"])
+    def test_nan_prox_from_round_3_raises_naming_it(self, run, initial_calls):
+        calls = []
+
+        def prox_r(v):
+            # the runs without a given z call prox_r once before round 0, then once per round
+            calls.append(None)
+            return v * np.nan if len(calls) > initial_calls + 3 else v
+
+        problem, _ = simple_problem(4, 2, prox_r=CustomProx(fn=prox_r))
+        with pytest.raises(ModelError, match="round 3"):
+            run(problem)
 
 
 class TestGeneralSplitting:

@@ -77,6 +77,32 @@ def fresh_draw(seed, k, b, sigma, size):
     return rng.noise_rng(seed, k, b).normal(0.0, sigma, size)
 
 
+class TestGaussianRows:
+    """gaussian_rows is the one multi-block draw: row j is gaussian_block at blocks[j]."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
+    def test_rows_equal_stacked_blocks_bit_for_bit(self, seed, sigma):
+        blocks = np.array([7, 2, 2**40, 0, 5, 2])  # unsorted, with a repeat
+        for k in (0, 3, 2**64 - 1):
+            want = np.stack([rng.gaussian_block(seed, k, int(b), sigma, 9) for b in blocks])
+            got = rng.gaussian_rows(seed, k, blocks, sigma, 9)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blocks", [[], np.array([], dtype=int), range(0)])
+    def test_empty_block_set(self, blocks):
+        for sigma in (0.0, 1.5):
+            assert rng.gaussian_rows(4, 1, blocks, sigma, 6).shape == (0, 6)
+
+    def test_draws_through_the_module_function_once_per_row(self, monkeypatch):
+        calls = []
+        draw = rng.gaussian_block
+        monkeypatch.setattr(rng, "gaussian_block", lambda *a: calls.append(a) or draw(*a))
+        rng.gaussian_rows(9, 2, [3, 1, 4], 0.5, 2)
+        assert calls == [(9, 2, 3, 0.5, 2), (9, 2, 1, 0.5, 2), (9, 2, 4, 0.5, 2)]
+
+
 class TestReusedGenerator:
     """gaussian_block reuses one generator per thread; its values must not show it."""
 

@@ -5,7 +5,7 @@ import pytest
 
 from privfp import rng
 from privfp.blocks import BlockVector
-from privfp.errors import ParameterError, StructuralError
+from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import (
     AllBlocks, BernoulliPerBlock, CyclicPermutation, IterationConfig, SingleUniform,
     SubsetUniform, dpcd_instance, dpsgd_instance, run, step,
@@ -173,6 +173,58 @@ class TestRun:
             manual[b] = u0.data[b] + rng.gaussian_block(cfg.seed, 0, int(b), cfg.sigma, 4)
         replayed = step(u0, op, cfg, 0)
         assert np.array_equal(replayed.data, manual)
+
+
+class TestRunIsALoopOfStep:
+    """``run`` goes through ``iterate``; the update it applies is ``step``'s."""
+
+    def test_bit_identical_to_step_loop(self):
+        cfg = IterationConfig(K=20, sigma=0.6, lam=[1.0 / (k + 1) ** 0.5 for k in range(20)],
+                              schedule=BernoulliPerBlock(0.5), seed=2**63 + 7,
+                              error_injector=lambda u, k: np.sin(k + np.asarray(u)))
+        u0 = BlockVector(np.random.default_rng(6).normal(size=(5, 3)))
+        op = affine_op(0.7, -0.2)
+        u_run, trace = run(u0, op, cfg, record_iterates=True)
+        u = u0
+        for k in range(cfg.K):
+            u = step(u, op, cfg, k)
+            assert trace.active[k].tobytes() == cfg.schedule.mask(5, cfg.seed, k).tobytes()
+            assert trace.iterates[k].tobytes() == u.flat.tobytes()
+        assert u_run.data.tobytes() == u.data.tobytes()
+        assert any(0 < m.sum() < 5 for m in trace.active)
+
+    def test_leaves_u0_unchanged(self):
+        u0 = BlockVector(np.random.default_rng(7).normal(size=(3, 2)))
+        before = u0.data.copy()
+        run(u0, affine_op(0.5, 1.0), IterationConfig(K=4, sigma=0.3, lam=0.5, seed=1))
+        assert u0.data.tobytes() == before.tobytes()
+
+    def test_operator_returning_a_view_of_its_input(self):
+        cfg = IterationConfig(K=6, sigma=0.4, lam=0.7, schedule=AllBlocks(), seed=3)
+        u0 = BlockVector(np.arange(6, dtype=float).reshape(3, 2))
+        view = OperatorHandle(apply=lambda u, k=0: u[::-1], kind=NonExpansive())
+        copied = OperatorHandle(apply=lambda u, k=0: np.array(u[::-1]), kind=NonExpansive())
+        u_view, _ = run(u0, view, cfg)
+        u_copy, _ = run(u0, copied, cfg)
+        assert u_view.data.tobytes() == u_copy.data.tobytes()
+        assert step(u0, view, cfg, 0).data.tobytes() == step(u0, copied, cfg, 0).data.tobytes()
+
+    def test_zero_one_integer_masks_act_as_boolean(self):
+        class IntMasks(BernoulliPerBlock):
+            def mask(self, n_blocks, seed, k):
+                return super().mask(n_blocks, seed, k).astype(int)
+
+        u0, op = BlockVector(np.ones((4, 2))), affine_op(0.5, 0.3)
+        u_int, t_int = run(u0, op, IterationConfig(K=8, sigma=0.2, schedule=IntMasks(0.5), seed=4))
+        u_bool, t_bool = run(u0, op, IterationConfig(K=8, sigma=0.2, schedule=BernoulliPerBlock(0.5), seed=4))
+        assert u_int.data.tobytes() == u_bool.data.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(t_int.active, t_bool.active))
+
+    def test_non_finite_iterate_raises_naming_the_round(self):
+        # u <- 1e100 u: 1 -> 1e100 -> 1e200 -> 1e300 -> inf at the fourth step (round 3)
+        cfg = IterationConfig(K=10, sigma=0.0, lam=1.0, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(ModelError, match="round 3"):
+            run(BlockVector(np.ones((2, 1))), affine_op(1e100, 0.0), cfg)
 
 
 class TestSchedules:
