@@ -14,10 +14,11 @@ aggregates (federated), or one user at a time, who updates and forwards the
 model (a random walk). Each run updates only the participants' rows of its
 own duals in place, so a walk step costs O(p); the public steps
 ``federated_round`` and ``decentralized_step`` return a new state over a
-copy. A matrix-constrained generalization (arbitrary A x + B z = c coupling)
-is provided with a consensus instantiation that reproduces the specialized
-path bit-for-bit under a shared seed. Every run returns only the public
-variable z (and a trace); the data-adjacent x iterates never leave a round.
+copy. A matrix-constrained generalization (arbitrary A x + B z = c coupling),
+also run through ``iterate``, is provided with a consensus instantiation that
+reproduces the specialized path bit-for-bit under a shared seed. Every run
+returns only the public variable z (and a trace or state); the data-adjacent
+x iterates never leave a round.
 """
 
 from __future__ import annotations
@@ -307,13 +308,15 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
 def general_admm_run(problem: GeneralAdmmProblem, u0: np.ndarray, lam: float,
                      sigma: float, K: int, seed: int,
                      noise_blocks: int = 1) -> tuple[np.ndarray, GeneralAdmmState]:
-    """K steps of the general splitting; returns the final public z and state."""
-    if K < 1:
-        raise ParameterError(f"step count must be >= 1, got {K}")
+    """K steps through ``iterate`` (every noise block active); returns the final z and state."""
     state = GeneralAdmmState(u=np.asarray(u0, dtype=float), z=np.zeros(problem.B.shape[1]))
-    for _ in range(K):
+
+    def advance(k):
+        nonlocal state
         state = general_admm_step(problem, state, lam, sigma, seed, noise_blocks)
-    return state.z, state
+        return range(noise_blocks), state.z
+
+    return iterate(K, seed, noise_blocks, advance)[0], state
 
 
 def recover_x_from_z(problem: GeneralAdmmProblem, z: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ Generates unit-row-design Lasso data, solves it privately with the
 consensus splitting or a proximal DP-SGD baseline in the centralized,
 federated, or decentralized setting, calibrates noise through the
 accountant for a grid of (epsilon, delta) budgets, and exports results as
-CSV. A high-precision in-repo proximal-gradient solver provides the
-non-private reference.
+CSV. Both DP-SGD baselines run through ``fixedpoint.iterate``, the loop of
+every run, so a non-finite iterate raises ModelError naming the round. A
+high-precision in-repo proximal-gradient solver provides the non-private
+reference.
 
 Accounting under clipping: clipping the shared quantity replaces the
 theoretical per-contribution displacement bound, so the accountant is fed
@@ -34,6 +36,7 @@ import numpy as np
 from . import admm, privacy, rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
+from .fixedpoint import iterate
 from .operators import L1Prox, RowQuadraticProx, clip, clip_rows, prox_l1
 
 # Rényi grid for the bench: the default grid extended upward so budgets
@@ -164,54 +167,50 @@ def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
 # Proximal DP-SGD baseline
 
 
-def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
-                   clip_threshold: float, sigma: float, K: int, seed: int,
-                   item_order: str = "uniform") -> np.ndarray:
-    """Proximal DP-SGD: noisy clipped smooth-part gradient step, then soft threshold.
-
-    ``item_order`` picks the per-step gradient: "uniform" samples one item,
-    "cyclic" passes over items in order, "full" uses the whole smooth part
-    (the degenerate full-batch configuration, i.e. proximal gradient
-    descent plus noise).
-    """
-    if step <= 0 or clip_threshold <= 0 or not 0.0 <= sigma <= rng.MAX_SIGMA or K < 1:
-        raise ParameterError("need step > 0, clip_threshold > 0, K >= 1, "
+def _check_dpsgd(step: float, clip_threshold: float, sigma: float):
+    if step <= 0 or clip_threshold <= 0 or not 0.0 <= sigma <= rng.MAX_SIGMA:
+        raise ParameterError("need step > 0, clip_threshold > 0, "
                              "sigma >= 0 with a finite square")
+
+
+def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
+                   clip_threshold: float, sigma: float, K: int, seed: int) -> np.ndarray:
+    """Proximal DP-SGD: noisy clipped gradient of one uniform item, then soft threshold.
+
+    A one-block iteration through ``iterate``: step k's noise reads block 0."""
+    _check_dpsgd(step, clip_threshold, sigma)
     x = np.zeros(dataset.p)
-    for k in range(K):
-        if item_order == "full":
-            g = dataset.A.T @ (dataset.A @ x - dataset.b) / dataset.n
-        else:
-            if item_order == "uniform":
-                i = simnet.walk_next(dataset.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
-            elif item_order == "cyclic":
-                i = k % dataset.n
-            else:
-                raise ParameterError(f"unknown item order {item_order!r}")
-            g = (dataset.A[i] @ x - dataset.b[i]) * dataset.A[i]
-        g = clip(g, clip_threshold)
+
+    def advance(k):
+        nonlocal x
+        i = simnet.walk_next(dataset.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+        g = clip((dataset.A[i] @ x - dataset.b[i]) * dataset.A[i], clip_threshold)
         eta = rng.gaussian_block(seed, k, 0, sigma, dataset.p)
         x = prox_l1(x - step * (g + eta), step * kappa)
-    return x
+        return 0, x
+
+    return iterate(K, seed, 1, advance)[0]
 
 
 def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
                     clip_threshold: float, sigma: float, K: int, m: int,
                     seed: int) -> np.ndarray:
-    """Federated proximal DP-SGD: per round, a sampled cohort of users each
-    releases a clipped per-item gradient plus noise; the server averages and steps."""
-    if step <= 0 or clip_threshold <= 0 or not 0.0 <= sigma <= rng.MAX_SIGMA or K < 1:
-        raise ParameterError("need step > 0, clip_threshold > 0, K >= 1, "
-                             "sigma >= 0 with a finite square")
+    """Federated proximal DP-SGD through ``iterate``: per round, a sampled cohort of users
+    each releases a clipped per-item gradient plus noise; the server averages and steps."""
+    _check_dpsgd(step, clip_threshold, sigma)
     x = np.zeros(dataset.p)
-    for k in range(K):
+
+    def advance(k):
+        nonlocal x
         rows = simnet.sample_users(dataset.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
         G = clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
                       clip_threshold)
         if sigma > 0:
             G = G + rng.gaussian_rows(seed, k, rows, sigma, dataset.p)
         x = prox_l1(x - step * G.mean(axis=0), step * kappa)
-    return x
+        return rows, x
+
+    return iterate(K, seed, dataset.n, advance)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ The engine iterates
 where rho is a random block-activation mask, e an optional error term, and
 eta fresh Gaussian noise drawn from a per-(iteration, block) substream so
 that schedules and evaluation order cannot perturb noise assignment.
-``iterate`` is the one traced loop: ``run`` and the three ``admm`` runs
-call it. Stochastic gradient and coordinate-descent instantiations are provided.
+``iterate`` is the one traced loop: ``run``, the four ``admm`` runs and
+both ``bench`` DP-SGD baselines call it. Stochastic gradient and
+coordinate-descent instantiations are provided.
 """
 
 from __future__ import annotations

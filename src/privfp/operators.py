@@ -261,10 +261,6 @@ def reflect_compose(prox1: ProxSpec, prox2: ProxSpec, lam: float) -> OperatorHan
     return OperatorHandle(apply=apply, kind=Averaged(lam))
 
 
-# The operator is better known under the names of its inventors.
-lions_mercier = reflect_compose
-
-
 def gradient_step_operator(grad: Callable[[np.ndarray], np.ndarray], beta: float,
                            mu: float = 0.0) -> OperatorHandle:
     """Gradient-step operator u -> u - (2/(beta+mu)) * grad(u).

@@ -156,24 +156,14 @@ def _check_subsampling_regime(alpha: float, q: float, sigma: float):
             f"order {alpha} exceeds the regime cap {alpha_cap:.4g} at q={q}, sigma={sigma}")
 
 
-def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float,
-                  secure_agg_m: int | None = None) -> float:
-    """Per-user local Rényi DP over K_i participations: 8*alpha*K_i*L^2*gamma^2/sigma^2.
-
-    With secure aggregation over m users the per-round sensitivity seen by
-    the server drops by a factor m, dividing the bound by m^2.
-    """
+def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float) -> float:
+    """Per-user local Rényi DP over K_i participations: 8*alpha*K_i*L^2*gamma^2/sigma^2."""
     if K_i < 0:
         raise ParameterError(f"participation count must be >= 0, got {K_i}")
     _check_sigma(sigma)
     if K_i == 0:
         return 0.0
-    eps = K_i * gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, 1), sigma, alpha)
-    if secure_agg_m is not None:
-        if secure_agg_m < 1:
-            raise ParameterError(f"aggregation cohort must be >= 1, got {secure_agg_m}")
-        eps /= secure_agg_m ** 2
-    return eps
+    return K_i * gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, 1), sigma, alpha)
 
 
 def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
@@ -181,9 +171,7 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
     """Central-view Rényi DP of K federated rounds with m-of-n user sampling.
 
     Value: 16*alpha*K*L^2*gamma^2/(sigma^2 n^2), i.e. twice the centralized
-    bound; valid only in the subsampling regime with q = m/n. Secure
-    aggregation does not change this central bound; it amplifies the
-    *local* guarantee (see ``local_epsilon``).
+    bound; valid only in the subsampling regime with q = m/n.
     """
     if m < 1 or n < 1 or m > n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")

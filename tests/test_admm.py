@@ -396,7 +396,9 @@ class TestNonFiniteIterate:
         (lambda problem: centralized_run(problem, BlockVector.zeros(4, 2), 0.5, 0.2, 10, 1), 0),
         (lambda problem: federated_run(problem, 2, 2, 0.5, 0.2, 10, 1), 1),
         (lambda problem: decentralized_run(problem, 2, 0.5, 0.2, 10, 1), 1),
-    ], ids=["centralized", "federated", "decentralized"])
+        (lambda problem: general_admm_run(consensus_as_general(problem, 2), np.zeros(8),
+                                          0.5, 0.2, 10, 1, noise_blocks=4), 0),
+    ], ids=["centralized", "federated", "decentralized", "general"])
     def test_nan_prox_from_round_3_raises_naming_it(self, run, initial_calls):
         calls = []
 
@@ -408,6 +410,27 @@ class TestNonFiniteIterate:
         problem, _ = simple_problem(4, 2, prox_r=CustomProx(fn=prox_r))
         with pytest.raises(ModelError, match="round 3"):
             run(problem)
+
+
+class TestGeneralRunLoop:
+    """``general_admm_run`` goes through ``iterate``."""
+
+    def test_zero_steps_rejected(self):
+        problem, _ = simple_problem(3, 2)
+        with pytest.raises(ParameterError, match="iteration count"):
+            general_admm_run(consensus_as_general(problem, 2), np.zeros(6), 0.5, 0.1, 0, 0,
+                             noise_blocks=3)
+
+    def test_run_is_the_replayed_steps(self):
+        problem, _ = simple_problem(3, 2, clip=0.5)
+        general = consensus_as_general(problem, 2)
+        u0 = np.random.default_rng(7).normal(size=6)
+        z, state = general_admm_run(general, u0, 0.5, 0.3, 12, 9, noise_blocks=3)
+        replay = GeneralAdmmState(u=u0, z=np.zeros(2))
+        for _ in range(12):
+            replay = general_admm_step(general, replay, 0.5, 0.3, 9, noise_blocks=3)
+        assert np.array_equal(z, replay.z) and np.array_equal(state.u, replay.u)
+        assert state.k == 12
 
 
 class TestGeneralSplitting:

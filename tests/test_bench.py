@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import time
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from privfp import bench, privacy, rng
+from privfp import bench, privacy, rng, simnet
 from privfp.bench import (
     ExperimentConfig, default_kappa, dpsgd_baseline, dpsgd_federated, emit_csv,
     emit_accountant_csv, emit_trace_csv, gen_lasso, lasso_consensus_problem,
@@ -94,26 +95,17 @@ class TestReferenceSolver:
 
 
 class TestDpsgdBaseline:
-    def test_full_batch_quadratic_reaches_least_squares(self):
-        data = gen_lasso(n=120, p=8, support_size=3, noise_std=0.05, seed=7)
-        x = dpsgd_baseline(data, kappa=0.0, step=0.9 * data.n /
-                           float(np.linalg.eigvalsh(data.A.T @ data.A).max()),
-                           clip_threshold=1e9, sigma=0.0, K=4000, seed=0,
-                           item_order="full")
-        x_ls, *_ = np.linalg.lstsq(data.A, data.b, rcond=None)
-        assert np.linalg.norm(x - x_ls) < 1e-4
-
-    def test_huge_clip_matches_plain_proximal_sgd(self):
+    def test_replays_uniform_items_and_block_zero_noise(self):
+        # pins the draw addresses: item from schedule stream (k, 0), noise from block 0 of round k
         data = gen_lasso(n=30, p=5, support_size=2, seed=8)
-        kappa, step, K, seed = 0.05, 0.3, 60, 11
-        got = dpsgd_baseline(data, kappa, step, clip_threshold=1e9, sigma=0.0,
-                             K=K, seed=seed, item_order="cyclic")
+        kappa, step, sigma, K, seed = 0.05, 0.3, 0.2, 60, 11
+        got = dpsgd_baseline(data, kappa, step, clip_threshold=1e9, sigma=sigma, K=K, seed=seed)
         x = np.zeros(5)
         for k in range(K):
-            i = k % data.n
+            i = simnet.walk_next(data.n, rng.schedule_rng(seed, k))
             g = (data.A[i] @ x - data.b[i]) * data.A[i]
-            x = prox_l1(x - step * g, step * kappa)
-        np.testing.assert_allclose(got, x, atol=1e-12)
+            x = prox_l1(x - step * (g + rng.gaussian_block(seed, k, 0, sigma, 5)), step * kappa)
+        assert np.array_equal(got, x)
 
     def test_seeded_determinism(self):
         data = gen_lasso(n=25, p=4, support_size=2, seed=1)
@@ -134,6 +126,29 @@ class TestDpsgdBaseline:
             dpsgd_baseline(data, 0.02, 0.2, 1.0, sigma, 5, seed=0)
         with pytest.raises(ParameterError, match="sigma"):
             dpsgd_federated(data, 0.02, 0.2, 1.0, sigma, 5, m=2, seed=0)
+
+    def test_zero_rounds_rejected(self):
+        data = gen_lasso(n=20, p=3, support_size=1, seed=3)
+        with pytest.raises(ParameterError, match="iteration count"):
+            dpsgd_baseline(data, 0.02, 0.2, 1.0, 0.5, 0, seed=0)
+        with pytest.raises(ParameterError, match="iteration count"):
+            dpsgd_federated(data, 0.02, 0.2, 1.0, 0.5, 0, m=2, seed=0)
+
+    def test_nan_target_raises_at_the_first_round_that_reads_it(self):
+        data = gen_lasso(n=20, p=3, support_size=1, seed=3)
+        b = data.b.copy()
+        b[7] = np.nan
+        data = dataclasses.replace(data, b=b)
+        seed = 4
+        first_item = next(k for k in range(1000)
+                          if simnet.walk_next(data.n, rng.schedule_rng(seed, k)) == 7)
+        first_cohort = next(k for k in range(1000)
+                            if 7 in simnet.sample_users(data.n, 2, rng.schedule_rng(seed, k)))
+        assert first_item > 0 and first_cohort > 0
+        with pytest.raises(ModelError, match=f"round {first_item}$"):
+            dpsgd_baseline(data, 0.02, 0.2, 1.0, 0.5, 1000, seed=seed)
+        with pytest.raises(ModelError, match=f"round {first_cohort}$"):
+            dpsgd_federated(data, 0.02, 0.2, 1.0, 0.5, 1000, m=2, seed=seed)
 
 
 class TestRunExperiment:

@@ -6,7 +6,7 @@ from privfp.errors import ParameterError, StructuralError
 from privfp.operators import (
     Averaged, Contractive, CustomProx, L1Prox, NonExpansive, QuadraticProx,
     QuadraticRankOneProx, RowQuadraticProx, ZeroProx, clip, clip_rows, empirical_lipschitz,
-    gradient_step_operator, lions_mercier, prox_l1, prox_quadratic_rank_one, reflect,
+    gradient_step_operator, prox_l1, prox_quadratic_rank_one, reflect,
     reflect_compose,
 )
 
@@ -132,9 +132,6 @@ class TestReflectCompose:
         u = np.random.default_rng(0).normal(size=4)
         np.testing.assert_allclose(op.apply(u, 0), u, atol=1e-15)
         assert op.kind == Averaged(0.5)
-
-    def test_alias(self):
-        assert lions_mercier is reflect_compose
 
     def test_averaging_identity_exact(self):
         # T(u) agrees with lam*R1(R2(u)) + (1-lam)*u evaluated independently.

@@ -180,11 +180,6 @@ class TestLocalEpsilon:
         vals = {local_epsilon(2.0, 3, 1.0, 0.5, 4.0) for _ in range(3)}
         assert len(vals) == 1
 
-    def test_secure_aggregation_divides_by_cohort_squared(self):
-        base = local_epsilon(2.0, 5, 1.0, 1.0, 4.0)
-        assert local_epsilon(2.0, 5, 1.0, 1.0, 4.0, secure_agg_m=10) == \
-            pytest.approx(base / 100.0, rel=1e-15)
-
 
 class TestAmplificationByIteration:
     def test_single_step_is_plain_gaussian(self):
