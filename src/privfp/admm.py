@@ -40,28 +40,26 @@ from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 @dataclass(frozen=True)
 class ConsensusProblem:
-    """Per-item proximal maps, a regularizer prox, and the shared constants.
+    """Per-item proximal maps, a regularizer prox, and an optional clipping threshold.
 
-    ``prox_f`` holds the n per-item proxes at step gamma in one of two
-    forms: a tuple of specs, where ``prox_f[i]`` evaluates the i-th, or a
+    ``prox_f`` holds the n per-item proxes in one of two forms: a tuple of
+    specs, where ``prox_f[i]`` evaluates the i-th, or a
     ``RowQuadraticProx`` that solves the squared-residual rows of a design
     in batches. ``local_solves`` evaluates either. ``prox_r`` is the
     regularizer's prox. ``clip_threshold`` caps ||x_i - z|| in the dual
-    update when set. The problem carries no Lipschitz constant: the
-    accountant takes one as an argument, and ``bench`` derives the
-    effective constant of a clipped release from the clipping threshold.
+    update when set. The prox step gamma lives in the specs, and the
+    problem carries no Lipschitz constant: the accountant takes both as
+    arguments, and ``bench`` derives the effective constant of a clipped
+    release from the clipping threshold.
     """
 
     prox_f: tuple[ProxSpec, ...] | RowQuadraticProx
     prox_r: ProxSpec
-    gamma: float
     clip_threshold: float | None = None
 
     def __post_init__(self):
         if len(self.prox_f) < 1:
             raise ParameterError("need at least one per-item prox")
-        if self.gamma <= 0:
-            raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
         if self.clip_threshold is not None and self.clip_threshold <= 0:
             raise ParameterError(f"clipping threshold must be > 0, got {self.clip_threshold}")
 
@@ -101,8 +99,7 @@ def initial_state(problem: ConsensusProblem, p: int,
 def _check_step(lam: float, sigma: float):
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"step size must lie in (0, 1], got {lam}")
-    if not 0.0 <= sigma <= rng.MAX_SIGMA:
-        raise ParameterError(f"noise std must be >= 0 with a finite square, got {sigma}")
+    rng.check_sigma(sigma)
 
 
 def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
@@ -141,13 +138,13 @@ def _walk_step(problem, U, z, i, lam, sigma, seed, k, log):
 def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
                     sigma: float, K: int, seed: int,
                     objective: Callable[[np.ndarray], float] | None = None,
-                    reference: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
+                    ) -> tuple[np.ndarray, RunTrace]:
     """K rounds over all users; returns only the final public iterate z_K.
 
     Each round computes z from the current duals, then refreshes every
     user's x and u with fresh per-(round, user) noise. Deterministic for a
-    fixed seed. The trace records per-round objective / squared distance
-    of z when callbacks are given.
+    fixed seed. The trace records the per-round objective of z when
+    ``objective`` is given.
     """
     if u0.n_blocks != problem.n:
         raise StructuralError(f"u0 has {u0.n_blocks} blocks for {problem.n} users")
@@ -159,7 +156,7 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
         U[:] += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
         return all_rows, z
 
-    return iterate(K, seed, problem.n, advance, objective, reference)
+    return iterate(K, seed, problem.n, advance, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
                   sigma: float, K: int, seed: int,
                   u0: BlockVector | None = None,
                   objective: Callable[[np.ndarray], float] | None = None,
-                  reference: np.ndarray | None = None) -> tuple[np.ndarray, RunTrace]:
+                  ) -> tuple[np.ndarray, RunTrace]:
     """K federated rounds with uniform m-of-n user sampling; returns z_K."""
     state = initial_state(problem, p, u0)
     U, z = state.u.data, state.z
@@ -202,7 +199,7 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
         z = _advance(problem, U, z, rows, lam, sigma, seed, k)
         return rows, z
 
-    return iterate(K, seed, problem.n, advance, objective, reference)
+    return iterate(K, seed, problem.n, advance, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,6 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
 def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: float,
                       K: int, seed: int, u0: BlockVector | None = None,
                       objective: Callable[[np.ndarray], float] | None = None,
-                      reference: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
     """K random-walk steps; returns z_K, the trace, and the observation log."""
     state = initial_state(problem, p, u0)
@@ -242,7 +238,7 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
         z, current = _walk_step(problem, U, z, holder, lam, sigma, seed, k, log)
         return holder, z
 
-    return (*iterate(K, seed, problem.n, advance, objective, reference), log)
+    return (*iterate(K, seed, problem.n, advance, objective), log)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +284,19 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
     u <- u + 2 lam (A x + B z - c + eta/2). Noise is drawn as
     ``noise_blocks`` stacked per-(step, block) substreams so that the
     consensus instantiation (one block per user) shares draws with the
-    specialized drivers under the same seed.
+    specialized drivers under the same seed. ``noise_blocks`` must be >= 1
+    and divide the size of u, whatever sigma is.
     """
     _check_step(lam, sigma)
     u = np.asarray(state.u, dtype=float)
+    if noise_blocks < 1:
+        raise ParameterError(f"noise block count must be >= 1, got {noise_blocks}")
+    if u.size % noise_blocks != 0:
+        raise StructuralError(f"u of size {u.size} does not split into {noise_blocks} noise blocks")
     z = np.asarray(problem.g_argmin(u), dtype=float)
     x = np.asarray(problem.f_argmin(z, u), dtype=float)
     residual = problem.A @ x + problem.B @ z - problem.c
-    if sigma > 0:
-        if u.size % noise_blocks != 0:
-            raise StructuralError(f"u of size {u.size} does not split into {noise_blocks} noise blocks")
-        eta = rng.gaussian_rows(seed, state.k, range(noise_blocks), sigma, u.size // noise_blocks).ravel()
-    else:
-        eta = np.zeros(u.size)
+    eta = rng.gaussian_rows(seed, state.k, range(noise_blocks), sigma, u.size // noise_blocks).ravel()
     new_u = u + 2.0 * lam * (residual + 0.5 * eta)
     return GeneralAdmmState(u=new_u, z=z, k=state.k + 1)
 

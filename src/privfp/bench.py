@@ -55,7 +55,6 @@ class LassoDataset:
     A: np.ndarray
     b: np.ndarray
     x_true: np.ndarray
-    noise_std: float
 
     @property
     def n(self) -> int:
@@ -80,7 +79,7 @@ def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
     support = gen.choice(p, size=support_size, replace=False)
     x_true[support] = gen.uniform(size=support_size)
     b = A @ x_true + (noise_std * gen.normal(size=n) if noise_std > 0 else 0.0)
-    return LassoDataset(A=A, b=np.asarray(b, dtype=float), x_true=x_true, noise_std=noise_std)
+    return LassoDataset(A=A, b=np.asarray(b, dtype=float), x_true=x_true)
 
 
 def train_test_split(dataset: LassoDataset, test_fraction: float = 0.1,
@@ -91,8 +90,7 @@ def train_test_split(dataset: LassoDataset, test_fraction: float = 0.1,
     perm = rng.substream(seed, rng.DATA, 1, 0).permutation(dataset.n)
     n_test = max(1, int(round(dataset.n * test_fraction)))
     test_rows, train_rows = perm[:n_test], perm[n_test:]
-    make = lambda rows: LassoDataset(A=dataset.A[rows], b=dataset.b[rows],
-                                     x_true=dataset.x_true, noise_std=dataset.noise_std)
+    make = lambda rows: LassoDataset(A=dataset.A[rows], b=dataset.b[rows], x_true=dataset.x_true)
     return make(np.sort(train_rows)), make(np.sort(test_rows))
 
 
@@ -114,12 +112,12 @@ def default_kappa(dataset: LassoDataset, fraction: float = 0.1) -> float:
 # Non-private reference (proximal gradient)
 
 
-def reference_lasso(dataset: LassoDataset, kappa: float, max_iters: int = 100_000,
-                    tol: float = 1e-10) -> np.ndarray:
-    """Proximal-gradient solution, iterated until the gradient-map norm falls below tol.
+def reference_lasso(dataset: LassoDataset, kappa: float, max_iters: int = 100_000) -> np.ndarray:
+    """Proximal-gradient solution, iterated until the gradient-map norm falls below 1e-10.
 
-    Raises ModelError if ``max_iters`` iterations end above tol.
+    Raises ModelError if ``max_iters`` iterations end above it.
     """
+    tol = 1e-10
     G = dataset.A.T @ dataset.A / dataset.n
     h = dataset.A.T @ dataset.b / dataset.n
     step = 1.0 / float(np.linalg.eigvalsh(G).max())
@@ -158,9 +156,9 @@ def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
                             clip_threshold: float | None = None) -> admm.ConsensusProblem:
     """Consensus-splitting formulation of the Lasso on this dataset."""
     return admm.ConsensusProblem(
-        prox_f=RowQuadraticProx(dataset.A, dataset.b, gamma, dataset.n),
+        prox_f=RowQuadraticProx(dataset.A, dataset.b, gamma),
         prox_r=L1Prox(threshold=gamma * kappa / (2.0 * dataset.n)),
-        gamma=gamma, clip_threshold=clip_threshold)
+        clip_threshold=clip_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +166,9 @@ def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
 
 
 def _check_dpsgd(step: float, clip_threshold: float, sigma: float):
-    if step <= 0 or clip_threshold <= 0 or not 0.0 <= sigma <= rng.MAX_SIGMA:
-        raise ParameterError("need step > 0, clip_threshold > 0, "
-                             "sigma >= 0 with a finite square")
+    if step <= 0 or clip_threshold <= 0:
+        raise ParameterError("need step > 0 and clip_threshold > 0")
+    rng.check_sigma(sigma)
 
 
 def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
@@ -287,6 +285,11 @@ RESULT_COLUMNS = ("setting", "algorithm", "epsilon", "delta", "sigma", "K",
                   "seed", "train_obj", "test_obj", "runtime_ms")
 
 
+def _cohort(config: ExperimentConfig, n_train: int) -> int:
+    """The federated cohort size m: the one a run samples and the accountant charges."""
+    return max(1, int(round(config.sample_fraction * n_train)))
+
+
 def _curve(config: ExperimentConfig, sigma: float, gamma: float,
            n_train: int) -> privacy.RdpCurve:
     """The cell's Rényi curve at noise std sigma."""
@@ -307,7 +310,7 @@ def _curve(config: ExperimentConfig, sigma: float, gamma: float,
         L = C / (2.0 * gamma)
     return privacy.setting_curve(
         setting, sigma, K=config.K, L=L, gamma=gamma, n=n_train,
-        m=max(1, int(round(config.sample_fraction * n_train))),
+        m=_cohort(config, n_train),
         K_i=privacy.estimated_participations(config.K, n_train), alphas=config.alphas)
 
 
@@ -328,7 +331,7 @@ def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
     if epsilon <= 0:
         raise privacy.ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
     return privacy.bisect_sigma(lambda sig: achieved_epsilon(config, sig, gamma, n_train),
-                                epsilon, 1e-6, 1e-3)
+                                epsilon, 1e-6)
 
 
 def _cell(config: ExperimentConfig) -> tuple[LassoDataset, LassoDataset, float, float]:
@@ -344,7 +347,7 @@ def _timed_row(config: ExperimentConfig, cell, sigma: float, epsilon: float, see
                collect: bool = False) -> tuple[ResultRow, dict]:
     """One timed run of the cell: its result row plus optional artifacts (trace, log)."""
     train, test, kappa, gamma = cell
-    m = max(1, int(round(config.sample_fraction * train.n)))
+    m = _cohort(config, train.n)
     artifacts: dict = {}
     start = time.perf_counter()
     if config.algorithm == "dpsgd" and config.setting == "federated":
@@ -436,13 +439,13 @@ def tuned_config(algorithm: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
-def tune(config: ExperimentConfig, epsilon: float | None = None) -> ExperimentConfig:
-    """Grid-search hyperparameters at one budget (default: smallest) with the fixed tuning seed.
+def tune(config: ExperimentConfig) -> ExperimentConfig:
+    """Grid-search hyperparameters at the smallest budget with the fixed tuning seed.
 
     Returns the config with the best-mean-test-objective combination
     installed; all budgets then reuse it.
     """
-    eps = epsilon if epsilon is not None else min(config.epsilons)
+    eps = min(config.epsilons)
     grid = ADMM_GRID if config.algorithm == "admm" else DPSGD_GRID
     names = list(grid)
     best, best_obj = None, math.inf

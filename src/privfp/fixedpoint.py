@@ -22,7 +22,7 @@ import numpy as np
 from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .operators import Contractive, NonExpansive, OperatorHandle
+from .operators import NonExpansive, OperatorHandle
 
 # ---------------------------------------------------------------------------
 # Block schedules
@@ -137,8 +137,7 @@ class IterationConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ParameterError(f"iteration count must be >= 1, got {self.K}")
-        if not 0.0 <= self.sigma <= rng.MAX_SIGMA:
-            raise ParameterError(f"noise std must be >= 0 with a finite square, got {self.sigma}")
+        rng.check_sigma(self.sigma)
         lams = [self.lam] if np.isscalar(self.lam) else list(self.lam)
         if not np.isscalar(self.lam) and len(lams) < self.K:
             raise ParameterError(
@@ -239,7 +238,6 @@ def iterate(K: int, seed: int, n: int, advance: Callable[[int], tuple],
 
 
 def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
-        objective: Callable[[np.ndarray], float] | None = None,
         reference: np.ndarray | None = None,
         record_iterates: bool = False) -> tuple[BlockVector, RunTrace]:
     """Apply ``step`` K times through ``iterate``; bit-identical traces for identical seeds.
@@ -252,8 +250,6 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
         The (possibly iteration-dependent) map applied at every step.
     cfg : IterationConfig
         Step sizes, noise level, schedule, and seed.
-    objective : callable, optional
-        Evaluated on the flat iterate after each step and recorded.
     reference : array, optional
         Squared distance to this point is recorded after each step.
     record_iterates : bool
@@ -267,7 +263,8 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
         u = BlockVector(_update(u, operator, cfg, k, mask))
         return mask, u.flat
 
-    trace = iterate(cfg.K, cfg.seed, u0.n_blocks, advance, objective, reference, record_iterates)[1]
+    trace = iterate(cfg.K, cfg.seed, u0.n_blocks, advance, reference=reference,
+                    record_iterates=record_iterates)[1]
     return u, trace
 
 
@@ -277,7 +274,7 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
 
 def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
                    beta: float, gamma: float, sigma_grad: float, K: int, seed: int,
-                   order: str | Sequence[int] = "cyclic") -> tuple[OperatorHandle, IterationConfig]:
+                   order: str = "cyclic") -> tuple[OperatorHandle, IterationConfig]:
     """Single-block instantiation reproducing noisy proximal-free SGD.
 
     Running the engine with the returned pair performs
@@ -287,26 +284,21 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
     noise std ``2*sigma_grad/beta``; the stochastic-gradient error term is
     folded into the operator by evaluating it on the scheduled item.
 
-    ``order`` selects items: "cyclic" passes, "uniform" draws, or an
-    explicit index sequence.
+    ``order`` selects items: "cyclic" passes or "uniform" draws.
     """
     if beta <= 0:
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
     if not 0.0 < gamma < 2.0 / beta:
         raise ParameterError(f"step gamma must lie in (0, 2/beta), got {gamma}")
-    if not 0.0 <= sigma_grad <= rng.MAX_SIGMA:
-        raise ParameterError(
-            f"gradient noise std must be >= 0 with a finite square, got {sigma_grad}")
+    rng.check_sigma(sigma_grad)
     n_items = len(item_grads)
 
     def item_at(k: int) -> int:
-        if isinstance(order, str):
-            if order == "cyclic":
-                return k % n_items
-            if order == "uniform":
-                return simnet.walk_next(n_items, rng._reset_to(seed, rng.SCHEDULE, k, 2))
-            raise ParameterError(f"unknown item order {order!r}")
-        return int(order[k % len(order)])
+        if order == "cyclic":
+            return k % n_items
+        if order == "uniform":
+            return simnet.walk_next(n_items, rng._reset_to(seed, rng.SCHEDULE, k, 2))
+        raise ParameterError(f"unknown item order {order!r}")
 
     def apply(u, k=0):
         u = np.asarray(u, dtype=float)
@@ -320,12 +312,13 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
 
 def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
                   beta: float, n_blocks: int, block_dim: int, sigma: float, K: int,
-                  seed: int, schedule: BlockSchedule | None = None,
-                  tau: float | None = None) -> tuple[OperatorHandle, IterationConfig]:
+                  seed: int, schedule: BlockSchedule | None = None
+                  ) -> tuple[OperatorHandle, IterationConfig]:
     """Block-coordinate instantiation: block b applies u_b - (2/beta) * grad_b(u).
 
     ``coord_grads[b]`` maps the full flat iterate to the gradient of block b.
-    The default schedule activates a single uniform block per step.
+    The handle is declared non-expansive. The default schedule activates a
+    single uniform block per step.
     """
     if beta <= 0:
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
@@ -342,8 +335,7 @@ def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
             out[b] = u[b] - (2.0 / beta) * np.asarray(coord_grads[b](u.ravel()), dtype=float)
         return out.ravel()
 
-    kind = Contractive(tau) if tau is not None else NonExpansive()
-    handle = OperatorHandle(apply=apply, kind=kind)
+    handle = OperatorHandle(apply=apply, kind=NonExpansive())
     cfg = IterationConfig(K=K, sigma=sigma, lam=1.0,
                           schedule=schedule or SingleUniform(), seed=seed)
     return handle, cfg

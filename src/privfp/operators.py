@@ -177,21 +177,20 @@ class QuadraticRankOneProx(ProxSpec):
 class RowQuadraticProx:
     """The proxes of every squared-residual row of a design, solved in batches.
 
-    Row i's prox is ``QuadraticRankOneProx(A[i], b[i], gamma, n)``; ``rows``
-    evaluates any set of rows with one vectorized Sherman-Morrison.
+    Row i's prox is ``QuadraticRankOneProx(A[i], b[i], gamma, n)`` with row
+    weight n = len(A), the design's row count; ``rows`` evaluates any set of
+    rows with one vectorized Sherman-Morrison.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, gamma: float, n: int):
+    def __init__(self, A: np.ndarray, b: np.ndarray, gamma: float):
         if gamma <= 0:
             raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
-        if n < 1:
-            raise ParameterError(f"row weight n must be >= 1, got {n}")
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.shape != self.A.shape[:1]:
             raise StructuralError(f"targets of shape {self.b.shape} do not match "
                                   f"a design of shape {self.A.shape}")
-        self.gamma, self.n = gamma, n
+        self.gamma, self.n = gamma, len(self.A)
         self._sq_norms = np.einsum("ij,ij->i", self.A, self.A)
 
     def __len__(self) -> int:
@@ -291,16 +290,15 @@ def gradient_step_operator(grad: Callable[[np.ndarray], np.ndarray], beta: float
 # Probe audit (test utility, not a runtime guard)
 
 
-def empirical_lipschitz(apply: Callable[..., np.ndarray], dim: int,
-                        n_pairs: int = 256, seed: int = 0, radius: float = 1.0) -> float:
-    """Largest ||T(u)-T(v)|| / ||u-v|| over seeded random pairs from a ball."""
+def empirical_lipschitz(apply: Callable[..., np.ndarray], dim: int, seed: int = 0) -> float:
+    """Largest ||T(u)-T(v)|| / ||u-v|| over 256 seeded random pairs from the unit ball."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(256):
         u = rng.normal(size=dim)
-        u *= radius * rng.uniform() ** (1.0 / dim) / np.linalg.norm(u)
+        u *= rng.uniform() ** (1.0 / dim) / np.linalg.norm(u)
         v = rng.normal(size=dim)
-        v *= radius * rng.uniform() ** (1.0 / dim) / np.linalg.norm(v)
+        v *= rng.uniform() ** (1.0 / dim) / np.linalg.norm(v)
         gap = np.linalg.norm(u - v)
         if gap < 1e-12:
             continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConditionNotMet, ParameterError, StructuralError
-from .rng import MAX_SIGMA
+from .rng import check_sigma
 
 # Default Rényi order grid; callers may extend it (conversion minimizes over it).
 DEFAULT_ALPHAS: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -69,8 +69,9 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
 
 
 def _check_sigma(sigma: float):
-    if not 0.0 < sigma <= MAX_SIGMA:
-        raise ParameterError(f"noise std must be > 0 with a finite square, got {sigma}")
+    check_sigma(sigma)
+    if sigma == 0.0:
+        raise ParameterError(f"noise std sigma must be > 0 to be accounted, got {sigma}")
 
 
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
@@ -282,14 +283,15 @@ def grid_curve(epsilon_at: Callable[[float], float], alphas: tuple[float, ...],
 
 
 _LARGE_SIGMA = 1e8
+# Relative width at which noise calibration stops bisecting.
+SIGMA_REL_TOL = 1e-3
 
 
 def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
                     alpha: float | None = None, K: int, L: float, gamma: float,
                     n: int, m: int | None = None, K_i: int | None = None,
-                    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-                    rel_tol: float = 1e-3) -> float:
-    """Smallest noise std meeting a privacy target, within ``rel_tol``.
+                    alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> float:
+    """Smallest noise std meeting a privacy target, within ``SIGMA_REL_TOL``.
 
     Two target forms: ``(alpha, epsilon)`` fixes a single Rényi order and
     inverts the formula in closed form (then bumps sigma up to the regime
@@ -326,9 +328,9 @@ def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
         except ConditionNotMet:
             pass
         # The closed-form inverse landed out of regime; grow sigma until valid.
-        return bisect_sigma(account, epsilon, max(sigma, 1e-6), rel_tol)
+        return bisect_sigma(account, epsilon, max(sigma, 1e-6))
 
-    return bisect_sigma(account, epsilon, 1e-6, rel_tol)
+    return bisect_sigma(account, epsilon, 1e-6)
 
 
 def _regime_floor(setting: str, L: float, gamma: float, alpha: float | None) -> float:
@@ -344,9 +346,8 @@ def _tiny_floor(setting, L, gamma, alpha):
     return floor if floor > 0 else 1e-6
 
 
-def bisect_sigma(account: Callable[[float], float], epsilon: float, lo: float,
-                 rel_tol: float) -> float:
-    """Smallest noise std >= lo, within ``rel_tol``, with account(sigma) <= epsilon.
+def bisect_sigma(account: Callable[[float], float], epsilon: float, lo: float) -> float:
+    """Smallest noise std >= lo, within ``SIGMA_REL_TOL``, with account(sigma) <= epsilon.
 
     An account raising ConditionNotMet fails the target; raises ConditionNotMet
     when 200 doublings of the upper end from max(lo, 1e-6) meet no target.
@@ -372,6 +373,6 @@ def bisect_sigma(account: Callable[[float], float], epsilon: float, lo: float,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= SIGMA_REL_TOL * hi:
             break
     return hi

@@ -21,6 +21,8 @@ import threading
 
 import numpy as np
 
+from .errors import ParameterError
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Domain tags keep noise, schedule, and data streams disjoint under one seed.
@@ -28,9 +30,14 @@ NOISE = 0x01
 SCHEDULE = 0x02
 DATA = 0x03
 
-# Largest noise std whose variance sigma^2 is a finite float; drivers and the
-# accountant reject larger, infinite and NaN values.
+# Largest noise std whose variance sigma^2 is a finite float.
 MAX_SIGMA = sys.float_info.max ** 0.5
+
+
+def check_sigma(sigma: float) -> None:
+    """The one noise-std rule of drivers and accountant: 0 <= sigma <= MAX_SIGMA (so not NaN)."""
+    if not 0.0 <= sigma <= MAX_SIGMA:
+        raise ParameterError(f"noise std sigma must be >= 0 with a finite square, got {sigma}")
 
 
 def substream(seed: int, domain: int, k: int, b: int) -> np.random.Generator:

@@ -49,7 +49,7 @@ class UtilityParams:
             raise ParameterError("need p >= 1, D >= 0, k >= 0")
 
 
-def _noise_scale(tau, q, sigma, zeta, p):
+def _noise_scale(q, sigma, zeta, p):
     """sigma_1 = (sigma*sqrt(p) + zeta)/sqrt(q), the per-activation noise magnitude."""
     return (sigma * math.sqrt(p) + zeta) / math.sqrt(q)
 
@@ -59,9 +59,11 @@ def excess_noise_ratio(tau: float, q: float, sigma: float, zeta: float, p: int) 
 
     Raises ConditionNotMet when sigma*sqrt(p) + zeta <= sqrt(q)*(1 - tau),
     i.e. when the noise is too small for the closed-form analysis (the
-    noiseless transient is then the right tool, see ``noiseless_decay``).
+    noiseless transient is then the right tool, see ``noiseless_decay``);
+    inputs outside ``UtilityParams``' ranges raise ParameterError.
     """
-    s1 = _noise_scale(tau, q, sigma, zeta, p)
+    UtilityParams(tau=tau, q=q, sigma=sigma, zeta=zeta, p=p)
+    s1 = _noise_scale(q, sigma, zeta, p)
     c = s1 / (1.0 - tau) - 1.0
     if c <= 0:
         raise ConditionNotMet(

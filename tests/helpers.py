@@ -66,7 +66,7 @@ def consensus_displacement_audit(n: int, L: float, gamma: float, lam: float,
         level = gamma * L / n
         make = lambda vals: ConsensusProblem(
             prox_f=tuple(absolute_loss_prox(float(d), level) for d in vals),
-            prox_r=ZeroProx(), gamma=gamma)
+            prox_r=ZeroProx())
         U = gen.normal(size=(n, 1)) * gen.uniform(0.2, 5.0)
         out = one_round_u(make(data), U, lam)
         out_prime = one_round_u(make(data_prime), U, lam)

@@ -240,7 +240,7 @@ def test_criterion_7_path_equivalences():
     targets = gen.normal(size=(n, p))
     problem = admm.ConsensusProblem(
         prox_f=tuple(QuadraticProx(Q=np.eye(p), c=-targets[i], gamma=1.0) for i in range(n)),
-        prox_r=ZeroProx(), gamma=1.0)
+        prox_r=ZeroProx())
     u0 = BlockVector(gen.normal(size=(n, p)))
     cen_z = []
     admm.centralized_run(problem, u0, lam, sigma, K + 1, seed,
@@ -254,7 +254,7 @@ def test_criterion_7_path_equivalences():
     # general splitting specialized to consensus vs the direct path
     proxes = tuple(QuadraticRankOneProx(a=gen.normal(size=p), b=float(gen.normal()),
                                         gamma=1.5, n=n) for _ in range(n))
-    problem2 = admm.ConsensusProblem(prox_f=proxes, prox_r=L1Prox(0.03), gamma=1.5)
+    problem2 = admm.ConsensusProblem(prox_f=proxes, prox_r=L1Prox(0.03))
     cen2 = []
     admm.centralized_run(problem2, BlockVector.zeros(n, p), lam, sigma, K, seed,
                          objective=lambda z: cen2.append(z.copy()) or 0.0)

@@ -28,7 +28,7 @@ def simple_problem(n, p, prox_r=None, clip=None):
     gen = np.random.default_rng(1000 + n)
     targets = gen.normal(size=(n, p))
     proxes = tuple(QuadraticProx(Q=np.eye(p), c=-targets[i], gamma=1.0) for i in range(n))
-    return ConsensusProblem(prox_f=proxes, prox_r=prox_r or ZeroProx(), gamma=1.0,
+    return ConsensusProblem(prox_f=proxes, prox_r=prox_r or ZeroProx(),
                             clip_threshold=clip), targets
 
 
@@ -38,32 +38,28 @@ class TestElementaryUpdates:
         return AdmmState(u=u, z=np.zeros(u.block_dim))
 
     def test_z_is_mean_without_regularizer(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=ZeroProx())
         np.testing.assert_array_equal(
             z_update(self.state([[1.0], [3.0]]), problem), [2.0])
 
     def test_z_soft_thresholds_the_mean(self):
         problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()),
-                                   prox_r=L1Prox(2.0), gamma=1.0)
+                                   prox_r=L1Prox(2.0))
         np.testing.assert_array_equal(
             z_update(self.state([[1.0], [3.0]]), problem), [0.0])
 
     def test_single_user_z_is_its_block(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx())
         np.testing.assert_array_equal(z_update(self.state([[4.0]]), problem), [4.0])
 
     def test_x_identity_prox(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx())
         state = self.state([[1.0]])
         np.testing.assert_array_equal(
             x_update(0, np.array([2.0]), state, problem), [3.0])
 
     def test_x_soft_threshold(self):
-        problem = ConsensusProblem(prox_f=(L1Prox(0.5),), prox_r=ZeroProx(),
-                                   gamma=0.5)
+        problem = ConsensusProblem(prox_f=(L1Prox(0.5),), prox_r=ZeroProx())
         state = AdmmState(u=BlockVector(np.array([[0.8]])), z=np.array([1.0]))
         # 2z - u = 1.2, soft threshold at 0.5
         np.testing.assert_allclose(x_update(0, np.array([1.0]), state, problem), [0.7])
@@ -74,7 +70,7 @@ class TestElementaryUpdates:
         a, b_val, gamma = gen.normal(size=p), 0.4, 1.3
         problem = ConsensusProblem(
             prox_f=(QuadraticRankOneProx(a=a, b=b_val, gamma=gamma, n=n_weight),),
-            prox_r=ZeroProx(), gamma=gamma)
+            prox_r=ZeroProx())
         u = gen.normal(size=p)
         z = gen.normal(size=p)
         state = AdmmState(u=BlockVector(u[None, :]), z=z)
@@ -84,36 +80,31 @@ class TestElementaryUpdates:
         np.testing.assert_allclose(x_update(0, z, state, problem), want, rtol=1e-10)
 
     def test_x_index_range(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx())
         with pytest.raises(StructuralError):
             x_update(1, np.zeros(1), self.state([[0.0]]), problem)
 
     def test_u_plain_step(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx())
         state = AdmmState(u=BlockVector(np.array([[1.0]])), z=np.array([0.6]))
         got = u_update(0, np.array([1.0]), state.z, state, 0.5, np.zeros(1), problem)
         np.testing.assert_allclose(got, [1.4])
 
     def test_u_clipped_step(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0, clip_threshold=0.1)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(), clip_threshold=0.1)
         state = AdmmState(u=BlockVector(np.array([[1.0]])), z=np.array([0.6]))
         got = u_update(0, np.array([1.0]), state.z, state, 0.5, np.zeros(1), problem)
         np.testing.assert_allclose(got, [1.1])
 
     def test_u_noise_enters_with_unit_weight_at_full_step(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx())
         state = AdmmState(u=BlockVector(np.array([[0.0]])), z=np.array([0.0]))
         eta = np.array([0.37])
         got = u_update(0, np.array([0.2]), state.z, state, 1.0, eta, problem)
         np.testing.assert_allclose(got, 2 * 0.2 + eta)
 
     def test_u_noise_variance_scales_with_lam_squared(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx())
         state = AdmmState(u=BlockVector(np.array([[0.0]])), z=np.array([0.0]))
         lam, sigma, draws = 0.6, 1.3, 20_000
         gen = np.random.default_rng(5)
@@ -127,7 +118,7 @@ class TestCentralizedRun:
     def test_single_quadratic_reaches_minimizer(self):
         problem = ConsensusProblem(
             prox_f=(QuadraticProx(Q=np.eye(1), c=np.array([-3.0]), gamma=1.0),),
-            prox_r=ZeroProx(), gamma=1.0)
+            prox_r=ZeroProx())
         z, _ = centralized_run(problem, BlockVector.zeros(1, 1), lam=0.5,
                                sigma=0.0, K=200, seed=0)
         np.testing.assert_allclose(z, [3.0], atol=1e-10)
@@ -248,8 +239,7 @@ class TestFederated:
 
     def test_zero_delta_round_applies_regularizer_only(self):
         # identity per-item proxes with u_i = z make every delta vanish
-        problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=L1Prox(0.05),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=L1Prox(0.05))
         z0 = np.array([0.4])
         state = AdmmState(u=BlockVector(np.tile(z0, (2, 1))), z=z0)
         new = federated_round(problem, state, [0], 1.0, 0.0, seed=0)
@@ -279,8 +269,7 @@ class TestFederated:
 
 class TestDecentralized:
     def test_zero_delta_keeps_model(self):
-        problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=ZeroProx(),
-                                   gamma=1.0)
+        problem = ConsensusProblem(prox_f=(ZeroProx(), ZeroProx()), prox_r=ZeroProx())
         z0 = np.array([0.8])
         state = AdmmState(u=BlockVector(np.tile(z0, (2, 1))), z=z0)
         new, _ = decentralized_step(problem, state, 0, 1.0, 0.0, seed=3)
@@ -301,7 +290,7 @@ class TestDecentralized:
         gen = np.random.default_rng(12)
         problem = ConsensusProblem(
             prox_f=(QuadraticProx(Q=np.eye(2), c=gen.normal(size=2), gamma=1.0),),
-            prox_r=ZeroProx(), gamma=1.0)
+            prox_r=ZeroProx())
         u0 = BlockVector(gen.normal(size=(1, 2)))
         K, lam, sigma, seed = 10, 0.6, 0.2, 5
         cen_z = []
@@ -433,13 +422,34 @@ class TestGeneralRunLoop:
         assert state.k == 12
 
 
+class TestNoiseBlocks:
+    """The step and the run check ``noise_blocks`` whatever sigma is."""
+
+    CALLS = {
+        "step": lambda general, sigma, blocks: general_admm_step(
+            general, GeneralAdmmState(u=np.zeros(300), z=np.zeros(3)), 0.5, sigma, 0,
+            noise_blocks=blocks),
+        "run": lambda general, sigma, blocks: general_admm_run(
+            general, np.zeros(300), 0.5, sigma, 2, 0, noise_blocks=blocks),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    @pytest.mark.parametrize("blocks, sigma, error", [
+        (0, 0.1, ParameterError), (0, 0.0, ParameterError), (-1, 0.1, ParameterError),
+        (-1, 0.0, ParameterError), (7, 0.0, StructuralError)])
+    def test_bad_block_count_rejected(self, call, blocks, sigma, error):
+        problem, _ = simple_problem(100, 3)
+        with pytest.raises(error, match="noise block"):
+            call(consensus_as_general(problem, 3), sigma, blocks)
+
+
 class TestGeneralSplitting:
     def test_consensus_instantiation_matches_specialized_path(self):
         gen = np.random.default_rng(31)
         n, p = 4, 2
         proxes = tuple(QuadraticRankOneProx(a=gen.normal(size=p), b=float(gen.normal()),
                                             gamma=1.5, n=n) for _ in range(n))
-        problem = ConsensusProblem(prox_f=proxes, prox_r=L1Prox(0.02), gamma=1.5)
+        problem = ConsensusProblem(prox_f=proxes, prox_r=L1Prox(0.02))
         K, lam, sigma, seed = 15, 0.8, 0.25, 3
 
         cen_z = []

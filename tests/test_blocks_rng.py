@@ -198,7 +198,7 @@ def _uniform_item(seed, k):
 
 
 def _walk_holder(seed, k):
-    problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * 1000, prox_r=ZeroProx(), gamma=1.0)
+    problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * 1000, prox_r=ZeroProx())
     state = admm.AdmmState(u=BlockVector.zeros(1000, 1), z=np.zeros(1), k=k)
     return admm.decentralized_step(problem, state, 0, 0.5, 0.0, seed)[1]
 

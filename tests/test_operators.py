@@ -104,7 +104,7 @@ class TestFirmNonexpansiveness:
             "quadratic": random_quadratic_prox(gen, p),
             "custom": CustomProx(fn=lambda v: prox_l1(v, 0.2)),
         }[spec_name]
-        lip = empirical_lipschitz(lambda u: spec(u), p, n_pairs=256, seed=11)
+        lip = empirical_lipschitz(lambda u: spec(u), p, seed=11)
         assert lip <= 1.0 + 1e-9
 
 
@@ -263,21 +263,21 @@ class TestRowQuadraticProx:
     def test_matches_rank_one_prox_row_by_row(self, rows):
         gen = np.random.default_rng(23)
         A, b, V = gen.normal(size=(9, 5)), gen.normal(size=9), gen.normal(size=(len(rows), 5))
-        got = RowQuadraticProx(A, b, gamma=1.7, n=9).rows(V, rows)
+        got = RowQuadraticProx(A, b, gamma=1.7).rows(V, rows)
         want = np.stack([prox_quadratic_rank_one(A[i], b[i], 1.7, 9, v) for i, v in zip(rows, V)])
         assert got.shape == (len(rows), 5)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_length_is_row_count(self):
-        assert len(RowQuadraticProx(np.ones((4, 2)), np.ones(4), 1.0, 4)) == 4
+        assert len(RowQuadraticProx(np.ones((4, 2)), np.ones(4), 1.0)) == 4
 
     @pytest.mark.parametrize("A, b", [(np.ones((4, 2)), np.ones(3)), (np.ones(4), np.ones(4)),
                                       (np.ones((4, 2)), np.ones((4, 1)))])
     def test_shape_mismatch_rejected(self, A, b):
         with pytest.raises(StructuralError):
-            RowQuadraticProx(A, b, 1.0, 4)
+            RowQuadraticProx(A, b, 1.0)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
     def test_invalid_gamma(self, gamma):
         with pytest.raises(ParameterError):
-            RowQuadraticProx(np.ones((4, 2)), np.ones(4), gamma, 4)
+            RowQuadraticProx(np.ones((4, 2)), np.ones(4), gamma)

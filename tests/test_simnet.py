@@ -89,8 +89,7 @@ class TestScheduleDraws:
     @pytest.mark.parametrize("seed", [0, 5, 91])
     def test_walk_holder_follows_single_uniform_shifted_by_one(self, seed):
         n, K = 7, 40
-        problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx(),
-                                        gamma=1.0)
+        problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
         _, trace, _ = admm.decentralized_run(problem, 1, 0.5, 0.0, K, seed)
         for k in range(K - 1):
             assert np.array_equal(trace.active[k + 1], SingleUniform().mask(n, seed, k))

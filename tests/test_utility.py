@@ -95,6 +95,16 @@ class TestStepSize:
             step_size_range(0.5, 1.0, sigma=0.0, zeta=0.0, p=1)
 
 
+@pytest.mark.parametrize("fn", [excess_noise_ratio, step_size_range, recommended_step_size],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("bad", [dict(sigma=-1.0, zeta=5.0), dict(q=0.0), dict(q=-0.1),
+                                 dict(p=-1), dict(tau=1.5)],
+                         ids=["negative_sigma", "zero_q", "negative_q", "negative_p", "tau_above_1"])
+def test_out_of_range_inputs_rejected_as_utility_params_rejects_them(fn, bad):
+    with pytest.raises(ParameterError):
+        fn(**dict(dict(tau=0.5, q=0.5, sigma=1.0, zeta=0.0, p=4), **bad))
+
+
 class TestContractionFactor:
     def test_reference_value_inside_bracket(self):
         chi = contraction_factor(0.75, 1.0, 1.0)
