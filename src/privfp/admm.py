@@ -156,7 +156,7 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
         U[:] += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
         return all_rows, z
 
-    return iterate(K, seed, problem.n, advance, objective)
+    return iterate(K, problem.n, advance, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
         z = _advance(problem, U, z, rows, lam, sigma, seed, k)
         return rows, z
 
-    return iterate(K, seed, problem.n, advance, objective)
+    return iterate(K, problem.n, advance, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
         z, current = _walk_step(problem, U, z, holder, lam, sigma, seed, k, log)
         return holder, z
 
-    return (*iterate(K, seed, problem.n, advance, objective), log)
+    return (*iterate(K, problem.n, advance, objective), log)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def general_admm_run(problem: GeneralAdmmProblem, u0: np.ndarray, lam: float,
         state = general_admm_step(problem, state, lam, sigma, seed, noise_blocks)
         return range(noise_blocks), state.z
 
-    return iterate(K, seed, noise_blocks, advance)[0], state
+    return iterate(K, noise_blocks, advance)[0], state
 
 
 def recover_x_from_z(problem: GeneralAdmmProblem, z: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
         x = prox_l1(x - step * (g + eta), step * kappa)
         return 0, x
 
-    return iterate(K, seed, 1, advance)[0]
+    return iterate(K, 1, advance)[0]
 
 
 def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
@@ -208,7 +208,7 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
         x = prox_l1(x - step * G.mean(axis=0), step * kappa)
         return rows, x
 
-    return iterate(K, seed, dataset.n, advance)[0]
+    return iterate(K, dataset.n, advance)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +518,7 @@ def emit_trace_csv(trace, path) -> None:
         return _fmt(values[idx]) if idx < len(values) else ""
 
     _write_csv(path, ("iter", "objective", "dist_sq"),
-               ([k, cell(trace.objective, idx), cell(trace.dist_sq, idx)]
-                for idx, k in enumerate(trace.iterations)),
+               ([k, cell(trace.objective, k), cell(trace.dist_sq, k)] for k in range(len(trace))),
                "trace")
 
 

@@ -156,21 +156,18 @@ class IterationConfig:
 class RunTrace:
     """Per-iteration record of a run (append-only while running).
 
-    ``active`` stores each iteration's activation mask, which together
-    with the seed pins every noise substream used (block b at iteration k
-    reads stream (seed, k, b)), so a trace is sufficient to replay draws.
+    ``active[k]`` is the (n,) activation mask of iteration k; with the run's
+    seed it pins every noise substream used (block b at iteration k reads
+    stream (seed, k, b)), so a trace is sufficient to replay draws.
     """
 
-    seed: int
-    iterations: list[int] = field(default_factory=list)
     active: list[np.ndarray] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     dist_sq: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
 
-    def record(self, k, mask, obj=None, dist=None, iterate=None):
-        self.iterations.append(k)
-        self.active.append(np.asarray(mask, dtype=bool).copy())
+    def record(self, mask, obj=None, dist=None, iterate=None):
+        self.active.append(mask)
         if obj is not None:
             self.objective.append(float(obj))
         if dist is not None:
@@ -179,7 +176,7 @@ class RunTrace:
             self.iterates.append(np.array(iterate, copy=True))
 
     def __len__(self):
-        return len(self.iterations)
+        return len(self.active)
 
     def total_noise_draws(self, block_dim: int, sigma: float) -> int:
         """Total Gaussian draws of the run: sum over k of |active| * p (0 if sigma == 0)."""
@@ -196,42 +193,42 @@ def step(u: BlockVector, operator: OperatorHandle, cfg: IterationConfig, k: int)
     """One noisy block-coordinate update; inactive blocks are returned bit-unchanged."""
     if k < 0 or k >= cfg.K:
         raise ParameterError(f"iteration index {k} out of range for K={cfg.K}")
-    return BlockVector(_update(u, operator, cfg, k, cfg.schedule.mask(u.n_blocks, cfg.seed, k)))
+    return BlockVector(_update(u, operator, cfg, k)[0])
 
 
-def _update(u, operator, cfg, k, mask):
-    """The data of u after step k on the active blocks, all computed from u; u is not modified."""
+def _update(u, operator, cfg, k):
+    """The data after step k and its active rows, all computed from u; u is not modified."""
+    rows = np.flatnonzero(cfg.schedule.mask(u.n_blocks, cfg.seed, k))
     target = np.asarray(operator.apply(u.flat, k), dtype=float)
     if target.shape != u.flat.shape:
         raise StructuralError(f"operator returned shape {target.shape}, expected {u.flat.shape}")
     target = target.reshape(u.data.shape)
     if cfg.error_injector is not None:
         target = target + np.asarray(cfg.error_injector(u.flat, k), dtype=float).reshape(u.data.shape)
-    rows = np.flatnonzero(mask)
     old, new = u.data.take(rows, axis=0), u.data.copy()
     eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, u.block_dim)
     new[rows] = old + cfg.step_size(k) * (target.take(rows, axis=0) + eta - old)
-    return new
+    return new, rows
 
 
-def iterate(K: int, seed: int, n: int, advance: Callable[[int], tuple],
+def iterate(K: int, n: int, advance: Callable[[int], tuple],
             objective: Callable[[np.ndarray], float] | None = None,
             reference: np.ndarray | None = None,
             record_iterates: bool = False) -> tuple[np.ndarray, RunTrace]:
     """The traced loop of every run; returns the last released iterate and the trace.
 
-    ``advance(k)`` performs step k and returns its active blocks (indices or
-    an (n,) mask) and the released iterate, which must be finite."""
+    ``advance(k)`` performs step k and returns its active block indices (an int,
+    a range, a sequence or an int array) and the released iterate, which must be finite."""
     if K < 1:
         raise ParameterError(f"iteration count must be >= 1, got {K}")
-    trace = RunTrace(seed=seed)
+    trace = RunTrace()
     for k in range(K):
         active, x = advance(k)
         if not np.isfinite(x).all():
             raise ModelError(f"released iterate is not finite at round {k}")
         mask = np.zeros(n, dtype=bool)
         mask[active] = True
-        trace.record(k, mask, obj=None if objective is None else objective(x),
+        trace.record(mask, obj=None if objective is None else objective(x),
                      dist=None if reference is None else float(np.sum((x - np.ravel(reference)) ** 2)),
                      iterate=x if record_iterates else None)
     return x, trace
@@ -259,11 +256,11 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
 
     def advance(k):
         nonlocal u
-        mask = np.asarray(cfg.schedule.mask(u.n_blocks, cfg.seed, k), dtype=bool)
-        u = BlockVector(_update(u, operator, cfg, k, mask))
-        return mask, u.flat
+        data, rows = _update(u, operator, cfg, k)
+        u = BlockVector(data)
+        return rows, u.flat
 
-    trace = iterate(cfg.K, cfg.seed, u0.n_blocks, advance, reference=reference,
+    trace = iterate(cfg.K, u0.n_blocks, advance, reference=reference,
                     record_iterates=record_iterates)[1]
     return u, trace
 

@@ -247,9 +247,9 @@ class TestCsvExport:
         assert float(rows[0]["epsilon"]) == curve.epsilons[0]
 
     def test_trace_csv(self, tmp_path):
-        trace = RunTrace(seed=0)
-        trace.record(0, np.array([True]), obj=1.5, dist=0.25)
-        trace.record(1, np.array([True]), obj=1.0, dist=0.125)
+        trace = RunTrace()
+        trace.record(np.array([True]), obj=1.5, dist=0.25)
+        trace.record(np.array([True]), obj=1.0, dist=0.125)
         path = tmp_path / "trace.csv"
         emit_trace_csv(trace, path)
         with open(path) as fh:
