@@ -60,7 +60,7 @@ class ConsensusProblem:
     def __post_init__(self):
         if len(self.prox_f) < 1:
             raise ParameterError("need at least one per-item prox")
-        if self.clip_threshold is not None and self.clip_threshold <= 0:
+        if self.clip_threshold is not None and not self.clip_threshold > 0:
             raise ParameterError(f"clipping threshold must be > 0, got {self.clip_threshold}")
 
     @property
@@ -76,11 +76,19 @@ class ConsensusProblem:
 
 @dataclass(frozen=True)
 class AdmmState:
-    """Dual blocks u (one per user), public iterate z, and the round counter."""
+    """Dual blocks u (one per user), public iterate z, the round counter, and the dual mean.
+
+    ``ubar`` must equal the mean of u; left out, it is computed from u.
+    """
 
     u: BlockVector
     z: np.ndarray
     k: int = 0
+    ubar: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.ubar is None:
+            object.__setattr__(self, "ubar", self.u.mean_block())
 
 
 def initial_state(problem: ConsensusProblem, p: int,
@@ -113,22 +121,24 @@ def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
     return 2.0 * lam * dev
 
 
-def _advance(problem, U, z, rows, lam, sigma, seed, k):
-    """Round k in place: rows of U update against z; returns prox_r(z + sum of deltas / n)."""
+def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k):
+    """Round k in place: rows of U update against z; returns the new dual mean
+    ubar + sum of deltas / n and z = prox_r of it (ubar is not modified)."""
     deltas = _round_deltas(problem, U, rows, z, lam, sigma, seed, k)
     U[rows] += deltas
-    return np.asarray(problem.prox_r(z + deltas.sum(axis=0) / problem.n), dtype=float)
+    ubar = ubar + deltas.sum(axis=0) / problem.n
+    return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
-def _walk_step(problem, U, z, i, lam, sigma, seed, k, log):
-    """Walk step k in place: holder i updates, then forwards z; returns (z, next holder)."""
+def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log):
+    """Walk step k in place: holder i updates, then forwards (ubar, z); returns them and the next holder."""
     if not 0 <= i < problem.n:
         raise StructuralError(f"user index {i} out of range [0, {problem.n})")
-    z = _advance(problem, U, z, np.array([i]), lam, sigma, seed, k)
+    ubar, z = _advance(problem, U, ubar, z, np.array([i]), lam, sigma, seed, k)
     next_user = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
     if log is not None:
         simnet.record_observation(log, next_user, k + 1, z)
-    return z, next_user
+    return ubar, z, next_user
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +190,8 @@ def federated_round(problem: ConsensusProblem, state: AdmmState,
     if rows[0] < 0 or rows[-1] >= problem.n:
         raise StructuralError(f"sampled users {rows} out of range [0, {problem.n})")
     U = state.u.data.copy()
-    z = _advance(problem, U, state.z, rows, lam, sigma, seed, state.k)
-    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1)
+    ubar, z = _advance(problem, U, state.ubar, state.z, rows, lam, sigma, seed, state.k)
+    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar)
 
 
 def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
@@ -191,12 +201,12 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
                   ) -> tuple[np.ndarray, RunTrace]:
     """K federated rounds with uniform m-of-n user sampling; returns z_K."""
     state = initial_state(problem, p, u0)
-    U, z = state.u.data, state.z
+    U, ubar, z = state.u.data, state.ubar, state.z
 
     def advance(k):
-        nonlocal z
+        nonlocal ubar, z
         rows = simnet.sample_users(problem.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
-        z = _advance(problem, U, z, rows, lam, sigma, seed, k)
+        ubar, z = _advance(problem, U, ubar, z, rows, lam, sigma, seed, k)
         return rows, z
 
     return iterate(K, problem.n, advance, objective)
@@ -218,8 +228,8 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     updates a copy.
     """
     U = state.u.data.copy()
-    z, next_user = _walk_step(problem, U, state.z, i, lam, sigma, seed, state.k, log)
-    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1), next_user
+    ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, i, lam, sigma, seed, state.k, log)
+    return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
 
 def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: float,
@@ -228,14 +238,14 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
     """K random-walk steps; returns z_K, the trace, and the observation log."""
     state = initial_state(problem, p, u0)
-    U, z = state.u.data, state.z
+    U, ubar, z = state.u.data, state.ubar, state.z
     log = simnet.ObservationLog(n=problem.n)
     current = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
 
     def advance(k):
-        nonlocal z, current
+        nonlocal ubar, z, current
         holder = current
-        z, current = _walk_step(problem, U, z, holder, lam, sigma, seed, k, log)
+        ubar, z, current = _walk_step(problem, U, ubar, z, holder, lam, sigma, seed, k, log)
         return holder, z
 
     return (*iterate(K, problem.n, advance, objective), log)

@@ -166,7 +166,7 @@ def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
 
 
 def _check_dpsgd(step: float, clip_threshold: float, sigma: float):
-    if step <= 0 or clip_threshold <= 0:
+    if not step > 0 or not clip_threshold > 0:
         raise ParameterError("need step > 0 and clip_threshold > 0")
     rng.check_sigma(sigma)
 
@@ -265,6 +265,8 @@ class ExperimentConfig:
         for name in ("epsilons", "seeds"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must not be empty")
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")
 
 
 @dataclass(frozen=True)

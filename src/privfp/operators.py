@@ -100,7 +100,7 @@ def prox_quadratic_rank_one(a: np.ndarray, b: float, gamma: float, n: int,
 
 def clip(v: np.ndarray, threshold: float) -> np.ndarray:
     """Radial projection onto the Euclidean ball of radius threshold."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
@@ -111,7 +111,7 @@ def clip(v: np.ndarray, threshold: float) -> np.ndarray:
 
 def clip_rows(X: np.ndarray, threshold: float) -> np.ndarray:
     """``clip`` applied to each row of X; rows inside the ball come back unchanged."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
     X = np.asarray(X, dtype=float)
     norms = np.linalg.norm(X, axis=1)

@@ -37,10 +37,10 @@ class RdpCurve:
         if len(self.alphas) == 0:
             raise StructuralError("empty alpha grid")
         for a in self.alphas:
-            if a <= 1:
+            if not a > 1:
                 raise ParameterError(f"Rényi orders must be > 1, got {a}")
         for e in self.epsilons:
-            if e < 0:
+            if not e >= 0:
                 raise ParameterError(f"epsilon values must be >= 0, got {e}")
 
 
@@ -77,9 +77,9 @@ def _check_sigma(sigma: float):
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
     """Rényi DP of the Gaussian mechanism: alpha * Delta^2 / (2 sigma^2)."""
     _check_sigma(sigma)
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
-    if sensitivity < 0:
+    if not sensitivity >= 0:
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
     return alpha * sensitivity ** 2 / (2.0 * sigma ** 2)
 
@@ -132,12 +132,12 @@ def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> 
     each clause is checked literally and a violation raises ConditionNotMet
     naming it. Tighter numerically-integrated bounds are out of scope.
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
     if not 0.0 < q < 1.0:
         raise ParameterError(f"sampling probability must lie in (0, 1), got {q}")
     _check_sigma(sigma)
-    if sensitivity < 0:
+    if not sensitivity >= 0:
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
     _check_subsampling_regime(alpha, q, sigma)
     return 2.0 * alpha * q ** 2 * sensitivity ** 2 / sigma ** 2
@@ -179,7 +179,7 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
     if K < 0:
         raise ParameterError(f"round count must be >= 0, got {K}")
     _check_sigma(sigma)
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
     if K == 0:
         return 0.0
@@ -208,7 +208,7 @@ def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
     noise condition sigma > 2*L*gamma*sqrt(alpha*(alpha-1)) (from the weak
     convexity step) and n >= 2.
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
     if n < 2:
         raise ParameterError(f"walk needs n >= 2 users, got {n}")

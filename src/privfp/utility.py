@@ -43,9 +43,9 @@ class UtilityParams:
             raise ParameterError(f"contraction factor must be in [0, 1), got {self.tau}")
         if not 0.0 < self.q <= 1.0:
             raise ParameterError(f"activation probability must be in (0, 1], got {self.q}")
-        if self.sigma < 0 or self.zeta < 0:
+        if not self.sigma >= 0 or not self.zeta >= 0:
             raise ParameterError("noise and error scales must be >= 0")
-        if self.p < 1 or self.D < 0 or self.k < 0:
+        if self.p < 1 or not self.D >= 0 or self.k < 0:
             raise ParameterError("need p >= 1, D >= 0, k >= 0")
 
 

@@ -204,6 +204,12 @@ def test_negative_sigma_rejected_by_every_driver(driver, sigma):
         driver(problem, sigma)
 
 
+@pytest.mark.parametrize("threshold", [0.0, math.nan])
+def test_clip_threshold_must_be_positive(threshold):
+    with pytest.raises(ParameterError, match="clipping threshold"):
+        simple_problem(3, 2, clip=threshold)
+
+
 @pytest.mark.parametrize("driver", [
     lambda problem, n, p: centralized_run(problem, BlockVector.zeros(n, p), 0.7, 0.3, 25, seed=4),
     lambda problem, n, p: federated_run(problem, p, 5, 0.7, 0.3, 25, seed=4),
@@ -222,8 +228,9 @@ def test_batched_lasso_rows_match_per_user_specs(driver):
 
 
 class TestFederated:
-    def test_full_participation_tracks_centralized_with_shift(self):
-        problem, _ = simple_problem(6, 3)
+    @pytest.mark.parametrize("prox_r", [ZeroProx(), L1Prox(0.05)], ids=["zero", "l1"])
+    def test_full_participation_tracks_centralized_with_shift(self, prox_r):
+        problem, _ = simple_problem(6, 3, prox_r=prox_r)
         u0 = BlockVector.zeros(6, 3)
         K, lam, sigma, seed = 12, 0.7, 0.3, 42
 
@@ -286,11 +293,12 @@ class TestDecentralized:
         stat = np.sum((counts - 2500.0) ** 2 / 2500.0)
         assert stat < stats.chi2.ppf(0.99, 7)
 
-    def test_single_user_matches_centralized_with_shift(self):
+    @pytest.mark.parametrize("prox_r", [ZeroProx(), L1Prox(0.05)], ids=["zero", "l1"])
+    def test_single_user_matches_centralized_with_shift(self, prox_r):
         gen = np.random.default_rng(12)
         problem = ConsensusProblem(
             prox_f=(QuadraticProx(Q=np.eye(2), c=gen.normal(size=2), gamma=1.0),),
-            prox_r=ZeroProx())
+            prox_r=prox_r)
         u0 = BlockVector(gen.normal(size=(1, 2)))
         K, lam, sigma, seed = 10, 0.6, 0.2, 5
         cen_z = []
@@ -319,6 +327,35 @@ class TestDecentralized:
             assert len(s1) == len(s2)
             for (k1, z1), (k2, z2) in zip(s1, s2):
                 assert k1 == k2 and np.array_equal(z1, z2)
+
+
+class TestDualMean:
+    """The federated and walk runs set z = prox_r(mean of u), as the centralized run does."""
+
+    @pytest.mark.parametrize("run", [
+        lambda problem, p: federated_run(problem, p, problem.n, 1.0, 0.0, 1000, seed=0)[0],
+        lambda problem, p: decentralized_run(problem, p, 1.0, 0.0, 4000, seed=0)[0],
+    ], ids=["federated", "decentralized"])
+    def test_noiseless_run_reaches_the_lasso_reference(self, run):
+        data = bench.gen_lasso(n=20, p=4, support_size=3, noise_std=0.05, seed=4)
+        kappa = bench.default_kappa(data)
+        problem = bench.lasso_consensus_problem(data, kappa, gamma=2.0 * data.n)
+        f_ref = bench.lasso_objective(data, bench.reference_lasso(data, kappa), kappa)
+        f_z = bench.lasso_objective(data, run(problem, data.p), kappa)
+        assert abs(f_z - f_ref) / abs(f_ref) < 1e-6
+
+    @pytest.mark.parametrize("step", [
+        lambda problem, state: federated_round(problem, state, [1, 4], 0.5, 0.7, seed=11),
+        lambda problem, state: decentralized_step(problem, state, 3, 0.5, 0.7, seed=11)[0],
+    ], ids=["federated_round", "decentralized_step"])
+    def test_step_carries_the_mean_and_leaves_the_input_mean_unchanged(self, step):
+        problem, _ = simple_problem(8, 2, prox_r=L1Prox(0.05), clip=0.5)
+        state = initial_state(problem, 2, BlockVector(np.random.default_rng(3).normal(size=(8, 2))))
+        ubar_before = state.ubar.copy()
+        new = step(problem, state)
+        assert np.array_equal(state.ubar, ubar_before)
+        np.testing.assert_allclose(new.ubar, new.u.mean_block(), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(new.z, problem.prox_r(new.ubar))
 
 
 class TestRunsEqualLoopsOfTheirSteps:

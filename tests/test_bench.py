@@ -127,6 +127,15 @@ class TestDpsgdBaseline:
         with pytest.raises(ParameterError, match="sigma"):
             dpsgd_federated(data, 0.02, 0.2, 1.0, sigma, 5, m=2, seed=0)
 
+    @pytest.mark.parametrize("step, clip_threshold", [(math.nan, 1.0), (0.2, math.nan)],
+                             ids=["nan_step", "nan_clip"])
+    def test_nan_step_or_clip_rejected(self, step, clip_threshold):
+        data = gen_lasso(n=20, p=3, support_size=1, seed=3)
+        with pytest.raises(ParameterError, match="step > 0 and clip_threshold > 0"):
+            dpsgd_baseline(data, 0.02, step, clip_threshold, 0.5, 5, seed=0)
+        with pytest.raises(ParameterError, match="step > 0 and clip_threshold > 0"):
+            dpsgd_federated(data, 0.02, step, clip_threshold, 0.5, 5, m=2, seed=0)
+
     def test_zero_rounds_rejected(self):
         data = gen_lasso(n=20, p=3, support_size=1, seed=3)
         with pytest.raises(ParameterError, match="iteration count"):

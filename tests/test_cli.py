@@ -62,6 +62,14 @@ class TestAccount:
         assert "parameter_error" in err
         assert "nan" not in out
 
+    def test_nan_order_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "account", "--setting", "centralized", "--sigma", "1",
+                                 "--K", "100", "--L", "1", "--gamma", "0.1", "--n", "100",
+                                 "--alphas", "nan 2", "--delta", "1e-6")
+        assert code == 2
+        assert "parameter_error" in err
+        assert "nan" not in out
+
     def test_nan_sigma_rejected_at_zero_rounds(self, capsys):
         code, out, err = run_cli(capsys, "account", "--setting", "centralized", "--sigma", "nan",
                                  "--K", "0", "--L", "1", "--gamma", "0.1", "--n", "100")
@@ -134,6 +142,23 @@ class TestSolve:
                                "--support-size", "2", "--K", "5", "--sigma", sigma)
         assert code == 2
         assert "parameter_error" in err
+
+    @pytest.mark.parametrize("algorithm", ["admm", "dpsgd"])
+    def test_nan_clip_threshold_rejected(self, capsys, tmp_path, algorithm):
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--algorithm", algorithm,
+                               "--clip-threshold", "nan", "--sigma", "0.5", "--K", "20",
+                               "--outdir", str(tmp_path), "--out", "r.csv")
+        assert code == 2
+        assert "category=parameter_error" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5", "nan"])
+    def test_sample_fraction_outside_unit_interval_rejected(self, capsys, fraction):
+        code, _, err = run_cli(capsys, "solve", "--setting", "federated", "--n", "30", "--p", "4",
+                               "--support-size", "2", "--sample-fraction", fraction,
+                               "--sigma", "0", "--K", "5")
+        assert code == 2
+        assert "category=parameter_error" in err and "sample fraction" in err
 
     @pytest.mark.parametrize("setting", ["federated", "centralized"])
     def test_non_finite_objective_is_not_written(self, capsys, tmp_path, setting):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -230,6 +232,10 @@ class TestClip:
         with pytest.raises(ParameterError):
             clip(np.ones(2), 0.0)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ParameterError):
+            clip(np.ones(2), math.nan)
+
 
 class TestClipRows:
     def test_rows_inside_ball_bit_unchanged(self):
@@ -255,6 +261,10 @@ class TestClipRows:
     def test_invalid_threshold(self, threshold):
         with pytest.raises(ParameterError):
             clip_rows(np.ones((2, 2)), threshold)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ParameterError):
+            clip_rows(np.ones((2, 2)), math.nan)
 
 
 class TestRowQuadraticProx:

@@ -48,6 +48,22 @@ def test_sigma_outside_finite_positive_range_rejected(formula, sigma):
         formula(sigma)
 
 
+@pytest.mark.parametrize("call", [
+    lambda nan: RdpCurve((nan, 2.0), (0.1, 0.2)),
+    lambda nan: RdpCurve((1.5, 2.0), (nan, 0.2)),
+    lambda nan: gaussian_rdp(1.0, 1.0, nan),
+    lambda nan: gaussian_rdp(nan, 1.0, 2.0),
+    lambda nan: subsampled_rdp(nan, 0.1, 1.0, 8.0),
+    lambda nan: subsampled_rdp(2.0, 0.1, nan, 8.0),
+    lambda nan: federated_central_epsilon(nan, 10, 1.0, 1.0, 8.0, 10, 100),
+    lambda nan: network_rdp_epsilon(nan, 1, 1.0, 1.0, 8.0, 10),
+], ids=["curve_order", "curve_value", "gaussian_order", "gaussian_sensitivity",
+        "subsampled_order", "subsampled_sensitivity", "federated_central_order", "network_order"])
+def test_nan_order_sensitivity_or_value_rejected(call):
+    with pytest.raises(ParameterError):
+        call(math.nan)
+
+
 class TestCompose:
     def test_k_fold_gaussian(self):
         K = 7

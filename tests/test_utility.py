@@ -98,11 +98,18 @@ class TestStepSize:
 @pytest.mark.parametrize("fn", [excess_noise_ratio, step_size_range, recommended_step_size],
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("bad", [dict(sigma=-1.0, zeta=5.0), dict(q=0.0), dict(q=-0.1),
-                                 dict(p=-1), dict(tau=1.5)],
-                         ids=["negative_sigma", "zero_q", "negative_q", "negative_p", "tau_above_1"])
+                                 dict(p=-1), dict(tau=1.5), dict(sigma=math.nan),
+                                 dict(zeta=math.nan)],
+                         ids=["negative_sigma", "zero_q", "negative_q", "negative_p", "tau_above_1",
+                              "nan_sigma", "nan_zeta"])
 def test_out_of_range_inputs_rejected_as_utility_params_rejects_them(fn, bad):
     with pytest.raises(ParameterError):
         fn(**dict(dict(tau=0.5, q=0.5, sigma=1.0, zeta=0.0, p=4), **bad))
+
+
+def test_nan_initial_distance_rejected():
+    with pytest.raises(ParameterError):
+        UtilityParams(tau=0.5, q=0.5, sigma=1.0, D=math.nan)
 
 
 class TestContractionFactor:
