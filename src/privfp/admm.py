@@ -11,14 +11,17 @@ Three drivers share one round kernel and the traced loop
 ``fixedpoint.iterate``, and differ only in who takes part: every user in
 each round (centralized), a sampled cohort whose local deltas the server
 aggregates (federated), or one user at a time, who updates and forwards the
-model (a random walk). Each run updates only the participants' rows of its
-own duals in place, so a walk step costs O(p); the public steps
-``federated_round`` and ``decentralized_step`` return a new state over a
-copy. A matrix-constrained generalization (arbitrary A x + B z = c coupling),
-also run through ``iterate``, is provided with a consensus instantiation that
-reproduces the specialized path bit-for-bit under a shared seed. Every run
-returns only the public variable z (and a trace or state); the data-adjacent
-x iterates never leave a round.
+model (a random walk). The federated and walk runs carry the dual mean
+ubar = mean_i u_i, add each round's deltas / n to it and set
+z = prox_r(ubar), so a walk token carries ubar with z. Each run updates
+only the participants' rows of its own duals in place, so a walk step
+costs O(p); the public steps ``federated_round`` and ``decentralized_step``
+return a new state over a copy. A matrix-constrained generalization
+(arbitrary A x + B z = c coupling), also run through ``iterate``, is
+provided with a consensus instantiation that reproduces the specialized
+path bit-for-bit under a shared seed. Every run returns only the public
+variable z (and a trace or state); the data-adjacent x iterates never
+leave a round.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k):
 
 
 def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log):
-    """Walk step k in place: holder i updates, then forwards (ubar, z); returns them and the next holder."""
+    """Walk step k in place: holder i updates and forwards; returns (ubar, z, next holder)."""
     if not 0 <= i < problem.n:
         raise StructuralError(f"user index {i} out of range [0, {problem.n})")
     ubar, z = _advance(problem, U, ubar, z, np.array([i]), lam, sigma, seed, k)
@@ -181,8 +184,9 @@ def federated_round(problem: ConsensusProblem, state: AdmmState,
     Local step for user i (against the current public z): x_i from the
     prox, delta_i = 2 lam (clip(x_i - z) + eta_i/2). The server adds
     (1/n) * sum of deltas — divided by the population size n, not the
-    cohort size — and applies the regularizer prox. Unsampled users'
-    blocks are bit-unchanged. ``state`` is left unchanged: the round updates a copy.
+    cohort size — to the dual mean ubar and sets z = prox_r(ubar).
+    Unsampled users' blocks are bit-unchanged. ``state`` is left
+    unchanged: the round updates a copy.
     """
     rows = np.asarray(sorted(int(i) for i in set(sampled)), dtype=int)
     if rows.size == 0:
@@ -221,14 +225,15 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
                        log: simnet.ObservationLog | None = None) -> tuple[AdmmState, int]:
     """The user currently holding z updates locally, then forwards it.
 
-    Only block i changes; z absorbs (1/n) of the delta and passes through
-    the regularizer prox; the next holder is uniform over all users. When
+    Only block i changes; the dual mean ubar absorbs (1/n) of the delta and
+    z = prox_r(ubar); the next holder is uniform over all users. When
     a log is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as
     the receiving user's observation. ``state`` is left unchanged: the step
     updates a copy.
     """
     U = state.u.data.copy()
-    ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, i, lam, sigma, seed, state.k, log)
+    ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, i, lam, sigma, seed,
+                                    state.k, log)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
 

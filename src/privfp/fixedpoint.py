@@ -8,8 +8,10 @@ where rho is a random block-activation mask, e an optional error term, and
 eta fresh Gaussian noise drawn from a per-(iteration, block) substream so
 that schedules and evaluation order cannot perturb noise assignment.
 ``iterate`` is the one traced loop: ``run``, the four ``admm`` runs and
-both ``bench`` DP-SGD baselines call it. Stochastic gradient and
-coordinate-descent instantiations are provided.
+both ``bench`` DP-SGD baselines call it with a step that returns the
+indices of its active blocks and the released iterate, and the returned
+``RunTrace`` holds one (n,) activation mask per iteration. Stochastic
+gradient and coordinate-descent instantiations are provided.
 """
 
 from __future__ import annotations

@@ -333,8 +333,8 @@ class TestDualMean:
     """The federated and walk runs set z = prox_r(mean of u), as the centralized run does."""
 
     @pytest.mark.parametrize("run", [
-        lambda problem, p: federated_run(problem, p, problem.n, 1.0, 0.0, 1000, seed=0)[0],
-        lambda problem, p: decentralized_run(problem, p, 1.0, 0.0, 4000, seed=0)[0],
+        lambda problem, p: federated_run(problem, p, problem.n, 0.5, 0.0, 1000, seed=0)[0],
+        lambda problem, p: decentralized_run(problem, p, 0.5, 0.0, 4000, seed=0)[0],
     ], ids=["federated", "decentralized"])
     def test_noiseless_run_reaches_the_lasso_reference(self, run):
         data = bench.gen_lasso(n=20, p=4, support_size=3, noise_std=0.05, seed=4)

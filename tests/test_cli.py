@@ -145,8 +145,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("algorithm", ["admm", "dpsgd"])
     def test_nan_clip_threshold_rejected(self, capsys, tmp_path, algorithm):
-        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--algorithm", algorithm,
-                               "--clip-threshold", "nan", "--sigma", "0.5", "--K", "20",
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized",
+                               "--algorithm", algorithm, "--clip-threshold", "nan",
+                               "--sigma", "0.5", "--K", "20",
                                "--outdir", str(tmp_path), "--out", "r.csv")
         assert code == 2
         assert "category=parameter_error" in err
