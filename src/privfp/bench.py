@@ -70,7 +70,7 @@ def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
     """Rows uniform on the unit sphere; sparse uniform ground truth; Gaussian label noise."""
     if support_size > p:
         raise ParameterError(f"support size {support_size} exceeds dimension {p}")
-    if n < 1 or p < 1 or noise_std < 0:
+    if n < 1 or p < 1 or not noise_std >= 0:
         raise ParameterError("need n >= 1, p >= 1, noise_std >= 0")
     gen = rng.substream(seed, rng.DATA, 0, 0)
     A = gen.normal(size=(n, p))
@@ -238,7 +238,9 @@ class ExperimentConfig:
     support_size: int = 8
     noise_std: float = 0.1
     K: int = 200
-    lam: float = field(default=0.1, metadata={"help": "splitting step size in (0, 1]"})
+    lam: float = field(default=0.1, metadata={
+        "help": "splitting step size in (0, 1]; at 1 a noiseless decentralized walk "
+                "may not settle, so use < 1 there"})
     gamma_scale: float = field(default=1.0,
                                metadata={"help": "prox step as a multiple of 2*n_train"})
     step: float = field(default=0.1, metadata={"help": "DP-SGD step size"})
@@ -267,6 +269,10 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must not be empty")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")
+        for name in ("kappa", "kappa_fraction"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ParameterError(f"{name} must be a finite number >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ The engine iterates
 where rho is a random block-activation mask, e an optional error term, and
 eta fresh Gaussian noise drawn from a per-(iteration, block) substream so
 that schedules and evaluation order cannot perturb noise assignment.
-``iterate`` is the one traced loop: ``run``, the four ``admm`` runs and
+Only the active rows of R(u_k) are used: when the operator handle has an
+``apply_blocks`` map the engine evaluates those rows alone, otherwise it
+applies the full ``apply`` and keeps them. ``iterate`` is the one traced loop: ``run``, the four ``admm`` runs and
 both ``bench`` DP-SGD baselines call it with a step that returns the
 indices of its active blocks and the released iterate, and the returned
 ``RunTrace`` holds one (n,) activation mask per iteration. Stochastic
@@ -201,16 +203,28 @@ def step(u: BlockVector, operator: OperatorHandle, cfg: IterationConfig, k: int)
 def _update(u, operator, cfg, k):
     """The data after step k and its active rows, all computed from u; u is not modified."""
     rows = np.flatnonzero(cfg.schedule.mask(u.n_blocks, cfg.seed, k))
-    target = np.asarray(operator.apply(u.flat, k), dtype=float)
-    if target.shape != u.flat.shape:
-        raise StructuralError(f"operator returned shape {target.shape}, expected {u.flat.shape}")
-    target = target.reshape(u.data.shape)
+    target = _active_targets(u, operator, k, rows)
     if cfg.error_injector is not None:
-        target = target + np.asarray(cfg.error_injector(u.flat, k), dtype=float).reshape(u.data.shape)
+        error = np.asarray(cfg.error_injector(u.flat, k), dtype=float).reshape(u.data.shape)
+        target = target + error.take(rows, axis=0)
     old, new = u.data.take(rows, axis=0), u.data.copy()
     eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, u.block_dim)
-    new[rows] = old + cfg.step_size(k) * (target.take(rows, axis=0) + eta - old)
+    new[rows] = old + cfg.step_size(k) * (target + eta - old)
     return new, rows
+
+
+def _active_targets(u, operator, k, rows):
+    """The operator rows of the active blocks: ``apply_blocks`` when the handle has
+    one, else the rows of the full ``apply``."""
+    full = operator.apply_blocks is None
+    if full:
+        target, expected = np.asarray(operator.apply(u.flat, k), dtype=float), u.flat.shape
+    else:
+        target = np.asarray(operator.apply_blocks(u.flat, k, rows), dtype=float)
+        expected = (len(rows), u.block_dim)
+    if target.shape != expected:
+        raise StructuralError(f"operator returned shape {target.shape}, expected {expected}")
+    return target.reshape(u.data.shape).take(rows, axis=0) if full else target
 
 
 def iterate(K: int, n: int, advance: Callable[[int], tuple],
@@ -316,8 +330,10 @@ def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
     """Block-coordinate instantiation: block b applies u_b - (2/beta) * grad_b(u).
 
     ``coord_grads[b]`` maps the full flat iterate to the gradient of block b.
-    The handle is declared non-expansive. The default schedule activates a
-    single uniform block per step.
+    The handle is declared non-expansive; its ``apply_blocks`` evaluates the
+    gradients of the requested blocks only, so an engine step calls one
+    gradient per active block. The default schedule activates a single
+    uniform block per step.
     """
     if beta <= 0:
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
@@ -327,14 +343,17 @@ def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
         raise StructuralError(
             f"{len(coord_grads)} block gradients supplied for {n_blocks} blocks")
 
-    def apply(u, k=0):
-        u = np.asarray(u, dtype=float).reshape(n_blocks, block_dim)
-        out = np.empty_like(u)
-        for b in range(n_blocks):
-            out[b] = u[b] - (2.0 / beta) * np.asarray(coord_grads[b](u.ravel()), dtype=float)
-        return out.ravel()
+    def apply_blocks(u, k, rows):
+        blocks = np.asarray(u, dtype=float).reshape(n_blocks, block_dim)
+        out = np.empty((len(rows), block_dim))
+        for j, b in enumerate(rows):
+            out[j] = blocks[b] - (2.0 / beta) * np.asarray(coord_grads[b](blocks.ravel()), dtype=float)
+        return out
 
-    handle = OperatorHandle(apply=apply, kind=NonExpansive())
+    def apply(u, k=0):
+        return apply_blocks(u, k, range(n_blocks)).ravel()
+
+    handle = OperatorHandle(apply=apply, kind=NonExpansive(), apply_blocks=apply_blocks)
     cfg = IterationConfig(K=K, sigma=sigma, lam=1.0,
                           schedule=schedule or SingleUniform(), seed=seed)
     return handle, cfg

@@ -9,6 +9,7 @@ evaluate ``prox(v)`` for their function at a fixed step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,10 +58,17 @@ class OperatorHandle:
     data-independent operators ignore ``k``. Iteration dependence exists so
     stochastic instantiations can evaluate themselves on the item scheduled
     for step k.
+
+    ``apply_blocks(u, k, rows)``, when given, returns only the operator rows
+    of the blocks ``rows`` (an int array) as a ``(len(rows), block_dim)``
+    array; row j must equal block ``rows[j]`` of ``apply(u, k)`` bit for bit.
+    The fixed-point engine calls it in place of ``apply``, so a step costs
+    the active blocks only.
     """
 
     apply: Callable[[np.ndarray, int], np.ndarray]
     kind: OperatorClass
+    apply_blocks: Callable[[np.ndarray, int, np.ndarray], np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +213,11 @@ class RowQuadraticProx:
 
 @dataclass(frozen=True)
 class QuadraticProx(ProxSpec):
-    """Prox of gamma * (x^T Q x / 2 + c^T x): solve (I + gamma Q) x = v - gamma c."""
+    """Prox of gamma * (x^T Q x / 2 + c^T x): solve (I + gamma Q) x = v - gamma c.
+
+    I + gamma Q and gamma c are built on the first call and reused, so Q and c
+    must not be modified afterwards.
+    """
 
     Q: np.ndarray
     c: np.ndarray
@@ -215,9 +227,14 @@ class QuadraticProx(ProxSpec):
         if self.gamma <= 0:
             raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
 
+    @cached_property
+    def _system(self) -> tuple[np.ndarray, np.ndarray]:
+        Q = np.asarray(self.Q)
+        return np.eye(len(Q)) + self.gamma * Q, self.gamma * np.asarray(self.c)
+
     def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.linalg.solve(np.eye(len(v)) + self.gamma * np.asarray(self.Q), v - self.gamma * np.asarray(self.c))
+        matrix, shift = self._system
+        return np.linalg.solve(matrix, np.asarray(v, dtype=float) - shift)
 
 
 @dataclass(frozen=True)

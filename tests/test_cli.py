@@ -161,6 +161,22 @@ class TestSolve:
         assert code == 2
         assert "category=parameter_error" in err and "sample fraction" in err
 
+    def test_nan_noise_std_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--n", "50",
+                               "--p", "4", "--support-size", "2", "--K", "5", "--sigma", "0.5",
+                               "--noise-std", "nan")
+        assert code == 2
+        assert "category=parameter_error" in err and "noise_std" in err
+
+    @pytest.mark.parametrize("name", ["kappa", "kappa_fraction"])
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "inf"])
+    def test_nan_negative_or_infinite_kappa_rejected(self, capsys, name, value):
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--n", "50",
+                               "--p", "4", "--support-size", "2", "--K", "5", "--sigma", "0.5",
+                               "--" + name.replace("_", "-"), value)
+        assert code == 2
+        assert f"category=parameter_error: {name} must" in err
+
     @pytest.mark.parametrize("setting", ["federated", "centralized"])
     def test_non_finite_objective_is_not_written(self, capsys, tmp_path, setting):
         out = tmp_path / "o.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -389,3 +390,66 @@ class TestDpcdInstance:
         with pytest.raises(ParameterError):
             dpcd_instance([lambda u: u], beta=1.0, n_blocks=1, block_dim=2,
                           sigma=0.0, K=1, seed=0)
+
+
+class TestBlockEvaluation:
+    """A handle with ``apply_blocks`` is evaluated on the active blocks only."""
+
+    B, p = 5, 3
+
+    def coupled_grads(self, calls=None):
+        # gradients of the coupled quadratic u^T H u / 2 - c^T u, one block at a time
+        gen = np.random.default_rng(21)
+        M = gen.normal(size=(self.B * self.p, self.B * self.p))
+        H, c = M @ M.T / (self.B * self.p), gen.normal(size=self.B * self.p)
+
+        def grad(u, b):
+            if calls is not None:
+                calls.append(b)
+            return (H @ u - c).reshape(self.B, self.p)[b]
+
+        return [lambda u, b=b: grad(u, b) for b in range(self.B)], float(np.linalg.eigvalsh(H)[-1])
+
+    def test_block_rows_equal_rows_of_apply(self):
+        grads, beta = self.coupled_grads()
+        handle, _ = dpcd_instance(grads, beta=beta, n_blocks=self.B, block_dim=self.p,
+                                  sigma=0.0, K=1, seed=0)
+        u = np.random.default_rng(3).normal(size=self.B * self.p)
+        full = handle.apply(u, 0).reshape(self.B, self.p)
+        for rows in ([2], [4, 0, 3], list(range(self.B)), []):
+            got = handle.apply_blocks(u, 0, np.array(rows, dtype=int))
+            assert got.shape == (len(rows), self.p)
+            assert got.tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("schedule", [SingleUniform(), BernoulliPerBlock(0.5)])
+    def test_one_gradient_per_active_block(self, schedule):
+        calls = []
+        grads, beta = self.coupled_grads(calls)
+        handle, cfg = dpcd_instance(grads, beta=beta, n_blocks=self.B, block_dim=self.p,
+                                    sigma=0.1, K=30, seed=5, schedule=schedule)
+        _, trace = run(BlockVector.zeros(self.B, self.p), handle, cfg)
+        assert calls == [b for m in trace.active for b in np.flatnonzero(m)]
+
+    def test_run_with_and_without_block_map_bit_identical(self):
+        grads, beta = self.coupled_grads()
+        handle, _ = dpcd_instance(grads, beta=beta, n_blocks=self.B, block_dim=self.p,
+                                  sigma=0.0, K=1, seed=0)
+        cfg = IterationConfig(K=40, sigma=0.3, lam=0.7, schedule=BernoulliPerBlock(0.5), seed=12,
+                              error_injector=lambda u, k: np.cos(k + np.asarray(u)))
+        u0 = BlockVector(np.random.default_rng(9).normal(size=(self.B, self.p)))
+        u_blocks, t_blocks = run(u0, handle, cfg, record_iterates=True)
+        u_full, t_full = run(u0, dataclasses.replace(handle, apply_blocks=None), cfg,
+                             record_iterates=True)
+        assert u_blocks.data.tobytes() == u_full.data.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(t_blocks.iterates, t_full.iterates))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(t_blocks.active, t_full.active))
+        assert any(0 < m.sum() < self.B for m in t_blocks.active)
+
+    @pytest.mark.parametrize("shape", [lambda n, p: (n + 1, p), lambda n, p: (n * p,)],
+                             ids=["extra_row", "flat"])
+    def test_block_map_shape_mismatch_rejected(self, shape):
+        bad = OperatorHandle(apply=lambda u, k=0: np.asarray(u, dtype=float), kind=NonExpansive(),
+                             apply_blocks=lambda u, k, rows: np.zeros(shape(len(rows), 2)))
+        cfg = IterationConfig(K=1, schedule=AllBlocks())
+        with pytest.raises(StructuralError, match="operator returned shape"):
+            step(BlockVector.zeros(3, 2), bad, cfg, 0)

@@ -92,6 +92,17 @@ def random_quadratic_prox(gen, p, gamma=1.0):
     return QuadraticProx(Q=Q, c=gen.normal(size=p), gamma=gamma)
 
 
+class TestQuadraticProx:
+    def test_repeated_calls_equal_the_direct_solve_bit_for_bit(self):
+        # I + gamma Q and gamma c are built once; each call must solve the same system
+        gen = np.random.default_rng(4)
+        spec = random_quadratic_prox(gen, 6, gamma=0.7)
+        for _ in range(3):
+            v = gen.normal(size=6)
+            want = np.linalg.solve(np.eye(6) + 0.7 * spec.Q, v - 0.7 * spec.c)
+            assert spec(v).tobytes() == want.tobytes()
+
+
 class TestFirmNonexpansiveness:
     """Every prox of a convex function contracts probe pairs (tolerance 1e-9)."""
 
