@@ -16,7 +16,11 @@ ubar = mean_i u_i, add each round's deltas / n to it and set
 z = prox_r(ubar), so a walk token carries ubar with z. Each run updates
 only the participants' rows of its own duals in place, so a walk step
 costs O(p); the public steps ``federated_round`` and ``decentralized_step``
-return a new state over a copy. A matrix-constrained generalization
+return a new state over a copy. Each run also allocates its round
+workspace once, two (rows per round, p) arrays, and computes every round
+in it; only clipping (the squared entries) and noise (the draw) still
+take one fresh array of that size each. The public steps run the same
+kernel in arrays of their own. A matrix-constrained generalization
 (arbitrary A x + B z = c coupling), also run through ``iterate``, is
 provided with a consensus instantiation that reproduces the specialized
 path bit-for-bit under a shared seed. Every run returns only the public
@@ -70,11 +74,25 @@ class ConsensusProblem:
     def n(self) -> int:
         return len(self.prox_f)
 
-    def local_solves(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row j of the result is prox_f[rows[j]] evaluated at V[j]."""
+    def local_solves(self, V: np.ndarray, rows: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Row j of the result is prox_f[rows[j]] evaluated at V[j].
+
+        The result is written to ``out`` when given (a float array of V's
+        shape that does not overlap V) and returned. A spec that returns
+        anything but one row of V's width raises ``StructuralError``.
+        """
         if isinstance(self.prox_f, RowQuadraticProx):
-            return self.prox_f.rows(V, rows)
-        return np.stack([np.asarray(self.prox_f[i](v), dtype=float) for i, v in zip(rows, V)])
+            return self.prox_f.rows(V, rows, out)
+        if out is None:
+            out = np.empty(V.shape)
+        for j, (i, v) in enumerate(zip(rows, V, strict=True)):
+            x = np.asarray(self.prox_f[i](v), dtype=float)
+            if x.shape != v.shape:
+                raise StructuralError(f"prox of user {i} returned shape {x.shape}, "
+                                      f"expected {v.shape}")
+            out[j] = x
+        return out
 
 
 @dataclass(frozen=True)
@@ -113,31 +131,50 @@ def _check_step(lam: float, sigma: float):
     rng.check_sigma(sigma)
 
 
-def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k):
-    """2*lam*(clip(x_i - z_ref) + eta_i/2) for each i in rows, stacked."""
+def _workspace(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two (m, p) arrays in which ``_round_deltas`` computes a round of m rows."""
+    return np.empty((m, p)), np.empty((m, p))
+
+
+def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k, work=None):
+    """2*lam*(clip(x_i - z_ref) + eta_i/2) for each i in rows, stacked.
+
+    Computed in place in ``work``, a ``_workspace(len(rows), p)`` that a run
+    reuses every round, and returned as its second array; without ``work``
+    the call allocates its own. U is not modified. Each in-place step does
+    the arithmetic of the expression above in the same order, up to swapped
+    operands of + and *, so the bits do not depend on ``work``.
+    """
     _check_step(lam, sigma)
-    dev = problem.local_solves(2.0 * z_ref - U[rows], rows) - z_ref
+    V, D = _workspace(len(rows), U.shape[1]) if work is None else work
+    np.take(U, rows, axis=0, out=V, mode="wrap")  # rows are in range; "raise" would buffer
+    np.subtract(2.0 * z_ref, V, out=V)
+    problem.local_solves(V, rows, out=D)
+    D -= z_ref
     if problem.clip_threshold is not None:
-        dev = clip_rows(dev, problem.clip_threshold)
+        clip_rows(D, problem.clip_threshold, out=D)
     if sigma > 0:
-        return 2.0 * lam * (dev + 0.5 * rng.gaussian_rows(seed, k, rows, sigma, U.shape[1]))
-    return 2.0 * lam * dev
+        eta = rng.gaussian_rows(seed, k, rows, sigma, U.shape[1])
+        eta *= 0.5
+        D += eta
+    D *= 2.0 * lam
+    return D
 
 
-def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k):
+def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
     """Round k in place: rows of U update against z; returns the new dual mean
     ubar + sum of deltas / n and z = prox_r of it (ubar is not modified)."""
-    deltas = _round_deltas(problem, U, rows, z, lam, sigma, seed, k)
+    deltas = _round_deltas(problem, U, rows, z, lam, sigma, seed, k, work)
     U[rows] += deltas
     ubar = ubar + deltas.sum(axis=0) / problem.n
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
-def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log):
+def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log, work=None):
     """Walk step k in place: holder i updates and forwards; returns (ubar, z, next holder)."""
     if not 0 <= i < problem.n:
         raise StructuralError(f"user index {i} out of range [0, {problem.n})")
-    ubar, z = _advance(problem, U, ubar, z, np.array([i]), lam, sigma, seed, k)
+    ubar, z = _advance(problem, U, ubar, z, np.array([i]), lam, sigma, seed, k, work)
     next_user = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
     if log is not None:
         simnet.record_observation(log, next_user, k + 1, z)
@@ -163,10 +200,11 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
         raise StructuralError(f"u0 has {u0.n_blocks} blocks for {problem.n} users")
     U = u0.data.copy()
     all_rows = np.arange(problem.n)
+    work = _workspace(problem.n, U.shape[1])
 
     def advance(k):
         z = np.asarray(problem.prox_r(U.mean(axis=0)), dtype=float)
-        U[:] += _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k)
+        np.add(U, _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k, work), out=U)
         return all_rows, z
 
     return iterate(K, problem.n, advance, objective)
@@ -206,11 +244,14 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
     """K federated rounds with uniform m-of-n user sampling; returns z_K."""
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
+    work = None
 
     def advance(k):
-        nonlocal ubar, z
+        nonlocal ubar, z, work
         rows = simnet.sample_users(problem.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
-        ubar, z = _advance(problem, U, ubar, z, rows, lam, sigma, seed, k)
+        if work is None:  # allocated once sample_users has checked m
+            work = _workspace(m, U.shape[1])
+        ubar, z = _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work)
         return rows, z
 
     return iterate(K, problem.n, advance, objective)
@@ -246,11 +287,13 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
     U, ubar, z = state.u.data, state.ubar, state.z
     log = simnet.ObservationLog(n=problem.n)
     current = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
+    work = _workspace(1, U.shape[1])
 
     def advance(k):
         nonlocal ubar, z, current
         holder = current
-        ubar, z, current = _walk_step(problem, U, ubar, z, holder, lam, sigma, seed, k, log)
+        ubar, z, current = _walk_step(problem, U, ubar, z, holder, lam, sigma, seed, k, log,
+                                      work)
         return holder, z
 
     return (*iterate(K, problem.n, advance, objective), log)

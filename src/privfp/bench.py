@@ -201,10 +201,11 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
     def advance(k):
         nonlocal x
         rows = simnet.sample_users(dataset.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
-        G = clip_rows((dataset.A[rows] @ x - dataset.b[rows])[:, None] * dataset.A[rows],
-                      clip_threshold)
+        G = dataset.A[rows]
+        G *= (G @ x - dataset.b[rows])[:, None]  # the cohort's per-item gradients
+        clip_rows(G, clip_threshold, out=G)
         if sigma > 0:
-            G = G + rng.gaussian_rows(seed, k, rows, sigma, dataset.p)
+            G += rng.gaussian_rows(seed, k, rows, sigma, dataset.p)
         x = prox_l1(x - step * G.mean(axis=0), step * kappa)
         return rows, x
 

@@ -117,17 +117,26 @@ def clip(v: np.ndarray, threshold: float) -> np.ndarray:
     return v * (threshold / norm)
 
 
-def clip_rows(X: np.ndarray, threshold: float) -> np.ndarray:
-    """``clip`` applied to each row of X; rows inside the ball come back unchanged."""
+def clip_rows(X: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``clip`` applied to each row of X; rows inside the ball come back unchanged.
+
+    With ``out`` (which may be X itself, to clip in place) the result is
+    written there and returned; otherwise a new array is returned only if a
+    row is clipped, and X itself if none is.
+    """
     if not threshold > 0:
         raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
     X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X, axis=1)
-    over = norms > threshold
-    if np.any(over):
-        X = X.copy()
-        X[over] *= (threshold / norms[over])[:, None]
-    return X
+    # what np.linalg.norm(X, axis=1) evaluates, without its argument handling
+    norms = np.sqrt(np.add.reduce(X * X, axis=1))
+    if (norms > threshold).any():
+        # inside the ball the factor is threshold / threshold = 1.0 exactly, and
+        # fmax gives a row with a NaN norm that factor too, so those rows keep their bits
+        return np.multiply(X, (threshold / np.fmax(norms, threshold))[:, None], out=out)
+    if out is None or out is X:
+        return X
+    np.copyto(out, X)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +213,18 @@ class RowQuadraticProx:
     def __len__(self) -> int:
         return len(self.A)
 
-    def rows(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row j of the result is the prox of row ``rows[j]`` at ``V[j]``."""
-        A = self.A[rows]
-        return V + ((self.b[rows] - np.einsum("ij,ij->i", A, V))
-                    / (2.0 * self.n / self.gamma + self._sq_norms[rows]))[:, None] * A
+    def rows(self, V: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Row j of the result is the prox of row ``rows[j]`` at ``V[j]``.
+
+        With ``out``, a float array of V's shape that does not overlap V, the
+        result is computed in ``out`` and returned. V is never modified.
+        """
+        targets = self.b[rows]  # raises for an out-of-range row, so the take below may wrap
+        A = np.take(self.A, rows, axis=0, out=out, mode="wrap")
+        A *= ((targets - np.einsum("ij,ij->i", A, V))
+              / (2.0 * self.n / self.gamma + self._sq_norms[rows]))[:, None]
+        A += V
+        return A
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from privfp import rng
 from privfp.admm import AdmmState, ConsensusProblem
 from privfp.blocks import BlockVector
 from privfp.errors import ParameterError, StructuralError
-from privfp.operators import CustomProx, ZeroProx, clip, prox_l1
+from privfp.operators import CustomProx, RowQuadraticProx, ZeroProx, clip, prox_l1
 
 
 def z_update(state: AdmmState, problem: ConsensusProblem) -> np.ndarray:
@@ -40,6 +41,39 @@ def one_round_u(problem: ConsensusProblem, U: np.ndarray, lam: float) -> np.ndar
         x_i = x_update(i, z, state, problem)
         out[i] = u_update(i, x_i, z, state, lam, np.zeros(U.shape[1]), problem)
     return out
+
+
+def reference_local_solves(problem: ConsensusProblem, V: np.ndarray, rows) -> np.ndarray:
+    """Row j is prox_f[rows[j]] at V[j], built from fresh arrays."""
+    if isinstance(problem.prox_f, RowQuadraticProx):
+        f = problem.prox_f
+        A = f.A[rows]
+        sq_norms = np.einsum("ij,ij->i", f.A, f.A)[rows]
+        return V + ((f.b[rows] - np.einsum("ij,ij->i", A, V))
+                    / (2.0 * f.n / f.gamma + sq_norms))[:, None] * A
+    return np.stack([np.asarray(problem.prox_f[i](v), dtype=float) for i, v in zip(rows, V)])
+
+
+def reference_deviations(problem: ConsensusProblem, U: np.ndarray, rows,
+                         z: np.ndarray) -> np.ndarray:
+    """x_i - z for each i in rows, before clipping."""
+    return reference_local_solves(problem, 2.0 * z - U[rows], rows) - z
+
+
+def reference_round_deltas(problem: ConsensusProblem, U: np.ndarray, rows, z: np.ndarray,
+                           lam: float, sigma: float, seed: int, k: int) -> np.ndarray:
+    """2 lam (clip(x_i - z) + eta_i / 2) for each i in rows, one expression per
+    step, each into a fresh array: the oracle for the runs' in-place round kernel."""
+    dev = reference_deviations(problem, U, rows, z)
+    if problem.clip_threshold is not None:
+        norms = np.linalg.norm(dev, axis=1)
+        over = norms > problem.clip_threshold
+        dev = dev.copy()
+        dev[over] *= (problem.clip_threshold / norms[over])[:, None]
+    if sigma > 0:
+        eta = np.stack([rng.gaussian_block(seed, k, int(i), sigma, U.shape[1]) for i in rows])
+        return 2.0 * lam * (dev + 0.5 * eta)
+    return 2.0 * lam * dev
 
 
 def absolute_loss_prox(d: float, level: float) -> CustomProx:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import consensus_displacement_audit, one_round_u, u_update, x_update, z_update
+from helpers import (
+    consensus_displacement_audit, one_round_u, reference_deviations, reference_local_solves,
+    reference_round_deltas, u_update, x_update, z_update,
+)
 from privfp import rng, simnet
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState,
@@ -267,6 +270,12 @@ class TestFederated:
         with pytest.raises(ParameterError):
             federated_round(problem, initial_state(problem, 1), [], 0.5, 0.0, seed=0)
 
+    @pytest.mark.parametrize("m", [-1, 0, 4])
+    def test_run_rejects_a_cohort_size_outside_1_to_n(self, m):
+        problem, _ = simple_problem(3, 1)
+        with pytest.raises(ParameterError, match="cohort size"):
+            federated_run(problem, 1, m, 0.5, 0.0, 2, seed=0)
+
     def test_run_is_deterministic(self):
         problem, _ = simple_problem(10, 2)
         a, _ = federated_run(problem, 2, m=3, lam=0.5, sigma=0.5, K=20, seed=9)
@@ -413,6 +422,126 @@ class TestRunsEqualLoopsOfTheirSteps:
         new = step(problem, state)
         assert np.array_equal(state.u.data, u_before) and np.array_equal(state.z, z_before)
         assert not np.array_equal(new.u.data, u_before) and new.k == state.k + 1
+
+
+def _lasso_rows_problem(clip):
+    data = bench.gen_lasso(n=30, p=6, support_size=2, noise_std=0.05, seed=8)
+    return bench.lasso_consensus_problem(data, bench.default_kappa(data, 0.01), 2.0 * data.n,
+                                         clip_threshold=clip)
+
+
+def _lasso_specs_problem(clip):
+    data = bench.gen_lasso(n=30, p=6, support_size=2, noise_std=0.05, seed=8)
+    gamma = 2.0 * data.n
+    return ConsensusProblem(
+        prox_f=tuple(QuadraticRankOneProx(a=data.A[i], b=float(data.b[i]), gamma=gamma, n=data.n)
+                     for i in range(data.n)),
+        prox_r=L1Prox(gamma * bench.default_kappa(data, 0.01)), clip_threshold=clip)
+
+
+def _replay(problem, setting, u0, lam, sigma, K, seed, m=None):
+    """The z of every round of a run, rebuilt from ``reference_round_deltas``."""
+    n = problem.n
+    U = u0.copy()
+    ubar = U.mean(axis=0)
+    z = np.asarray(problem.prox_r(ubar), dtype=float)
+    holder = simnet.walk_next(n, rng.schedule_rng(seed, 0, tag=1))
+    zs = []
+    for k in range(K):
+        if setting == "centralized":
+            z = np.asarray(problem.prox_r(U.mean(axis=0)), dtype=float)
+            U = U + reference_round_deltas(problem, U, np.arange(n), z, lam, sigma, seed, k)
+            zs.append(z)
+            continue
+        if setting == "federated":
+            rows = simnet.sample_users(n, m, rng.schedule_rng(seed, k))
+        else:
+            rows = np.array([holder])
+            holder = simnet.walk_next(n, rng.schedule_rng(seed, k))
+        deltas = reference_round_deltas(problem, U, rows, z, lam, sigma, seed, k)
+        U[rows] += deltas
+        ubar = ubar + deltas.sum(axis=0) / n
+        z = np.asarray(problem.prox_r(ubar), dtype=float)
+        zs.append(z)
+    return zs
+
+
+_RUNS = {
+    "centralized": lambda problem, u0, lam, sigma, K, seed, m, objective: centralized_run(
+        problem, BlockVector(u0), lam, sigma, K, seed, objective=objective)[0],
+    "federated": lambda problem, u0, lam, sigma, K, seed, m, objective: federated_run(
+        problem, u0.shape[1], m, lam, sigma, K, seed, u0=BlockVector(u0), objective=objective)[0],
+    "decentralized": lambda problem, u0, lam, sigma, K, seed, m, objective: decentralized_run(
+        problem, u0.shape[1], lam, sigma, K, seed, u0=BlockVector(u0), objective=objective)[0],
+}
+
+
+class TestRoundKernelWorkspace:
+    """Each run computes its rounds in place in one workspace; the bits are those of a
+    reference round that builds every step in a fresh array."""
+
+    PROBLEMS = {
+        "rows-clipped-noisy": (lambda: _lasso_rows_problem(0.02), 0.3),
+        "rows-noiseless": (lambda: _lasso_rows_problem(None), 0.0),
+        "specs-clipped-noisy": (lambda: _lasso_specs_problem(0.02), 0.3),
+        "quadratic-specs-clipped-noisy": (
+            lambda: simple_problem(30, 6, prox_r=L1Prox(0.05), clip=0.5)[0], 0.4),
+    }
+
+    @pytest.mark.parametrize("setting", list(_RUNS))
+    @pytest.mark.parametrize("case", list(PROBLEMS))
+    def test_run_equals_replayed_reference_rounds(self, case, setting):
+        make, sigma = self.PROBLEMS[case]
+        problem = make()
+        u0 = np.random.default_rng(6).normal(size=(30, 6))
+        K, lam, seed, m = 40, 0.7, 5, 7
+        if problem.clip_threshold is not None:  # the clip binds in the first round
+            dev = reference_deviations(problem, u0, np.arange(30),
+                                       problem.prox_r(u0.mean(axis=0)))
+            assert np.any(np.linalg.norm(dev, axis=1) > problem.clip_threshold)
+        zs = []
+        z = _RUNS[setting](problem, u0, lam, sigma, K, seed, m,
+                           lambda z: zs.append(z.copy()) or 0.0)
+        want = _replay(problem, setting, u0, lam, sigma, K, seed, m)
+        assert len(zs) == K
+        for got, ref in zip(zs, want):
+            assert got.tobytes() == ref.tobytes()
+        assert z.tobytes() == want[-1].tobytes()
+
+    @pytest.mark.parametrize("setting", list(_RUNS))
+    def test_back_to_back_runs_agree_and_leave_u0_unchanged(self, setting):
+        problem = _lasso_rows_problem(0.02)
+        u0 = np.random.default_rng(7).normal(size=(30, 6))
+        u0_before = u0.copy()
+        run = lambda: _RUNS[setting](problem, u0, 0.7, 0.3, 25, 9, 7, None)
+        first = run()
+        _RUNS[setting](_lasso_specs_problem(None), u0, 0.5, 0.0, 5, 1, 3, None)
+        assert run().tobytes() == first.tobytes()
+        assert u0.tobytes() == u0_before.tobytes()
+
+    @pytest.mark.parametrize("case", ["rows-clipped-noisy", "specs-clipped-noisy"])
+    def test_consensus_as_general_local_solves_equal_the_reference(self, case):
+        problem = self.PROBLEMS[case][0]()
+        gen = np.random.default_rng(8)
+        z, u = gen.normal(size=6), gen.normal(size=30 * 6)
+        x = consensus_as_general(problem, 6).f_argmin(z, u)
+        want = reference_local_solves(problem, 2.0 * z - u.reshape(30, 6), np.arange(30))
+        assert x.tobytes() == want.ravel().tobytes()
+
+
+class TestWrongShapeUserProx:
+    """A spec whose output is not one row of width p raises naming the user."""
+
+    @pytest.mark.parametrize("bad", [lambda v: float(v.sum()), lambda v: v[:2],
+                                     lambda v: v[:, None]], ids=["scalar", "short", "column"])
+    @pytest.mark.parametrize("setting", list(_RUNS))
+    def test_run_raises_structural_error_naming_the_user(self, setting, bad):
+        proxes = [ZeroProx()] * 3
+        proxes[1] = CustomProx(bad)
+        problem = ConsensusProblem(prox_f=tuple(proxes), prox_r=ZeroProx())
+        u0 = np.arange(9, dtype=float).reshape(3, 3)
+        with pytest.raises(StructuralError, match="prox of user 1 returned shape"):
+            _RUNS[setting](problem, u0, 0.5, 0.0, 200, 0, 3, None)
 
 
 class TestNonFiniteIterate:

@@ -273,6 +273,32 @@ class TestClipRows:
         with pytest.raises(ParameterError):
             clip_rows(np.ones((2, 2)), threshold)
 
+    @pytest.mark.parametrize("threshold", [2.0, 100.0], ids=["some-clipped", "none-clipped"])
+    def test_out_equals_the_returned_copy_byte_for_byte(self, threshold):
+        gen = np.random.default_rng(20)
+        X = gen.normal(size=(50, 7)) * gen.uniform(0.1, 5.0, size=(50, 1))
+        X[3] = 0.0  # a zero row is inside every ball
+        want = clip_rows(X, threshold)
+        buf = np.full_like(X, np.nan)
+        assert clip_rows(X, threshold, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        in_place = X.copy()
+        assert clip_rows(in_place, threshold, out=in_place) is in_place
+        assert in_place.tobytes() == want.tobytes()
+
+    def test_matches_the_linalg_norm_formula_byte_for_byte(self):
+        gen = np.random.default_rng(21)
+        X = gen.normal(size=(90, 64)) * gen.uniform(0.01, 0.5, size=(90, 1))
+        X[5, 3], X[6, 2] = math.nan, math.inf  # a NaN row stays as it is; inf * 0 is NaN
+        norms = np.linalg.norm(X, axis=1)
+        over = norms > 1.0
+        assert 0 < over.sum() < len(X)
+        want = X.copy()
+        with np.errstate(invalid="ignore"):
+            want[over] *= (1.0 / norms[over])[:, None]
+            got = clip_rows(X, 1.0)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestRowQuadraticProx:
     @pytest.mark.parametrize("rows", [np.arange(9), np.array([4]), np.array([0, 3, 7])],
@@ -284,6 +310,25 @@ class TestRowQuadraticProx:
         want = np.stack([prox_quadratic_rank_one(A[i], b[i], 1.7, 9, v) for i, v in zip(rows, V)])
         assert got.shape == (len(rows), 5)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [np.arange(9), np.array([4]), np.array([7, 0, 3, 7])],
+                             ids=["all", "one", "repeated"])
+    def test_out_equals_the_call_without_it_byte_for_byte(self, rows):
+        gen = np.random.default_rng(24)
+        A, b, V = gen.normal(size=(9, 5)), gen.normal(size=9), gen.normal(size=(len(rows), 5))
+        prox = RowQuadraticProx(A, b, gamma=1.7)
+        V_before = V.copy()
+        want = prox.rows(V, rows)
+        buf = np.full_like(V, np.nan)
+        assert prox.rows(V, rows, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert V.tobytes() == V_before.tobytes()
+
+    @pytest.mark.parametrize("rows", [np.array([9]), np.array([0, -10])])
+    def test_out_of_range_row_raises_with_out(self, rows):
+        prox = RowQuadraticProx(np.ones((9, 2)), np.ones(9), 1.0)
+        with pytest.raises(IndexError):
+            prox.rows(np.ones((len(rows), 2)), rows, out=np.empty((len(rows), 2)))
 
     def test_length_is_row_count(self):
         assert len(RowQuadraticProx(np.ones((4, 2)), np.ones(4), 1.0)) == 4
