@@ -11,13 +11,17 @@ Only the active rows of R(u_k) are used: when the operator handle has an
 ``apply_blocks`` map the engine evaluates those rows alone, otherwise it
 applies the full ``apply`` and keeps them. ``iterate`` is the one traced loop: ``run``, the four ``admm`` runs and
 both ``bench`` DP-SGD baselines call it with a step that returns the
-indices of its active blocks and the released iterate, and the returned
-``RunTrace`` holds one (n,) activation mask per iteration. Stochastic
-gradient and coordinate-descent instantiations are provided.
+indices of its active blocks and the released iterate. The returned
+``RunTrace`` keeps those indices as returned (an int per walk step, one
+shared array per centralized run), so a trace costs O(K) bookkeeping plus
+the indices themselves, and builds an (n,) activation mask only when one
+is read. Stochastic gradient and coordinate-descent instantiations are
+provided.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -156,22 +160,53 @@ class IterationConfig:
         return float(self.lam[k])
 
 
+class ActiveMasks(SequenceABC):
+    """Read-only sequence of a trace's (n,) bool activation masks, each built when read."""
+
+    def __init__(self, rows: list, n_blocks: int):
+        self._rows, self._n = rows, n_blocks
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._mask(r) for r in self._rows[k]]
+        return self._mask(self._rows[k])
+
+    def _mask(self, rows):
+        mask = np.zeros(self._n, dtype=bool)
+        mask[rows] = True
+        return mask
+
+
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run (append-only while running).
+    """Per-iteration record of a run over ``n_blocks`` blocks (append-only while running).
 
-    ``active[k]`` is the (n,) activation mask of iteration k; with the run's
-    seed it pins every noise substream used (block b at iteration k reads
-    stream (seed, k, b)), so a trace is sufficient to replay draws.
+    ``active_rows[k]`` holds the active block indices of iteration k as the
+    step returned them: an int, a range or an integer array, kept by
+    reference, so a step must not modify an index array after returning it
+    (``iterate`` copies a view, so that the trace never keeps a larger base
+    alive).
+    ``active[k]`` is the same set as an (n,) bool mask, built when read;
+    with the run's seed it pins every noise substream used (block b at
+    iteration k reads stream (seed, k, b)), so a trace is sufficient to
+    replay draws.
     """
 
-    active: list[np.ndarray] = field(default_factory=list)
+    n_blocks: int = 0
+    active_rows: list = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     dist_sq: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
 
-    def record(self, mask, obj=None, dist=None, iterate=None):
-        self.active.append(mask)
+    @property
+    def active(self) -> ActiveMasks:
+        return ActiveMasks(self.active_rows, self.n_blocks)
+
+    def record(self, rows, obj=None, dist=None, iterate=None):
+        self.active_rows.append(rows)
         if obj is not None:
             self.objective.append(float(obj))
         if dist is not None:
@@ -180,13 +215,14 @@ class RunTrace:
             self.iterates.append(np.array(iterate, copy=True))
 
     def __len__(self):
-        return len(self.active)
+        return len(self.active_rows)
 
     def total_noise_draws(self, block_dim: int, sigma: float) -> int:
         """Total Gaussian draws of the run: sum over k of |active| * p (0 if sigma == 0)."""
         if sigma == 0.0:
             return 0
-        return int(sum(m.sum() for m in self.active)) * block_dim
+        return sum(1 if isinstance(r, (int, np.integer)) else len(r)
+                   for r in self.active_rows) * block_dim
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +263,34 @@ def _active_targets(u, operator, k, rows):
     return target.reshape(u.data.shape).take(rows, axis=0) if full else target
 
 
+_NO_ROWS = np.empty(0, dtype=int)
+
+
+def _checked_rows(active, n, k):
+    """Step k's active indices as the trace keeps them; ``StructuralError`` naming
+    the round unless each is an integer in [0, n)."""
+    if isinstance(active, (int, np.integer)) and not isinstance(active, bool):
+        rows, ends = active, (active,)  # plain comparisons: a walk step stays O(1)
+    elif isinstance(active, range):
+        rows, ends = active, ((active[0], active[-1]) if active else ())
+    else:
+        rows = np.asarray(active)
+        if rows.size == 0:
+            return _NO_ROWS
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise StructuralError(f"active indices must be an int or a 1-D integer array, "
+                                  f"got {rows.dtype} of shape {rows.shape} at round {k}")
+        # A step's few indices compare fastest as Python ints; larger arrays reduce in numpy.
+        ends = rows.tolist() if rows.size <= 16 else (np.minimum.reduce(rows),
+                                                      np.maximum.reduce(rows))
+        if rows.base is not None:
+            rows = rows.copy()  # a view would keep its base alive in the trace
+    for i in ends:
+        if not 0 <= i < n:
+            raise StructuralError(f"active index {i} out of range [0, {n}) at round {k}")
+    return rows
+
+
 def iterate(K: int, n: int, advance: Callable[[int], tuple],
             objective: Callable[[np.ndarray], float] | None = None,
             reference: np.ndarray | None = None,
@@ -234,17 +298,18 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
     """The traced loop of every run; returns the last released iterate and the trace.
 
     ``advance(k)`` performs step k and returns its active block indices (an int,
-    a range, a sequence or an int array) and the released iterate, which must be finite."""
+    a range, a sequence or an int array, distinct and in [0, n)) and the
+    released iterate, which must be finite. The trace keeps an int, a range
+    or an integer array by reference (a view as a copy), so ``advance`` must
+    not modify an index array after returning it."""
     if K < 1:
         raise ParameterError(f"iteration count must be >= 1, got {K}")
-    trace = RunTrace()
+    trace = RunTrace(n_blocks=n)
     for k in range(K):
         active, x = advance(k)
         if not np.isfinite(x).all():
             raise ModelError(f"released iterate is not finite at round {k}")
-        mask = np.zeros(n, dtype=bool)
-        mask[active] = True
-        trace.record(mask, obj=None if objective is None else objective(x),
+        trace.record(_checked_rows(active, n, k), obj=None if objective is None else objective(x),
                      dist=None if reference is None else float(np.sum((x - np.ravel(reference)) ** 2)),
                      iterate=x if record_iterates else None)
     return x, trace

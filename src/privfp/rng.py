@@ -55,8 +55,9 @@ def schedule_rng(seed: int, k: int, tag: int = 0) -> np.random.Generator:
     return substream(seed, SCHEDULE, k, tag)
 
 
-# Each thread's reused generator, built on its first draw; callers consume it
-# inside one call and never store it, so no holder sees its state reset.
+# Each thread's reused generator and the state dict that resets it, built on
+# its first draw; callers consume the generator inside one call and never
+# store it, so no holder sees its state reset.
 _thread = threading.local()
 
 
@@ -65,16 +66,18 @@ def _reset_to(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
 
     Consume it before the next reset on this thread."""
     try:
-        gen = _thread.gen
+        gen, state = _thread.gen, _thread.state
     except AttributeError:
         gen = _thread.gen = np.random.Generator(np.random.Philox(0))
-    # Empty buffer and no cached half word, as in a fresh Philox(key, counter).
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"key": (seed & _MASK64, domain & _MASK64),
-                  "counter": (0, 0, k & _MASK64, b & _MASK64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+        # Empty buffer and no cached half word, as in a fresh Philox(key, counter);
+        # the setter copies the values out, so only the key and counter change per draw.
+        state = _thread.state = {"bit_generator": "Philox", "state": {},
+                                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                                 "has_uint32": 0, "uinteger": 0}
+    words = state["state"]
+    words["key"] = (seed & _MASK64, domain & _MASK64)
+    words["counter"] = (0, 0, k & _MASK64, b & _MASK64)
+    gen.bit_generator.state = state
     return gen
 
 

@@ -301,3 +301,63 @@ class TestReusedScheduleGenerator:
         before = len(built)
         rng.schedule_rng(3, 0)
         assert len(built) == before + 1  # the wrapper sees every construction
+
+
+def _state_words(gen):
+    """The bit generator's state as plain ints, for exact comparison."""
+    state = gen.bit_generator.state
+    return ([int(v) for v in state["state"]["key"]], [int(v) for v in state["state"]["counter"]],
+            [int(v) for v in state["buffer"]], state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+class TestResetStateReuse:
+    """Each thread resets its generator from one reused state dict; no draw may see that."""
+
+    def test_reset_after_partial_draws_equals_fresh_state(self):
+        partial = [lambda g: g.integers(0, 10, dtype=np.uint32),  # caches a half word
+                   lambda g: g.random(3),  # leaves the output buffer part used
+                   lambda g: g.normal(0.0, 1.0, 5)]
+        for j, (seed, domain, k, b) in enumerate([(-3, rng.NOISE, 0, 1), (2**64 - 1, rng.SCHEDULE, 2**40, 2),
+                                                   (7, rng.DATA, 5, 0)]):
+            partial[j](rng._reset_to(seed + 1, domain, k + 1, b))
+            assert _state_words(rng._reset_to(seed, domain, k, b)) == \
+                _state_words(rng.substream(seed, domain, k, b))
+
+    def test_four_threads_interleaving_noise_and_schedule_draws(self):
+        def draws(seed, k):
+            return (rng.gaussian_block(seed, k, k % 5, 1.0, 9), SubsetUniform(30).mask(200, seed, k),
+                    SingleUniform().mask(200, seed, k), BernoulliPerBlock(0.3).mask(50, seed, k))
+
+        def oracle(seed, k):
+            return (fresh_draw(seed, k, k % 5, 1.0, 9),
+                    _one_hot(200, sample_users(200, 30, rng.schedule_rng(seed, k))),
+                    _one_hot(200, walk_next(200, rng.schedule_rng(seed, k))),
+                    rng.schedule_rng(seed, k).random(50) < 0.3)
+
+        seeds, steps = (11, -4, 2**63 + 1, 2**64 - 1), range(150)
+        want = {seed: [oracle(seed, k) for k in steps] for seed in seeds}
+        got = {seed: [None] * len(steps) for seed in seeds}
+        start = threading.Barrier(len(seeds))
+
+        def worker(seed):
+            start.wait(timeout=10)
+            for k in steps:
+                got[seed][k] = draws(seed, k)
+
+        # more threads than the two cores a small host has, switching between a reset and its draw
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in seeds:
+            for have, expect in zip(got[seed], want[seed]):
+                for a, b in zip(have, expect):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

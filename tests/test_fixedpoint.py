@@ -1,17 +1,18 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from privfp import rng
+from privfp import admm, bench, fixedpoint, rng
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import (
     AllBlocks, BernoulliPerBlock, CyclicPermutation, IterationConfig, SingleUniform,
-    SubsetUniform, dpcd_instance, dpsgd_instance, run, step,
+    SubsetUniform, dpcd_instance, dpsgd_instance, iterate, run, step,
 )
-from privfp.operators import NonExpansive, OperatorHandle
+from privfp.operators import L1Prox, NonExpansive, OperatorHandle, QuadraticProx, ZeroProx
 
 
 def identity_op():
@@ -453,3 +454,120 @@ class TestBlockEvaluation:
         cfg = IterationConfig(K=1, schedule=AllBlocks())
         with pytest.raises(StructuralError, match="operator returned shape"):
             step(BlockVector.zeros(3, 2), bad, cfg, 0)
+
+
+def spy_on_iterate(monkeypatch, module):
+    """Route ``module.iterate`` through a wrapper that also builds, for each run, the
+    (n,) bool mask of every step's active indices at the moment the step returns them."""
+    runs, real = [], fixedpoint.iterate
+
+    def spy(K, n, advance, *args, **kwargs):
+        masks = []
+
+        def recorded(k):
+            active, x = advance(k)
+            mask = np.zeros(n, dtype=bool)
+            mask[active] = True
+            masks.append(mask)
+            return active, x
+
+        x, trace = real(K, n, recorded, *args, **kwargs)
+        runs.append((trace, masks))
+        return x, trace
+
+    monkeypatch.setattr(module, "iterate", spy)
+    return runs
+
+
+def consensus(n, p):
+    targets = np.random.default_rng(n).normal(size=(n, p))
+    return admm.ConsensusProblem(
+        prox_f=tuple(QuadraticProx(Q=np.eye(p), c=-t, gamma=1.0) for t in targets),
+        prox_r=L1Prox(0.05), clip_threshold=0.8)
+
+
+LASSO = bench.gen_lasso(n=30, p=4, support_size=2, noise_std=0.05, seed=8)
+
+# Each run that goes through ``iterate``: the module whose ``iterate`` it calls, and the call.
+TRACED_RUNS = {
+    "centralized": (admm, lambda: admm.centralized_run(consensus(6, 3), BlockVector.zeros(6, 3),
+                                                       0.5, 0.4, 12, 3)),
+    "federated": (admm, lambda: admm.federated_run(consensus(9, 3), 3, 4, 0.5, 0.4, 12, 3)),
+    "decentralized": (admm, lambda: admm.decentralized_run(consensus(9, 3), 3, 0.5, 0.4, 40, 3)),
+    "engine": (fixedpoint, lambda: run(BlockVector(np.ones((5, 3))), affine_op(0.5, 0.2),
+                                       IterationConfig(K=30, sigma=0.3,
+                                                       schedule=BernoulliPerBlock(0.3), seed=6))),
+    "general_admm": (admm, lambda: admm.general_admm_run(
+        admm.consensus_as_general(admm.ConsensusProblem(prox_f=(ZeroProx(),) * 4,
+                                                        prox_r=ZeroProx()), 2),
+        np.zeros(8), 0.5, 0.4, K=5, seed=2, noise_blocks=4)),
+    "dpsgd_baseline": (bench, lambda: bench.dpsgd_baseline(LASSO, 0.01, 0.1, 1.0, 0.4, 20, 5)),
+    "dpsgd_federated": (bench, lambda: bench.dpsgd_federated(LASSO, 0.01, 0.1, 1.0, 0.4, 20, 7, 5)),
+}
+
+
+class TestTraceKeepsIndices:
+    """The trace keeps each step's active indices; its masks are built when read."""
+
+    @pytest.mark.parametrize("name", TRACED_RUNS)
+    def test_masks_length_and_draw_count_equal_masks_built_per_step(self, monkeypatch, name):
+        module, call = TRACED_RUNS[name]
+        runs = spy_on_iterate(monkeypatch, module)
+        call()
+        [(trace, masks)] = runs
+        got = list(trace.active)
+        assert len(trace) == len(trace.active) == len(got) == len(masks)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, masks))
+        assert trace.active[-1].tobytes() == masks[-1].tobytes()
+        assert [m.tobytes() for m in trace.active[1:3]] == [m.tobytes() for m in masks[1:3]]
+        assert trace.total_noise_draws(3, 0.4) == sum(int(m.sum()) for m in masks) * 3
+        assert trace.total_noise_draws(3, 0.0) == 0
+
+    def test_centralized_rounds_share_one_index_array(self, monkeypatch):
+        runs = spy_on_iterate(monkeypatch, admm)
+        TRACED_RUNS["centralized"][1]()
+        rows = runs[0][0].active_rows
+        assert all(r is rows[0] for r in rows)
+
+    def test_index_views_are_kept_as_copies_without_their_base(self):
+        base = np.arange(1000)
+        _, trace = iterate(3, 1000, lambda k: (base[k:k + 2], np.zeros(2)))
+        assert all(r.base is None and r.tolist() == [k, k + 1]
+                   for k, r in enumerate(trace.active_rows))
+        assert trace.total_noise_draws(1, 1.0) == 6
+
+    def test_walk_trace_bytes_grow_with_steps_not_with_users(self):
+        n, K = 1000, 3000
+        problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
+        admm.decentralized_run(problem, 2, 0.5, 0.3, 2, seed=4)  # lazy imports outside the count
+        tracemalloc.start()
+        try:
+            _, trace, log = admm.decentralized_run(problem, 2, 0.5, 0.3, K, seed=4)
+            del log
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(type(r) is int for r in trace.active_rows)
+        # about 40 B a step plus the interpreter's tuple free list; (n,) masks would be n * K
+        assert held < 200 * K
+
+    def test_trace_csv_has_one_row_per_step(self, tmp_path):
+        u0 = BlockVector(np.ones((3, 2)))
+        cfg = IterationConfig(K=3, sigma=0.0, schedule=SingleUniform(), seed=1)
+        _, trace = run(u0, identity_op(), cfg, reference=np.zeros(6))
+        bench.emit_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == b"iter,objective,dist_sq\n" + b"".join(
+            b"%d,,6\n" % k for k in range(3))
+
+    @pytest.mark.parametrize("active", [-1, 4, 1.5, np.int64(-2), np.array([0, 4]),
+                                        [2, -1], np.array([0.0, 1.0]), np.array([[0, 1]]),
+                                        np.ones(4, dtype=bool), True, range(2, 5)],
+                                 ids=["minus_one", "n", "float", "numpy_negative", "array_n",
+                                      "list_negative", "float_array", "two_dim", "bool_mask",
+                                      "bool", "range_past_n"])
+    def test_bad_active_indices_raise_naming_the_round(self, active):
+        def advance(k):
+            return (active if k == 2 else k), np.zeros(2)
+
+        with pytest.raises(StructuralError, match="at round 2"):
+            iterate(3, 4, advance)
