@@ -1,13 +1,14 @@
 """Differentially private optimization as noisy fixed-point iterations.
 
-Subpackages: ``operators`` (proximal maps, reflections, gradient steps),
-``fixedpoint`` (the noisy block-coordinate engine and its SGD/CD
-instantiations), ``admm`` (private consensus splitting in centralized,
-federated, and decentralized form), ``privacy`` (Rényi-DP accountant and
-noise calibration), ``utility`` (error bounds and trade-off evaluators),
-``simnet`` (sampling, random walks, observation logs), and ``bench``
-(the synthetic Lasso benchmark and CSV export). The ``privfp`` CLI wraps
-solve/bench/account/calibrate.
+Modules: ``operators`` (proximal maps, reflections, gradient steps),
+``fixedpoint`` (the noisy block-coordinate engine, its three block
+schedules and its SGD/CD instantiations), ``admm`` (private consensus
+splitting in centralized, federated, and decentralized form), ``privacy``
+(Rényi-DP accountant and noise calibration), ``utility`` (mean-square
+error bounds and step sizes), ``rng`` (counter-based random substreams),
+``blocks`` (block vectors), ``simnet`` (sampling, random walks,
+observation logs), and ``bench`` (the synthetic Lasso benchmark and CSV
+export). The ``privfp`` CLI wraps solve/bench/account/calibrate.
 """
 
 from . import admm, bench, blocks, errors, fixedpoint, operators, privacy, rng, simnet, utility

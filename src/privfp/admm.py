@@ -38,7 +38,7 @@ import numpy as np
 from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import RunTrace, iterate
+from .fixedpoint import RunTrace, _checked_rows, iterate
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k, work=None):
     problem.local_solves(V, rows, out=D)
     D -= z_ref
     if problem.clip_threshold is not None:
-        clip_rows(D, problem.clip_threshold, out=D)
+        clip_rows(D, problem.clip_threshold)
     if sigma > 0:
         eta = rng.gaussian_rows(seed, k, rows, sigma, U.shape[1])
         eta *= 0.5
@@ -171,9 +171,8 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
 
 
 def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log, work=None):
-    """Walk step k in place: holder i updates and forwards; returns (ubar, z, next holder)."""
-    if not 0 <= i < problem.n:
-        raise StructuralError(f"user index {i} out of range [0, {problem.n})")
+    """Walk step k in place: holder i (in range) updates and forwards; returns
+    (ubar, z, next holder)."""
     ubar, z = _advance(problem, U, ubar, z, np.array([i]), lam, sigma, seed, k, work)
     next_user = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
     if log is not None:
@@ -224,13 +223,13 @@ def federated_round(problem: ConsensusProblem, state: AdmmState,
     (1/n) * sum of deltas — divided by the population size n, not the
     cohort size — to the dual mean ubar and sets z = prox_r(ubar).
     Unsampled users' blocks are bit-unchanged. ``state`` is left
-    unchanged: the round updates a copy.
+    unchanged: the round updates a copy. Each sampled user must be an
+    integer in [0, n), as ``fixedpoint.iterate`` requires of a step's
+    active indices; repeats count once.
     """
-    rows = np.asarray(sorted(int(i) for i in set(sampled)), dtype=int)
+    rows = np.unique(_checked_rows(list(sampled), problem.n, state.k))
     if rows.size == 0:
         raise ParameterError("sampled user set must not be empty")
-    if rows[0] < 0 or rows[-1] >= problem.n:
-        raise StructuralError(f"sampled users {rows} out of range [0, {problem.n})")
     U = state.u.data.copy()
     ubar, z = _advance(problem, U, state.ubar, state.z, rows, lam, sigma, seed, state.k)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar)
@@ -270,8 +269,10 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     z = prox_r(ubar); the next holder is uniform over all users. When
     a log is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as
     the receiving user's observation. ``state`` is left unchanged: the step
-    updates a copy.
+    updates a copy. The holder i must be an integer in [0, n), as
+    ``fixedpoint.iterate`` requires of a step's active indices.
     """
+    _checked_rows([i], problem.n, state.k)
     U = state.u.data.copy()
     ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, i, lam, sigma, seed,
                                     state.k, log)
@@ -371,18 +372,6 @@ def general_admm_run(problem: GeneralAdmmProblem, u0: np.ndarray, lam: float,
         return range(noise_blocks), state.z
 
     return iterate(K, noise_blocks, advance)[0], state
-
-
-def recover_x_from_z(problem: GeneralAdmmProblem, z: np.ndarray) -> np.ndarray:
-    """The unique x with A x + B z = c (A must be square and invertible)."""
-    A = np.asarray(problem.A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ModelError(f"A must be square to invert, got shape {A.shape}")
-    rhs = np.asarray(problem.c, dtype=float) - np.asarray(problem.B, dtype=float) @ np.asarray(z, dtype=float)
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"A is singular: {exc}") from exc
 
 
 def consensus_as_general(problem: ConsensusProblem, p: int) -> GeneralAdmmProblem:

@@ -203,7 +203,7 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
         rows = simnet.sample_users(dataset.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
         G = dataset.A[rows]
         G *= (G @ x - dataset.b[rows])[:, None]  # the cohort's per-item gradients
-        clip_rows(G, clip_threshold, out=G)
+        clip_rows(G, clip_threshold)
         if sigma > 0:
             G += rng.gaussian_rows(seed, k, rows, sigma, dataset.p)
         x = prox_l1(x - step * G.mean(axis=0), step * kappa)
@@ -270,6 +270,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must not be empty")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")
+        if not 0.0 < self.gamma_scale < math.inf:
+            raise ParameterError(f"gamma_scale must be a finite number > 0, got {self.gamma_scale}")
         for name in ("kappa", "kappa_fraction"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < math.inf:

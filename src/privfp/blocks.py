@@ -26,13 +26,6 @@ class BlockVector:
             raise StructuralError("need n_blocks >= 1 and block_dim >= 1")
         return cls(np.zeros((n_blocks, block_dim)))
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n_blocks: int) -> "BlockVector":
-        flat = np.asarray(flat, dtype=float).ravel()
-        if flat.size % n_blocks != 0:
-            raise StructuralError(f"flat length {flat.size} not divisible into {n_blocks} blocks")
-        return cls(flat.reshape(n_blocks, -1))
-
     @property
     def n_blocks(self) -> int:
         return self.data.shape[0]
@@ -47,10 +40,6 @@ class BlockVector:
 
     def block(self, b: int) -> np.ndarray:
         return self.data[b]
-
-    def norm(self) -> float:
-        """Euclidean norm of the flattened vector."""
-        return float(np.linalg.norm(self.data))
 
     def copy(self) -> "BlockVector":
         return BlockVector(self.data.copy())

@@ -2,21 +2,22 @@
 
 The engine iterates
 
-    u[k+1, b] = u[k, b] + rho[k, b] * lam_k * (R_b(u_k) + e[k, b] + eta[k+1, b] - u[k, b])
+    u[k+1, b] = u[k, b] + rho[k, b] * lam_k * (R_b(u_k) + eta[k+1, b] - u[k, b])
 
-where rho is a random block-activation mask, e an optional error term, and
-eta fresh Gaussian noise drawn from a per-(iteration, block) substream so
-that schedules and evaluation order cannot perturb noise assignment.
-Only the active rows of R(u_k) are used: when the operator handle has an
-``apply_blocks`` map the engine evaluates those rows alone, otherwise it
-applies the full ``apply`` and keeps them. ``iterate`` is the one traced loop: ``run``, the four ``admm`` runs and
-both ``bench`` DP-SGD baselines call it with a step that returns the
-indices of its active blocks and the released iterate. The returned
-``RunTrace`` keeps those indices as returned (an int per walk step, one
-shared array per centralized run), so a trace costs O(K) bookkeeping plus
-the indices themselves, and builds an (n,) activation mask only when one
-is read. Stochastic gradient and coordinate-descent instantiations are
-provided.
+where rho is a random block-activation mask and eta fresh Gaussian noise
+drawn from a per-(iteration, block) substream so that schedules and
+evaluation order cannot perturb noise assignment. The schedules are
+``AllBlocks``, ``BernoulliPerBlock`` and ``SingleUniform``. Only the active
+rows of R(u_k) are used: when the operator handle has an ``apply_blocks``
+map the engine evaluates those rows alone, otherwise it applies the full
+``apply`` and keeps them. ``iterate`` is the one traced loop: ``run``, the
+four ``admm`` runs and both ``bench`` DP-SGD baselines call it with a step
+that returns the indices of its active blocks and the released iterate.
+The returned ``RunTrace`` keeps those indices as returned (an int per walk
+step, one shared array per centralized run), so a trace costs O(K)
+bookkeeping plus the indices themselves, and builds an (n,) activation
+mask only when one is read. Stochastic gradient and coordinate-descent
+instantiations are provided.
 """
 
 from __future__ import annotations
@@ -86,40 +87,6 @@ class SingleUniform(BlockSchedule):
         return 1.0 / n_blocks
 
 
-@dataclass(frozen=True)
-class SubsetUniform(BlockSchedule):
-    """A uniform random subset of m blocks, without replacement."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"subset size must be >= 1, got {self.m}")
-
-    def mask(self, n_blocks, seed, k):
-        m = np.zeros(n_blocks, dtype=bool)
-        m[simnet.sample_users(n_blocks, self.m, rng._reset_to(seed, rng.SCHEDULE, k, 0))] = True
-        return m
-
-    def activation_probability(self, n_blocks):
-        return self.m / n_blocks
-
-
-@dataclass(frozen=True)
-class CyclicPermutation(BlockSchedule):
-    """One block per step, visiting all blocks once per cycle in a fresh random order."""
-
-    def mask(self, n_blocks, seed, k):
-        cycle, pos = divmod(k, n_blocks)
-        perm = rng._reset_to(seed, rng.SCHEDULE, cycle, 1).permutation(n_blocks)
-        m = np.zeros(n_blocks, dtype=bool)
-        m[perm[pos]] = True
-        return m
-
-    def activation_probability(self, n_blocks):
-        return 1.0 / n_blocks
-
-
 # ---------------------------------------------------------------------------
 # Configuration and trace
 
@@ -130,16 +97,14 @@ class IterationConfig:
 
     ``lam`` is either a constant step size in (0, 1] or a per-iteration
     sequence; ``sigma`` the privacy noise standard deviation; ``K`` the
-    iteration count; ``error_injector`` an optional map ``(u, k) -> e_k``
-    (same shape as u, defaults to zero); ``seed`` drives every random
-    draw through counter-based substreams.
+    iteration count; ``seed`` drives every random draw through
+    counter-based substreams.
     """
 
     K: int
     sigma: float = 0.0
     lam: float | Sequence[float] = 1.0
     schedule: BlockSchedule = AllBlocks()
-    error_injector: Callable[[np.ndarray, int], np.ndarray] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -217,13 +182,6 @@ class RunTrace:
     def __len__(self):
         return len(self.active_rows)
 
-    def total_noise_draws(self, block_dim: int, sigma: float) -> int:
-        """Total Gaussian draws of the run: sum over k of |active| * p (0 if sigma == 0)."""
-        if sigma == 0.0:
-            return 0
-        return sum(1 if isinstance(r, (int, np.integer)) else len(r)
-                   for r in self.active_rows) * block_dim
-
 
 # ---------------------------------------------------------------------------
 # Engine
@@ -240,9 +198,6 @@ def _update(u, operator, cfg, k):
     """The data after step k and its active rows, all computed from u; u is not modified."""
     rows = np.flatnonzero(cfg.schedule.mask(u.n_blocks, cfg.seed, k))
     target = _active_targets(u, operator, k, rows)
-    if cfg.error_injector is not None:
-        error = np.asarray(cfg.error_injector(u.flat, k), dtype=float).reshape(u.data.shape)
-        target = target + error.take(rows, axis=0)
     old, new = u.data.take(rows, axis=0), u.data.copy()
     eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, u.block_dim)
     new[rows] = old + cfg.step_size(k) * (target + eta - old)

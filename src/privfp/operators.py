@@ -117,26 +117,20 @@ def clip(v: np.ndarray, threshold: float) -> np.ndarray:
     return v * (threshold / norm)
 
 
-def clip_rows(X: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``clip`` applied to each row of X; rows inside the ball come back unchanged.
+def clip_rows(X: np.ndarray, threshold: float) -> np.ndarray:
+    """``clip`` applied to each row of the float array X, in place; returns X.
 
-    With ``out`` (which may be X itself, to clip in place) the result is
-    written there and returned; otherwise a new array is returned only if a
-    row is clipped, and X itself if none is.
+    Rows inside the ball keep their bits.
     """
     if not threshold > 0:
         raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
-    X = np.asarray(X, dtype=float)
     # what np.linalg.norm(X, axis=1) evaluates, without its argument handling
     norms = np.sqrt(np.add.reduce(X * X, axis=1))
     if (norms > threshold).any():
         # inside the ball the factor is threshold / threshold = 1.0 exactly, and
         # fmax gives a row with a NaN norm that factor too, so those rows keep their bits
-        return np.multiply(X, (threshold / np.fmax(norms, threshold))[:, None], out=out)
-    if out is None or out is X:
-        return X
-    np.copyto(out, X)
-    return out
+        X *= (threshold / np.fmax(norms, threshold))[:, None]
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +311,3 @@ def gradient_step_operator(grad: Callable[[np.ndarray], np.ndarray], beta: float
     else:
         kind = NonExpansive()
     return OperatorHandle(apply=apply, kind=kind)
-
-
-# ---------------------------------------------------------------------------
-# Probe audit (test utility, not a runtime guard)
-
-
-def empirical_lipschitz(apply: Callable[..., np.ndarray], dim: int, seed: int = 0) -> float:
-    """Largest ||T(u)-T(v)|| / ||u-v|| over 256 seeded random pairs from the unit ball."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(256):
-        u = rng.normal(size=dim)
-        u *= rng.uniform() ** (1.0 / dim) / np.linalg.norm(u)
-        v = rng.normal(size=dim)
-        v *= rng.uniform() ** (1.0 / dim) / np.linalg.norm(v)
-        gap = np.linalg.norm(u - v)
-        if gap < 1e-12:
-            continue
-        worst = max(worst, np.linalg.norm(np.asarray(apply(u)) - np.asarray(apply(v))) / gap)
-    return worst

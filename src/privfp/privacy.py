@@ -4,9 +4,8 @@ Closed-form per-order Rényi bounds for the centralized, federated (local
 and central view), and random-walk decentralized settings, plus the
 generic building blocks: the Gaussian mechanism, additive composition,
 conversion to (epsilon, delta)-DP, sensitivity bounds for the splitting
-update, amplification by subsampling (with its literal validity regime)
-and amplification by iteration, and noise calibration. Every function is
-pure; out-of-regime inputs raise ConditionNotMet naming the failing
+update, amplification by subsampling (with its literal validity regime),
+and noise calibration. Every function is pure; out-of-regime inputs raise ConditionNotMet naming the failing
 clause, never silently fall back.
 """
 
@@ -185,19 +184,6 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
         return 0.0
     _check_subsampling_regime(alpha, m / n, sigma)
     return 16.0 * alpha * K * L ** 2 * gamma ** 2 / (sigma ** 2 * n ** 2)
-
-
-def amplification_by_iteration(s_total: float, m_steps: int, sigma: float,
-                               alpha: float) -> float:
-    """Rényi loss of a displacement s split over m non-expansive noisy steps.
-
-    With the displacement budget spread evenly (a_k = s/m), the Gaussian
-    shift sum gives alpha * s^2 / (2 m sigma^2); m = 1 is the plain
-    Gaussian mechanism with sensitivity s.
-    """
-    if m_steps < 1:
-        raise ParameterError(f"step count must be >= 1, got {m_steps}")
-    return gaussian_rdp(s_total, sigma, alpha) / m_steps
 
 
 def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,

@@ -7,11 +7,11 @@ overlap, so noise assignment is independent of block schedules, sampling
 order, and any parallel evaluation: replaying ``(seed, k, b)`` always
 reproduces the same draw.
 
-``substream``, ``noise_rng`` and ``schedule_rng`` return a fresh generator
-that the caller owns. Per-round draws (``gaussian_block`` noise, and every
-schedule's cohorts, walk holders, masks and item orders) instead reuse one
-Philox generator per thread, which ``_reset_to`` sets to the draw's address;
-values are those of a fresh ``noise_rng`` or ``schedule_rng``.
+``substream`` returns a fresh generator that the caller owns. Per-round
+draws (``gaussian_block`` noise, and every schedule's cohorts, walk
+holders, masks and item orders) instead reuse one Philox generator per
+thread, which ``_reset_to`` sets to the draw's address; values are those
+of a fresh ``substream`` at that address.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ def substream(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, domain & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, k & _MASK64, b & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def noise_rng(seed: int, k: int, b: int) -> np.random.Generator:
-    return substream(seed, NOISE, k, b)
-
-
-def schedule_rng(seed: int, k: int, tag: int = 0) -> np.random.Generator:
-    return substream(seed, SCHEDULE, k, tag)
 
 
 # Each thread's reused generator and the state dict that resets it, built on

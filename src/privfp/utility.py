@@ -1,12 +1,10 @@
 """Mean-square error bounds for the noisy block-coordinate iteration.
 
 Evaluates the linear-convergence-plus-noise-floor bound for contractive
-operators, the admissible step-size interval with its recommended value,
-the per-iteration contraction factor of the averaged update, and the
-order-of-magnitude privacy-utility trade-off expressions for the three
-deployment settings. All quantities are derived from the contraction
-factor tau, the block activation probability q, and the combined noise
-scale (sigma * sqrt(p) + zeta) / sqrt(q).
+operators and the admissible step-size interval with its recommended
+value. All quantities are derived from the contraction factor tau, the
+block activation probability q, and the combined noise scale
+(sigma * sqrt(p) + zeta) / sqrt(q).
 """
 
 from __future__ import annotations
@@ -139,74 +137,3 @@ def recommended_step_size(tau: float, q: float, sigma: float, zeta: float, p: in
     b = math.sqrt(1.0 - q * (1.0 - tau))
     raw = (1.0 / (1.0 - b)) * (1.0 - q / (2.0 * (1.0 + c)))
     return StepSize(raw=raw, clamped=min(raw, 1.0), was_clamped=raw > 1.0)
-
-
-def contraction_factor(tau: float, q: float, c: float, lam: float | None = None) -> float:
-    """Per-iteration mean-square contraction factor of the noisy averaged update.
-
-    With ``lam`` omitted, evaluates the closed form at the recommended step
-    size, chi = 1 - (1+b)(1+c-q/2)/(2(1+c)), and checks the brackets
-    q(1-tau)/4 < chi <= 1 - q^2(1-tau)/8. For an explicit ``lam`` the
-    quadratic form 1 + lam*(sigma_1 - (1-b^2)) - lam^2*sigma_1*(1-b) is
-    returned with sigma_1 = (1+c)(1-tau).
-    """
-    if not 0.0 <= tau < 1.0:
-        raise ParameterError(f"contraction factor must be in [0, 1), got {tau}")
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"activation probability must be in (0, 1], got {q}")
-    if c <= 0:
-        raise ParameterError(f"excess noise ratio must be > 0, got {c}")
-    b = math.sqrt(1.0 - q * (1.0 - tau))
-    if lam is not None:
-        s1 = (1.0 + c) * (1.0 - tau)
-        return 1.0 + lam * (s1 - (1.0 - b ** 2)) - lam ** 2 * s1 * (1.0 - b)
-    chi = 1.0 - (1.0 + b) * (1.0 + c - q / 2.0) / (2.0 * (1.0 + c))
-    lo, hi = q * (1.0 - tau) / 4.0, 1.0 - q ** 2 * (1.0 - tau) / 8.0
-    if not lo < chi <= hi:
-        raise AssertionError(f"contraction factor {chi} escaped its bracket ({lo}, {hi}]")
-    return chi
-
-
-# ---------------------------------------------------------------------------
-# Privacy-utility trade-off expressions
-
-TRADEOFF_SETTINGS = ("centralized", "federated", "decentralized")
-
-
-def tradeoff(setting: str, alpha: float, epsilon: float, L: float, gamma: float,
-             p: int, n: int, tau: float, r_frac: float | None = None,
-             check_regime: bool = True) -> float:
-    """Order-of-magnitude squared-error level at a given Rényi privacy budget.
-
-    Constants are set to 1 and logarithmic factors dropped; the value is
-    for qualitative comparison across settings, never for tight checks
-    against empirical errors.
-
-    centralized:    sqrt(p a) L g / (sqrt(e) n (1-tau))   + p a L^2 g^2 / (e n^2 (1-tau)^3)
-    federated:      sqrt(p a) L g / (sqrt(e r) n (1-tau)) + p a L^2 g^2 / (e r^2 n^2 (1-tau)^3)
-    decentralized:  sqrt(p a) L g / (sqrt(e n) (1-tau))   + p a L^2 g^2 / (e n (1-tau)^3)
-
-    Federated requires the sampled fraction r_frac in (0, 1/5) unless
-    ``check_regime`` is disabled (used for algebraic identity checks).
-    """
-    if alpha <= 1 or epsilon <= 0 or L <= 0 or gamma <= 0 or p < 1 or n < 1:
-        raise ParameterError("need alpha > 1, epsilon > 0, L > 0, gamma > 0, p >= 1, n >= 1")
-    if not 0.0 <= tau < 1.0:
-        raise ParameterError(f"contraction factor must be in [0, 1), got {tau}")
-    one_minus_tau = 1.0 - tau
-    first = math.sqrt(p * alpha) * L * gamma
-    second = p * alpha * L ** 2 * gamma ** 2
-    if setting == "centralized":
-        return first / (math.sqrt(epsilon) * n * one_minus_tau) \
-            + second / (epsilon * n ** 2 * one_minus_tau ** 3)
-    if setting == "federated":
-        if r_frac is None:
-            raise ParameterError("federated trade-off needs the sampled fraction r_frac")
-        if check_regime and not 0.0 < r_frac < 0.2:
-            raise ParameterError(f"sampled fraction must lie in (0, 1/5), got {r_frac}")
-        return first / (math.sqrt(epsilon * r_frac) * n * one_minus_tau) \
-            + second / (epsilon * r_frac ** 2 * n ** 2 * one_minus_tau ** 3)
-    if setting == "decentralized":
-        return first / (math.sqrt(epsilon * n) * one_minus_tau) \
-            + second / (epsilon * n * one_minus_tau ** 3)
-    raise ParameterError(f"unknown setting {setting!r}; expected one of {TRADEOFF_SETTINGS}")

@@ -9,6 +9,32 @@ from privfp.errors import ParameterError, StructuralError
 from privfp.operators import CustomProx, RowQuadraticProx, ZeroProx, clip, prox_l1
 
 
+def noise_rng(seed: int, k: int, b: int) -> np.random.Generator:
+    """A freshly built generator for the (k, b) noise substream of seed."""
+    return rng.substream(seed, rng.NOISE, k, b)
+
+
+def schedule_rng(seed: int, k: int, tag: int = 0) -> np.random.Generator:
+    """A freshly built generator for the (k, tag) schedule substream of seed."""
+    return rng.substream(seed, rng.SCHEDULE, k, tag)
+
+
+def empirical_lipschitz(apply, dim: int, seed: int = 0) -> float:
+    """Largest ||T(u)-T(v)|| / ||u-v|| over 256 seeded random pairs from the unit ball."""
+    gen = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(256):
+        u = gen.normal(size=dim)
+        u *= gen.uniform() ** (1.0 / dim) / np.linalg.norm(u)
+        v = gen.normal(size=dim)
+        v *= gen.uniform() ** (1.0 / dim) / np.linalg.norm(v)
+        gap = np.linalg.norm(u - v)
+        if gap < 1e-12:
+            continue
+        worst = max(worst, np.linalg.norm(np.asarray(apply(u)) - np.asarray(apply(v))) / gap)
+    return worst
+
+
 def z_update(state: AdmmState, problem: ConsensusProblem) -> np.ndarray:
     """prox_r of the mean of the dual blocks."""
     return np.asarray(problem.prox_r(state.u.mean_block()), dtype=float)

@@ -7,14 +7,14 @@ from scipy import stats
 
 from helpers import (
     consensus_displacement_audit, one_round_u, reference_deviations, reference_local_solves,
-    reference_round_deltas, u_update, x_update, z_update,
+    reference_round_deltas, schedule_rng, u_update, x_update, z_update,
 )
-from privfp import rng, simnet
+from privfp import simnet
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
     federated_round, federated_run, general_admm_run, general_admm_step,
-    initial_state, recover_x_from_z,
+    initial_state,
 )
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
@@ -338,6 +338,46 @@ class TestDecentralized:
                 assert k1 == k2 and np.array_equal(z1, z2)
 
 
+class TestStepIndexRule:
+    """The public steps check user indices by the rule ``fixedpoint.iterate`` applies."""
+
+    STEPS = {
+        "federated_round": lambda problem, state, users: federated_round(
+            problem, state, users, 0.5, 0.3, seed=2),
+        "decentralized_step": lambda problem, state, users: decentralized_step(
+            problem, state, users, 0.5, 0.3, seed=2)[0],
+    }
+
+    @pytest.mark.parametrize("step, users", [
+        pytest.param("federated_round", [1.5, 2], id="federated_round-float"),
+        pytest.param("federated_round", [0.9], id="federated_round-fraction"),
+        pytest.param("federated_round", ["1"], id="federated_round-string"),
+        pytest.param("federated_round", [True], id="federated_round-bool"),
+        pytest.param("federated_round", [0, 4], id="federated_round-n"),
+        pytest.param("federated_round", [-1], id="federated_round-negative"),
+        pytest.param("decentralized_step", 1.5, id="decentralized_step-float"),
+        pytest.param("decentralized_step", True, id="decentralized_step-bool"),
+        pytest.param("decentralized_step", "1", id="decentralized_step-string"),
+        pytest.param("decentralized_step", [1], id="decentralized_step-list"),
+        pytest.param("decentralized_step", 4, id="decentralized_step-n"),
+        pytest.param("decentralized_step", -1, id="decentralized_step-negative")])
+    def test_bad_index_raises_naming_the_round(self, step, users):
+        problem, _ = simple_problem(4, 2)
+        state = dataclasses.replace(initial_state(problem, 2), k=3)
+        with pytest.raises(StructuralError, match="at round 3"):
+            self.STEPS[step](problem, state, users)
+
+    @pytest.mark.parametrize("step, users, same", [
+        ("federated_round", np.array([3, 1, 3], dtype=np.int32), [1, 3]),
+        ("decentralized_step", np.int64(2), 2)], ids=["federated_round", "decentralized_step"])
+    def test_numpy_integers_and_repeats_act_as_plain_ints(self, step, users, same):
+        problem, _ = simple_problem(4, 2)
+        state = initial_state(problem, 2, BlockVector(np.random.default_rng(5).normal(size=(4, 2))))
+        got, want = self.STEPS[step](problem, state, users), self.STEPS[step](problem, state, same)
+        assert got.u.data.tobytes() == want.u.data.tobytes()
+        assert got.z.tobytes() == want.z.tobytes()
+
+
 class TestDualMean:
     """The federated and walk runs set z = prox_r(mean of u), as the centralized run does."""
 
@@ -381,7 +421,7 @@ class TestRunsEqualLoopsOfTheirSteps:
         assert np.array_equal(u0.data, u0_before)
         state = initial_state(problem, 3, u0)
         for k in range(K):
-            rows = simnet.sample_users(10, m, rng.schedule_rng(seed, k))
+            rows = simnet.sample_users(10, m, schedule_rng(seed, k))
             state = federated_round(problem, state, rows, lam, sigma, seed)
             assert np.array_equal(trace.active[k], np.isin(np.arange(10), rows))
             assert np.array_equal(zs[k], state.z)
@@ -399,7 +439,7 @@ class TestRunsEqualLoopsOfTheirSteps:
         assert np.array_equal(u0.data, u0_before)
         state = initial_state(problem, 3, u0)
         log = simnet.ObservationLog(n=7)
-        holder = simnet.walk_next(7, rng.schedule_rng(seed, 0, tag=1))
+        holder = simnet.walk_next(7, schedule_rng(seed, 0, tag=1))
         for k in range(K):
             assert np.array_equal(trace.active[k], np.arange(7) == holder)
             state, holder = decentralized_step(problem, state, holder, lam, sigma, seed, log)
@@ -445,7 +485,7 @@ def _replay(problem, setting, u0, lam, sigma, K, seed, m=None):
     U = u0.copy()
     ubar = U.mean(axis=0)
     z = np.asarray(problem.prox_r(ubar), dtype=float)
-    holder = simnet.walk_next(n, rng.schedule_rng(seed, 0, tag=1))
+    holder = simnet.walk_next(n, schedule_rng(seed, 0, tag=1))
     zs = []
     for k in range(K):
         if setting == "centralized":
@@ -454,10 +494,10 @@ def _replay(problem, setting, u0, lam, sigma, K, seed, m=None):
             zs.append(z)
             continue
         if setting == "federated":
-            rows = simnet.sample_users(n, m, rng.schedule_rng(seed, k))
+            rows = simnet.sample_users(n, m, schedule_rng(seed, k))
         else:
             rows = np.array([holder])
-            holder = simnet.walk_next(n, rng.schedule_rng(seed, k))
+            holder = simnet.walk_next(n, schedule_rng(seed, k))
         deltas = reference_round_deltas(problem, U, rows, z, lam, sigma, seed, k)
         U[rows] += deltas
         ubar = ubar + deltas.sum(axis=0) / n
@@ -663,40 +703,6 @@ class TestGeneralSplitting:
             GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
                                A=np.zeros((1, 1)), B=np.eye(1), c=np.zeros(1),
                                omega_A=0.0)
-
-
-class TestRecoverX:
-    def test_consensus_stacks_z(self):
-        problem, _ = simple_problem(3, 2)
-        general = consensus_as_general(problem, 2)
-        z = np.array([0.5, -1.0])
-        x = recover_x_from_z(general, z)
-        np.testing.assert_allclose(x.reshape(3, 2), np.tile(z, (3, 1)), atol=1e-12)
-
-    def test_scaled_identity(self):
-        problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
-                                     A=2 * np.eye(1), B=-np.eye(1), c=np.zeros(1),
-                                     omega_A=2.0)
-        np.testing.assert_allclose(recover_x_from_z(problem, np.array([4.0])), [2.0])
-
-    def test_random_invertible_residual(self):
-        gen = np.random.default_rng(2)
-        A = gen.normal(size=(4, 4)) + 4 * np.eye(4)
-        B = gen.normal(size=(4, 3))
-        c = gen.normal(size=4)
-        svals = np.linalg.svd(A, compute_uv=False)
-        problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
-                                     A=A, B=B, c=c, omega_A=float(svals.min()))
-        z = gen.normal(size=3)
-        x = recover_x_from_z(problem, z)
-        assert np.linalg.norm(A @ x + B @ z - c) < 1e-10
-
-    def test_non_square_rejected(self):
-        problem = GeneralAdmmProblem(f_argmin=lambda z, u: u, g_argmin=lambda u: u,
-                                     A=np.ones((2, 1)), B=np.ones((2, 1)),
-                                     c=np.zeros(2), omega_A=1.0)
-        with pytest.raises(ModelError):
-            recover_x_from_z(problem, np.zeros(1))
 
 
 class TestSensitivityAudit:

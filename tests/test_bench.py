@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import schedule_rng
 from privfp import bench, privacy, rng, simnet
 from privfp.bench import (
     ExperimentConfig, default_kappa, dpsgd_baseline, dpsgd_federated, emit_csv,
@@ -102,7 +103,7 @@ class TestDpsgdBaseline:
         got = dpsgd_baseline(data, kappa, step, clip_threshold=1e9, sigma=sigma, K=K, seed=seed)
         x = np.zeros(5)
         for k in range(K):
-            i = simnet.walk_next(data.n, rng.schedule_rng(seed, k))
+            i = simnet.walk_next(data.n, schedule_rng(seed, k))
             g = (data.A[i] @ x - data.b[i]) * data.A[i]
             x = prox_l1(x - step * (g + rng.gaussian_block(seed, k, 0, sigma, 5)), step * kappa)
         assert np.array_equal(got, x)
@@ -150,9 +151,9 @@ class TestDpsgdBaseline:
         data = dataclasses.replace(data, b=b)
         seed = 4
         first_item = next(k for k in range(1000)
-                          if simnet.walk_next(data.n, rng.schedule_rng(seed, k)) == 7)
+                          if simnet.walk_next(data.n, schedule_rng(seed, k)) == 7)
         first_cohort = next(k for k in range(1000)
-                            if 7 in simnet.sample_users(data.n, 2, rng.schedule_rng(seed, k)))
+                            if 7 in simnet.sample_users(data.n, 2, schedule_rng(seed, k)))
         assert first_item > 0 and first_cohort > 0
         with pytest.raises(ModelError, match=f"round {first_item}$"):
             dpsgd_baseline(data, 0.02, 0.2, 1.0, 0.5, 1000, seed=seed)

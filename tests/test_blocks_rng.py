@@ -4,12 +4,11 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import noise_rng, schedule_rng
 from privfp import admm, rng
 from privfp.blocks import BlockVector
 from privfp.errors import StructuralError
-from privfp.fixedpoint import (
-    BernoulliPerBlock, CyclicPermutation, SingleUniform, SubsetUniform, dpsgd_instance,
-)
+from privfp.fixedpoint import BernoulliPerBlock, SingleUniform, dpsgd_instance
 from privfp.operators import ZeroProx
 from privfp.simnet import sample_users, walk_next
 
@@ -21,19 +20,6 @@ class TestBlockVector:
         v = BlockVector.zeros(3, 2)
         assert v.n_blocks == 3 and v.block_dim == 2
         assert v.flat.shape == (6,)
-
-    def test_norm_is_flattened_euclidean(self):
-        data = np.arange(6, dtype=float).reshape(2, 3)
-        v = BlockVector(data)
-        assert v.norm() == pytest.approx(float(np.linalg.norm(data.ravel())), rel=1e-15)
-
-    def test_from_flat_round_trip(self):
-        flat = np.arange(8, dtype=float)
-        v = BlockVector.from_flat(flat, 4)
-        assert v.block_dim == 2
-        np.testing.assert_array_equal(v.flat, flat)
-        with pytest.raises(StructuralError):
-            BlockVector.from_flat(np.zeros(7), 2)
 
     def test_copy_is_independent(self):
         v = BlockVector.zeros(2, 2)
@@ -67,14 +53,14 @@ class TestSubstreams:
         assert np.array_equal(first, again)
 
     def test_scaling_matches_sigma(self):
-        unit = rng.noise_rng(5, 2, 1).normal(0.0, 1.0, 1000)
-        scaled = rng.noise_rng(5, 2, 1).normal(0.0, 2.5, 1000)
+        unit = noise_rng(5, 2, 1).normal(0.0, 1.0, 1000)
+        scaled = noise_rng(5, 2, 1).normal(0.0, 2.5, 1000)
         np.testing.assert_allclose(scaled, 2.5 * unit, rtol=1e-12)
 
 
 def fresh_draw(seed, k, b, sigma, size):
     """Oracle: a newly built generator for the (k, b) noise substream."""
-    return rng.noise_rng(seed, k, b).normal(0.0, sigma, size)
+    return noise_rng(seed, k, b).normal(0.0, sigma, size)
 
 
 class TestGaussianRows:
@@ -125,7 +111,7 @@ class TestReusedGenerator:
                                               fresh_draw(seed, k, k % 3, 1.5, 3))
 
     def test_held_generators_are_not_disturbed(self):
-        held_noise, held_sub = rng.noise_rng(11, 2, 3), rng.substream(11, rng.DATA, 0, 0)
+        held_noise, held_sub = noise_rng(11, 2, 3), rng.substream(11, rng.DATA, 0, 0)
         for k in range(50):
             rng.gaussian_block(11, k, 3, 1.0, 17)
         np.testing.assert_array_equal(held_noise.normal(0.0, 1.0, 9), fresh_draw(11, 2, 3, 1.0, 9))
@@ -179,7 +165,7 @@ class TestReusedGenerator:
         assert not worker.is_alive()
         assert len(built) <= 1
         before = len(built)
-        rng.noise_rng(3, 0, 0)
+        noise_rng(3, 0, 0)
         assert len(built) == before + 1  # the wrapper sees every construction
 
 
@@ -197,6 +183,11 @@ def _uniform_item(seed, k):
     return int(handle.apply(np.zeros(1), k)[0])
 
 
+def _cohort(seed, k, n=1000, m=90):
+    """The cohort mask federated_run and dpsgd_federated draw at round k."""
+    return _one_hot(n, sample_users(n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0)))
+
+
 def _walk_holder(seed, k):
     problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * 1000, prox_r=ZeroProx())
     state = admm.AdmmState(u=BlockVector.zeros(1000, 1), z=np.zeros(1), k=k)
@@ -207,18 +198,14 @@ def _walk_holder(seed, k):
 # from a fresh schedule_rng oracle.
 SCHEDULE_SITES = {
     "walk_next": (lambda seed, k: SingleUniform().mask(1000, seed, k),
-                  lambda seed, k: _one_hot(1000, walk_next(1000, rng.schedule_rng(seed, k)))),
-    "walk_holder": (_walk_holder, lambda seed, k: walk_next(1000, rng.schedule_rng(seed, k))),
-    "sample_users": (lambda seed, k: SubsetUniform(90).mask(1000, seed, k),
-                     lambda seed, k: _one_hot(1000, sample_users(1000, 90,
-                                                                 rng.schedule_rng(seed, k)))),
+                  lambda seed, k: _one_hot(1000, walk_next(1000, schedule_rng(seed, k)))),
+    "walk_holder": (_walk_holder, lambda seed, k: walk_next(1000, schedule_rng(seed, k))),
+    "sample_users": (_cohort,
+                     lambda seed, k: _one_hot(1000, sample_users(1000, 90, schedule_rng(seed, k)))),
     "bernoulli": (lambda seed, k: BernoulliPerBlock(0.3).mask(1000, seed, k),
-                  lambda seed, k: rng.schedule_rng(seed, k).random(1000) < 0.3),
-    "cyclic": (lambda seed, k: CyclicPermutation().mask(7, seed, k),
-               lambda seed, k: _one_hot(7, rng.schedule_rng(seed, k // 7, tag=1).permutation(7)
-                                        [k % 7])),
+                  lambda seed, k: schedule_rng(seed, k).random(1000) < 0.3),
     "uniform_item_order": (_uniform_item,
-                           lambda seed, k: walk_next(50, rng.schedule_rng(seed, k, tag=2))),
+                           lambda seed, k: walk_next(50, schedule_rng(seed, k, tag=2))),
 }
 
 
@@ -233,17 +220,17 @@ class TestReusedScheduleGenerator:
             np.testing.assert_array_equal(draw(seed, k), oracle(seed, k))
 
     def test_held_schedule_generator_is_not_disturbed(self):
-        held = rng.schedule_rng(11, 2)
+        held = schedule_rng(11, 2)
         first = held.random(3)
         for k in range(50):
             for draw, _ in SCHEDULE_SITES.values():
                 draw(11, k)
         np.testing.assert_array_equal(np.concatenate([first, held.random(3)]),
-                                      rng.schedule_rng(11, 2).random(6))
+                                      schedule_rng(11, 2).random(6))
 
     def test_interleaved_with_noise_draws(self):
         for k in range(30):
-            mask = SubsetUniform(90).mask(1000, 5, k)
+            mask = _cohort(5, k)
             noise = rng.gaussian_block(5, k, 3, 1.0, 17)
             walk = SingleUniform().mask(1000, 5, k)
             np.testing.assert_array_equal(mask, SCHEDULE_SITES["sample_users"][1](5, k))
@@ -260,7 +247,7 @@ class TestReusedScheduleGenerator:
         def draw(parity):
             start.wait(timeout=10)
             for k in range(parity, len(steps), 2):
-                got[k] = (SubsetUniform(90).mask(1000, 8, k), rng.gaussian_block(8, k, 1, 1.0, 33))
+                got[k] = (_cohort(8, k), rng.gaussian_block(8, k, 1, 1.0, 33))
 
         threads = [threading.Thread(target=draw, args=(parity,)) for parity in (0, 1)]
         interval = sys.getswitchinterval()
@@ -286,11 +273,11 @@ class TestReusedScheduleGenerator:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        schedules = [SingleUniform(), SubsetUniform(90), BernoulliPerBlock(0.3), CyclicPermutation()]
+        sites = [SCHEDULE_SITES[name][0] for name in ("walk_next", "sample_users", "bernoulli")]
 
         def draws():
             for k in range(100):
-                schedules[k % 4].mask(1000, 3, k)
+                sites[k % 3](3, k)
 
         # a new thread has no generator yet, so its first draw builds one
         worker = threading.Thread(target=draws)
@@ -299,7 +286,7 @@ class TestReusedScheduleGenerator:
         assert not worker.is_alive()
         assert len(built) <= 1
         before = len(built)
-        rng.schedule_rng(3, 0)
+        schedule_rng(3, 0)
         assert len(built) == before + 1  # the wrapper sees every construction
 
 
@@ -326,14 +313,14 @@ class TestResetStateReuse:
 
     def test_four_threads_interleaving_noise_and_schedule_draws(self):
         def draws(seed, k):
-            return (rng.gaussian_block(seed, k, k % 5, 1.0, 9), SubsetUniform(30).mask(200, seed, k),
+            return (rng.gaussian_block(seed, k, k % 5, 1.0, 9), _cohort(seed, k, 200, 30),
                     SingleUniform().mask(200, seed, k), BernoulliPerBlock(0.3).mask(50, seed, k))
 
         def oracle(seed, k):
             return (fresh_draw(seed, k, k % 5, 1.0, 9),
-                    _one_hot(200, sample_users(200, 30, rng.schedule_rng(seed, k))),
-                    _one_hot(200, walk_next(200, rng.schedule_rng(seed, k))),
-                    rng.schedule_rng(seed, k).random(50) < 0.3)
+                    _one_hot(200, sample_users(200, 30, schedule_rng(seed, k))),
+                    _one_hot(200, walk_next(200, schedule_rng(seed, k))),
+                    schedule_rng(seed, k).random(50) < 0.3)
 
         seeds, steps = (11, -4, 2**63 + 1, 2**64 - 1), range(150)
         want = {seed: [oracle(seed, k) for k in steps] for seed in seeds}

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,14 @@ class TestSolve:
         assert code == 2
         assert f"category=parameter_error: {name} must" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_gamma_scale_rejected(self, capsys, value):
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--n", "50",
+                               "--p", "4", "--support-size", "2", "--K", "5", "--sigma", "0",
+                               "--gamma-scale", value)
+        assert code == 2
+        assert "category=parameter_error: gamma_scale must" in err
+
     @pytest.mark.parametrize("setting", ["federated", "centralized"])
     def test_non_finite_objective_is_not_written(self, capsys, tmp_path, setting):
         out = tmp_path / "o.csv"
@@ -304,3 +314,18 @@ class TestExperimentKnobs:
         assert getattr(from_file, key) == getattr(from_flag, key)
         assert getattr(from_file, key) != getattr(bench.ExperimentConfig(), key)
         assert from_file == from_flag
+
+
+HELP_SNAPSHOTS = Path(__file__).parent / "help"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the snapshots hold Python 3.11's argparse layout")
+@pytest.mark.parametrize("command", ["privfp", "solve", "bench", "account", "calibrate"])
+def test_help_matches_its_snapshot_byte_for_byte(capsys, monkeypatch, command):
+    """``COLUMNS=80 privfp [command] --help`` prints tests/help/<command>.txt."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(([] if command == "privfp" else [command]) + ["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.encode() == (HELP_SNAPSHOTS / f"{command}.txt").read_bytes()

@@ -9,8 +9,8 @@ from privfp import admm, bench, fixedpoint, rng
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import (
-    AllBlocks, BernoulliPerBlock, CyclicPermutation, IterationConfig, SingleUniform,
-    SubsetUniform, dpcd_instance, dpsgd_instance, iterate, run, step,
+    AllBlocks, BernoulliPerBlock, IterationConfig, SingleUniform, dpcd_instance,
+    dpsgd_instance, iterate, run, step,
 )
 from privfp.operators import L1Prox, NonExpansive, OperatorHandle, QuadraticProx, ZeroProx
 
@@ -88,16 +88,6 @@ class TestStep:
         with pytest.raises(ParameterError):
             IterationConfig(K=3, lam=[1.0, 0.5])
 
-    def test_error_injector_shifts_update(self):
-        # constant error e: u + lam * (R(u) + e - u) moves the identity's
-        # fixed point by e at lam = 1
-        shift = np.array([[0.25, -0.5]])
-        cfg = IterationConfig(K=1, lam=1.0, seed=0,
-                              error_injector=lambda u, k: shift.ravel())
-        u = BlockVector(np.array([[1.0, 2.0]]))
-        out = step(u, identity_op(), cfg, 0)
-        np.testing.assert_allclose(out.data, u.data + shift, atol=1e-15)
-
 
 class TestRun:
     def test_contractive_decay_to_direct_solve_fixed_point(self):
@@ -159,15 +149,12 @@ class TestRun:
                     assert np.array_equal(new.data[b], u.data[b])
             u = new
 
-    def test_noise_accounting_and_replay(self):
+    def test_noise_replay(self):
         cfg = IterationConfig(K=10, sigma=0.3, lam=1.0,
                               schedule=BernoulliPerBlock(0.5), seed=77)
         u0 = BlockVector.zeros(3, 4)
         op = identity_op()
         _, trace = run(u0, op, cfg)
-        expected_draws = sum(int(m.sum()) for m in trace.active) * 4
-        assert trace.total_noise_draws(4, cfg.sigma) == expected_draws
-        assert trace.total_noise_draws(4, 0.0) == 0
         # replay step 0 by re-reading the recorded mask and substreams
         mask = trace.active[0]
         manual = u0.data.copy()
@@ -182,8 +169,7 @@ class TestRunIsALoopOfStep:
 
     def test_bit_identical_to_step_loop(self):
         cfg = IterationConfig(K=20, sigma=0.6, lam=[1.0 / (k + 1) ** 0.5 for k in range(20)],
-                              schedule=BernoulliPerBlock(0.5), seed=2**63 + 7,
-                              error_injector=lambda u, k: np.sin(k + np.asarray(u)))
+                              schedule=BernoulliPerBlock(0.5), seed=2**63 + 7)
         u0 = BlockVector(np.random.default_rng(6).normal(size=(5, 3)))
         op = affine_op(0.7, -0.2)
         u_run, trace = run(u0, op, cfg, record_iterates=True)
@@ -251,30 +237,6 @@ class TestSchedules:
         freq = counts / 4000
         assert np.all(np.abs(freq - 1 / B) < 0.02)
 
-    def test_subset_uniform(self):
-        sched = SubsetUniform(3)
-        B = 10
-        incl = np.zeros(B)
-        for k in range(3000):
-            m = sched.mask(B, 11, k)
-            assert m.sum() == 3
-            incl += m
-        assert np.all(np.abs(incl / 3000 - 0.3) < 0.03)
-        assert sched.activation_probability(B) == 0.3
-        with pytest.raises(ParameterError):
-            SubsetUniform(12).mask(10, 0, 0)
-
-    def test_cyclic_permutation_covers_each_cycle(self):
-        sched = CyclicPermutation()
-        B = 6
-        for cycle in range(5):
-            seen = np.zeros(B, dtype=int)
-            for pos in range(B):
-                m = sched.mask(B, 2, cycle * B + pos)
-                assert m.sum() == 1
-                seen += m
-            assert np.all(seen == 1)
-
 
 def quadratic_items(n_items, p, seed):
     gen = np.random.default_rng(seed)
@@ -341,12 +303,11 @@ class TestDpcdInstance:
 
     def test_separable_quadratic_converges_per_coordinate(self):
         B, p = 3, 2
-        handle, cfg = self.make(B, p, sigma=0.0, K=3 * 30, seed=0,
-                                schedule=CyclicPermutation())
+        handle, cfg = self.make(B, p, sigma=0.0, K=3 * 30, seed=0)
         u0 = BlockVector(np.random.default_rng(5).normal(size=(B, p)))
         u, _ = run(u0, handle, cfg)
         # step 2/beta = 2 overshoots symmetrically; use lam=0.5 for strict decay
-        cfg_half = IterationConfig(K=cfg.K, sigma=0.0, lam=0.5, schedule=CyclicPermutation(), seed=0)
+        cfg_half = IterationConfig(K=cfg.K, sigma=0.0, lam=0.5, schedule=cfg.schedule, seed=0)
         u, _ = run(u0, handle, cfg_half)
         assert np.max(np.abs(u.data)) < 1e-12
 
@@ -435,8 +396,7 @@ class TestBlockEvaluation:
         grads, beta = self.coupled_grads()
         handle, _ = dpcd_instance(grads, beta=beta, n_blocks=self.B, block_dim=self.p,
                                   sigma=0.0, K=1, seed=0)
-        cfg = IterationConfig(K=40, sigma=0.3, lam=0.7, schedule=BernoulliPerBlock(0.5), seed=12,
-                              error_injector=lambda u, k: np.cos(k + np.asarray(u)))
+        cfg = IterationConfig(K=40, sigma=0.3, lam=0.7, schedule=BernoulliPerBlock(0.5), seed=12)
         u0 = BlockVector(np.random.default_rng(9).normal(size=(self.B, self.p)))
         u_blocks, t_blocks = run(u0, handle, cfg, record_iterates=True)
         u_full, t_full = run(u0, dataclasses.replace(handle, apply_blocks=None), cfg,
@@ -510,7 +470,7 @@ class TestTraceKeepsIndices:
     """The trace keeps each step's active indices; its masks are built when read."""
 
     @pytest.mark.parametrize("name", TRACED_RUNS)
-    def test_masks_length_and_draw_count_equal_masks_built_per_step(self, monkeypatch, name):
+    def test_masks_and_length_equal_masks_built_per_step(self, monkeypatch, name):
         module, call = TRACED_RUNS[name]
         runs = spy_on_iterate(monkeypatch, module)
         call()
@@ -520,8 +480,6 @@ class TestTraceKeepsIndices:
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, masks))
         assert trace.active[-1].tobytes() == masks[-1].tobytes()
         assert [m.tobytes() for m in trace.active[1:3]] == [m.tobytes() for m in masks[1:3]]
-        assert trace.total_noise_draws(3, 0.4) == sum(int(m.sum()) for m in masks) * 3
-        assert trace.total_noise_draws(3, 0.0) == 0
 
     def test_centralized_rounds_share_one_index_array(self, monkeypatch):
         runs = spy_on_iterate(monkeypatch, admm)
@@ -534,7 +492,6 @@ class TestTraceKeepsIndices:
         _, trace = iterate(3, 1000, lambda k: (base[k:k + 2], np.zeros(2)))
         assert all(r.base is None and r.tolist() == [k, k + 1]
                    for k, r in enumerate(trace.active_rows))
-        assert trace.total_noise_draws(1, 1.0) == 6
 
     def test_walk_trace_bytes_grow_with_steps_not_with_users(self):
         n, K = 1000, 3000

@@ -6,7 +6,7 @@ import pytest
 from privfp import privacy
 from privfp.errors import ConditionNotMet, ParameterError, StructuralError
 from privfp.privacy import (
-    DEFAULT_ALPHAS, RdpCurve, amplification_by_iteration, calibrate_sigma,
+    DEFAULT_ALPHAS, RdpCurve, calibrate_sigma,
     centralized_epsilon, compose, estimated_participations, federated_central_epsilon,
     gaussian_curve, gaussian_rdp, local_epsilon, network_rdp_epsilon, rdp_to_dp,
     sensitivity_consensus, sensitivity_general, setting_curve, subsampled_rdp,
@@ -195,22 +195,6 @@ class TestLocalEpsilon:
         # the formula has no n: phrased as invariance under unrelated scaling
         vals = {local_epsilon(2.0, 3, 1.0, 0.5, 4.0) for _ in range(3)}
         assert len(vals) == 1
-
-
-class TestAmplificationByIteration:
-    def test_single_step_is_plain_gaussian(self):
-        assert amplification_by_iteration(1.0, 1, 1.0, 2.0) == gaussian_rdp(1.0, 1.0, 2.0)
-
-    def test_four_steps(self):
-        assert amplification_by_iteration(1.0, 4, 1.0, 2.0) == pytest.approx(0.25, rel=1e-15)
-
-    def test_monotone_decreasing_in_steps(self):
-        vals = [amplification_by_iteration(2.0, m, 1.5, 3.0) for m in range(1, 101)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_invalid_steps(self):
-        with pytest.raises(ParameterError):
-            amplification_by_iteration(1.0, 0, 1.0, 2.0)
 
 
 class TestNetworkRdp:

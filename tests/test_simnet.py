@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privfp import admm, rng
+from helpers import schedule_rng
+from privfp import admm
 from privfp.errors import ParameterError
-from privfp.fixedpoint import SingleUniform, SubsetUniform
+from privfp.fixedpoint import SingleUniform
 from privfp.operators import ZeroProx
 from privfp.simnet import (
     ObservationLog, participation_counts, record_observation, sample_users, walk_next,
@@ -80,13 +81,6 @@ class TestScheduleDraws:
     """The engine's schedules and the ADMM drivers make the same participation draws."""
 
     @pytest.mark.parametrize("seed", [0, 5, 91])
-    def test_subset_uniform_marks_the_sampled_cohort(self, seed):
-        for k in range(20):
-            want = np.zeros(12, dtype=bool)
-            want[sample_users(12, 4, rng.schedule_rng(seed, k))] = True
-            assert np.array_equal(SubsetUniform(4).mask(12, seed, k), want)
-
-    @pytest.mark.parametrize("seed", [0, 5, 91])
     def test_walk_holder_follows_single_uniform_shifted_by_one(self, seed):
         n, K = 7, 40
         problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
@@ -126,7 +120,7 @@ class TestObservationLog:
             log = ObservationLog(n=6)
             current = 0
             for k in range(50):
-                nxt = walk_next(6, rng.schedule_rng(seed, k))
+                nxt = walk_next(6, schedule_rng(seed, k))
                 record_observation(log, nxt, k + 1, np.array([float(k)]))
                 current = nxt
             return log

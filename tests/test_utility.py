@@ -5,8 +5,8 @@ import pytest
 
 from privfp.errors import ConditionNotMet, ParameterError
 from privfp.utility import (
-    ErrorBound, UtilityParams, contraction_factor, excess_noise_ratio,
-    noiseless_decay, recommended_step_size, step_size_range, tradeoff, utility_bound,
+    ErrorBound, UtilityParams, excess_noise_ratio, noiseless_decay, recommended_step_size,
+    step_size_range, utility_bound,
 )
 
 
@@ -110,97 +110,3 @@ def test_out_of_range_inputs_rejected_as_utility_params_rejects_them(fn, bad):
 def test_nan_initial_distance_rejected():
     with pytest.raises(ParameterError):
         UtilityParams(tau=0.5, q=0.5, sigma=1.0, D=math.nan)
-
-
-class TestContractionFactor:
-    def test_reference_value_inside_bracket(self):
-        chi = contraction_factor(0.75, 1.0, 1.0)
-        assert chi == pytest.approx(1 - (1 + math.sqrt(0.75)) * 1.5 / 4.0, rel=1e-12)
-        assert chi == pytest.approx(0.30024, abs=1e-5)
-        assert 1 * 0.25 / 4 < chi <= 1 - 0.25 / 8
-
-    def test_small_activation_probability_limits(self):
-        # The closed form at the recommended step vanishes as q -> 0 (the
-        # unconstrained step size diverges), while the transient-rate upper
-        # bracket 1 - q^2(1-tau)/8 approaches 1 (no progress per step).
-        chi = contraction_factor(0.5, 1e-9, 1.0)
-        assert 0.0 < chi < 1e-6
-        q = 1e-9
-        assert 1 - q ** 2 * 0.5 / 8 > 1 - 1e-12
-
-    def test_general_form_matches_closed_form_at_recommended_step(self):
-        gen = np.random.default_rng(3)
-        for _ in range(200):
-            tau, q, sigma, zeta, p = draw_valid_params(gen)
-            try:
-                c = excess_noise_ratio(tau, q, sigma, zeta, p)
-                star = recommended_step_size(tau, q, sigma, zeta, p).raw
-            except ConditionNotMet:
-                continue
-            closed = contraction_factor(tau, q, c)
-            general = contraction_factor(tau, q, c, lam=star)
-            assert general == pytest.approx(closed, abs=1e-12)
-
-    def test_bracket_holds_over_random_draws(self):
-        gen = np.random.default_rng(11)
-        for _ in range(500):
-            tau, q, sigma, zeta, p = draw_valid_params(gen)
-            try:
-                c = excess_noise_ratio(tau, q, sigma, zeta, p)
-                chi = contraction_factor(tau, q, c)
-            except ConditionNotMet:
-                continue
-            assert 0.0 < chi < 1.0
-
-
-class TestTradeoff:
-    BASE = dict(alpha=2.0, epsilon=0.5, L=1.0, gamma=0.3, p=8, tau=0.5)
-
-    def first_term(self, n, scale=1.0):
-        b = self.BASE
-        return math.sqrt(b["p"] * b["alpha"]) * b["L"] * b["gamma"] / (
-            math.sqrt(b["epsilon"] * scale) * n * (1 - b["tau"]))
-
-    def second_term(self, n, scale=1.0):
-        b = self.BASE
-        return b["p"] * b["alpha"] * b["L"] ** 2 * b["gamma"] ** 2 / (
-            b["epsilon"] * scale ** 2 * n ** 2 * (1 - b["tau"]) ** 3)
-
-    def test_centralized_matches_independent_recomputation(self):
-        n = 100
-        got = tradeoff("centralized", n=n, **self.BASE)
-        assert got == pytest.approx(self.first_term(n) + self.second_term(n), rel=1e-14)
-
-    def test_full_participation_reduces_to_centralized(self):
-        n = 50
-        fed = tradeoff("federated", n=n, r_frac=1.0, check_regime=False, **self.BASE)
-        cen = tradeoff("centralized", n=n, **self.BASE)
-        assert fed == pytest.approx(cen, rel=1e-14)
-
-    def test_single_user_cohort_matches_decentralized_up_to_second_term(self):
-        n = 64
-        fed = tradeoff("federated", n=n, r_frac=1.0 / n, check_regime=False, **self.BASE)
-        dec = tradeoff("decentralized", n=n, **self.BASE)
-        fed_first = self.first_term(n, scale=1.0 / n)
-        dec_first = math.sqrt(self.BASE["p"] * self.BASE["alpha"]) * self.BASE["L"] * \
-            self.BASE["gamma"] / (math.sqrt(self.BASE["epsilon"] * n) * (1 - self.BASE["tau"]))
-        assert fed_first == pytest.approx(dec_first, rel=1e-12)
-        # second terms differ by exactly a factor n
-        fed_second = fed - fed_first
-        dec_second = dec - dec_first
-        assert fed_second == pytest.approx(n * dec_second, rel=1e-9)
-
-    def test_monotone_in_population(self):
-        vals = [tradeoff("centralized", n=n, **self.BASE) for n in range(10, 500, 20)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_doubling_population_scales_terms_exactly(self):
-        n = 40
-        got = tradeoff("centralized", n=2 * n, **self.BASE)
-        assert got == pytest.approx(self.first_term(n) / 2 + self.second_term(n) / 4, rel=1e-12)
-
-    def test_federated_regime_guard(self):
-        with pytest.raises(ParameterError):
-            tradeoff("federated", n=10, r_frac=0.5, **self.BASE)
-        with pytest.raises(ParameterError):
-            tradeoff("federated", n=10, **self.BASE)
