@@ -281,6 +281,15 @@ class TestDpsgdInstance:
             x = x - gamma * (g + eta_prime)
             assert np.max(np.abs(trace.iterates[k] - x)) < 1e-12
 
+    def test_cyclic_order_visits_each_item_once_per_pass(self):
+        # item i has gradient -i, so the operator maps 0 to i (2/beta = 1)
+        grads = [lambda u, i=i: np.full(1, -float(i)) for i in range(6)]
+        handle, _ = dpsgd_instance(grads, beta=2.0, gamma=0.5, sigma_grad=0.0, K=1, seed=0,
+                                   order="cyclic")
+        for cycle in range(5):
+            seen = [int(handle.apply(np.zeros(1), 6 * cycle + pos)[0]) for pos in range(6)]
+            assert seen == list(range(6))
+
     def test_uniform_order_deterministic(self):
         _, grads = quadratic_items(5, 2, 3)
         handle, cfg = dpsgd_instance(grads, beta=1.0, gamma=0.5, sigma_grad=0.1,

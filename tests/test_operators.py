@@ -269,6 +269,20 @@ class TestClipRows:
         # scale factors of clipped rows agree up to rounding
         np.testing.assert_allclose(out, want, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("threshold", [2.0, 100.0], ids=["some-clipped", "none-clipped"])
+    def test_in_place_keeps_zero_rows_and_rows_inside_the_ball(self, threshold):
+        gen = np.random.default_rng(20)
+        X = gen.normal(size=(50, 7)) * gen.uniform(0.1, 5.0, size=(50, 1))
+        X[3] = 0.0  # a zero row is inside every ball
+        before = X.copy()
+        inside = np.linalg.norm(before, axis=1) <= threshold
+        assert inside.all() == (threshold == 100.0)
+        assert clip_rows(X, threshold) is X
+        assert X[inside].tobytes() == before[inside].tobytes()
+        assert not np.isnan(X).any()
+        want = np.stack([clip(x, threshold) for x in before])
+        np.testing.assert_allclose(X, want, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
     def test_invalid_threshold(self, threshold):
         with pytest.raises(ParameterError):

@@ -81,6 +81,25 @@ class TestScheduleDraws:
     """The engine's schedules and the ADMM drivers make the same participation draws."""
 
     @pytest.mark.parametrize("seed", [0, 5, 91])
+    def test_federated_run_marks_the_sampled_cohort(self, seed):
+        n, m, K = 12, 4, 20
+        problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
+        _, trace = admm.federated_run(problem, 1, m, 0.5, 0.0, K, seed)
+        assert len(trace.active) == K
+        for k in range(K):
+            want = np.zeros(n, dtype=bool)
+            want[sample_users(n, m, schedule_rng(seed, k))] = True
+            assert np.array_equal(trace.active[k], want)
+
+    @pytest.mark.parametrize("seed", [0, 5, 91])
+    def test_walk_starts_at_the_holder_drawn_on_schedule_tag_one(self, seed):
+        # the first holder has its own substream, apart from step 0's hand-off
+        n = 1000
+        problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
+        _, trace, _ = admm.decentralized_run(problem, 1, 0.5, 0.0, 1, seed)
+        assert trace.active_rows[0] == walk_next(n, schedule_rng(seed, 0, tag=1))
+
+    @pytest.mark.parametrize("seed", [0, 5, 91])
     def test_walk_holder_follows_single_uniform_shifted_by_one(self, seed):
         n, K = 7, 40
         problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
