@@ -20,10 +20,10 @@ return a new state over a copy. Each run also allocates its round
 workspace once, two (rows per round, p) arrays, and computes every round
 in it; only clipping (the squared entries) and noise (the draw) still
 take one fresh array of that size each. The public steps run the same
-kernel in arrays of their own. A matrix-constrained generalization
-(arbitrary A x + B z = c coupling), also run through ``iterate``, is
-provided with a consensus instantiation that reproduces the specialized
-path bit-for-bit under a shared seed. Every run returns only the public
+kernel in arrays of their own. One step of a matrix-constrained
+generalization (arbitrary A x + B z = c coupling), ``general_admm_step``,
+is provided with a consensus instantiation that reproduces the specialized
+round bit-for-bit under a shared seed. Every run returns only the public
 variable z (and a trace or state); the data-adjacent x iterates never
 leave a round.
 """
@@ -50,7 +50,7 @@ class ConsensusProblem:
     """Per-item proximal maps, a regularizer prox, and an optional clipping threshold.
 
     ``prox_f`` holds the n per-item proxes in one of two forms: a tuple of
-    specs, where ``prox_f[i]`` evaluates the i-th, or a
+    specs or other callables, where ``prox_f[i]`` evaluates the i-th, or a
     ``RowQuadraticProx`` that solves the squared-residual rows of a design
     in batches. ``local_solves`` evaluates either. ``prox_r`` is the
     regularizer's prox. ``clip_threshold`` caps ||x_i - z|| in the dual
@@ -358,20 +358,6 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
     eta = rng.gaussian_rows(seed, state.k, range(noise_blocks), sigma, u.size // noise_blocks).ravel()
     new_u = u + 2.0 * lam * (residual + 0.5 * eta)
     return GeneralAdmmState(u=new_u, z=z, k=state.k + 1)
-
-
-def general_admm_run(problem: GeneralAdmmProblem, u0: np.ndarray, lam: float,
-                     sigma: float, K: int, seed: int,
-                     noise_blocks: int = 1) -> tuple[np.ndarray, GeneralAdmmState]:
-    """K steps through ``iterate`` (every noise block active); returns the final z and state."""
-    state = GeneralAdmmState(u=np.asarray(u0, dtype=float), z=np.zeros(problem.B.shape[1]))
-
-    def advance(k):
-        nonlocal state
-        state = general_admm_step(problem, state, lam, sigma, seed, noise_blocks)
-        return range(noise_blocks), state.z
-
-    return iterate(K, noise_blocks, advance)[0], state
 
 
 def consensus_as_general(problem: ConsensusProblem, p: int) -> GeneralAdmmProblem:

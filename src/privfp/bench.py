@@ -270,8 +270,10 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must not be empty")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")
-        if not 0.0 < self.gamma_scale < math.inf:
-            raise ParameterError(f"gamma_scale must be a finite number > 0, got {self.gamma_scale}")
+        for name in ("gamma_scale", "clip_threshold"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"{name} must be a finite number > 0, got {value}")
         for name in ("kappa", "kappa_fraction"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < math.inf:
@@ -339,8 +341,7 @@ def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
 
     Bisects ``achieved_epsilon`` itself, so the returned sigma certifies the budget.
     """
-    if epsilon <= 0:
-        raise privacy.ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
+    privacy.check_budget(epsilon)
     return privacy.bisect_sigma(lambda sig: achieved_epsilon(config, sig, gamma, n_train),
                                 epsilon, 1e-6)
 

@@ -2,27 +2,28 @@
 
 The engine iterates
 
-    u[k+1, b] = u[k, b] + rho[k, b] * lam_k * (R_b(u_k) + eta[k+1, b] - u[k, b])
+    u[k+1, b] = u[k, b] + rho[k, b] * lam * (R_b(u_k) + eta[k+1, b] - u[k, b])
 
-where rho is a random block-activation mask and eta fresh Gaussian noise
-drawn from a per-(iteration, block) substream so that schedules and
-evaluation order cannot perturb noise assignment. The schedules are
+with one step size lam for the whole run, where rho is a random
+block-activation mask and eta fresh Gaussian noise drawn from a
+per-(iteration, block) substream so that schedules and evaluation order
+cannot perturb noise assignment. The schedules are
 ``AllBlocks``, ``BernoulliPerBlock`` and ``SingleUniform``. Only the active
 rows of R(u_k) are used: when the operator handle has an ``apply_blocks``
 map the engine evaluates those rows alone, otherwise it applies the full
 ``apply`` and keeps them. ``iterate`` is the one traced loop: ``run``, the
-four ``admm`` runs and both ``bench`` DP-SGD baselines call it with a step
+three ``admm`` runs and both ``bench`` DP-SGD baselines call it with a step
 that returns the indices of its active blocks and the released iterate.
 The returned ``RunTrace`` keeps those indices as returned (an int per walk
 step, one shared array per centralized run), so a trace costs O(K)
-bookkeeping plus the indices themselves, and builds an (n,) activation
-mask only when one is read. Stochastic gradient and coordinate-descent
+bookkeeping plus the indices themselves, and builds the (n,) activation
+masks only when they are read. Stochastic gradient and coordinate-descent
 instantiations are provided.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -95,15 +96,14 @@ class SingleUniform(BlockSchedule):
 class IterationConfig:
     """Parameters of one noisy fixed-point run.
 
-    ``lam`` is either a constant step size in (0, 1] or a per-iteration
-    sequence; ``sigma`` the privacy noise standard deviation; ``K`` the
-    iteration count; ``seed`` drives every random draw through
-    counter-based substreams.
+    ``lam`` is the step size in (0, 1] of every iteration; ``sigma`` the
+    privacy noise standard deviation; ``K`` the iteration count; ``seed``
+    drives every random draw through counter-based substreams.
     """
 
     K: int
     sigma: float = 0.0
-    lam: float | Sequence[float] = 1.0
+    lam: float = 1.0
     schedule: BlockSchedule = AllBlocks()
     seed: int = 0
 
@@ -111,38 +111,8 @@ class IterationConfig:
         if self.K < 1:
             raise ParameterError(f"iteration count must be >= 1, got {self.K}")
         rng.check_sigma(self.sigma)
-        lams = [self.lam] if np.isscalar(self.lam) else list(self.lam)
-        if not np.isscalar(self.lam) and len(lams) < self.K:
-            raise ParameterError(
-                f"step-size schedule has {len(lams)} entries for K={self.K}")
-        for l in lams:
-            if not 0.0 < l <= 1.0:
-                raise ParameterError(f"step size must lie in (0, 1], got {l}")
-
-    def step_size(self, k: int) -> float:
-        if np.isscalar(self.lam):
-            return float(self.lam)
-        return float(self.lam[k])
-
-
-class ActiveMasks(SequenceABC):
-    """Read-only sequence of a trace's (n,) bool activation masks, each built when read."""
-
-    def __init__(self, rows: list, n_blocks: int):
-        self._rows, self._n = rows, n_blocks
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._mask(r) for r in self._rows[k]]
-        return self._mask(self._rows[k])
-
-    def _mask(self, rows):
-        mask = np.zeros(self._n, dtype=bool)
-        mask[rows] = True
-        return mask
+        if not isinstance(self.lam, numbers.Real) or not 0.0 < self.lam <= 1.0:
+            raise ParameterError(f"step size must be a number in (0, 1], got {self.lam}")
 
 
 @dataclass
@@ -150,14 +120,13 @@ class RunTrace:
     """Per-iteration record of a run over ``n_blocks`` blocks (append-only while running).
 
     ``active_rows[k]`` holds the active block indices of iteration k as the
-    step returned them: an int, a range or an integer array, kept by
-    reference, so a step must not modify an index array after returning it
-    (``iterate`` copies a view, so that the trace never keeps a larger base
-    alive).
-    ``active[k]`` is the same set as an (n,) bool mask, built when read;
-    with the run's seed it pins every noise substream used (block b at
-    iteration k reads stream (seed, k, b)), so a trace is sufficient to
-    replay draws.
+    step returned them: an int or an integer array, kept by reference, so a
+    step must not modify an index array after returning it (``iterate``
+    copies a view, so that the trace never keeps a larger base alive).
+    ``active`` builds the same sets as a list of (n,) bool masks each time
+    it is read. With the run's seed, ``active[k]`` pins every noise
+    substream used (block b at iteration k reads stream (seed, k, b)), so a
+    trace is sufficient to replay draws.
     """
 
     n_blocks: int = 0
@@ -167,8 +136,11 @@ class RunTrace:
     iterates: list[np.ndarray] = field(default_factory=list)
 
     @property
-    def active(self) -> ActiveMasks:
-        return ActiveMasks(self.active_rows, self.n_blocks)
+    def active(self) -> list[np.ndarray]:
+        masks = [np.zeros(self.n_blocks, dtype=bool) for _ in self.active_rows]
+        for mask, rows in zip(masks, self.active_rows):
+            mask[rows] = True
+        return masks
 
     def record(self, rows, obj=None, dist=None, iterate=None):
         self.active_rows.append(rows)
@@ -200,7 +172,7 @@ def _update(u, operator, cfg, k):
     target = _active_targets(u, operator, k, rows)
     old, new = u.data.take(rows, axis=0), u.data.copy()
     eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, u.block_dim)
-    new[rows] = old + cfg.step_size(k) * (target + eta - old)
+    new[rows] = old + cfg.lam * (target + eta - old)
     return new, rows
 
 
@@ -226,8 +198,6 @@ def _checked_rows(active, n, k):
     the round unless each is an integer in [0, n)."""
     if isinstance(active, (int, np.integer)) and not isinstance(active, bool):
         rows, ends = active, (active,)  # plain comparisons: a walk step stays O(1)
-    elif isinstance(active, range):
-        rows, ends = active, ((active[0], active[-1]) if active else ())
     else:
         rows = np.asarray(active)
         if rows.size == 0:
@@ -253,10 +223,10 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
     """The traced loop of every run; returns the last released iterate and the trace.
 
     ``advance(k)`` performs step k and returns its active block indices (an int,
-    a range, a sequence or an int array, distinct and in [0, n)) and the
-    released iterate, which must be finite. The trace keeps an int, a range
-    or an integer array by reference (a view as a copy), so ``advance`` must
-    not modify an index array after returning it."""
+    a sequence or an int array, distinct and in [0, n)) and the released
+    iterate, which must be finite. The trace keeps an int or an integer array
+    by reference (a view as a copy), so ``advance`` must not modify an index
+    array after returning it."""
     if K < 1:
         raise ParameterError(f"iteration count must be >= 1, got {K}")
     trace = RunTrace(n_blocks=n)
@@ -282,7 +252,7 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
     operator : OperatorHandle
         The (possibly iteration-dependent) map applied at every step.
     cfg : IterationConfig
-        Step sizes, noise level, schedule, and seed.
+        Step size, noise level, schedule, and seed.
     reference : array, optional
         Squared distance to this point is recorded after each step.
     record_iterates : bool

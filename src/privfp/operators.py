@@ -3,7 +3,8 @@
 Operators act on flat numpy vectors and carry a declared expansiveness
 class (never inferred at runtime; tests audit the declarations with seeded
 probe pairs). Proximal maps are represented as small spec objects that
-evaluate ``prox(v)`` for their function at a fixed step.
+evaluate ``prox(v)`` for their function at a fixed step; any callable
+``v -> prox(v)`` can stand in for a spec.
 """
 
 from __future__ import annotations
@@ -83,29 +84,6 @@ def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def prox_quadratic_rank_one(a: np.ndarray, b: float, gamma: float, n: int,
-                            v: np.ndarray) -> np.ndarray:
-    """Solve (a a^T + (2n/gamma) I) x = b a + (2n/gamma) v by Sherman-Morrison.
-
-    This is the proximal update for a single squared-residual row: the
-    returned x minimizes (1/2n)(a^T x - b)^2 + (1/gamma)||x - v||^2. The
-    matrix is a rank-one perturbation of a scaled identity, so the solve is
-    a dot product instead of a dense factorization:
-
-        x = v + (b - a^T v) / (2n/gamma + ||a||^2) * a
-    """
-    if gamma <= 0:
-        raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
-    if n < 1:
-        raise ParameterError(f"row weight n must be >= 1, got {n}")
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if a.shape != v.shape:
-        raise ParameterError(f"dimension mismatch: a has shape {a.shape}, v has {v.shape}")
-    c = 2.0 * n / gamma
-    return v + ((b - a @ v) / (c + a @ a)) * a
-
-
 def clip(v: np.ndarray, threshold: float) -> np.ndarray:
     """Radial projection onto the Euclidean ball of radius threshold."""
     if not threshold > 0:
@@ -168,7 +146,14 @@ class L1Prox(ProxSpec):
 
 @dataclass(frozen=True)
 class QuadraticRankOneProx(ProxSpec):
-    """Prox for one squared residual row, solved via Sherman-Morrison."""
+    """Prox for one squared residual row: solve (a a^T + (2n/gamma) I) x = b a + (2n/gamma) v.
+
+    The returned x minimizes (1/2n)(a^T x - b)^2 + (1/gamma)||x - v||^2. The
+    matrix is a rank-one perturbation of a scaled identity, so Sherman-Morrison
+    makes the solve a dot product instead of a dense factorization:
+
+        x = v + (b - a^T v) / (2n/gamma + ||a||^2) * a
+    """
 
     a: np.ndarray
     b: float
@@ -182,7 +167,12 @@ class QuadraticRankOneProx(ProxSpec):
             raise ParameterError(f"row weight n must be >= 1, got {self.n}")
 
     def __call__(self, v):
-        return prox_quadratic_rank_one(self.a, self.b, self.gamma, self.n, v)
+        a = np.asarray(self.a, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if a.shape != v.shape:
+            raise ParameterError(f"dimension mismatch: a has shape {a.shape}, v has {v.shape}")
+        c = 2.0 * self.n / self.gamma
+        return v + ((self.b - a @ v) / (c + a @ a)) * a
 
 
 class RowQuadraticProx:
@@ -245,16 +235,6 @@ class QuadraticProx(ProxSpec):
     def __call__(self, v):
         matrix, shift = self._system
         return np.linalg.solve(matrix, np.asarray(v, dtype=float) - shift)
-
-
-@dataclass(frozen=True)
-class CustomProx(ProxSpec):
-    """User-supplied prox callback; convexity is the caller's responsibility."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, v):
-        return self.fn(np.asarray(v, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Rényi-DP accountant for the private consensus-splitting algorithms.
 
 Closed-form per-order Rényi bounds for the centralized, federated (local
-and central view), and random-walk decentralized settings, plus the
-generic building blocks: the Gaussian mechanism, additive composition,
-conversion to (epsilon, delta)-DP, sensitivity bounds for the splitting
-update, amplification by subsampling (with its literal validity regime),
-and noise calibration. Every function is pure; out-of-regime inputs raise ConditionNotMet naming the failing
-clause, never silently fall back.
+and central view), and random-walk decentralized settings, each composing
+its rounds by multiplying a per-round bound by their count, plus the
+generic building blocks: the Gaussian mechanism, conversion to
+(epsilon, delta)-DP, sensitivity bounds for the splitting update,
+amplification by subsampling (with its literal validity regime), and
+noise calibration. Every function is pure; out-of-regime inputs raise
+ConditionNotMet naming the failing clause, never silently fall back. The
+four formulas share one rule for L and gamma (both > 0) and calibration
+one rule for the budget (a NaN budget is a ParameterError).
 """
 
 from __future__ import annotations
@@ -43,18 +46,6 @@ class RdpCurve:
                 raise ParameterError(f"epsilon values must be >= 0, got {e}")
 
 
-def compose(curves: list[RdpCurve]) -> RdpCurve:
-    """Pointwise sum of curves sharing one alpha grid (additive composition)."""
-    if not curves:
-        raise StructuralError("nothing to compose")
-    grid = curves[0].alphas
-    for c in curves[1:]:
-        if c.alphas != grid:
-            raise StructuralError("cannot compose curves on different alpha grids")
-    eps = tuple(sum(c.epsilons[i] for c in curves) for i in range(len(grid)))
-    return RdpCurve(grid, eps, provenance=" + ".join(c.provenance for c in curves if c.provenance))
-
-
 def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
     """Best (epsilon, delta)-DP implied by the curve: min over alpha of eps + ln(1/delta)/(alpha-1)."""
     if not 0.0 < delta < 1.0:
@@ -83,16 +74,19 @@ def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
     return alpha * sensitivity ** 2 / (2.0 * sigma ** 2)
 
 
-def gaussian_curve(sensitivity: float, sigma: float,
-                   alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> RdpCurve:
-    return RdpCurve(alphas, tuple(gaussian_rdp(sensitivity, sigma, a) for a in alphas),
-                    provenance=f"gaussian(sens={sensitivity:g},sigma={sigma:g})")
+def _check_lipschitz_step(L: float, gamma: float):
+    """The rule of every formula for L and gamma: both > 0 (so not NaN)."""
+    if not L > 0:
+        raise ParameterError(f"Lipschitz constant L must be > 0, got {L}")
+    if not gamma > 0:
+        raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
 
 
 def sensitivity_consensus(L: float, gamma: float, lam: float, n: int) -> float:
     """One-step output displacement bound 4*lam*L*gamma/n of the consensus update."""
-    if L <= 0 or gamma <= 0 or n < 1:
-        raise ParameterError("need L > 0, gamma > 0, n >= 1")
+    _check_lipschitz_step(L, gamma)
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"step size must lie in (0, 1], got {lam}")
     return 4.0 * lam * L * gamma / n
@@ -118,10 +112,7 @@ def centralized_epsilon(alpha: float, K: int, L: float, gamma: float,
     if K < 0:
         raise ParameterError(f"round count must be >= 0, got {K}")
     _check_sigma(sigma)
-    if K == 0:
-        return 0.0
-    per_step = gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, n), sigma, alpha)
-    return K * per_step
+    return K * gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, n), sigma, alpha)
 
 
 def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> float:
@@ -161,8 +152,6 @@ def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float) 
     if K_i < 0:
         raise ParameterError(f"participation count must be >= 0, got {K_i}")
     _check_sigma(sigma)
-    if K_i == 0:
-        return 0.0
     return K_i * gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, 1), sigma, alpha)
 
 
@@ -173,6 +162,7 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
     Value: 16*alpha*K*L^2*gamma^2/(sigma^2 n^2), i.e. twice the centralized
     bound; valid only in the subsampling regime with q = m/n.
     """
+    _check_lipschitz_step(L, gamma)
     if m < 1 or n < 1 or m > n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
     if K < 0:
@@ -196,6 +186,7 @@ def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
     """
     if not alpha > 1:
         raise ParameterError(f"Rényi order must be > 1, got {alpha}")
+    _check_lipschitz_step(L, gamma)
     if n < 2:
         raise ParameterError(f"walk needs n >= 2 users, got {n}")
     if K_i < 0:
@@ -268,6 +259,15 @@ def grid_curve(epsilon_at: Callable[[float], float], alphas: tuple[float, ...],
     return RdpCurve(tuple(grid), tuple(eps), provenance=provenance)
 
 
+def check_budget(epsilon: float):
+    """The one budget rule of noise calibration: a NaN budget is a ParameterError,
+    one <= 0 is out of regime (ConditionNotMet)."""
+    if math.isnan(epsilon):
+        raise ParameterError(f"privacy budget epsilon must be a number, got {epsilon}")
+    if epsilon <= 0:
+        raise ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
+
+
 _LARGE_SIGMA = 1e8
 # Relative width at which noise calibration stops bisecting.
 SIGMA_REL_TOL = 1e-3
@@ -286,8 +286,7 @@ def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
     satisfies account(sigma) <= target; infeasible targets raise
     ConditionNotMet.
     """
-    if epsilon <= 0:
-        raise ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
+    check_budget(epsilon)
     if (delta is None) == (alpha is None):
         raise ParameterError("specify exactly one of delta (DP target) or alpha (Rényi target)")
 
@@ -303,11 +302,11 @@ def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
         # All formulas scale as 1/sigma^2: invert exactly, then honor regime floors.
         base = setting_epsilon(setting, alpha, _LARGE_SIGMA, K=K, L=L, gamma=gamma,
                                n=n, m=m, K_i=K_i)
+        floor = _regime_floor(setting, L, gamma, alpha)
         if base > 0:
-            sigma = _LARGE_SIGMA * math.sqrt(base / epsilon) * (1.0 + 1e-12)
+            sigma = max(_LARGE_SIGMA * math.sqrt(base / epsilon) * (1.0 + 1e-12), floor)
         else:
-            sigma = _tiny_floor(setting, L, gamma, alpha)
-        sigma = max(sigma, _regime_floor(setting, L, gamma, alpha))
+            sigma = floor if floor > 0 else 1e-6
         try:
             if account(sigma) <= epsilon:
                 return sigma
@@ -325,11 +324,6 @@ def _regime_floor(setting: str, L: float, gamma: float, alpha: float | None) -> 
     if setting == "network" and alpha is not None:
         return 2.0 * L * gamma * math.sqrt(alpha * (alpha - 1.0)) * (1 + 1e-12)
     return 0.0
-
-
-def _tiny_floor(setting, L, gamma, alpha):
-    floor = _regime_floor(setting, L, gamma, alpha)
-    return floor if floor > 0 else 1e-6
 
 
 def bisect_sigma(account: Callable[[float], float], epsilon: float, lo: float) -> float:

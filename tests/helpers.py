@@ -6,7 +6,7 @@ from privfp import rng
 from privfp.admm import AdmmState, ConsensusProblem
 from privfp.blocks import BlockVector
 from privfp.errors import ParameterError, StructuralError
-from privfp.operators import CustomProx, RowQuadraticProx, ZeroProx, clip, prox_l1
+from privfp.operators import RowQuadraticProx, ZeroProx, clip, prox_l1
 
 
 def noise_rng(seed: int, k: int, b: int) -> np.random.Generator:
@@ -102,9 +102,9 @@ def reference_round_deltas(problem: ConsensusProblem, U: np.ndarray, rows, z: np
     return 2.0 * lam * dev
 
 
-def absolute_loss_prox(d: float, level: float) -> CustomProx:
+def absolute_loss_prox(d: float, level: float):
     """Prox of level * |x - d| (translation of the soft threshold)."""
-    return CustomProx(fn=lambda v, d=d, t=level: d + prox_l1(v - d, t))
+    return lambda v, d=d, t=level: d + prox_l1(v - d, t)
 
 
 def consensus_displacement_audit(n: int, L: float, gamma: float, lam: float,

@@ -13,14 +13,14 @@ from privfp import simnet
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
-    federated_round, federated_run, general_admm_run, general_admm_step,
+    federated_round, federated_run, general_admm_step,
     initial_state,
 )
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import RunTrace
 from privfp.operators import (
-    CustomProx, L1Prox, QuadraticProx, QuadraticRankOneProx, ZeroProx,
+    L1Prox, QuadraticProx, QuadraticRankOneProx, ZeroProx,
 )
 from privfp.privacy import sensitivity_consensus
 from privfp import bench
@@ -192,8 +192,9 @@ _DRIVERS = {
         problem, initial_state(problem, 2), [0, 1], 0.5, sigma, seed=0),
     "decentralized_step": lambda problem, sigma: decentralized_step(
         problem, initial_state(problem, 2), 0, 0.5, sigma, seed=0),
-    "general_admm_run": lambda problem, sigma: general_admm_run(
-        consensus_as_general(problem, 2), np.zeros(6), 0.5, sigma, K=2, seed=0, noise_blocks=3),
+    "general_admm_step": lambda problem, sigma: general_admm_step(
+        consensus_as_general(problem, 2), GeneralAdmmState(u=np.zeros(6), z=np.zeros(2)), 0.5,
+        sigma, seed=0, noise_blocks=3),
 }
 
 
@@ -577,7 +578,7 @@ class TestWrongShapeUserProx:
     @pytest.mark.parametrize("setting", list(_RUNS))
     def test_run_raises_structural_error_naming_the_user(self, setting, bad):
         proxes = [ZeroProx()] * 3
-        proxes[1] = CustomProx(bad)
+        proxes[1] = bad
         problem = ConsensusProblem(prox_f=tuple(proxes), prox_r=ZeroProx())
         u0 = np.arange(9, dtype=float).reshape(3, 3)
         with pytest.raises(StructuralError, match="prox of user 1 returned shape"):
@@ -591,9 +592,7 @@ class TestNonFiniteIterate:
         (lambda problem: centralized_run(problem, BlockVector.zeros(4, 2), 0.5, 0.2, 10, 1), 0),
         (lambda problem: federated_run(problem, 2, 2, 0.5, 0.2, 10, 1), 1),
         (lambda problem: decentralized_run(problem, 2, 0.5, 0.2, 10, 1), 1),
-        (lambda problem: general_admm_run(consensus_as_general(problem, 2), np.zeros(8),
-                                          0.5, 0.2, 10, 1, noise_blocks=4), 0),
-    ], ids=["centralized", "federated", "decentralized", "general"])
+    ], ids=["centralized", "federated", "decentralized"])
     def test_nan_prox_from_round_3_raises_naming_it(self, run, initial_calls):
         calls = []
 
@@ -602,41 +601,18 @@ class TestNonFiniteIterate:
             calls.append(None)
             return v * np.nan if len(calls) > initial_calls + 3 else v
 
-        problem, _ = simple_problem(4, 2, prox_r=CustomProx(fn=prox_r))
+        problem, _ = simple_problem(4, 2, prox_r=prox_r)
         with pytest.raises(ModelError, match="round 3"):
             run(problem)
 
 
-class TestGeneralRunLoop:
-    """``general_admm_run`` goes through ``iterate``."""
-
-    def test_zero_steps_rejected(self):
-        problem, _ = simple_problem(3, 2)
-        with pytest.raises(ParameterError, match="iteration count"):
-            general_admm_run(consensus_as_general(problem, 2), np.zeros(6), 0.5, 0.1, 0, 0,
-                             noise_blocks=3)
-
-    def test_run_is_the_replayed_steps(self):
-        problem, _ = simple_problem(3, 2, clip=0.5)
-        general = consensus_as_general(problem, 2)
-        u0 = np.random.default_rng(7).normal(size=6)
-        z, state = general_admm_run(general, u0, 0.5, 0.3, 12, 9, noise_blocks=3)
-        replay = GeneralAdmmState(u=u0, z=np.zeros(2))
-        for _ in range(12):
-            replay = general_admm_step(general, replay, 0.5, 0.3, 9, noise_blocks=3)
-        assert np.array_equal(z, replay.z) and np.array_equal(state.u, replay.u)
-        assert state.k == 12
-
-
 class TestNoiseBlocks:
-    """The step and the run check ``noise_blocks`` whatever sigma is."""
+    """The step checks ``noise_blocks`` whatever sigma is."""
 
     CALLS = {
         "step": lambda general, sigma, blocks: general_admm_step(
             general, GeneralAdmmState(u=np.zeros(300), z=np.zeros(3)), 0.5, sigma, 0,
             noise_blocks=blocks),
-        "run": lambda general, sigma, blocks: general_admm_run(
-            general, np.zeros(300), 0.5, sigma, 2, 0, noise_blocks=blocks),
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
@@ -682,8 +658,10 @@ class TestGeneralSplitting:
         problem = GeneralAdmmProblem(f_argmin=f_argmin, g_argmin=g_argmin,
                                      A=np.eye(p), B=np.eye(p), c=np.zeros(p),
                                      omega_A=1.0)
-        z, state = general_admm_run(problem, np.zeros(p), lam=0.5, sigma=0.0,
-                                    K=400, seed=0)
+        state = GeneralAdmmState(u=np.zeros(p), z=np.zeros(p))
+        for _ in range(400):
+            state = general_admm_step(problem, state, lam=0.5, sigma=0.0, seed=0)
+        z = state.z
         x = f_argmin(z, state.u)
         # direct solve oracle: min ||x-a||^2/2 + ||z-b||^2/2 s.t. x + z = 0
         x_star = (a - b) / 2.0

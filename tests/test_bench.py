@@ -247,7 +247,8 @@ class TestCsvExport:
         assert float(parsed["epsilon"]) == 0.1234567890123456789
 
     def test_accountant_csv(self, tmp_path):
-        curve = privacy.gaussian_curve(1.0, 2.0)
+        alphas = privacy.DEFAULT_ALPHAS
+        curve = privacy.RdpCurve(alphas, tuple(a / 8.0 for a in alphas), provenance="gaussian")
         path = tmp_path / "acct.csv"
         emit_accountant_csv(curve, path)
         with open(path) as fh:

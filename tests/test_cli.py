@@ -72,6 +72,18 @@ class TestAccount:
         assert "parameter_error" in err
         assert "nan" not in out
 
+    @pytest.mark.parametrize("setting", privacy.SETTINGS)
+    @pytest.mark.parametrize("name", ["L", "gamma"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_L_or_gamma_not_above_zero_rejected(self, capsys, setting, name, value):
+        params = {"--K": "5", "--L": "1", "--gamma": "0.1", "--n": "100", "--m": "5"}
+        params["--" + name] = value
+        code, out, err = run_cli(capsys, "account", "--setting", setting, "--sigma", "8",
+                                 "--delta", "1e-6", *(x for kv in params.items() for x in kv))
+        assert code == 2
+        assert "category=parameter_error: " in err and f" {name} must be > 0" in err
+        assert out == ""
+
     def test_nan_sigma_rejected_at_zero_rounds(self, capsys):
         code, out, err = run_cli(capsys, "account", "--setting", "centralized", "--sigma", "nan",
                                  "--K", "0", "--L", "1", "--gamma", "0.1", "--n", "100")
@@ -94,6 +106,19 @@ class TestCalibrate:
                                "--L", "1", "--gamma", "1", "--n", "10")
         assert code == 5
         assert "condition_not_met" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--setting", "centralized", "--epsilon", "nan", "--delta", "1e-6"),
+        ("--setting", "centralized", "--epsilon", "nan", "--alpha", "4"),
+        ("--setting", "network", "--epsilon", "0.1", "--delta", "1e-6", "--L", "-0.1"),
+    ], ids=["nan_budget_delta", "nan_budget_alpha", "negative_L"])
+    def test_nan_budget_or_negative_L_is_a_parameter_error(self, capsys, args):
+        defaults = ("--K", "200", "--L", "0.1", "--gamma", "1", "--n", "900")
+        code, out, err = run_cli(capsys, "calibrate", *defaults, *args)
+        assert code == 2
+        assert "category=parameter_error: " in err
+        assert ("privacy budget epsilon" if "nan" in args else "L must be > 0") in err
+        assert out == ""
 
     def test_parameter_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--setting", "centralized",
@@ -145,15 +170,25 @@ class TestSolve:
         assert code == 2
         assert "parameter_error" in err
 
-    @pytest.mark.parametrize("algorithm", ["admm", "dpsgd"])
-    def test_nan_clip_threshold_rejected(self, capsys, tmp_path, algorithm):
+    # NaN runs under the bare algorithm id; the other values get a suffix.
+    @pytest.mark.parametrize("algorithm, value", [
+        pytest.param(algorithm, value, id=algorithm if value == "nan" else f"{algorithm}-{value}")
+        for algorithm in ("admm", "dpsgd") for value in ("nan", "inf", "0", "-1")])
+    def test_nan_clip_threshold_rejected(self, capsys, tmp_path, algorithm, value):
         code, _, err = run_cli(capsys, "solve", "--setting", "centralized",
-                               "--algorithm", algorithm, "--clip-threshold", "nan",
+                               "--algorithm", algorithm, "--clip-threshold", value,
                                "--sigma", "0.5", "--K", "20",
                                "--outdir", str(tmp_path), "--out", "r.csv")
         assert code == 2
-        assert "category=parameter_error" in err
+        assert "category=parameter_error: clip_threshold must" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("setting", ["centralized", "federated", "decentralized"])
+    def test_nan_budget_rejected_naming_it(self, capsys, setting):
+        code, _, err = run_cli(capsys, "solve", "--setting", setting, "--n", "30", "--p", "4",
+                               "--support-size", "2", "--K", "5", "--epsilons", "nan")
+        assert code == 2
+        assert "category=parameter_error: privacy budget epsilon" in err
 
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5", "nan"])
     def test_sample_fraction_outside_unit_interval_rejected(self, capsys, fraction):

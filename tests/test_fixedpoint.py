@@ -79,14 +79,12 @@ class TestStep:
         with pytest.raises(StructuralError):
             step(BlockVector.zeros(2, 2), bad, cfg, 0)
 
-    def test_per_iteration_step_schedule(self):
-        cfg = IterationConfig(K=2, sigma=0.0, lam=[1.0, 0.5], seed=0)
-        u, trace = run(BlockVector(np.array([[2.0]])), affine_op(0.0, 0.0), cfg)
-        # step 1: full step to 0; step 2: half step stays at 0
-        np.testing.assert_array_equal(u.data, [[0.0]])
-        assert len(trace) == cfg.K
-        with pytest.raises(ParameterError):
-            IterationConfig(K=3, lam=[1.0, 0.5])
+    @pytest.mark.parametrize("lam", [[1.0, 0.5], (0.5,), np.array([0.5, 0.5]), "0.5", 1.5,
+                                     math.nan],
+                             ids=["list", "tuple", "array", "string", "above_one", "nan"])
+    def test_step_size_must_be_one_number_in_range(self, lam):
+        with pytest.raises(ParameterError, match="step size"):
+            IterationConfig(K=2, lam=lam)
 
 
 class TestRun:
@@ -168,18 +166,19 @@ class TestRunIsALoopOfStep:
     """``run`` goes through ``iterate``; the update it applies is ``step``'s."""
 
     def test_bit_identical_to_step_loop(self):
-        cfg = IterationConfig(K=20, sigma=0.6, lam=[1.0 / (k + 1) ** 0.5 for k in range(20)],
+        cfg = IterationConfig(K=20, sigma=0.6, lam=0.6,
                               schedule=BernoulliPerBlock(0.5), seed=2**63 + 7)
         u0 = BlockVector(np.random.default_rng(6).normal(size=(5, 3)))
         op = affine_op(0.7, -0.2)
         u_run, trace = run(u0, op, cfg, record_iterates=True)
+        masks = trace.active
         u = u0
         for k in range(cfg.K):
             u = step(u, op, cfg, k)
-            assert trace.active[k].tobytes() == cfg.schedule.mask(5, cfg.seed, k).tobytes()
+            assert masks[k].tobytes() == cfg.schedule.mask(5, cfg.seed, k).tobytes()
             assert trace.iterates[k].tobytes() == u.flat.tobytes()
         assert u_run.data.tobytes() == u.data.tobytes()
-        assert any(0 < m.sum() < 5 for m in trace.active)
+        assert any(0 < m.sum() < 5 for m in masks)
 
     def test_leaves_u0_unchanged(self):
         u0 = BlockVector(np.random.default_rng(7).normal(size=(3, 2)))
@@ -466,10 +465,6 @@ TRACED_RUNS = {
     "engine": (fixedpoint, lambda: run(BlockVector(np.ones((5, 3))), affine_op(0.5, 0.2),
                                        IterationConfig(K=30, sigma=0.3,
                                                        schedule=BernoulliPerBlock(0.3), seed=6))),
-    "general_admm": (admm, lambda: admm.general_admm_run(
-        admm.consensus_as_general(admm.ConsensusProblem(prox_f=(ZeroProx(),) * 4,
-                                                        prox_r=ZeroProx()), 2),
-        np.zeros(8), 0.5, 0.4, K=5, seed=2, noise_blocks=4)),
     "dpsgd_baseline": (bench, lambda: bench.dpsgd_baseline(LASSO, 0.01, 0.1, 1.0, 0.4, 20, 5)),
     "dpsgd_federated": (bench, lambda: bench.dpsgd_federated(LASSO, 0.01, 0.1, 1.0, 0.4, 20, 7, 5)),
 }

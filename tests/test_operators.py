@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from helpers import empirical_lipschitz
 from privfp.errors import ParameterError, StructuralError
 from privfp.operators import (
-    Averaged, Contractive, CustomProx, L1Prox, NonExpansive, QuadraticProx,
+    Averaged, Contractive, L1Prox, NonExpansive, QuadraticProx,
     QuadraticRankOneProx, RowQuadraticProx, ZeroProx, clip, clip_rows,
-    gradient_step_operator, prox_l1, prox_quadratic_rank_one, reflect,
-    reflect_compose,
+    gradient_step_operator, prox_l1, reflect, reflect_compose,
 )
 
 
@@ -47,14 +46,14 @@ class TestProxL1:
 class TestRankOneProx:
     def test_zero_row_is_identity(self):
         np.testing.assert_array_equal(
-            prox_quadratic_rank_one(np.zeros(1), 5.0, 1.0, 1, np.array([3.0])), [3.0])
+            QuadraticRankOneProx(np.zeros(1), 5.0, 1.0, 1)(np.array([3.0])), [3.0])
 
     def test_one_dimensional_value_vs_dense_oracle(self):
         # (a=[1], b=1, gamma=2, n=1, v=[0]): (1 + 1) x = 1  =>  x = 0.5
         expected = dense_rank_one_solve([1.0], 1.0, 2.0, 1, [0.0])
         np.testing.assert_allclose(expected, [0.5], atol=1e-15)
         np.testing.assert_allclose(
-            prox_quadratic_rank_one(np.array([1.0]), 1.0, 2.0, 1, np.array([0.0])),
+            QuadraticRankOneProx(np.array([1.0]), 1.0, 2.0, 1)(np.array([0.0])),
             expected, rtol=1e-14)
 
     @pytest.mark.parametrize("trial", range(10))
@@ -66,7 +65,7 @@ class TestRankOneProx:
         v = gen.normal(size=p)
         gamma = gen.uniform(0.1, 10.0)
         n = int(gen.integers(1, 50))
-        got = prox_quadratic_rank_one(a, b, gamma, n, v)
+        got = QuadraticRankOneProx(a, b, gamma, n)(v)
         want = dense_rank_one_solve(a, b, gamma, n, v)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
 
@@ -74,17 +73,17 @@ class TestRankOneProx:
         for p in (16, 64):
             gen = np.random.default_rng(p)
             a, v = gen.normal(size=p), gen.normal(size=p)
-            got = prox_quadratic_rank_one(a, 0.7, 3.0, 5, v)
+            got = QuadraticRankOneProx(a, 0.7, 3.0, 5)(v)
             want = dense_rank_one_solve(a, 0.7, 3.0, 5, v)
             assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            prox_quadratic_rank_one(np.ones(2), 1.0, 0.0, 1, np.ones(2))
+            QuadraticRankOneProx(np.ones(2), 1.0, 0.0, 1)(np.ones(2))
         with pytest.raises(ParameterError):
-            prox_quadratic_rank_one(np.ones(2), 1.0, 1.0, 0, np.ones(2))
+            QuadraticRankOneProx(np.ones(2), 1.0, 1.0, 0)(np.ones(2))
         with pytest.raises(ParameterError):
-            prox_quadratic_rank_one(np.ones(2), 1.0, 1.0, 1, np.ones(3))
+            QuadraticRankOneProx(np.ones(2), 1.0, 1.0, 1)(np.ones(3))
 
 
 def random_quadratic_prox(gen, p, gamma=1.0):
@@ -107,7 +106,7 @@ class TestQuadraticProx:
 class TestFirmNonexpansiveness:
     """Every prox of a convex function contracts probe pairs (tolerance 1e-9)."""
 
-    @pytest.mark.parametrize("spec_name", ["zero", "l1", "rank_one", "quadratic", "custom"])
+    @pytest.mark.parametrize("spec_name", ["zero", "l1", "rank_one", "quadratic"])
     def test_probe_audit(self, spec_name):
         gen = np.random.default_rng(7)
         p = 6
@@ -116,7 +115,6 @@ class TestFirmNonexpansiveness:
             "l1": L1Prox(0.3),
             "rank_one": QuadraticRankOneProx(a=gen.normal(size=p), b=0.5, gamma=2.0, n=3),
             "quadratic": random_quadratic_prox(gen, p),
-            "custom": CustomProx(fn=lambda v: prox_l1(v, 0.2)),
         }[spec_name]
         lip = empirical_lipschitz(lambda u: spec(u), p, seed=11)
         assert lip <= 1.0 + 1e-9
@@ -309,7 +307,7 @@ class TestRowQuadraticProx:
         gen = np.random.default_rng(23)
         A, b, V = gen.normal(size=(9, 5)), gen.normal(size=9), gen.normal(size=(len(rows), 5))
         got = RowQuadraticProx(A, b, gamma=1.7).rows(V, rows)
-        want = np.stack([prox_quadratic_rank_one(A[i], b[i], 1.7, 9, v) for i, v in zip(rows, V)])
+        want = np.stack([QuadraticRankOneProx(A[i], b[i], 1.7, 9)(v) for i, v in zip(rows, V)])
         assert got.shape == (len(rows), 5)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from privfp import privacy
-from privfp.errors import ConditionNotMet, ParameterError, StructuralError
+from privfp.errors import ConditionNotMet, ParameterError
 from privfp.privacy import (
     DEFAULT_ALPHAS, RdpCurve, calibrate_sigma,
-    centralized_epsilon, compose, estimated_participations, federated_central_epsilon,
-    gaussian_curve, gaussian_rdp, local_epsilon, network_rdp_epsilon, rdp_to_dp,
+    centralized_epsilon, estimated_participations, federated_central_epsilon,
+    gaussian_rdp, local_epsilon, network_rdp_epsilon, rdp_to_dp,
     sensitivity_consensus, sensitivity_general, setting_curve, subsampled_rdp,
 )
 
@@ -64,31 +64,6 @@ def test_nan_order_sensitivity_or_value_rejected(call):
         call(math.nan)
 
 
-class TestCompose:
-    def test_k_fold_gaussian(self):
-        K = 7
-        curve = gaussian_curve(1.0, 2.0)
-        total = compose([curve] * K)
-        for a, e in zip(total.alphas, total.epsilons):
-            assert e == pytest.approx(K * a * 1.0 / (2 * 4.0), rel=1e-15)
-
-    def test_zero_curve_is_identity(self):
-        curve = gaussian_curve(1.5, 1.0)
-        zero = RdpCurve(curve.alphas, tuple(0.0 for _ in curve.alphas))
-        np.testing.assert_array_equal(compose([curve, zero]).epsilons, curve.epsilons)
-
-    def test_order_invariance(self):
-        a = gaussian_curve(1.0, 1.0)
-        b = gaussian_curve(2.0, 3.0)
-        assert compose([a, b]).epsilons == compose([b, a]).epsilons
-
-    def test_grid_mismatch(self):
-        a = gaussian_curve(1.0, 1.0, alphas=(2.0, 4.0))
-        b = gaussian_curve(1.0, 1.0, alphas=(2.0, 8.0))
-        with pytest.raises(StructuralError):
-            compose([a, b])
-
-
 class TestRdpToDp:
     def test_single_point(self):
         curve = RdpCurve((2.0,), (1.0,))
@@ -110,6 +85,18 @@ class TestRdpToDp:
     def test_delta_range(self):
         with pytest.raises(ParameterError):
             rdp_to_dp(RdpCurve((2.0,), (1.0,)), 1.0)
+
+
+@pytest.mark.parametrize("setting", privacy.SETTINGS)
+@pytest.mark.parametrize("name", ["L", "gamma"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("K", [0, 5])
+def test_every_formula_rejects_L_or_gamma_not_above_zero(setting, name, value, K):
+    # a negative L*gamma made the network threshold negative, so every order passed it
+    params = dict(K=K, L=1.0, gamma=0.1, n=100, m=5)
+    params[name] = value
+    with pytest.raises(ParameterError, match=f"{name} must be > 0"):
+        setting_curve(setting, 8.0, **params)
 
 
 class TestSensitivities:
@@ -141,7 +128,7 @@ class TestCentralizedEpsilon:
     def test_equals_composed_per_step_curve(self):
         alpha, K, L, gamma, sigma, n = 3.0, 12, 0.8, 0.25, 1.3, 40
         per_step = gaussian_rdp(sensitivity_consensus(L, gamma, 1.0, n), sigma, alpha)
-        composed = compose([RdpCurve((alpha,), (per_step,))] * K).epsilons[0]
+        composed = sum([per_step] * K)
         assert centralized_epsilon(alpha, K, L, gamma, sigma, n) == pytest.approx(
             composed, rel=1e-15)
 
@@ -306,6 +293,12 @@ class TestCalibrate:
         with pytest.raises(ConditionNotMet):
             calibrate_sigma("centralized", epsilon=0.0, alpha=2.0, K=1, L=1.0,
                             gamma=1.0, n=10)
+
+    @pytest.mark.parametrize("target", [{"delta": 1e-6}, {"alpha": 4.0}], ids=["delta", "alpha"])
+    def test_nan_budget_is_a_parameter_error_naming_it(self, target):
+        with pytest.raises(ParameterError, match="privacy budget epsilon"):
+            calibrate_sigma("centralized", epsilon=math.nan, K=200, L=0.1, gamma=1.0, n=900,
+                            **target)
 
     def test_network_target_respects_noise_floor(self):
         sigma = calibrate_sigma("network", epsilon=10.0, alpha=2.0, K=10, L=1.0,
