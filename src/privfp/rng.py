@@ -11,7 +11,8 @@ reproduces the same draw.
 draws (``gaussian_block`` noise, and every schedule's cohorts, walk
 holders, masks and item orders) instead reuse one Philox generator per
 thread, which ``_reset_to`` sets to the draw's address; values are those
-of a fresh ``substream`` at that address.
+of a fresh ``substream`` at that address; ``gaussian_rows`` then resets
+only the counter per row and never calls ``gaussian_block``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,22 @@ def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.nda
 
 
 def gaussian_rows(seed: int, k: int, blocks, sigma: float, size: int) -> np.ndarray:
-    """Round k's noise for many blocks: row j is ``gaussian_block(seed, k, blocks[j], sigma, size)``."""
+    """Round k's noise for many blocks: row j is ``gaussian_block(seed, k, blocks[j], sigma, size)``
+    byte for byte (sigma < 0 raises its ValueError, NaN gives NaN rows): standard normals
+    per row, scaled as one block; one row is one ``normal`` draw."""
+    if sigma == 0.0:
+        return np.zeros((len(blocks), size))
+    if sigma < 0.0:
+        raise ValueError("scale < 0")
+    if len(blocks) == 1:  # normal scales in C; the block scaling below costs two ufunc calls
+        return _reset_to(seed, NOISE, k, int(blocks[0])).normal(0.0, sigma, (1, size))
     out = np.empty((len(blocks), size))
-    for j, b in enumerate(blocks):
-        out[j] = gaussian_block(seed, k, int(b), sigma, size)
+    gen = _reset_to(seed, NOISE, k, 0)  # sets the key; each row then sets only its counter
+    state, words, k = _thread.state, _thread.state["state"], k & _MASK64
+    for row, b in zip(out, blocks):
+        words["counter"] = (0, 0, k, int(b) & _MASK64)
+        gen.bit_generator.state = state
+        gen.standard_normal(out=row)
+    out *= sigma
+    out += 0.0  # Generator.normal returns 0.0 + sigma * z: -0.0 becomes 0.0
     return out

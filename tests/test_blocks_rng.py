@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 
@@ -66,27 +68,73 @@ def fresh_draw(seed, k, b, sigma, size):
 class TestGaussianRows:
     """gaussian_rows is the one multi-block draw: row j is gaussian_block at blocks[j]."""
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, float("nan"), -0.0, float("inf"), 5e-324, 1e-310,
+                                       rng.MAX_SIGMA, 1075.8])
     @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
     def test_rows_equal_stacked_blocks_bit_for_bit(self, seed, sigma):
-        blocks = np.array([7, 2, 2**40, 0, 5, 2])  # unsorted, with a repeat
-        for k in (0, 3, 2**64 - 1):
-            want = np.stack([rng.gaussian_block(seed, k, int(b), sigma, 9) for b in blocks])
-            got = rng.gaussian_rows(seed, k, blocks, sigma, 9)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        # unsorted, with a repeat; and single blocks, which take the one-row path
+        for blocks in (np.array([7, 2, 2**40, 0, 5, 2]), [2**40], np.array([3]), range(5, 6)):
+            for k in (0, 3, 2**64 - 1):
+                want = np.stack([rng.gaussian_block(seed, k, int(b), sigma, 9) for b in blocks])
+                got = rng.gaussian_rows(seed, k, blocks, sigma, 9)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("blocks", [[], np.array([], dtype=int), range(0)])
     def test_empty_block_set(self, blocks):
         for sigma in (0.0, 1.5):
             assert rng.gaussian_rows(4, 1, blocks, sigma, 6).shape == (0, 6)
 
-    def test_draws_through_the_module_function_once_per_row(self, monkeypatch):
-        calls = []
-        draw = rng.gaussian_block
-        monkeypatch.setattr(rng, "gaussian_block", lambda *a: calls.append(a) or draw(*a))
-        rng.gaussian_rows(9, 2, [3, 1, 4], 0.5, 2)
-        assert calls == [(9, 2, 3, 0.5, 2), (9, 2, 1, 0.5, 2), (9, 2, 4, 0.5, 2)]
+    @pytest.mark.parametrize("sigma", [-1.0, -5e-324, -float("inf")])
+    def test_negative_sigma_raises_as_gaussian_block_does(self, sigma):
+        with pytest.raises(ValueError) as block:
+            rng.gaussian_block(2, 1, 3, sigma, 4)
+        with pytest.raises(ValueError) as rows:
+            rng.gaussian_rows(2, 1, [3, 0], sigma, 4)
+        with pytest.raises(ValueError) as one_row:
+            rng.gaussian_rows(2, 1, [3], sigma, 4)
+        assert str(rows.value) == str(one_row.value) == str(block.value) == "scale < 0"
+
+    def test_nan_sigma_gives_nan_rows(self):
+        got = rng.gaussian_rows(2, 1, [3, 0, 3], float("nan"), 4)
+        assert got.shape == (3, 4) and np.isnan(got).all()
+
+    def test_held_generators_are_not_disturbed(self):
+        held_noise, held_sub = noise_rng(11, 2, 3), rng.substream(11, rng.DATA, 0, 0)
+        first = held_noise.normal(0.0, 1.0, 4)
+        for k in range(50):
+            rng.gaussian_rows(11, k, [3, 2, 3], 1.0, 17)
+        np.testing.assert_array_equal(np.concatenate([first, held_noise.normal(0.0, 1.0, 5)]),
+                                      fresh_draw(11, 2, 3, 1.0, 9))
+        np.testing.assert_array_equal(held_sub.normal(0.0, 1.0, 9),
+                                      rng.substream(11, rng.DATA, 0, 0).normal(0.0, 1.0, 9))
+
+    def test_two_threads_match_sequential_loop(self):
+        calls = [(seed, k, [k % 7, 3, (5 * k) % 11][:1 + k % 3])
+                 for k in range(60) for seed in (8, -2, 2**64 - 5)]
+        want = [rng.gaussian_rows(seed, k, blocks, 1.5, 33) for seed, k, blocks in calls]
+        got = [None] * len(calls)
+        start = threading.Barrier(2)
+
+        def draw(parity):
+            start.wait(timeout=10)
+            for j in range(parity, len(calls), 2):
+                seed, k, blocks = calls[j]
+                got[j] = rng.gaussian_rows(seed, k, blocks, 1.5, 33)
+
+        threads = [threading.Thread(target=draw, args=(parity,)) for parity in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between a row's counter reset and its draw
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestReusedGenerator:
@@ -167,6 +215,12 @@ class TestReusedGenerator:
         before = len(built)
         noise_rng(3, 0, 0)
         assert len(built) == before + 1  # the wrapper sees every construction
+
+    def test_import_builds_no_generator(self):
+        # an eager per-thread generator loads numpy.random at import, ~6 MB more resident memory
+        code = "import sys, privfp.cli; sys.exit('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def _one_hot(n, active):

@@ -190,6 +190,15 @@ class TestSolve:
         assert code == 2
         assert "category=parameter_error: privacy budget epsilon" in err
 
+    @pytest.mark.parametrize("epsilons", ["0.1,nan", "nan,0.1"])
+    def test_nan_budget_rejected_in_either_position(self, capsys, tmp_path, epsilons):
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--n", "30", "--p", "4",
+                               "--support-size", "2", "--K", "5", "--epsilons", epsilons,
+                               "--outdir", str(tmp_path), "--out", "r.csv")
+        assert code == 2
+        assert "category=parameter_error: privacy budget epsilon must be a number, got nan" in err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5", "nan"])
     def test_sample_fraction_outside_unit_interval_rejected(self, capsys, fraction):
         code, _, err = run_cli(capsys, "solve", "--setting", "federated", "--n", "30", "--p", "4",
