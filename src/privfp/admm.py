@@ -7,29 +7,30 @@ solved by iterating, with fresh per-user Gaussian noise eta:
     x_i <- prox_f_i(2 z - u_i)
     u_i <- u_i + 2 lam (clip(x_i - z) + eta_i / 2)
 
-Three drivers share one round kernel and the traced loop
-``fixedpoint.iterate``, and differ only in who takes part: every user in
-each round (centralized), a sampled cohort whose local deltas the server
-aggregates (federated), or one user at a time, who updates and forwards the
-model (a random walk). The federated and walk runs carry the dual mean
-ubar = mean_i u_i, add each round's deltas / n to it and set
-z = prox_r(ubar), so a walk token carries ubar with z. Each run updates
-only the participants' rows of its own duals in place, so a walk step
-costs O(p); the public steps ``federated_round`` and ``decentralized_step``
-return a new state over a copy. Each run also allocates its round
-workspace once, two (rows per round, p) arrays, and computes every round
-in it; only clipping (the squared entries) and noise (the draw) still
-take one fresh array of that size each. The public steps run the same
-kernel in arrays of their own. One step of a matrix-constrained
-generalization (arbitrary A x + B z = c coupling), ``general_admm_step``,
-is provided with a consensus instantiation that reproduces the specialized
-round bit-for-bit under a shared seed. Every run returns only the public
-variable z (and a trace or state); the data-adjacent x iterates never
-leave a round.
+Three drivers share the traced loop ``fixedpoint.iterate`` and differ only
+in who takes part: every user in each round (centralized), a sampled cohort
+whose local deltas the server aggregates (federated), or one user at a time,
+who updates and forwards the model (a random walk). The federated and walk
+runs carry the dual mean ubar = mean_i u_i, add each round's deltas / n to
+it and set z = prox_r(ubar), so a walk token carries ubar with z. Each run
+updates only the participants' rows of its own duals in place; the public
+steps ``federated_round`` and ``decentralized_step`` return a new state over
+a copy. The centralized and federated runs share one batched round kernel
+and allocate its workspace once, two (rows per round, p) arrays, computing
+every round in it; only clipping (the squared entries) and noise (the draw)
+still take one fresh array of that size each. The walk runs a one-row
+kernel on 1-D views of the holder's dual row, with no workspace, so a step
+costs O(p); its bits equal those of the batched kernel over that one row.
+One step of a matrix-constrained generalization (arbitrary A x + B z = c
+coupling), ``general_admm_step``, is provided with a consensus
+instantiation that reproduces the specialized round bit-for-bit under a
+shared seed. Every run returns only the public variable z (and a trace or
+state); the data-adjacent x iterates never leave a round.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -87,12 +88,19 @@ class ConsensusProblem:
         if out is None:
             out = np.empty(V.shape)
         for j, (i, v) in enumerate(zip(rows, V, strict=True)):
-            x = np.asarray(self.prox_f[i](v), dtype=float)
-            if x.shape != v.shape:
-                raise StructuralError(f"prox of user {i} returned shape {x.shape}, "
-                                      f"expected {v.shape}")
-            out[j] = x
+            out[j] = self.local_solve(v, i)
         return out
+
+    def local_solve(self, v: np.ndarray, i: int) -> np.ndarray:
+        """prox_f[i] at the 1-D v: ``local_solves(v[None], [i])[0]`` bit for bit, but
+        not copied, so a spec's result may be an array the spec keeps."""
+        if isinstance(self.prox_f, RowQuadraticProx):
+            return self.prox_f.row(v, i)
+        x = np.asarray(self.prox_f[i](v), dtype=float)
+        if x.shape != v.shape:
+            raise StructuralError(f"prox of user {i} returned shape {x.shape}, "
+                                  f"expected {v.shape}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,7 @@ def initial_state(problem: ConsensusProblem, p: int,
 
 
 # ---------------------------------------------------------------------------
-# The round kernel shared by the three drivers
+# The round kernels: batched for the centralized and federated runs, one row for the walk
 
 
 def _check_step(lam: float, sigma: float):
@@ -170,10 +178,33 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
-def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log, work=None):
-    """Walk step k in place: holder i (in range) updates and forwards; returns
-    (ubar, z, next holder)."""
-    ubar, z = _advance(problem, U, ubar, z, np.array([i]), lam, sigma, seed, k, work)
+def _walk_delta(problem, u, z, i, lam, sigma, seed, k):
+    """``_round_deltas`` over rows [i] bit for bit, for holder i with dual row u (not
+    modified): the same arithmetic in the same order on 1-D arrays, with no workspace."""
+    _check_step(lam, sigma)
+    d = problem.local_solve(2.0 * z - u, i) - z  # a spec may return an array it keeps
+    thr = problem.clip_threshold
+    if thr is not None:
+        nrm = math.sqrt(np.add.reduce(d * d))
+        if nrm > thr:  # a NaN norm leaves d as it is, as in clip_rows
+            d *= thr / nrm
+    if sigma > 0:
+        eta = rng.gaussian_block(seed, k, i, sigma, d.size)
+        eta *= 0.5
+        d += eta
+    d *= 2.0 * lam
+    return d
+
+
+def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log):
+    """Walk step k in place, ``_advance`` over rows [i] bit for bit: holder i (an
+    int in range) updates its row of U through ``_walk_delta`` and forwards;
+    returns (ubar, z, next holder)."""
+    u = U[i]
+    d = _walk_delta(problem, u, z, i, lam, sigma, seed, k)
+    u += d
+    ubar = ubar + d / problem.n
+    z = np.asarray(problem.prox_r(ubar), dtype=float)
     next_user = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
     if log is not None:
         simnet.record_observation(log, next_user, k + 1, z)
@@ -274,7 +305,7 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     """
     _checked_rows([i], problem.n, state.k)
     U = state.u.data.copy()
-    ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, i, lam, sigma, seed,
+    ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, int(i), lam, sigma, seed,
                                     state.k, log)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
@@ -288,13 +319,11 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
     U, ubar, z = state.u.data, state.ubar, state.z
     log = simnet.ObservationLog(n=problem.n)
     current = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
-    work = _workspace(1, U.shape[1])
 
     def advance(k):
         nonlocal ubar, z, current
         holder = current
-        ubar, z, current = _walk_step(problem, U, ubar, z, holder, lam, sigma, seed, k, log,
-                                      work)
+        ubar, z, current = _walk_step(problem, U, ubar, z, holder, lam, sigma, seed, k, log)
         return holder, z
 
     return (*iterate(K, problem.n, advance, objective), log)

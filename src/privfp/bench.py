@@ -268,8 +268,8 @@ class ExperimentConfig:
         for name in ("epsilons", "seeds"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must not be empty")
-        for eps in self.epsilons:  # solve calibrates at min(epsilons) only; NaN must fail anywhere
-            if math.isnan(eps):
+        for eps in self.epsilons:  # solve calibrates at min(epsilons) only; NaN, inf fail anywhere
+            if not eps < math.inf:
                 privacy.check_budget(eps)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")

@@ -260,10 +260,12 @@ def grid_curve(epsilon_at: Callable[[float], float], alphas: tuple[float, ...],
 
 
 def check_budget(epsilon: float):
-    """The one budget rule of noise calibration: a NaN budget is a ParameterError,
-    one <= 0 is out of regime (ConditionNotMet)."""
+    """The one budget rule of noise calibration: a NaN or infinite budget is a
+    ParameterError, one <= 0 is out of regime (ConditionNotMet)."""
     if math.isnan(epsilon):
         raise ParameterError(f"privacy budget epsilon must be a number, got {epsilon}")
+    if epsilon == math.inf:
+        raise ParameterError(f"privacy budget epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
 

@@ -11,7 +11,8 @@ from helpers import (
 )
 from privfp import simnet
 from privfp.admm import (
-    AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState,
+    AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState, _advance,
+    _round_deltas, _walk_delta, _walk_step,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
     federated_round, federated_run, general_admm_step,
     initial_state,
@@ -20,7 +21,7 @@ from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import RunTrace
 from privfp.operators import (
-    L1Prox, QuadraticProx, QuadraticRankOneProx, ZeroProx,
+    L1Prox, QuadraticProx, QuadraticRankOneProx, RowQuadraticProx, ZeroProx,
 )
 from privfp.privacy import sensitivity_consensus
 from privfp import bench
@@ -568,6 +569,110 @@ class TestRoundKernelWorkspace:
         x = consensus_as_general(problem, 6).f_argmin(z, u)
         want = reference_local_solves(problem, 2.0 * z - u.reshape(30, 6), np.arange(30))
         assert x.tobytes() == want.ravel().tobytes()
+
+
+def _walk_problem(form, p, clip=None):
+    """Five squared-residual rows of width p, as one ``RowQuadraticProx`` or as per-user specs."""
+    gen = np.random.default_rng(p)
+    A, b, gamma = gen.normal(size=(5, p)), gen.normal(size=5), 0.7
+    prox_f = RowQuadraticProx(A, b, gamma) if form == "rows" else tuple(
+        QuadraticRankOneProx(a=A[i], b=float(b[i]), gamma=gamma, n=5) for i in range(5))
+    return ConsensusProblem(prox_f=prox_f, prox_r=L1Prox(0.05), clip_threshold=clip)
+
+
+class TestWalkKernel:
+    """The walk's one-row kernel computes the batched kernel's round over one row, byte for byte."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.6])
+    @pytest.mark.parametrize("clip", ["off", "binds", "at-threshold", "nan-entry"])
+    @pytest.mark.parametrize("form", ["rows", "specs"])
+    @pytest.mark.parametrize("p", [1, 2, 6, 63, 64, 65, 1000])
+    def test_walk_delta_equals_the_batched_delta(self, p, form, clip, sigma):
+        gen = np.random.default_rng(10 * p + 1)
+        U, z, i, lam = 3.0 * gen.normal(size=(5, p)), gen.normal(size=p), 3, 0.7
+        if clip == "nan-entry":
+            U[i, p // 2] = np.nan
+        problem = _walk_problem(form, p)
+        (dev,) = reference_deviations(problem, U, [i], z)
+        norm = math.sqrt(np.add.reduce(dev * dev))
+        if clip != "off":
+            threshold = {"binds": 0.5 * norm, "at-threshold": norm, "nan-entry": 1.0}[clip]
+            problem = dataclasses.replace(problem, clip_threshold=threshold)
+        U_before = U.copy()
+        got = _walk_delta(problem, U[i], z, i, lam, sigma, 9, 4)
+        want = _round_deltas(problem, U, np.array([i]), z, lam, sigma, 9, 4)[0]
+        assert got.tobytes() == want.tobytes()
+        assert U.tobytes() == U_before.tobytes()
+        assert np.isnan(got).any() == (clip == "nan-entry")
+        if sigma == 0.0 and clip in ("off", "at-threshold"):  # a norm at the threshold is not clipped
+            assert got.tobytes() == (dev * (2.0 * lam)).tobytes()
+        if sigma == 0.0 and clip == "binds":
+            assert np.linalg.norm(got) == pytest.approx(lam * norm, rel=1e-12)
+
+    @pytest.mark.parametrize("form", ["rows", "specs"])
+    def test_walk_step_equals_the_batched_advance(self, form):
+        problem = _walk_problem(form, 6, clip=0.3)
+        U = np.random.default_rng(2).normal(size=(5, 6))
+        ubar = U.mean(axis=0)
+        z = problem.prox_r(ubar)
+        U_batched = U.copy()
+        want = _advance(problem, U_batched, ubar, z, np.array([2]), 0.7, 0.5, 9, 4)
+        got = _walk_step(problem, U, ubar, z, 2, 0.7, 0.5, 9, 4, None)[:2]
+        assert U.tobytes() == U_batched.tobytes()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_walk_leaves_an_array_a_spec_returns_unchanged(self):
+        target = np.array([1.0, -2.0])
+        problem = ConsensusProblem(prox_f=(lambda v: target,) * 3, prox_r=ZeroProx(),
+                                   clip_threshold=0.5)
+        decentralized_run(problem, 2, 0.5, 0.3, 20, seed=3)
+        assert target.tolist() == [1.0, -2.0]
+
+
+class TestWalkStepChecks:
+    """An invalid step size or noise std raises before the walk's first prox or dual update."""
+
+    BAD = {"lam-0": (0.0, 0.3), "lam-negative": (-0.5, 0.3), "lam-above-1": (1.5, 0.3),
+           "lam-nan": (math.nan, 0.3), "sigma-negative": (0.5, -1.0),
+           "sigma-nan": (0.5, math.nan)}
+
+    @staticmethod
+    def counting_problem(calls):
+        def prox(v):
+            calls.append(v)
+            return v
+        return ConsensusProblem(prox_f=(prox,) * 3, prox_r=ZeroProx())
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_decentralized_run_raises_parameter_error(self, case):
+        lam, sigma = self.BAD[case]
+        calls = []
+        with pytest.raises(ParameterError):
+            decentralized_run(self.counting_problem(calls), 2, lam, sigma, 5, seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_decentralized_step_raises_parameter_error(self, case):
+        lam, sigma = self.BAD[case]
+        calls, log = [], simnet.ObservationLog(n=3)
+        problem = self.counting_problem(calls)
+        state = initial_state(problem, 2, BlockVector(np.arange(6, dtype=float).reshape(3, 2)))
+        u_before = state.u.data.copy()
+        with pytest.raises(ParameterError):
+            decentralized_step(problem, state, 1, lam, sigma, seed=1, log=log)
+        assert calls == [] and log.total_events() == 0
+        assert state.u.data.tobytes() == u_before.tobytes()
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_walk_step_leaves_the_duals_unchanged(self, case):
+        lam, sigma = self.BAD[case]
+        problem = _walk_problem("rows", 4, clip=0.3)
+        U = np.random.default_rng(3).normal(size=(5, 4))
+        U_before = U.copy()
+        with pytest.raises(ParameterError):
+            _walk_step(problem, U, U.mean(axis=0), np.zeros(4), 1, lam, sigma, 1, 0, None)
+        assert U.tobytes() == U_before.tobytes()
 
 
 class TestWrongShapeUserProx:

@@ -120,6 +120,16 @@ class TestCalibrate:
         assert ("privacy budget epsilon" if "nan" in args else "L must be > 0") in err
         assert out == ""
 
+    @pytest.mark.parametrize("target", [("--alpha", "2"), ("--delta", "1e-6")],
+                             ids=["alpha", "delta"])
+    def test_infinite_budget_is_a_parameter_error_in_both_target_forms(self, capsys, target):
+        code, out, err = run_cli(capsys, "calibrate", "--setting", "centralized", "--epsilon",
+                                 "inf", *target, "--K", "10", "--L", "1", "--gamma", "1",
+                                 "--n", "10")
+        assert code == 2
+        assert "category=parameter_error: privacy budget epsilon must be finite, got inf" in err
+        assert out == ""
+
     def test_parameter_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--setting", "centralized",
                                "--epsilon", "1", "--alpha", "0.5", "--K", "1",
@@ -197,6 +207,15 @@ class TestSolve:
                                "--outdir", str(tmp_path), "--out", "r.csv")
         assert code == 2
         assert "category=parameter_error: privacy budget epsilon must be a number, got nan" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("epsilons", ["0.1,inf", "inf"])
+    def test_infinite_budget_rejected(self, capsys, tmp_path, epsilons):
+        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--n", "30", "--p", "4",
+                               "--support-size", "2", "--K", "5", "--epsilons", epsilons,
+                               "--outdir", str(tmp_path), "--out", "r.csv")
+        assert code == 2
+        assert "category=parameter_error: privacy budget epsilon must be finite, got inf" in err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5", "nan"])

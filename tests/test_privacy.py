@@ -300,6 +300,16 @@ class TestCalibrate:
             calibrate_sigma("centralized", epsilon=math.nan, K=200, L=0.1, gamma=1.0, n=900,
                             **target)
 
+    @pytest.mark.parametrize("target", [{"delta": 1e-6}, {"alpha": 4.0}], ids=["delta", "alpha"])
+    def test_infinite_budget_is_a_parameter_error_naming_it(self, target):
+        with pytest.raises(ParameterError, match="privacy budget epsilon must be finite, got inf"):
+            calibrate_sigma("centralized", epsilon=math.inf, K=200, L=0.1, gamma=1.0, n=900,
+                            **target)
+
+    def test_negative_infinite_budget_is_out_of_regime(self):
+        with pytest.raises(ConditionNotMet):
+            privacy.check_budget(-math.inf)
+
     def test_network_target_respects_noise_floor(self):
         sigma = calibrate_sigma("network", epsilon=10.0, alpha=2.0, K=10, L=1.0,
                                 gamma=1.0, n=20, K_i=1)
