@@ -31,7 +31,7 @@ state); the data-adjacent x iterates never leave a round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -53,7 +53,8 @@ class ConsensusProblem:
     ``prox_f`` holds the n per-item proxes in one of two forms: a tuple of
     specs or other callables, where ``prox_f[i]`` evaluates the i-th, or a
     ``RowQuadraticProx`` that solves the squared-residual rows of a design
-    in batches. ``local_solves`` evaluates either. ``prox_r`` is the
+    in batches. ``local_solves`` evaluates either. ``n`` is ``len(prox_f)``,
+    computed once at construction and not an argument. ``prox_r`` is the
     regularizer's prox. ``clip_threshold`` caps ||x_i - z|| in the dual
     update when set. The prox step gamma lives in the specs, and the
     problem carries no Lipschitz constant: the accountant takes both as
@@ -64,16 +65,14 @@ class ConsensusProblem:
     prox_f: tuple[ProxSpec, ...] | RowQuadraticProx
     prox_r: ProxSpec
     clip_threshold: float | None = None
+    n: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.prox_f) < 1:
+        object.__setattr__(self, "n", len(self.prox_f))
+        if self.n < 1:
             raise ParameterError("need at least one per-item prox")
         if self.clip_threshold is not None and not self.clip_threshold > 0:
             raise ParameterError(f"clipping threshold must be > 0, got {self.clip_threshold}")
-
-    @property
-    def n(self) -> int:
-        return len(self.prox_f)
 
     def local_solves(self, V: np.ndarray, rows: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:

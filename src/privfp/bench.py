@@ -539,8 +539,9 @@ def emit_trace_csv(trace, path) -> None:
 
 def emit_observations_csv(log, path) -> None:
     """Per-user observation sequences: one row per hand-off, z by value."""
-    dim = max((len(z) for seq in log.events.values() for _, z in seq), default=0)
+    events = log.events  # built anew on each read, so read once
+    dim = max((len(z) for seq in events.values() for _, z in seq), default=0)
     _write_csv(path, ("user", "step") + tuple(f"z{j}" for j in range(dim)),
                ([user, k] + [_fmt(float(v)) for v in z]
-                for user in sorted(log.events) for k, z in log.events[user]),
+                for user in sorted(events) for k, z in events[user]),
                "observations")

@@ -215,6 +215,24 @@ def test_clip_threshold_must_be_positive(threshold):
         simple_problem(3, 2, clip=threshold)
 
 
+class TestProblemSize:
+    @pytest.mark.parametrize("form", ["specs", "rows"])
+    def test_n_is_the_number_of_item_proxes(self, form):
+        problem = (_lasso_specs_problem if form == "specs" else _lasso_rows_problem)(None)
+        assert problem.n == len(problem.prox_f) == 30
+
+    def test_n_follows_a_replaced_prox_tuple(self):
+        problem, _ = simple_problem(3, 2)
+        assert dataclasses.replace(problem, prox_f=problem.prox_f[:2]).n == 2
+
+    def test_n_cannot_be_passed_in_or_set(self):
+        with pytest.raises(TypeError):
+            ConsensusProblem(prox_f=(ZeroProx(),), prox_r=ZeroProx(), n=5)
+        problem, _ = simple_problem(3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.n = 4
+
+
 @pytest.mark.parametrize("driver", [
     lambda problem, n, p: centralized_run(problem, BlockVector.zeros(n, p), 0.7, 0.3, 25, seed=4),
     lambda problem, n, p: federated_run(problem, p, 5, 0.7, 0.3, 25, seed=4),

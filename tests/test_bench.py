@@ -268,6 +268,24 @@ class TestCsvExport:
         assert [r["iter"] for r in rows] == ["0", "1"]
         assert float(rows[1]["objective"]) == 1.0
 
+    def test_observations_csv_reads_the_log_once(self, tmp_path):
+        class CountingLog(simnet.ObservationLog):
+            reads = 0
+
+            @property
+            def events(self):
+                self.reads += 1
+                return super().events
+
+        log = CountingLog(n=3)
+        for user, k, z in [(2, 1, [0.5, -1.0]), (0, 2, [1.0, 2.0]), (2, 3, [0.25, 0.0])]:
+            simnet.record_observation(log, user, k, np.array(z))
+        path = tmp_path / "obs.csv"
+        bench.emit_observations_csv(log, path)
+        assert log.reads == 1  # each read builds the per-user lists anew
+        assert path.read_text().splitlines() == [
+            "user,step,z0,z1", "0,2,1,2", "2,1,0.5,-1", "2,3,0.25,0"]
+
     def test_io_error_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit_csv([], tmp_path / "no" / "such" / "dir.csv")

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from helpers import schedule_rng
 from privfp import admm
-from privfp.errors import ParameterError
+from privfp.errors import ParameterError, StructuralError
 from privfp.fixedpoint import SingleUniform
 from privfp.operators import ZeroProx
 from privfp.simnet import (
@@ -147,6 +149,93 @@ class TestObservationLog:
         a, b = simulate(17), simulate(17)
         assert {u: [(k, z.tolist()) for k, z in seq] for u, seq in a.events.items()} == \
             {u: [(k, z.tolist()) for k, z in seq] for u, seq in b.events.items()}
+
+
+def _plain(events):
+    return {user: [(k, z.tolist()) for k, z in seq] for user, seq in events.items()}
+
+
+class TestObservationStore:
+    """The log's block store reads back what a dict of per-user lists would hold."""
+
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+    def test_reads_match_a_dict_of_lists_across_block_edges(self, count):
+        n, p = 7, 3
+        gen = np.random.default_rng(count)
+        log, oracle = ObservationLog(n=n), {}
+        for k in range(count):
+            user, z = int(gen.integers(n)), gen.normal(size=p)
+            record_observation(log, user, k + 1, z)
+            oracle.setdefault(user, []).append((k + 1, z.copy()))
+        assert log.total_events() == count
+        assert _plain(log.events) == _plain(oracle)
+        assert list(log.events) == list(oracle)  # users in order of first event
+        for user in range(n + 1):
+            assert _plain({user: log.sequence(user)}) == _plain({user: oracle.get(user, [])})
+        np.testing.assert_array_equal(participation_counts(log),
+                                      [len(oracle.get(user, [])) for user in range(n)])
+
+    def test_rows_are_read_only_copies(self):
+        log, z = ObservationLog(n=2), np.arange(3.0)
+        record_observation(log, 1, 4, z)
+        z[:] = -1.0
+        (k, row), = log.sequence(1)
+        assert k == 4 and row.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError):
+            row[0] = 9.0
+        with pytest.raises(ValueError):
+            log.events[1][0][1][0] = 9.0
+        record_observation(log, 0, 5, z)  # appends still work after a read
+        assert log.sequence(1)[0][1].tolist() == [0.0, 1.0, 2.0]
+        assert log.sequence(0)[0][1].tolist() == [-1.0, -1.0, -1.0]
+
+    @pytest.mark.parametrize("user, k", [
+        (True, 0), (0, False), (1.0, 0), (0, 2.0), (np.float64(1.0), 0), (0, np.bool_(True)),
+        ("1", 0), (None, 0),
+    ])
+    def test_user_and_step_must_be_integers(self, user, k):
+        log = ObservationLog(n=3)
+        with pytest.raises(ParameterError, match="must be integers"):
+            record_observation(log, user, k, np.zeros(2))
+        assert log.total_events() == 0
+
+    @pytest.mark.parametrize("k", [2**63, -2**63 - 1])
+    def test_step_beyond_64_bits_raises_and_leaves_the_log_usable(self, k):
+        log = ObservationLog(n=3)
+        with pytest.raises(ParameterError, match="64-bit"):
+            record_observation(log, 1, k, np.zeros(2))
+        record_observation(log, 1, 2**63 - 1, np.ones(2))
+        assert _plain(log.events) == {1: [(2**63 - 1, [1.0, 1.0])]}
+
+    def test_numpy_integers_and_integer_snapshots_are_accepted(self):
+        log = ObservationLog(n=3)
+        record_observation(log, np.int32(2), np.uint16(7), np.array([3, 4], dtype=np.int8))
+        record_observation(log, 2, 8, [5, 6])
+        (k, z), (_, z_list) = log.sequence(2)
+        assert k == 7 and type(k) is int
+        assert z.dtype == float and z.tolist() == [3.0, 4.0] and z_list.tolist() == [5.0, 6.0]
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    def test_snapshot_of_another_shape_raises(self, shape):
+        log = ObservationLog(n=3)
+        record_observation(log, 0, 1, np.zeros(2))
+        with pytest.raises(StructuralError, match="user 2 at step 5"):
+            record_observation(log, 2, 5, np.ones(shape))
+        assert log.total_events() == 1 and log.sequence(2) == []
+
+    def test_walk_sized_log_holds_little_beyond_its_snapshots(self):
+        events, p = 9000, 64
+        z = np.ones(p)
+        tracemalloc.start()
+        try:
+            log = ObservationLog(n=900)
+            for k in range(events):
+                record_observation(log, k % 900, k + 1, z)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.total_events() == events
+        assert held <= 1.1 * events * p * 8
 
 
 class TestParticipationCounts:
