@@ -21,6 +21,8 @@ every round in it; only clipping (the squared entries) and noise (the draw)
 still take one fresh array of that size each. The walk runs a one-row
 kernel on 1-D views of the holder's dual row, with no workspace, so a step
 costs O(p); its bits equal those of the batched kernel over that one row.
+The walk's holders and noise depend only on the seed and the step, never on
+the data, so the run draws them 128 steps at a time into one array per run.
 One step of a matrix-constrained generalization (arbitrary A x + B z = c
 coupling), ``general_admm_step``, is provided with a consensus
 instantiation that reproduces the specialized round bit-for-bit under a
@@ -41,6 +43,8 @@ from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
 from .fixedpoint import RunTrace, _checked_rows, iterate
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
+
+_WALK_BLOCK = 128  # walk steps whose holders and noise are drawn in one pass
 
 # ---------------------------------------------------------------------------
 # Problems and state
@@ -177,37 +181,45 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
-def _walk_delta(problem, u, z, i, lam, sigma, seed, k):
-    """``_round_deltas`` over rows [i] bit for bit, for holder i with dual row u (not
-    modified): the same arithmetic in the same order on 1-D arrays, with no workspace."""
+def _walk_draws(n, lam, sigma, seed, k, holder, eta):
+    """Checks lam and sigma, then draws walk steps k, ..., k + m - 1 (m = len(eta), holder
+    given at step k): returns the holders of steps k, ..., k + m, each next one from SCHEDULE
+    (step, 0), and the m halved noise rows from NOISE (step, holder), written into eta
+    (None at sigma = 0). Neither depends on the data, so a run draws them ahead."""
     _check_step(lam, sigma)
+    steps = range(k, k + len(eta))
+    holders = [holder, *(simnet.walk_next(n, rng._reset_to(seed, rng.SCHEDULE, j, 0))
+                         for j in steps)]
+    if sigma == 0.0:
+        return holders, [None] * len(eta)
+    rng._normal_rows(seed, [(0, 0, j, i) for j, i in zip(steps, holders)], sigma, eta)
+    eta *= 0.5
+    return holders, list(eta)
+
+
+def _walk_delta(problem, u, z, i, lam, eta):
+    """``_round_deltas`` over rows [i] bit for bit, for holder i with dual row u (not modified)
+    and halved noise row eta: the same arithmetic in the same order on 1-D arrays."""
     d = problem.local_solve(2.0 * z - u, i) - z  # a spec may return an array it keeps
     thr = problem.clip_threshold
     if thr is not None:
         nrm = math.sqrt(np.add.reduce(d * d))
         if nrm > thr:  # a NaN norm leaves d as it is, as in clip_rows
             d *= thr / nrm
-    if sigma > 0:
-        eta = rng.gaussian_block(seed, k, i, sigma, d.size)
-        eta *= 0.5
+    if eta is not None:
         d += eta
     d *= 2.0 * lam
     return d
 
 
-def _walk_step(problem, U, ubar, z, i, lam, sigma, seed, k, log):
-    """Walk step k in place, ``_advance`` over rows [i] bit for bit: holder i (an
-    int in range) updates its row of U through ``_walk_delta`` and forwards;
-    returns (ubar, z, next holder)."""
+def _walk_step(problem, U, ubar, z, i, lam, eta):
+    """Walk step in place, ``_advance`` over rows [i] bit for bit: holder i (an int in
+    range) updates its row of U through ``_walk_delta``; returns (ubar, z)."""
     u = U[i]
-    d = _walk_delta(problem, u, z, i, lam, sigma, seed, k)
+    d = _walk_delta(problem, u, z, i, lam, eta)
     u += d
     ubar = ubar + d / problem.n
-    z = np.asarray(problem.prox_r(ubar), dtype=float)
-    next_user = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
-    if log is not None:
-        simnet.record_observation(log, next_user, k + 1, z)
-    return ubar, z, next_user
+    return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +308,20 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     """The user currently holding z updates locally, then forwards it.
 
     Only block i changes; the dual mean ubar absorbs (1/n) of the delta and
-    z = prox_r(ubar); the next holder is uniform over all users. When
-    a log is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as
-    the receiving user's observation. ``state`` is left unchanged: the step
+    z = prox_r(ubar); the next holder is uniform over all users. The step is
+    a one-step block of ``decentralized_run``'s draw and kernel. When a log
+    is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as the
+    receiving user's observation. ``state`` is left unchanged: the step
     updates a copy. The holder i must be an integer in [0, n), as
     ``fixedpoint.iterate`` requires of a step's active indices.
     """
     _checked_rows([i], problem.n, state.k)
     U = state.u.data.copy()
-    ubar, z, next_user = _walk_step(problem, U, state.ubar, state.z, int(i), lam, sigma, seed,
-                                    state.k, log)
+    (_, next_user), (eta,) = _walk_draws(problem.n, lam, sigma, seed, state.k, int(i),
+                                         np.empty((1, U.shape[1])))
+    ubar, z = _walk_step(problem, U, state.ubar, state.z, int(i), lam, eta)
+    if log is not None:
+        simnet.record_observation(log, next_user, state.k + 1, z)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
 
@@ -313,19 +329,30 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
                       K: int, seed: int, u0: BlockVector | None = None,
                       objective: Callable[[np.ndarray], float] | None = None,
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
-    """K random-walk steps; returns z_K, the trace, and the observation log."""
+    """K random-walk steps; returns z_K, the trace, and the observation log.
+
+    The first holder is drawn from SCHEDULE (0, 1), the rest and the noise by one
+    ``_walk_draws`` per _WALK_BLOCK steps into one array per run. A hand-off is logged
+    once ``iterate`` has found its z finite: a run stopped at round k logged k events."""
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
     log = simnet.ObservationLog(n=problem.n)
-    current = simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))
+    eta = np.empty((_WALK_BLOCK, U.shape[1]))
+    holders, noise = [simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))], []
 
     def advance(k):
-        nonlocal ubar, z, current
-        holder = current
-        ubar, z, current = _walk_step(problem, U, ubar, z, holder, lam, sigma, seed, k, log)
-        return holder, z
+        nonlocal ubar, z, holders, noise
+        j = k % _WALK_BLOCK
+        if j == 0:  # a block starts at the last one's final holder
+            holders, noise = _walk_draws(problem.n, lam, sigma, seed, k, holders[-1], eta[:K - k])
+        if k:  # the hand-off of step k - 1
+            simnet.record_observation(log, holders[j], k, z)
+        ubar, z = _walk_step(problem, U, ubar, z, holders[j], lam, noise[j])
+        return holders[j], z
 
-    return (*iterate(K, problem.n, advance, objective), log)
+    z, trace = iterate(K, problem.n, advance, objective)
+    simnet.record_observation(log, holders[-1], K, z)
+    return z, trace, log
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,14 @@ def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
 
 def train_test_split(dataset: LassoDataset, test_fraction: float = 0.1,
                      seed: int = 0) -> tuple[LassoDataset, LassoDataset]:
-    """Disjoint, seeded row split (train first)."""
+    """Disjoint, seeded row split (train first); both parts keep at least one row."""
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test fraction must lie in (0, 1), got {test_fraction}")
-    perm = rng.substream(seed, rng.DATA, 1, 0).permutation(dataset.n)
     n_test = max(1, int(round(dataset.n * test_fraction)))
+    if n_test >= dataset.n:
+        raise ParameterError(f"test fraction {test_fraction} of n={dataset.n} rows leaves "
+                             "no training row")
+    perm = rng.substream(seed, rng.DATA, 1, 0).permutation(dataset.n)
     test_rows, train_rows = perm[:n_test], perm[n_test:]
     make = lambda rows: LassoDataset(A=dataset.A[rows], b=dataset.b[rows], x_true=dataset.x_true)
     return make(np.sort(train_rows)), make(np.sort(test_rows))

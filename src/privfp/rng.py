@@ -11,8 +11,9 @@ reproduces the same draw.
 draws (``gaussian_block`` noise, and every schedule's cohorts, walk
 holders, masks and item orders) instead reuse one Philox generator per
 thread, which ``_reset_to`` sets to the draw's address; values are those
-of a fresh ``substream`` at that address; ``gaussian_rows`` then resets
-only the counter per row and never calls ``gaussian_block``.
+of a fresh ``substream`` at that address. ``_normal_rows`` fills a block's
+rows from a list of counters with the key set once; ``gaussian_rows`` (one
+round's blocks) and the random walk (a block of steps' holders) draw through it.
 """
 
 from __future__ import annotations
@@ -83,19 +84,27 @@ def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.nda
 
 def gaussian_rows(seed: int, k: int, blocks, sigma: float, size: int) -> np.ndarray:
     """Round k's noise for many blocks: row j is ``gaussian_block(seed, k, blocks[j], sigma, size)``
-    byte for byte (sigma < 0 raises its ValueError, NaN gives NaN rows): standard normals
-    per row, scaled as one block; one row is one ``normal`` draw."""
+    byte for byte (sigma < 0 raises its ValueError, NaN gives NaN rows), drawn by
+    ``_normal_rows`` from a counter list built once; one row is one ``normal`` draw."""
     if sigma == 0.0:
         return np.zeros((len(blocks), size))
     if sigma < 0.0:
         raise ValueError("scale < 0")
-    if len(blocks) == 1:  # normal scales in C; the block scaling below costs two ufunc calls
+    k = int(k) & _MASK64  # a numpy integer k would overflow the mask
+    if len(blocks) == 1:  # normal scales in C; the block scaling costs two ufunc calls
         return _reset_to(seed, NOISE, k, int(blocks[0])).normal(0.0, sigma, (1, size))
-    out = np.empty((len(blocks), size))
-    gen = _reset_to(seed, NOISE, k, 0)  # sets the key; each row then sets only its counter
-    state, words, k = _thread.state, _thread.state["state"], k & _MASK64
-    for row, b in zip(out, blocks):
-        words["counter"] = (0, 0, k, int(b) & _MASK64)
+    counters = [(0, 0, k, int(b) & _MASK64) for b in blocks]
+    return _normal_rows(seed, counters, sigma, np.empty((len(blocks), size)))
+
+
+def _normal_rows(seed: int, counters, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Fill row j of out with ``gaussian_block(seed, k, b, sigma, size)`` (byte for byte for
+    sigma != 0), where ``counters[j] = (0, 0, k, b)``, k and b in [0, 2**64): the key is set
+    once, each row sets its counter and takes standard normals in place, out is scaled once."""
+    gen = _reset_to(seed, NOISE, 0, 0)
+    state, words = _thread.state, _thread.state["state"]
+    for row, counter in zip(out, counters):
+        words["counter"] = counter
         gen.bit_generator.state = state
         gen.standard_normal(out=row)
     out *= sigma

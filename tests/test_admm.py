@@ -9,10 +9,10 @@ from helpers import (
     consensus_displacement_audit, one_round_u, reference_deviations, reference_local_solves,
     reference_round_deltas, schedule_rng, u_update, x_update, z_update,
 )
-from privfp import simnet
+from privfp import admm, rng, simnet
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState, _advance,
-    _round_deltas, _walk_delta, _walk_step,
+    _round_deltas, _walk_delta, _walk_draws, _walk_step,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
     federated_round, federated_run, general_admm_step,
     initial_state,
@@ -598,6 +598,11 @@ def _walk_problem(form, p, clip=None):
     return ConsensusProblem(prox_f=prox_f, prox_r=L1Prox(0.05), clip_threshold=clip)
 
 
+def _walk_noise(seed, k, i, lam, sigma, p, n=5):
+    """Holder i's halved noise row at walk step k as the walk draws it (None at sigma = 0)."""
+    return _walk_draws(n, lam, sigma, seed, k, i, np.empty((1, p)))[1][0]
+
+
 class TestWalkKernel:
     """The walk's one-row kernel computes the batched kernel's round over one row, byte for byte."""
 
@@ -617,7 +622,7 @@ class TestWalkKernel:
             threshold = {"binds": 0.5 * norm, "at-threshold": norm, "nan-entry": 1.0}[clip]
             problem = dataclasses.replace(problem, clip_threshold=threshold)
         U_before = U.copy()
-        got = _walk_delta(problem, U[i], z, i, lam, sigma, 9, 4)
+        got = _walk_delta(problem, U[i], z, i, lam, _walk_noise(9, 4, i, lam, sigma, p))
         want = _round_deltas(problem, U, np.array([i]), z, lam, sigma, 9, 4)[0]
         assert got.tobytes() == want.tobytes()
         assert U.tobytes() == U_before.tobytes()
@@ -635,7 +640,7 @@ class TestWalkKernel:
         z = problem.prox_r(ubar)
         U_batched = U.copy()
         want = _advance(problem, U_batched, ubar, z, np.array([2]), 0.7, 0.5, 9, 4)
-        got = _walk_step(problem, U, ubar, z, 2, 0.7, 0.5, 9, 4, None)[:2]
+        got = _walk_step(problem, U, ubar, z, 2, 0.7, _walk_noise(9, 4, 2, 0.7, 0.5, 6))[:2]
         assert U.tobytes() == U_batched.tobytes()
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -689,8 +694,116 @@ class TestWalkStepChecks:
         U = np.random.default_rng(3).normal(size=(5, 4))
         U_before = U.copy()
         with pytest.raises(ParameterError):
-            _walk_step(problem, U, U.mean(axis=0), np.zeros(4), 1, lam, sigma, 1, 0, None)
+            _walk_step(problem, U, U.mean(axis=0), np.zeros(4), 1, lam,
+                       _walk_noise(1, 0, 1, lam, sigma, 4))
         assert U.tobytes() == U_before.tobytes()
+
+
+def _walk_replay(problem, u0, lam, sigma, K, seed):
+    """A walk rebuilt one step at a time from the public draws: the first holder from
+    ``simnet.walk_next`` at SCHEDULE (0, 1), the next one after step k at (k, 0), and the
+    noise inside ``reference_round_deltas`` from ``rng.gaussian_block`` at (k, holder).
+    Returns every z, the final duals, the holders and the log's events per user."""
+    n = problem.n
+    U = u0.copy()
+    ubar = U.mean(axis=0)
+    z = np.asarray(problem.prox_r(ubar), dtype=float)
+    holder = simnet.walk_next(n, schedule_rng(seed, 0, tag=1))
+    zs, holders, events = [], [], {}
+    for k in range(K):
+        holders.append(holder)
+        deltas = reference_round_deltas(problem, U, np.array([holder]), z, lam, sigma, seed, k)
+        U[holder] += deltas[0]
+        ubar = ubar + deltas.sum(axis=0) / n
+        z = np.asarray(problem.prox_r(ubar), dtype=float)
+        zs.append(z)
+        holder = simnet.walk_next(n, schedule_rng(seed, k))
+        events.setdefault(holder, []).append((k + 1, z))
+    return zs, U, holders, events
+
+
+def _capture_logs(monkeypatch):
+    """The observation logs that runs build from now on, in order."""
+    logs = []
+
+    class CapturedLog(simnet.ObservationLog):
+        def __init__(self, n):
+            super().__init__(n)
+            logs.append(self)
+
+    monkeypatch.setattr(simnet, "ObservationLog", CapturedLog)
+    return logs
+
+
+class TestBlockAheadWalk:
+    """The walk draws each block's holders and noise ahead of its steps; nothing else moves."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.6])
+    @pytest.mark.parametrize("clip", [None, 0.3], ids=["clip-off", "clip-on"])
+    @pytest.mark.parametrize("form", ["rows", "specs"])
+    @pytest.mark.parametrize("K", [1, 127, 128, 129, 300])
+    def test_run_equals_a_per_step_replay(self, monkeypatch, K, form, clip, sigma):
+        problem = _walk_problem(form, 6, clip=clip)
+        u0 = np.random.default_rng(K).normal(size=(5, 6))
+        lam, seed = 0.6, 2**63 + 5
+        states = []
+        monkeypatch.setattr(admm, "initial_state",
+                            lambda *args: states.append(initial_state(*args)) or states[-1])
+        zs = []
+        z, trace, log = decentralized_run(problem, 6, lam, sigma, K, seed, u0=BlockVector(u0),
+                                          objective=lambda z: zs.append(z.copy()) or 0.0)
+        want_zs, want_U, holders, events = _walk_replay(problem, u0, lam, sigma, K, seed)
+        assert z.tobytes() == want_zs[-1].tobytes()
+        assert [a.tobytes() for a in zs] == [a.tobytes() for a in want_zs]
+        assert states[0].u.data.tobytes() == want_U.tobytes()
+        assert trace.active_rows == holders and all(type(h) is int for h in holders)
+        got = log.events
+        assert list(got) == list(events)  # users in order of their first event
+        for user, seq in events.items():
+            assert [k for k, _ in got[user]] == [k for k, _ in seq]
+            assert [a.tobytes() for _, a in got[user]] == [a.tobytes() for _, a in seq]
+        if clip is not None:  # the clip binds in the first step
+            dev = reference_deviations(problem, u0, np.arange(5), problem.prox_r(u0.mean(axis=0)))
+            assert np.any(np.linalg.norm(dev, axis=1) > clip)
+
+    @pytest.mark.parametrize("K", [1, 128, 300])
+    def test_noise_is_drawn_once_per_block_and_never_at_sigma_zero(self, monkeypatch, K):
+        draws = []
+        normal_rows = rng._normal_rows
+        monkeypatch.setattr(rng, "_normal_rows",
+                            lambda seed, counters, sigma, out: draws.append(len(out))
+                            or normal_rows(seed, counters, sigma, out))
+        for name in ("gaussian_block", "gaussian_rows"):
+            monkeypatch.setattr(rng, name, lambda *args, name=name: pytest.fail(f"walk drew {name}"))
+        problem = _walk_problem("rows", 6, clip=0.3)
+        decentralized_run(problem, 6, 0.5, 0.0, K, seed=3)
+        decentralized_step(problem, initial_state(problem, 6), 2, 0.5, 0.0, seed=3)
+        assert draws == []
+        decentralized_run(problem, 6, 0.5, 0.4, K, seed=3)
+        assert draws == [128] * (K // 128) + [K % 128] * (K % 128 > 0)
+
+    @pytest.mark.parametrize("k", [0, 3, 127, 128, 200])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    def test_non_finite_iterate_leaves_only_the_finite_hand_offs(self, monkeypatch, k, sigma):
+        calls = []
+
+        def prox_r(v):  # one call in initial_state, then one per step
+            calls.append(None)
+            return v * np.nan if len(calls) > 1 + k else v
+
+        logs = _capture_logs(monkeypatch)
+        problem = dataclasses.replace(_walk_problem("rows", 6), prox_r=prox_r)
+        with pytest.raises(ModelError, match=f"round {k}$"):
+            decentralized_run(problem, 6, 0.5, sigma, 300, seed=8)
+        clean = decentralized_run(dataclasses.replace(problem, prox_r=lambda v: v), 6, 0.5,
+                                  sigma, 300, seed=8)[2]
+        log = logs[0]
+        assert log.total_events() == k
+        got = sorted((step, user, z.tobytes()) for user, seq in log.events.items()
+                     for step, z in seq)
+        want = sorted((step, user, z.tobytes()) for user, seq in clean.events.items()
+                      for step, z in seq if step <= k)
+        assert got == want
 
 
 class TestWrongShapeUserProx:

@@ -56,6 +56,20 @@ class TestSplit:
         assert len(seen) == data.n
 
 
+    @pytest.mark.parametrize("n, fraction", [(1, 0.1), (1, 0.9), (2, 0.75), (10, 0.96), (3, 0.9)])
+    def test_no_training_row_is_a_parameter_error(self, n, fraction):
+        data = gen_lasso(n=n, p=4, support_size=2, seed=1)
+        with pytest.raises(ParameterError, match=f"^test fraction {fraction} of n={n} rows "
+                                                 "leaves no training row$"):
+            train_test_split(data, fraction, seed=5)
+
+    @pytest.mark.parametrize("n, fraction, n_train", [(2, 0.1, 1), (2, 0.74, 1), (10, 0.94, 1),
+                                                      (3, 0.5, 1)])
+    def test_one_training_row_is_enough(self, n, fraction, n_train):
+        train, test = train_test_split(gen_lasso(n=n, p=4, support_size=2, seed=1), fraction, 5)
+        assert (train.n, test.n) == (n_train, n - n_train)
+
+
 class TestObjective:
     def test_zero_vector_value(self):
         data = gen_lasso(n=40, p=5, support_size=2, seed=2)

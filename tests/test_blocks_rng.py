@@ -80,6 +80,27 @@ class TestGaussianRows:
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, float("nan"), -0.0, float("inf"), 5e-324, 1e-310,
+                                       rng.MAX_SIGMA, 1075.8])
+    @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
+    def test_per_row_addresses_equal_gaussian_block_bit_for_bit(self, seed, sigma):
+        # the shared loop the walk fills its noise block with: each row its own (k, b)
+        addresses = [(0, 4), (3, 4), (2**64 - 1, 2**40), (3, 0), (7, 4), (0, 4)]
+        out = np.full((len(addresses), 9), 5.0)
+        got = rng._normal_rows(seed, [(0, 0, k, b) for k, b in addresses], sigma, out)
+        want = np.stack([rng.gaussian_block(seed, k, b, sigma, 9) for k, b in addresses])
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.uint64(3), np.int32(3), np.int64(2**63 - 1),
+                                   np.uint64(2**64 - 1)], ids=repr)
+    @pytest.mark.parametrize("blocks", [[4, 0, 4], [4]], ids=["rows", "one-row"])
+    def test_numpy_integer_step_behaves_as_an_int(self, k, blocks):
+        want = rng.gaussian_rows(6, int(k), blocks, 0.7, 5)
+        assert rng.gaussian_rows(6, k, blocks, 0.7, 5).tobytes() == want.tobytes()
+        assert want.tobytes() == np.stack(
+            [rng.gaussian_block(6, int(k), b, 0.7, 5) for b in blocks]).tobytes()
+
     @pytest.mark.parametrize("blocks", [[], np.array([], dtype=int), range(0)])
     def test_empty_block_set(self, blocks):
         for sigma in (0.0, 1.5):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,20 @@ class TestSolve:
         assert "category=parameter_error: privacy budget epsilon must be finite, got inf" in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("args, n, fraction", [
+        (("--setting", "centralized", "--n", "1"), 1, 0.1),
+        (("--setting", "federated", "--n", "10", "--test-fraction", "0.96"), 10, 0.96),
+    ], ids=["centralized-n-1", "federated-test-fraction-0.96"])
+    def test_split_without_a_training_row_rejected(self, capsys, tmp_path, args, n, fraction):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from an empty training set
+            code, _, err = run_cli(capsys, "solve", *args, "--K", "5", "--epsilons", "1",
+                                   "--outdir", str(tmp_path), "--out", "r.csv")
+        assert code == 2
+        assert (f"category=parameter_error: test fraction {fraction} of n={n} rows leaves "
+                "no training row") in err
+        assert "Traceback" not in err and not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5", "nan"])
     def test_sample_fraction_outside_unit_interval_rejected(self, capsys, fraction):
         code, _, err = run_cli(capsys, "solve", "--setting", "federated", "--n", "30", "--p", "4",
@@ -326,6 +341,15 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert {r["algorithm"] for r in rows} == {"admm", "dpsgd"}
 
+
+    def test_split_without_a_training_row_rejected(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "bench", "--n", "1", "--K", "5", "--epsilons", "1",
+                                   "--seeds", "0", "--outdir", str(tmp_path), "--out", "res.csv")
+        assert code == 2
+        assert "category=parameter_error: test fraction 0.1 of n=1 rows leaves no training row" in err
+        assert "Traceback" not in err and not (tmp_path / "res.csv").exists()
 
     def test_non_finite_objective_is_not_written(self, capsys, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
