@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import os
 import shutil
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -274,6 +275,7 @@ class ExperimentConfig:
         for eps in self.epsilons:  # solve calibrates at min(epsilons) only; NaN, inf fail anywhere
             if not eps < math.inf:
                 privacy.check_budget(eps)
+        privacy.check_delta(self.delta)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")
         for name in ("gamma_scale", "clip_threshold"):
@@ -309,28 +311,27 @@ def _cohort(config: ExperimentConfig, n_train: int) -> int:
     return max(1, int(round(config.sample_fraction * n_train)))
 
 
-def _curve(config: ExperimentConfig, sigma: float, gamma: float,
-           n_train: int) -> privacy.RdpCurve:
-    """The cell's Rényi curve at noise std sigma."""
+def _accountant(config: ExperimentConfig, gamma: float,
+                n_train: int) -> Callable[[float], float]:
+    """sigma -> the DP epsilon the cell's Rényi curve certifies (setting, L, m, K_i derived once)."""
     if config.setting == "centralized" and config.algorithm == "dpsgd":
         # Record-level DP-SGD: K compositions of the (1/n)-subsampled Gaussian
         # mechanism on the clipped gradient (sensitivity 2C).
-        return privacy.grid_curve(
-            lambda a: config.K * privacy.subsampled_rdp(
-                a, 1.0 / n_train, 2.0 * config.clip_threshold, sigma),
-            config.alphas, f"subsampled regime empty at sigma={sigma:g}",
-            provenance=f"dpsgd_centralized(K={config.K},sigma={sigma:g})")
-    # The effective Lipschitz constant of the clipped release (module docstring).
-    C = config.clip_threshold
-    setting, L = {"centralized": ("centralized", n_train * C / gamma),
-                  "federated": ("federated_central", C / gamma),
-                  "decentralized": ("network", C / gamma)}[config.setting]
-    if config.algorithm == "dpsgd":
-        L = C / (2.0 * gamma)
-    return privacy.setting_curve(
-        setting, sigma, K=config.K, L=L, gamma=gamma, n=n_train,
-        m=_cohort(config, n_train),
-        K_i=privacy.estimated_participations(config.K, n_train), alphas=config.alphas)
+        curve = functools.partial(privacy.subsampled_curve, K=config.K, q=1.0 / n_train,
+                                  sensitivity=2.0 * config.clip_threshold, alphas=config.alphas)
+    else:
+        # The effective Lipschitz constant of the clipped release (module docstring).
+        C = config.clip_threshold
+        setting, L = {"centralized": ("centralized", n_train * C / gamma),
+                      "federated": ("federated_central", C / gamma),
+                      "decentralized": ("network", C / gamma)}[config.setting]
+        if config.algorithm == "dpsgd":
+            L = C / (2.0 * gamma)
+        curve = functools.partial(
+            privacy.setting_curve, setting, K=config.K, L=L, gamma=gamma, n=n_train,
+            m=_cohort(config, n_train),
+            K_i=privacy.estimated_participations(config.K, n_train), alphas=config.alphas)
+    return lambda sigma: privacy.rdp_to_dp(curve(sigma), config.delta)
 
 
 def achieved_epsilon(config: ExperimentConfig, sigma: float, gamma: float,
@@ -338,18 +339,17 @@ def achieved_epsilon(config: ExperimentConfig, sigma: float, gamma: float,
     """DP epsilon actually certified by the accountant for the noise used."""
     if sigma == 0.0:
         return math.inf
-    return privacy.rdp_to_dp(_curve(config, sigma, gamma, n_train), config.delta)
+    return _accountant(config, gamma, n_train)(sigma)
 
 
 def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
                     n_train: int) -> float:
     """Noise std meeting (epsilon, delta) for this cell via the accountant.
 
-    Bisects ``achieved_epsilon`` itself, so the returned sigma certifies the budget.
+    Bisects ``achieved_epsilon``'s accountant, so the returned sigma certifies the budget.
     """
     privacy.check_budget(epsilon)
-    return privacy.bisect_sigma(lambda sig: achieved_epsilon(config, sig, gamma, n_train),
-                                epsilon, 1e-6)
+    return privacy.bisect_sigma(_accountant(config, gamma, n_train), epsilon, 1e-6)
 
 
 def _cell(config: ExperimentConfig) -> tuple[LassoDataset, LassoDataset, float, float]:

@@ -224,6 +224,11 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             ExperimentConfig(setting="decentralized", algorithm="dpsgd")
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -1e-6, math.nan, math.inf])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ParameterError, match=r"delta must lie in \(0, 1\)"):
+            ExperimentConfig(delta=delta)
+
     @pytest.mark.parametrize("field", ["seeds", "epsilons"])
     def test_empty_grid_rejected(self, field):
         # an empty grid used to yield no rows (run_experiment) or an
@@ -350,6 +355,39 @@ class TestCellAccounting:
         config = ExperimentConfig(setting=setting, algorithm=algorithm)
         sigma = bench.calibrate_noise(config, epsilon, 1800.0, 900)
         assert 0 < bench.achieved_epsilon(config, sigma, 1800.0, 900) <= epsilon
+
+    def test_one_exception_at_most_per_failed_bisection_step(self, monkeypatch):
+        # A curve skips an out-of-regime order without raising, so only a step
+        # whose whole curve is empty raises (once); before, every dropped order
+        # of every step raised and caught its own ConditionNotMet.
+        raised, steps = [], []
+        init = privacy.ConditionNotMet.__init__
+
+        def counting_init(self, *args):
+            raised.append(args[0])
+            init(self, *args)
+
+        def counting_bisect(account, epsilon, lo):
+            def counted(sigma):
+                try:
+                    eps = account(sigma)
+                except privacy.ConditionNotMet:
+                    steps.append(False)
+                    raise
+                steps.append(eps <= epsilon)
+                return eps
+            return bisect(counted, epsilon, lo)
+
+        bisect = privacy.bisect_sigma
+        monkeypatch.setattr(privacy.ConditionNotMet, "__init__", counting_init)
+        monkeypatch.setattr(privacy, "bisect_sigma", counting_bisect)
+        config = bench.tuned_config("admm")
+        sigma = bench.calibrate_noise(config, 0.1, config.gamma_scale * 2.0 * 900, 900)
+        assert sigma == 1075.8389764990234
+        failed = steps.count(False)
+        assert len(steps) == 44 and failed > 20
+        assert 0 < len(raised) <= failed
+        assert set(raised) == {"no valid Rényi order"}
 
     def test_nonpositive_budget_rejected(self):
         config = ExperimentConfig(setting="centralized", algorithm="dpsgd")

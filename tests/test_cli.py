@@ -131,6 +131,16 @@ class TestCalibrate:
         assert "category=parameter_error: privacy budget epsilon must be finite, got inf" in err
         assert out == ""
 
+    @pytest.mark.parametrize("m", ["50", "5"], ids=["q-out-of-regime", "q-in-regime"])
+    def test_delta_outside_unit_interval_is_a_parameter_error(self, capsys, m):
+        # at m=50 the q >= 1/5 regime failure used to hide the bad delta (exit 5)
+        code, out, err = run_cli(capsys, "calibrate", "--setting", "federated_central",
+                                 "--epsilon", "1", "--delta", "1.5", "--K", "10", "--L", "1",
+                                 "--gamma", "1", "--n", "100", "--m", m)
+        assert code == 2
+        assert "category=parameter_error: delta must lie in (0, 1), got 1.5" in err
+        assert out == ""
+
     def test_parameter_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--setting", "centralized",
                                "--epsilon", "1", "--alpha", "0.5", "--K", "1",
@@ -208,6 +218,18 @@ class TestSolve:
                                "--outdir", str(tmp_path), "--out", "r.csv")
         assert code == 2
         assert "category=parameter_error: privacy budget epsilon must be a number, got nan" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("delta", ["2", "0", "nan"])
+    def test_delta_outside_unit_interval_rejected(self, capsys, tmp_path, delta):
+        # a cohort of half the users is out of the subsampling regime; that
+        # failure (exit 5) used to hide the bad delta
+        code, _, err = run_cli(capsys, "solve", "--setting", "federated", "--n", "200",
+                               "--K", "5", "--sample-fraction", "0.5", "--delta", delta,
+                               "--epsilons", "1", "--seeds", "0",
+                               "--outdir", str(tmp_path), "--out", "r.csv")
+        assert code == 2
+        assert "category=parameter_error: delta must lie in (0, 1)" in err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("epsilons", ["0.1,inf", "inf"])

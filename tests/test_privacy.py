@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from privfp import privacy
-from privfp.errors import ConditionNotMet, ParameterError
+from privfp.errors import ConditionNotMet, ParameterError, StructuralError
 from privfp.privacy import (
     DEFAULT_ALPHAS, RdpCurve, calibrate_sigma,
     centralized_epsilon, estimated_participations, federated_central_epsilon,
@@ -300,6 +300,14 @@ class TestCalibrate:
             calibrate_sigma("centralized", epsilon=math.nan, K=200, L=0.1, gamma=1.0, n=900,
                             **target)
 
+    @pytest.mark.parametrize("delta", [1.5, 1.0, 0.0, math.nan])
+    def test_delta_outside_unit_interval_is_checked_before_bisecting(self, delta):
+        # q = 1/2 is out of the subsampling regime at every sigma; that failure
+        # used to hide the bad delta
+        with pytest.raises(ParameterError, match=r"delta must lie in \(0, 1\)"):
+            calibrate_sigma("federated_central", epsilon=1.0, delta=delta, K=10, L=1.0,
+                            gamma=1.0, n=100, m=50)
+
     @pytest.mark.parametrize("target", [{"delta": 1e-6}, {"alpha": 4.0}], ids=["delta", "alpha"])
     def test_infinite_budget_is_a_parameter_error_naming_it(self, target):
         with pytest.raises(ParameterError, match="privacy budget epsilon must be finite, got inf"):
@@ -315,3 +323,129 @@ class TestCalibrate:
                                 gamma=1.0, n=20, K_i=1)
         assert sigma > 2.0 * math.sqrt(2.0)
         assert network_rdp_epsilon(2.0, 1, 1.0, 1.0, sigma, 20) <= 10.0
+
+
+BENCH_ALPHAS = DEFAULT_ALPHAS + (512.0, 1024.0, 2048.0, 4096.0)
+
+
+def _per_order(setting, alpha, sigma, K, L, gamma, n, m, K_i):
+    """The public per-order formula of a setting, with setting_curve's K_i defaults."""
+    if setting == "centralized":
+        return centralized_epsilon(alpha, K, L, gamma, sigma, n)
+    if setting == "federated_central":
+        return federated_central_epsilon(alpha, K, L, gamma, sigma, m, n)
+    if setting == "local":
+        return local_epsilon(alpha, K if K_i is None else K_i, L, gamma, sigma)
+    return network_rdp_epsilon(alpha, estimated_participations(K, n) if K_i is None else K_i,
+                               L, gamma, sigma, n)
+
+
+def _order_by_order(per_order, alphas, regime, sigma, provenance):
+    """The curve the per-order loop built: drop each order that raises ConditionNotMet."""
+    kept = []
+    for a in alphas:
+        try:
+            kept.append((a, per_order(a)))
+        except ConditionNotMet:
+            continue
+    if not kept:
+        raise ConditionNotMet("no valid Rényi order",
+                              f"no grid order satisfies the {regime} regime at sigma={sigma:g}")
+    return RdpCurve(*map(tuple, zip(*kept)), provenance=provenance)
+
+
+def _outcome(build):
+    """A curve as exact bits, or the error it raises (type, condition, message)."""
+    try:
+        curve = build()
+    except (ConditionNotMet, ParameterError) as exc:
+        return type(exc), getattr(exc, "condition", None), str(exc)
+    return ([a.hex() for a in curve.alphas], [e.hex() for e in curve.epsilons],
+            curve.provenance)
+
+
+def _draws(seed, count):
+    """Seeded (setting, sigma, params, grid) draws: sigma below 4, at 4 and at the
+    network threshold of an order, and large; default, bench and unsorted grids."""
+    gen = np.random.default_rng(seed)
+    grids = [DEFAULT_ALPHAS, BENCH_ALPHAS, (64.0, 2.0, 1.5, 700.0, 3.0), (4096.0, 1.01, 33.3)]
+    for _ in range(count):
+        setting = str(gen.choice(privacy.SETTINGS))
+        n = int(gen.integers(2, 3000))
+        params = dict(K=int(gen.integers(0, 3000)), L=float(gen.uniform(0.01, 2.0)),
+                      gamma=float(gen.choice([gen.uniform(0.001, 1.0), gen.uniform(1, 2000)])),
+                      n=n, m=max(1, int(gen.uniform(0.0, 0.25) * n)),  # q around 1/5
+                      K_i=None if gen.random() < 0.5 else int(gen.integers(0, 50)))
+        alphas = grids[int(gen.integers(len(grids)))]
+        threshold = 2.0 * params["L"] * params["gamma"] * math.sqrt(2.0)  # order 2's cap
+        sigma = float(gen.choice([gen.uniform(0.1, 4.0), 4.0, threshold,
+                                  gen.uniform(4.0, 50.0), 10 ** gen.uniform(2, 6)]))
+        yield setting, sigma, params, alphas
+
+
+class TestOnePassCurve:
+    """setting_curve equals the per-order formulas with out-of-regime orders dropped."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_order_formulas(self, seed):
+        outcomes = set()
+        for setting, sigma, params, alphas in _draws(seed, 150):
+            want = _outcome(lambda: _order_by_order(
+                lambda a: _per_order(setting, a, sigma, **params), alphas, setting, sigma,
+                f"{setting}(K={params['K']},sigma={sigma:g})"))
+            got = _outcome(lambda: setting_curve(setting, sigma, alphas=alphas, **params))
+            assert got == want, (setting, sigma, params, alphas)
+            outcomes.add(got[0] if isinstance(got[0], type) else len(got[0]))
+        assert ConditionNotMet in outcomes and len(outcomes) > 3  # empty, partial and full curves
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_subsampled_curve_equals_the_per_order_formula(self, seed):
+        gen = np.random.default_rng(100 + seed)
+        for _ in range(150):
+            K, n = int(gen.integers(0, 5000)), int(gen.integers(2, 5000))
+            q, sensitivity = 1.0 / n, float(gen.uniform(0.0, 20.0))
+            sigma = float(gen.choice([gen.uniform(0.5, 4.0), 4.0, 10 ** gen.uniform(0.6, 5)]))
+            alphas = BENCH_ALPHAS if gen.random() < 0.5 else (9.0, 1.5, 300.0)
+            want = _outcome(lambda: _order_by_order(
+                lambda a: K * subsampled_rdp(a, q, sensitivity, sigma), alphas, "subsampled",
+                sigma, f"subsampled(K={K},q={q:g},sigma={sigma:g})"))
+            got = _outcome(lambda: privacy.subsampled_curve(
+                sigma, K=K, q=q, sensitivity=sensitivity, alphas=alphas))
+            assert got == want, (K, q, sensitivity, sigma, alphas)
+
+    @pytest.mark.parametrize("setting", privacy.SETTINGS)
+    @pytest.mark.parametrize("bad", [{"alphas": (2.0, 0.5)}, {"alphas": (math.nan,)},
+                                     {"L": math.nan}], ids=["order-0.5", "order-nan", "L-nan"])
+    def test_parameter_error_outranks_an_empty_regime(self, setting, bad):
+        # sigma = 0.01 leaves no order in the federated and network regimes
+        params = dict(K=10, L=1.0, gamma=1.0, n=100, m=50, alphas=DEFAULT_ALPHAS)
+        params.update(bad)
+        with pytest.raises(ParameterError):
+            setting_curve(setting, 0.01, **params)
+
+    @pytest.mark.parametrize("setting", privacy.SETTINGS)
+    def test_empty_grid_is_a_structural_error(self, setting):
+        # the per-order loop found no valid order and raised ConditionNotMet
+        with pytest.raises(StructuralError, match="empty alpha grid"):
+            setting_curve(setting, 8.0, K=10, L=1.0, gamma=1.0, n=100, m=5, alphas=())
+
+    def test_empty_grid_of_the_subsampled_curve_is_a_structural_error(self):
+        with pytest.raises(StructuralError, match="empty alpha grid"):
+            privacy.subsampled_curve(8.0, K=10, q=0.01, sensitivity=1.0, alphas=())
+
+    @pytest.mark.parametrize("call, condition", [
+        (lambda: federated_central_epsilon(2.0, 5, 1.0, 0.1, 8.0, 30, 100), "q < 1/5"),
+        (lambda: federated_central_epsilon(2.0, 5, 1.0, 0.1, 3.9, 10, 100), "sigma >= 4"),
+        (lambda: federated_central_epsilon(4096.0, 5, 1.0, 0.1, 4.0, 10, 100), "alpha <= ("),
+        (lambda: network_rdp_epsilon(3.0, 1, 1.0, 1.0, 2.0 * math.sqrt(6.0), 10),
+         "sigma > 2*L*gamma*sqrt(alpha*(alpha-1))"),
+    ], ids=["q", "sigma", "cap", "network"])
+    def test_per_order_formula_names_the_clause(self, call, condition):
+        with pytest.raises(ConditionNotMet) as info:
+            call()
+        assert info.value.condition.startswith(condition)
+
+    def test_federated_cap_message(self):
+        with pytest.raises(ConditionNotMet,
+                           match=r"^order 4096.0 exceeds the regime cap \S+ at q=0.1, sigma=4.0$"):
+            federated_central_epsilon(4096.0, 5, 1.0, 0.1, 4.0, 10, 100)

@@ -23,6 +23,12 @@ KEPT = {
     "BernoulliPerBlock": "criterion 6 runs the engine under it",
     "dpsgd_instance": "criterion 3 builds its cyclic SGD run from it",
     "sensitivity_general": "the audit of general_admm_step's displacement reads it",
+    "gaussian_rdp": "the Gaussian mechanism per order; tests check the formulas built on it",
+    "subsampled_rdp": "criterion 4 checks its out-of-regime guards",
+    "centralized_epsilon": "criterion 4 checks the per-order formula",
+    "local_epsilon": "criterion 4 checks the per-order formula",
+    "federated_central_epsilon": "criterion 4 checks the per-order formula and its guard",
+    "network_rdp_epsilon": "criterion 4 checks the per-order formula and its guard",
     "participation_counts": "direction 2 charges the walk its participation counts",
     "gradient_step_operator": "direction 4 reads the kind it declares (Contractive if mu > 0)",
     "utility_bound": "direction 4 logs it beside the realized error",
