@@ -117,24 +117,25 @@ def _outdir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     config = _config_from_args(args)
+    # Output arguments are checked before the run; an admm run has a trace, a walk a log.
+    if args.trace_out and config.algorithm != "admm":
+        raise ParameterError("trace export is only available for admm runs")
+    if args.observations_out and config.setting != "decentralized":
+        raise ParameterError("observation logs exist only for decentralized runs")
+    outdir = _outdir(args)
     collect = bool(args.trace_out or args.observations_out)
     row, artifacts = bench.solve_once(config, collect=collect)
     print(f"setting={row.setting} algorithm={row.algorithm} sigma={row.sigma:.6g} "
           f"epsilon={row.epsilon:.6g} delta={row.delta:g}")
     print(f"train_obj={row.train_obj:.12g} test_obj={row.test_obj:.12g} "
           f"runtime_ms={row.runtime_ms:.1f}")
-    outdir = _outdir(args)
     if args.out:
         bench.emit_csv([row], outdir / args.out)
         print(f"wrote {outdir / args.out}")
     if args.trace_out:
-        if "trace" not in artifacts:
-            raise ParameterError("trace export is only available for admm runs")
         bench.emit_trace_csv(artifacts["trace"], outdir / args.trace_out)
         print(f"wrote {outdir / args.trace_out}")
     if args.observations_out:
-        if "observations" not in artifacts:
-            raise ParameterError("observation logs exist only for decentralized runs")
         bench.emit_observations_csv(artifacts["observations"], outdir / args.observations_out)
         print(f"wrote {outdir / args.observations_out}")
     return 0
@@ -144,17 +145,17 @@ def _cmd_bench(args) -> int:
     overrides = _overrides_from_args(args)
     algorithms = bench.ALGORITHMS if args.compare else \
         (overrides.get("algorithm", bench.ExperimentConfig().algorithm),)
+    # per-algorithm tuned defaults first, explicit flags on top
+    configs = [bench.tuned_config(algorithm, **{k: v for k, v in overrides.items()
+                                                if k != "algorithm"}) for algorithm in algorithms]
+    path = _outdir(args) / args.out
     rows = []
-    for algorithm in algorithms:
-        # per-algorithm tuned defaults first, explicit flags on top
-        config = bench.tuned_config(algorithm, **{k: v for k, v in overrides.items()
-                                                  if k != "algorithm"})
+    for config in configs:
         if args.tune:
             config = bench.tune(config)
-            grid = bench.ADMM_GRID if algorithm == "admm" else bench.DPSGD_GRID
-            print(f"{algorithm} tuned parameters:", {k: getattr(config, k) for k in grid})
+            grid = bench.ADMM_GRID if config.algorithm == "admm" else bench.DPSGD_GRID
+            print(f"{config.algorithm} tuned parameters:", {k: getattr(config, k) for k in grid})
         rows.extend(bench.run_experiment(config))
-    path = _outdir(args) / args.out
     bench.emit_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0

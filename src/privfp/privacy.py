@@ -352,13 +352,8 @@ def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
             sigma = max(_LARGE_SIGMA * math.sqrt(base / epsilon) * (1.0 + 1e-12), floor)
         else:
             sigma = floor if floor > 0 else 1e-6
-        try:
-            if account(sigma) <= epsilon:
-                return sigma
-        except ConditionNotMet:
-            pass
-        # The closed-form inverse landed out of regime; grow sigma until valid.
-        return bisect_sigma(account, epsilon, max(sigma, 1e-6))
+        # returned as is when it meets the target, even below bisection's 1e-6 start
+        return bisect_sigma(account, epsilon, sigma)
 
     return bisect_sigma(account, epsilon, 1e-6)
 

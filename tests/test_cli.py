@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -16,6 +17,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The CLI's error contract, one row per case; CI runs the same rows through the installed script.
+CONTRACT = json.loads((Path(__file__).parent / "cli_contract.json").read_text())
+
+
+@pytest.mark.parametrize("row", CONTRACT, ids=[" ".join(row["argv"]) for row in CONTRACT])
+def test_contract_row(capsys, tmp_path, monkeypatch, row):
+    """The row's exit code; the last stderr line names its category (an argparse
+    usage error prints usage instead) and holds its message; stdout is empty where
+    the row says so; and nothing is written to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PRIVFP_OUTDIR", raising=False)
+    try:
+        code = main(row["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    last = err.splitlines()[-1] if err else ""
+    assert code == row["code"]
+    if row["category"] is None:
+        assert err.startswith("usage: ")
+    else:
+        assert last.startswith(f"error category={row['category']}: ")
+    assert row["message"] in last
+    assert out == "" or not row["stdout_empty"]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestAccount:
@@ -36,13 +64,6 @@ class TestAccount:
                                "--gamma", "0.1", "--n", "100", "--delta", "1e-6")
         assert code == 0
         assert "(epsilon, delta)-DP" in err
-
-    def test_out_of_regime_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "account", "--setting", "federated_central",
-                               "--sigma", "1", "--K", "10", "--L", "1",
-                               "--gamma", "0.1", "--n", "100", "--m", "10")
-        assert code == 5
-        assert "condition_not_met" in err
 
     def test_writes_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PRIVFP_OUTDIR", str(tmp_path))
@@ -65,14 +86,6 @@ class TestAccount:
         assert "parameter_error" in err
         assert "nan" not in out
 
-    def test_nan_order_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "account", "--setting", "centralized", "--sigma", "1",
-                                 "--K", "100", "--L", "1", "--gamma", "0.1", "--n", "100",
-                                 "--alphas", "nan 2", "--delta", "1e-6")
-        assert code == 2
-        assert "parameter_error" in err
-        assert "nan" not in out
-
     @pytest.mark.parametrize("setting", privacy.SETTINGS)
     @pytest.mark.parametrize("name", ["L", "gamma"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
@@ -85,13 +98,6 @@ class TestAccount:
         assert "category=parameter_error: " in err and f" {name} must be > 0" in err
         assert out == ""
 
-    def test_nan_sigma_rejected_at_zero_rounds(self, capsys):
-        code, out, err = run_cli(capsys, "account", "--setting", "centralized", "--sigma", "nan",
-                                 "--K", "0", "--L", "1", "--gamma", "0.1", "--n", "100")
-        assert code == 2
-        assert "parameter_error" in err
-        assert out == ""
-
 
 class TestCalibrate:
     def test_rdp_target_closed_form(self, capsys):
@@ -100,13 +106,6 @@ class TestCalibrate:
                                "--L", "1", "--gamma", "0.1", "--n", "100")
         assert code == 0
         assert float(out.strip()) == pytest.approx(1.0, rel=1e-6)
-
-    def test_infeasible_budget(self, capsys):
-        code, _, err = run_cli(capsys, "calibrate", "--setting", "centralized",
-                               "--epsilon", "0", "--alpha", "2", "--K", "1",
-                               "--L", "1", "--gamma", "1", "--n", "10")
-        assert code == 5
-        assert "condition_not_met" in err
 
     @pytest.mark.parametrize("args", [
         ("--setting", "centralized", "--epsilon", "nan", "--delta", "1e-6"),
@@ -141,13 +140,6 @@ class TestCalibrate:
         assert "category=parameter_error: delta must lie in (0, 1), got 1.5" in err
         assert out == ""
 
-    def test_parameter_error_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "calibrate", "--setting", "centralized",
-                               "--epsilon", "1", "--alpha", "0.5", "--K", "1",
-                               "--L", "1", "--gamma", "1", "--n", "10")
-        assert code == 2
-        assert "parameter_error" in err
-
 
 class TestSolve:
     def test_nonprivate_run(self, capsys):
@@ -172,6 +164,14 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "parameter_error" in err
+
+    def test_config_line_without_equals_sign(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# tiny run\nn 50\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert f"category=parameter_error: {cfg}:2: expected 'key = value', got 'n 50'" in err
+        assert out == ""
 
     @pytest.mark.parametrize("line, key", [("n = abc", "n"), ("sigma = high", "sigma"),
                                            ("seeds = 1,x", "seeds"), ("epsilons = ,", "epsilons")])
@@ -263,13 +263,6 @@ class TestSolve:
         assert code == 2
         assert "category=parameter_error" in err and "sample fraction" in err
 
-    def test_nan_noise_std_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--setting", "centralized", "--n", "50",
-                               "--p", "4", "--support-size", "2", "--K", "5", "--sigma", "0.5",
-                               "--noise-std", "nan")
-        assert code == 2
-        assert "category=parameter_error" in err and "noise_std" in err
-
     @pytest.mark.parametrize("name", ["kappa", "kappa_fraction"])
     @pytest.mark.parametrize("value", ["nan", "-0.1", "inf"])
     def test_nan_negative_or_infinite_kappa_rejected(self, capsys, name, value):
@@ -332,14 +325,6 @@ class TestSolveArtifacts:
         assert len(rows) == 50
         assert set(rows[0].keys()) == {"user", "step", "z0", "z1", "z2", "z3"}
 
-    def test_observation_export_requires_decentralized(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "solve", "--setting", "centralized",
-                               "--n", "30", "--p", "4", "--support-size", "2",
-                               "--K", "10", "--sigma", "0", "--outdir", str(tmp_path),
-                               "--observations-out", "obs.csv")
-        assert code == 2
-        assert "decentralized" in err
-
 
 class TestBench:
     def test_tiny_grid_writes_results(self, capsys, tmp_path):
@@ -372,6 +357,12 @@ class TestBench:
         assert code == 2
         assert "category=parameter_error: test fraction 0.1 of n=1 rows leaves no training row" in err
         assert "Traceback" not in err and not (tmp_path / "res.csv").exists()
+
+    def test_unwritable_outdir_fails_before_the_grid(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_experiment", lambda config: pytest.fail("the grid ran"))
+        code, out, err = run_cli(capsys, "bench", "--outdir", "/dev/null/x")
+        assert code == 6
+        assert "category=io_error: " in err and out == ""
 
     def test_non_finite_objective_is_not_written(self, capsys, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -289,6 +289,20 @@ class TestCalibrate:
         looser = setting_curve("centralized", sigma * 0.98, K=50, L=1.0, gamma=0.5, n=100)
         assert rdp_to_dp(looser, 1e-6) > target
 
+    def test_rdp_target_out_of_regime_grows_sigma(self):
+        # the closed-form sigma breaks the subsampling cap at order 32, so sigma is
+        # bisected upward from it; these bits predate the one bisect_sigma call
+        sigma = calibrate_sigma("federated_central", epsilon=1.0, alpha=32.0, K=10, L=0.1,
+                                gamma=1.0, n=900, m=45)
+        assert sigma.hex() == "0x1.19a8000000000p+4"
+        assert federated_central_epsilon(32.0, 10, 0.1, 1.0, sigma, 45, 900) <= 1.0
+
+    def test_rdp_target_closed_form_below_bisection_start(self):
+        # bisection starts at 1e-6; a smaller closed-form sigma that meets the target is kept
+        sigma = calibrate_sigma("centralized", epsilon=1000.0, alpha=2.0, K=1, L=1e-9,
+                                gamma=1.0, n=1000)
+        assert sigma == 1.2649110640686168e-13
+
     def test_zero_budget_infeasible(self):
         with pytest.raises(ConditionNotMet):
             calibrate_sigma("centralized", epsilon=0.0, alpha=2.0, K=1, L=1.0,
