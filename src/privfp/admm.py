@@ -303,16 +303,14 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
 
 
 def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
-                       lam: float, sigma: float, seed: int,
-                       log: simnet.ObservationLog | None = None) -> tuple[AdmmState, int]:
+                       lam: float, sigma: float, seed: int) -> tuple[AdmmState, int]:
     """The user currently holding z updates locally, then forwards it.
 
     Only block i changes; the dual mean ubar absorbs (1/n) of the delta and
-    z = prox_r(ubar); the next holder is uniform over all users. The step is
-    a one-step block of ``decentralized_run``'s draw and kernel. When a log
-    is given, the hand-off (k+1, next_user, z_{k+1}) is recorded as the
-    receiving user's observation. ``state`` is left unchanged: the step
-    updates a copy. The holder i must be an integer in [0, n), as
+    z = prox_r(ubar); the next holder is uniform over all users and is
+    returned with the new state. The step is a one-step block of
+    ``decentralized_run``'s draw and kernel. ``state`` is left unchanged:
+    the step updates a copy. The holder i must be an integer in [0, n), as
     ``fixedpoint.iterate`` requires of a step's active indices.
     """
     _checked_rows([i], problem.n, state.k)
@@ -320,8 +318,6 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     (_, next_user), (eta,) = _walk_draws(problem.n, lam, sigma, seed, state.k, int(i),
                                          np.empty((1, U.shape[1])))
     ubar, z = _walk_step(problem, U, state.ubar, state.z, int(i), lam, eta)
-    if log is not None:
-        simnet.record_observation(log, next_user, state.k + 1, z)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
 
@@ -332,11 +328,11 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
     """K random-walk steps; returns z_K, the trace, and the observation log.
 
     The first holder is drawn from SCHEDULE (0, 1), the rest and the noise by one
-    ``_walk_draws`` per _WALK_BLOCK steps into one array per run. A hand-off is logged
-    once ``iterate`` has found its z finite: a run stopped at round k logged k events."""
+    ``_walk_draws`` per _WALK_BLOCK steps into one array per run. The trace records every
+    released z; the log, a view of it and the holder drawn for step K, is built once the
+    run has ended, so a run stopped by an error returns none."""
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
-    log = simnet.ObservationLog(n=problem.n)
     eta = np.empty((_WALK_BLOCK, U.shape[1]))
     holders, noise = [simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))], []
 
@@ -345,14 +341,11 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
         j = k % _WALK_BLOCK
         if j == 0:  # a block starts at the last one's final holder
             holders, noise = _walk_draws(problem.n, lam, sigma, seed, k, holders[-1], eta[:K - k])
-        if k:  # the hand-off of step k - 1
-            simnet.record_observation(log, holders[j], k, z)
         ubar, z = _walk_step(problem, U, ubar, z, holders[j], lam, noise[j])
         return holders[j], z
 
-    z, trace = iterate(K, problem.n, advance, objective)
-    simnet.record_observation(log, holders[-1], K, z)
-    return z, trace, log
+    z, trace = iterate(K, problem.n, advance, objective, record_iterates=True)
+    return z, trace, simnet.record_observation(trace, holders[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -510,15 +510,20 @@ def _write_csv(path, header: Sequence, rows, what: str) -> None:
             os.remove(tmp)
 
 
-def emit_csv(results: Sequence[ResultRow], path) -> None:
-    """Stable column order, full-precision locale-independent numbers; a
-    non-finite objective raises ModelError before anything is written."""
+def check_objectives(results: Sequence[ResultRow], path=None) -> None:
+    """ModelError naming the first row with a non-finite objective (and the unwritten path)."""
     for row in results:
         if not math.isfinite(row.train_obj) or not math.isfinite(row.test_obj):
             raise ModelError(
                 f"{row.setting} {row.algorithm} run at seed {row.seed}, epsilon={row.epsilon:g} "
                 f"ended with a non-finite objective (train_obj={row.train_obj}, "
-                f"test_obj={row.test_obj}); nothing written to {path}")
+                f"test_obj={row.test_obj}); nothing written" + (f" to {path}" if path else ""))
+
+
+def emit_csv(results: Sequence[ResultRow], path) -> None:
+    """Stable column order, full-precision locale-independent numbers; a
+    non-finite objective raises ModelError before anything is written."""
+    check_objectives(results, path)
     _write_csv(path, RESULT_COLUMNS,
                ([_fmt(getattr(row, col)) for col in RESULT_COLUMNS] for row in results),
                "results")

@@ -125,6 +125,7 @@ def _cmd_solve(args) -> int:
     outdir = _outdir(args)
     collect = bool(args.trace_out or args.observations_out)
     row, artifacts = bench.solve_once(config, collect=collect)
+    bench.check_objectives([row])  # the exit code must not depend on --out
     print(f"setting={row.setting} algorithm={row.algorithm} sigma={row.sigma:.6g} "
           f"epsilon={row.epsilon:.6g} delta={row.delta:g}")
     print(f"train_obj={row.train_obj:.12g} test_obj={row.test_obj:.12g} "
@@ -162,6 +163,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_account(args) -> int:
+    outdir = _outdir(args) if args.out else None  # checked before anything is printed
     curve = privacy.setting_curve(args.setting, args.sigma, **_curve_kwargs(args))
     print("alpha,epsilon,provenance")
     for a, e in zip(curve.alphas, curve.epsilons):
@@ -171,7 +173,7 @@ def _cmd_account(args) -> int:
         print(f"# (epsilon, delta)-DP: epsilon={eps_dp:.12g} at delta={args.delta:g}",
               file=sys.stderr)
     if args.out:
-        bench.emit_accountant_csv(curve, _outdir(args) / args.out)
+        bench.emit_accountant_csv(curve, outdir / args.out)
     return 0
 
 

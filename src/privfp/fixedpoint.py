@@ -17,8 +17,10 @@ that returns the indices of its active blocks and the released iterate.
 The returned ``RunTrace`` keeps those indices as returned (an int per walk
 step, one shared array per centralized run), so a trace costs O(K)
 bookkeeping plus the indices themselves, and builds the (n,) activation
-masks only when they are read. Stochastic gradient and coordinate-descent
-instantiations are provided.
+masks only when they are read. Asked to, it also copies every released
+iterate into blocks of under 128 KiB: the library's only store of iterate
+snapshots. Stochastic gradient and coordinate-descent instantiations are
+provided.
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ class IterationConfig:
             raise ParameterError(f"step size must be a number in (0, 1], got {self.lam}")
 
 
+_BLOCK_BYTES = 120 * 1024  # per block of recorded iterates: under glibc's 128 KiB mmap threshold
+_FLOAT = np.dtype(float)
+
+
 @dataclass
 class RunTrace:
     """Per-iteration record of a run over ``n_blocks`` blocks (append-only while running).
@@ -127,13 +133,20 @@ class RunTrace:
     it is read. With the run's seed, ``active[k]`` pins every noise
     substream used (block b at iteration k reads stream (seed, k, b)), so a
     trace is sufficient to replay draws.
+
+    ``record`` copies an iterate, as floats, into a row of a block of at most
+    ``_BLOCK_BYTES`` (or one row); a shape other than the first's raises
+    ``StructuralError`` naming the round. ``iterates`` is one list of
+    read-only row views, extended when read (O(1) indexing; do not modify it).
     """
 
     n_blocks: int = 0
     active_rows: list = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     dist_sq: list[float] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)
+    _blocks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _views: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _count: int = field(default=0, init=False, repr=False)
 
     @property
     def active(self) -> list[np.ndarray]:
@@ -142,14 +155,34 @@ class RunTrace:
             mask[rows] = True
         return masks
 
+    @property
+    def iterates(self) -> list[np.ndarray]:
+        views = self._views
+        while len(views) < self._count:
+            b, r = divmod(len(views), len(self._blocks[0]))
+            block = self._blocks[b].view()
+            block.flags.writeable = False
+            views.extend(block[r:r + self._count - len(views)])
+        return views
+
     def record(self, rows, obj=None, dist=None, iterate=None):
+        if iterate is not None:  # stored first, so that a wrong shape records nothing
+            x, blocks, j = iterate, self._blocks, self._count
+            if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+                x = np.asarray(x, dtype=float)  # so that copying into the row cannot fail
+            if blocks and x.shape != blocks[0].shape[1:]:
+                raise StructuralError(f"iterate of round {len(self.active_rows)} has shape "
+                                      f"{x.shape}, expected {blocks[0].shape[1:]}")
+            per = len(blocks[0]) if blocks else max(1, _BLOCK_BYTES // max(1, x.nbytes))
+            if j % per == 0:
+                blocks.append(np.empty((per, *x.shape)))
+            blocks[-1][j % per] = x
+            self._count = j + 1
         self.active_rows.append(rows)
         if obj is not None:
             self.objective.append(float(obj))
         if dist is not None:
             self.dist_sq.append(float(dist))
-        if iterate is not None:
-            self.iterates.append(np.array(iterate, copy=True))
 
     def __len__(self):
         return len(self.active_rows)
@@ -226,7 +259,8 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
     a sequence or an int array, distinct and in [0, n)) and the released
     iterate, which must be finite. The trace keeps an int or an integer array
     by reference (a view as a copy), so ``advance`` must not modify an index
-    array after returning it."""
+    array after returning it. With ``record_iterates`` the trace keeps a copy
+    of each released iterate (``RunTrace.iterates``), all of one shape."""
     if K < 1:
         raise ParameterError(f"iteration count must be >= 1, got {K}")
     trace = RunTrace(n_blocks=n)
@@ -256,7 +290,7 @@ def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
     reference : array, optional
         Squared distance to this point is recorded after each step.
     record_iterates : bool
-        Store full iterate snapshots (off by default; memory).
+        Keep a copy of every iterate in the trace (off by default; memory).
     """
     u = u0
 

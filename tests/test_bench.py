@@ -288,20 +288,22 @@ class TestCsvExport:
         assert float(rows[1]["objective"]) == 1.0
 
     def test_observations_csv_reads_the_log_once(self, tmp_path):
-        class CountingLog(simnet.ObservationLog):
-            reads = 0
+        reads = []
 
+        class CountingLog(simnet.ObservationLog):
             @property
             def events(self):
-                self.reads += 1
+                reads.append(None)
                 return super().events
 
-        log = CountingLog(n=3)
-        for user, k, z in [(2, 1, [0.5, -1.0]), (0, 2, [1.0, 2.0]), (2, 3, [0.25, 0.0])]:
-            simnet.record_observation(log, user, k, np.array(z))
+        trace = RunTrace(n_blocks=3)
+        for holder, z in [(1, [0.5, -1.0]), (2, [1.0, 2.0]), (0, [0.25, 0.0])]:
+            trace.record(holder, iterate=np.array(z))
+        # hand-offs: z_1 to the holder of step 1 (2), z_2 to 0, z_3 to the last holder (2)
+        log = CountingLog(trace, last=2)
         path = tmp_path / "obs.csv"
         bench.emit_observations_csv(log, path)
-        assert log.reads == 1  # each read builds the per-user lists anew
+        assert len(reads) == 1  # each read builds the per-user lists anew
         assert path.read_text().splitlines() == [
             "user,step,z0,z1", "0,2,1,2", "2,1,0.5,-1", "2,3,0.25,0"]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -503,13 +504,13 @@ class TestTraceKeepsIndices:
         admm.decentralized_run(problem, 2, 0.5, 0.3, 2, seed=4)  # lazy imports outside the count
         tracemalloc.start()
         try:
-            _, trace, log = admm.decentralized_run(problem, 2, 0.5, 0.3, K, seed=4)
-            del log
+            _, trace, _ = admm.decentralized_run(problem, 2, 0.5, 0.3, K, seed=4)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert all(type(r) is int for r in trace.active_rows)
-        # about 40 B a step plus the interpreter's tuple free list; (n,) masks would be n * K
+        # about 40 B a step, a 16 B iterate row and the interpreter's tuple free list;
+        # (n,) masks would be n * K
         assert held < 200 * K
 
     def test_trace_csv_has_one_row_per_step(self, tmp_path):
@@ -532,3 +533,39 @@ class TestTraceKeepsIndices:
 
         with pytest.raises(StructuralError, match="at round 2"):
             iterate(3, 4, advance)
+
+
+class TestIterateStore:
+    """Recorded iterates are copied into blocks under 128 KiB and read back as read-only rows."""
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    def test_shape_change_raises_naming_the_round(self, shape):
+        def advance(k):
+            return 0, np.ones(shape) if k == 2 else np.zeros(2)
+
+        with pytest.raises(StructuralError, match=re.escape(f"iterate of round 2 has shape {shape}")):
+            iterate(4, 1, advance, record_iterates=True)
+
+    @pytest.mark.parametrize("p", [64, 512])  # the walk's rows and the engine's
+    def test_blocks_stay_under_the_mmap_threshold(self, p):
+        gen = np.random.default_rng(p)
+        xs = [gen.normal(size=p) for _ in range(1000)]
+        _, trace = iterate(len(xs), 1, lambda k: (0, xs[k]), record_iterates=True)
+        blocks = {id(row.base): row.base.nbytes for row in trace.iterates}
+        assert len(blocks) > 1 and max(blocks.values()) < 128 * 1024
+        assert [row.tobytes() for row in trace.iterates] == [x.tobytes() for x in xs]
+
+    def test_rows_are_read_only_float_copies_in_one_list(self):
+        trace = fixedpoint.RunTrace(n_blocks=1)
+        x = np.array([1, 2], dtype=np.int8)
+        trace.record(0, iterate=x)
+        x[0] = 7
+        trace.record(0, iterate=[3, 4])
+        rows = trace.iterates
+        assert rows is trace.iterates  # built once, so indexing it is O(1)
+        assert [r.dtype for r in rows] == [np.dtype(float)] * 2
+        assert [r.tolist() for r in rows] == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError):
+            rows[0][0] = 9.0
+        trace.record(0, iterate=np.zeros(2))  # recording still works after a read
+        assert len(trace.iterates) == 3 and trace.iterates[1].tolist() == [3.0, 4.0]

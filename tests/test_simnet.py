@@ -5,13 +5,11 @@ import pytest
 from scipy import stats
 
 from helpers import schedule_rng
-from privfp import admm
+from privfp import admm, fixedpoint
 from privfp.errors import ParameterError, StructuralError
-from privfp.fixedpoint import SingleUniform
+from privfp.fixedpoint import RunTrace, SingleUniform
 from privfp.operators import ZeroProx
-from privfp.simnet import (
-    ObservationLog, participation_counts, record_observation, sample_users, walk_next,
-)
+from privfp.simnet import participation_counts, record_observation, sample_users, walk_next
 
 
 class TestSampleUsers:
@@ -110,64 +108,34 @@ class TestScheduleDraws:
             assert np.array_equal(trace.active[k + 1], SingleUniform().mask(n, seed, k))
 
 
-class TestObservationLog:
-    def test_single_event(self):
-        log = ObservationLog(n=4)
-        record_observation(log, 2, 5, np.array([1.0, 2.0]))
-        assert len(log.sequence(2)) == 1
-        k, z = log.sequence(2)[0]
-        assert k == 5
-        np.testing.assert_array_equal(z, [1.0, 2.0])
-
-    def test_isolation_between_users(self):
-        log = ObservationLog(n=3)
-        record_observation(log, 0, 1, np.zeros(1))
-        record_observation(log, 0, 2, np.ones(1))
-        assert log.sequence(1) == [] and log.sequence(2) == []
-
-    def test_snapshots_stored_by_value(self):
-        log = ObservationLog(n=2)
-        z = np.array([1.0])
-        record_observation(log, 0, 0, z)
-        z[0] = 99.0
-        assert log.sequence(0)[0][1][0] == 1.0
-
-    def test_out_of_range_user(self):
-        with pytest.raises(ParameterError):
-            record_observation(ObservationLog(n=2), 2, 0, np.zeros(1))
-
-    def test_seeded_replay_reconstructs_identical_log(self):
-        def simulate(seed):
-            log = ObservationLog(n=6)
-            current = 0
-            for k in range(50):
-                nxt = walk_next(6, schedule_rng(seed, k))
-                record_observation(log, nxt, k + 1, np.array([float(k)]))
-                current = nxt
-            return log
-
-        a, b = simulate(17), simulate(17)
-        assert {u: [(k, z.tolist()) for k, z in seq] for u, seq in a.events.items()} == \
-            {u: [(k, z.tolist()) for k, z in seq] for u, seq in b.events.items()}
-
-
 def _plain(events):
     return {user: [(k, z.tolist()) for k, z in seq] for user, seq in events.items()}
 
 
-class TestObservationStore:
-    """The log's block store reads back what a dict of per-user lists would hold."""
+def _walk(n, K, seed=4, p=1):
+    """A noisy K-step walk over n users with zero proxes: (trace, log)."""
+    problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * n, prox_r=ZeroProx())
+    return admm.decentralized_run(problem, p, 0.5, 0.3, K, seed)[1:]
 
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+
+class TestObservationLog:
+    """The log is a view of a trace: event k hands z_k, the iterate of step k - 1, to the
+    holder of step k, and the last event to the holder drawn after the last step."""
+
+    ROWS = fixedpoint._BLOCK_BYTES // (8 * 1024)  # iterates of 1024 floats per block
+
+    @pytest.mark.parametrize("count", [1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
     def test_reads_match_a_dict_of_lists_across_block_edges(self, count):
-        n, p = 7, 3
+        n, p = 7, 1024
         gen = np.random.default_rng(count)
-        log, oracle = ObservationLog(n=n), {}
+        trace, oracle = RunTrace(n_blocks=n), {}
+        holders = [int(h) for h in gen.integers(n, size=count + 1)]
         for k in range(count):
-            user, z = int(gen.integers(n)), gen.normal(size=p)
-            record_observation(log, user, k + 1, z)
-            oracle.setdefault(user, []).append((k + 1, z.copy()))
-        assert log.total_events() == count
+            z = gen.normal(size=p)
+            trace.record(holders[k], iterate=z)
+            oracle.setdefault(holders[k + 1], []).append((k + 1, z.copy()))
+        log = record_observation(trace, holders[-1])
+        assert log.n == n and log.total_events() == count
         assert _plain(log.events) == _plain(oracle)
         assert list(log.events) == list(oracle)  # users in order of first event
         for user in range(n + 1):
@@ -176,82 +144,54 @@ class TestObservationStore:
                                       [len(oracle.get(user, [])) for user in range(n)])
 
     def test_rows_are_read_only_copies(self):
-        log, z = ObservationLog(n=2), np.arange(3.0)
-        record_observation(log, 1, 4, z)
+        trace, z = RunTrace(n_blocks=2), np.arange(3.0)
+        trace.record(0, iterate=z)
         z[:] = -1.0
+        trace.record(1, iterate=z)
+        log = record_observation(trace, 0)
         (k, row), = log.sequence(1)
-        assert k == 4 and row.tolist() == [0.0, 1.0, 2.0]
+        assert k == 1 and row.tolist() == [0.0, 1.0, 2.0]
         with pytest.raises(ValueError):
             row[0] = 9.0
         with pytest.raises(ValueError):
-            log.events[1][0][1][0] = 9.0
-        record_observation(log, 0, 5, z)  # appends still work after a read
-        assert log.sequence(1)[0][1].tolist() == [0.0, 1.0, 2.0]
+            log.events[0][0][1][0] = 9.0
         assert log.sequence(0)[0][1].tolist() == [-1.0, -1.0, -1.0]
+        with pytest.raises(AttributeError):
+            log.last = 1  # a frozen view
 
-    @pytest.mark.parametrize("user, k", [
-        (True, 0), (0, False), (1.0, 0), (0, 2.0), (np.float64(1.0), 0), (0, np.bool_(True)),
-        ("1", 0), (None, 0),
-    ])
-    def test_user_and_step_must_be_integers(self, user, k):
-        log = ObservationLog(n=3)
-        with pytest.raises(ParameterError, match="must be integers"):
-            record_observation(log, user, k, np.zeros(2))
-        assert log.total_events() == 0
+    @pytest.mark.parametrize("recorded", [0, 1, 2])
+    def test_a_trace_without_an_iterate_per_round_is_rejected(self, recorded):
+        trace = RunTrace(n_blocks=3)
+        for k in range(3 if recorded else 0):
+            trace.record(k, iterate=np.zeros(2) if k < recorded else None)
+        with pytest.raises(StructuralError, match=f"got {recorded} for {3 if recorded else 0}"):
+            record_observation(trace, 0)
 
-    @pytest.mark.parametrize("k", [2**63, -2**63 - 1])
-    def test_step_beyond_64_bits_raises_and_leaves_the_log_usable(self, k):
-        log = ObservationLog(n=3)
-        with pytest.raises(ParameterError, match="64-bit"):
-            record_observation(log, 1, k, np.zeros(2))
-        record_observation(log, 1, 2**63 - 1, np.ones(2))
-        assert _plain(log.events) == {1: [(2**63 - 1, [1.0, 1.0])]}
-
-    def test_numpy_integers_and_integer_snapshots_are_accepted(self):
-        log = ObservationLog(n=3)
-        record_observation(log, np.int32(2), np.uint16(7), np.array([3, 4], dtype=np.int8))
-        record_observation(log, 2, 8, [5, 6])
-        (k, z), (_, z_list) = log.sequence(2)
-        assert k == 7 and type(k) is int
-        assert z.dtype == float and z.tolist() == [3.0, 4.0] and z_list.tolist() == [5.0, 6.0]
-
-    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
-    def test_snapshot_of_another_shape_raises(self, shape):
-        log = ObservationLog(n=3)
-        record_observation(log, 0, 1, np.zeros(2))
-        with pytest.raises(StructuralError, match="user 2 at step 5"):
-            record_observation(log, 2, 5, np.ones(shape))
-        assert log.total_events() == 1 and log.sequence(2) == []
-
-    def test_walk_sized_log_holds_little_beyond_its_snapshots(self):
-        events, p = 9000, 64
-        z = np.ones(p)
+    def test_walk_sized_log_holds_about_512_bytes_per_iterate(self):
+        n, K, p = 50, 9000, 64
+        _walk(n, 2, p=p)  # lazy imports outside the count
         tracemalloc.start()
         try:
-            log = ObservationLog(n=900)
-            for k in range(events):
-                record_observation(log, k % 900, k + 1, z)
+            trace, log = _walk(n, K, p=p)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert log.total_events() == events
-        assert held <= 1.1 * events * p * 8
+        assert log.total_events() == K
+        # the (p,) rows, their blocks' unused tail and the holder list's pointers
+        assert held <= 1.1 * K * p * 8
 
 
 class TestParticipationCounts:
     def test_round_robin(self):
-        log = ObservationLog(n=5)
+        trace = RunTrace(n_blocks=5)
         for k in range(5):
-            record_observation(log, k, k, np.zeros(1))
-        counts = participation_counts(log)
+            trace.record(k, iterate=np.zeros(1))
+        counts = participation_counts(record_observation(trace, 0))
         np.testing.assert_array_equal(counts, np.ones(5, dtype=int))
 
     def test_uniform_walk_average(self):
-        gen = np.random.default_rng(2)
         n, K = 10, 100 * 10
-        log = ObservationLog(n=n)
-        for k in range(K):
-            record_observation(log, walk_next(n, gen), k, np.zeros(1))
+        _, log = _walk(n, K, seed=2)
         counts = participation_counts(log)
         assert counts.sum() == K
         assert abs(counts.mean() - 100) / 100 < 0.10

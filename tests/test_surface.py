@@ -9,6 +9,7 @@ are listed in ``KEPT`` with that reason; anything else is dead surface.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +87,14 @@ def test_every_kept_name_exists_and_still_needs_its_reason():
     public, referenced = _scan()
     assert sorted(set(KEPT) - public) == []
     assert sorted(set(KEPT) & referenced) == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """``benchmarks/tracing.py`` wraps functions it looks up by name; a rename in the
+    library would otherwise show only when the benchmark's own tests run."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for owner, attr, name, _ in tracing.privfp_targets()
+               if not callable(vars(owner).get(attr))]
+    assert missing == []
