@@ -76,11 +76,13 @@ class ObservationLog:
 
 def record_observation(trace: RunTrace, last: int) -> ObservationLog:
     """The observation log of a walk whose trace recorded an iterate in each of its
-    K >= 1 rounds (``StructuralError`` otherwise); ``last`` is the holder drawn for
-    step K. A run calls it once, after its last step."""
+    K >= 1 rounds (``StructuralError`` otherwise); ``last``, in [0, n) (``ParameterError``
+    otherwise), is the holder drawn for step K. A run calls it once, after its last step."""
     if not trace._count == len(trace) > 0:  # the count: len(iterates) would build the views
         raise StructuralError(f"a walk's log needs an iterate per round, got {trace._count} "
                               f"for {len(trace)} rounds")
+    if not 0 <= last < trace.n_blocks:
+        raise ParameterError(f"last holder {last} out of range for n={trace.n_blocks}")
     return ObservationLog(trace, last)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -768,6 +769,39 @@ class TestBlockAheadWalk:
         assert draws == []
         decentralized_run(problem, 6, 0.5, 0.4, K, seed=3)
         assert draws == [128] * (K // 128) + [K % 128] * (K % 128 > 0)
+
+    @pytest.mark.parametrize("K", [1, 300])
+    def test_run_builds_its_log_once_and_calls_only_walk_next_per_step(self, monkeypatch, K):
+        calls = []
+        for name, fn in list(vars(simnet).items()):
+            if inspect.isfunction(fn) and fn.__module__ == simnet.__name__:
+                monkeypatch.setattr(simnet, name, lambda *args, name=name, fn=fn:
+                                    calls.append(name) or fn(*args))
+        decentralized_run(_walk_problem("rows", 6), 6, 0.5, 0.4, K, seed=3)
+        assert calls == ["walk_next"] * (K + 1) + ["record_observation"]
+
+    @pytest.mark.parametrize("k", [0, 3, 127, 128, 200])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    def test_non_finite_iterate_leaves_only_the_finite_hand_offs(self, monkeypatch, k, sigma):
+        # the run stops with no log: the caller has seen only the k finite z it released
+        calls, logs, seen = [], [], []
+
+        def prox_r(v):  # one call in initial_state, then one per step
+            calls.append(None)
+            return v * np.nan if len(calls) > 1 + k else v
+
+        record = simnet.record_observation
+        monkeypatch.setattr(simnet, "record_observation",
+                            lambda *args: logs.append(args) or record(*args))
+        problem = dataclasses.replace(_walk_problem("rows", 6), prox_r=prox_r)
+        with pytest.raises(ModelError, match=f"round {k}$"):
+            decentralized_run(problem, 6, 0.5, sigma, 300, seed=8,
+                              objective=lambda z: seen.append(z.copy()) or 0.0)
+        assert logs == []
+        clean = decentralized_run(dataclasses.replace(problem, prox_r=lambda v: v), 6, 0.5,
+                                  sigma, 300, seed=8)[1]
+        assert len(logs) == 1 and len(seen) == k
+        assert [z.tobytes() for z in seen] == [z.tobytes() for z in clean.iterates[:k]]
 
 
 class TestWrongShapeUserProx:

@@ -159,6 +159,41 @@ class TestObservationLog:
         with pytest.raises(AttributeError):
             log.last = 1  # a frozen view
 
+    def test_single_event(self):
+        trace = RunTrace(n_blocks=4)
+        trace.record(0, iterate=np.array([1.0, 2.0]))
+        log = record_observation(trace, 2)
+        assert len(log.sequence(2)) == 1
+        k, z = log.sequence(2)[0]
+        assert k == 1
+        np.testing.assert_array_equal(z, [1.0, 2.0])
+
+    def test_isolation_between_users(self):
+        trace = RunTrace(n_blocks=3)
+        trace.record(1, iterate=np.zeros(1))
+        trace.record(0, iterate=np.ones(1))
+        log = record_observation(trace, 0)
+        assert log.sequence(1) == [] and log.sequence(2) == []
+        assert [k for k, _ in log.sequence(0)] == [1, 2]
+
+    def test_snapshots_stored_by_value(self):
+        trace, z = RunTrace(n_blocks=2), np.array([1.0])
+        trace.record(0, iterate=z)
+        z[0] = 99.0
+        assert record_observation(trace, 0).sequence(0)[0][1][0] == 1.0
+
+    def test_out_of_range_user(self):
+        trace = RunTrace(n_blocks=2)
+        trace.record(0, iterate=np.zeros(1))
+        for last in (2, -1):
+            with pytest.raises(ParameterError, match=f"last holder {last} out of range"):
+                record_observation(trace, last)
+
+    def test_seeded_replay_reconstructs_identical_log(self):
+        a, b, other = (_walk(6, 50, seed=seed)[1] for seed in (17, 17, 18))
+        assert _plain(a.events) == _plain(b.events)
+        assert _plain(a.events) != _plain(other.events)
+
     @pytest.mark.parametrize("recorded", [0, 1, 2])
     def test_a_trace_without_an_iterate_per_round_is_rejected(self, recorded):
         trace = RunTrace(n_blocks=3)
@@ -179,6 +214,20 @@ class TestObservationLog:
         assert log.total_events() == K
         # the (p,) rows, their blocks' unused tail and the holder list's pointers
         assert held <= 1.1 * K * p * 8
+
+
+class TestObservationStore:
+    """The trace's block store, read through the log."""
+
+    def test_numpy_integers_and_integer_snapshots_are_accepted(self):
+        trace = RunTrace(n_blocks=3)
+        trace.record(np.int32(0), iterate=np.array([3, 4], dtype=np.int8))
+        trace.record(np.int64(2), iterate=[5, 6])
+        log = record_observation(trace, np.uint16(2))
+        (k, z), (_, z_list) = log.sequence(2)
+        assert k == 1 and type(k) is int
+        assert z.dtype == float and z.tolist() == [3.0, 4.0] and z_list.tolist() == [5.0, 6.0]
+        np.testing.assert_array_equal(participation_counts(log), [0, 0, 2])
 
 
 class TestParticipationCounts:
