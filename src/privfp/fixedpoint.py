@@ -323,7 +323,7 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
 
     ``order`` selects items: "cyclic" passes or "uniform" draws.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
     if not 0.0 < gamma < 2.0 / beta:
         raise ParameterError(f"step gamma must lie in (0, 2/beta), got {gamma}")
@@ -359,7 +359,7 @@ def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
     gradient per active block. The default schedule activates a single
     uniform block per step.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
     if n_blocks <= 1:
         raise ParameterError(f"coordinate instantiation needs more than one block, got {n_blocks}")

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import ModelError, ParameterError, StructuralError
 
 # ---------------------------------------------------------------------------
 # Expansiveness classes
@@ -78,7 +78,7 @@ class OperatorHandle:
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
     """Soft thresholding: sign(v) * max(|v| - threshold, 0), componentwise."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ParameterError(f"soft-threshold level must be >= 0, got {threshold}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
@@ -137,7 +137,7 @@ class L1Prox(ProxSpec):
     threshold: float
 
     def __post_init__(self):
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ParameterError(f"L1 threshold must be >= 0, got {self.threshold}")
 
     def __call__(self, v):
@@ -161,7 +161,7 @@ class QuadraticRankOneProx(ProxSpec):
     n: int
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
         if self.n < 1:
             raise ParameterError(f"row weight n must be >= 1, got {self.n}")
@@ -184,7 +184,7 @@ class RowQuadraticProx:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, gamma: float):
-        if gamma <= 0:
+        if not gamma > 0:
             raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
@@ -222,10 +222,11 @@ class RowQuadraticProx:
 
 @dataclass(frozen=True)
 class QuadraticProx(ProxSpec):
-    """Prox of gamma * (x^T Q x / 2 + c^T x): solve (I + gamma Q) x = v - gamma c.
+    """Prox of gamma * (x^T Q x / 2 + c^T x): x = (I + gamma Q)^{-1} (v - gamma c).
 
-    I + gamma Q and gamma c are built on the first call and reused, so Q and c
-    must not be modified afterwards.
+    The inverse of I + gamma Q and gamma c are computed on the first call and
+    reused, so each call is one matrix-vector product; Q and c must not be
+    modified afterwards. A singular I + gamma Q raises ``ModelError`` there.
     """
 
     Q: np.ndarray
@@ -233,17 +234,28 @@ class QuadraticProx(ProxSpec):
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
+        shape = np.shape(self.Q)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.c) != shape[:1]:
+            raise StructuralError(f"Q of shape {shape} and c of shape {np.shape(self.c)} "
+                                  "do not form a p x p matrix and a p-vector")
 
     @cached_property
     def _system(self) -> tuple[np.ndarray, np.ndarray]:
         Q = np.asarray(self.Q)
-        return np.eye(len(Q)) + self.gamma * Q, self.gamma * np.asarray(self.c)
+        try:
+            inverse = np.linalg.inv(np.eye(len(Q)) + self.gamma * Q)
+        except np.linalg.LinAlgError as exc:
+            raise ModelError(f"I + gamma Q is singular at gamma = {self.gamma}") from exc
+        return inverse, self.gamma * np.asarray(self.c)
 
     def __call__(self, v):
-        matrix, shift = self._system
-        return np.linalg.solve(matrix, np.asarray(v, dtype=float) - shift)
+        inverse, shift = self._system
+        v = np.asarray(v, dtype=float)
+        if v.shape != shift.shape:
+            raise ParameterError(f"dimension mismatch: Q is {inverse.shape}, v has shape {v.shape}")
+        return inverse @ (v - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +296,9 @@ def gradient_step_operator(grad: Callable[[np.ndarray], np.ndarray], beta: float
     non-expansive; declaring strong convexity mu > 0 shortens the step to
     2/(beta+mu) and the operator becomes (beta-mu)/(beta+mu)-contractive.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ParameterError(f"smoothness beta must be > 0, got {beta}")
-    if mu < 0:
+    if not mu >= 0:
         raise ParameterError(f"strong convexity mu must be >= 0, got {mu}")
     step = 2.0 / (beta + mu)
 

@@ -13,7 +13,9 @@ from privfp.fixedpoint import (
     AllBlocks, BernoulliPerBlock, IterationConfig, SingleUniform, dpcd_instance,
     dpsgd_instance, iterate, run, step,
 )
-from privfp.operators import L1Prox, NonExpansive, OperatorHandle, QuadraticProx, ZeroProx
+from privfp.operators import (
+    L1Prox, NonExpansive, OperatorHandle, QuadraticProx, ZeroProx, reflect_compose,
+)
 
 
 def identity_op():
@@ -361,6 +363,28 @@ class TestDpcdInstance:
         with pytest.raises(ParameterError):
             dpcd_instance([lambda u: u], beta=1.0, n_blocks=1, block_dim=2,
                           sigma=0.0, K=1, seed=0)
+
+
+class TestDouglasRachford:
+    @pytest.mark.parametrize("lam", [1.0, 0.6])
+    def test_run_matches_a_plain_loop_bit_for_bit(self, lam):
+        # reflect_compose(QuadraticProx, L1Prox) under AllBlocks, sigma = 0, against
+        # the splitting written out with its own inverse of I + gamma Q
+        p, gamma, t, K = 6, 0.7, 0.2, 60
+        gen = np.random.default_rng(21)
+        M = gen.normal(size=(p, p))
+        Q, c = M @ M.T / p + 0.1 * np.eye(p), gen.normal(size=p)
+        op = reflect_compose(QuadraticProx(Q=Q, c=c, gamma=gamma), L1Prox(t), 0.5)
+        u0 = BlockVector(gen.normal(size=(1, p)))
+        cfg = IterationConfig(K=K, lam=lam, seed=3)
+        _, trace = run(u0, op, cfg, record_iterates=True)
+        inverse, shift = np.linalg.inv(np.eye(p) + gamma * Q), gamma * c
+        u = u0.flat.copy()
+        for k in range(K):
+            r2 = 2.0 * (np.sign(u) * np.maximum(np.abs(u) - t, 0.0)) - u
+            r1 = 2.0 * (inverse @ (r2 - shift)) - r2
+            u = u + lam * (0.5 * r1 + (1.0 - 0.5) * u - u)
+            assert trace.iterates[k].tobytes() == u.tobytes(), k
 
 
 class TestBlockEvaluation:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import empirical_lipschitz
-from privfp.errors import ParameterError, StructuralError
+from privfp.errors import ModelError, ParameterError, StructuralError
+from privfp.fixedpoint import dpcd_instance, dpsgd_instance
 from privfp.operators import (
     Averaged, Contractive, L1Prox, NonExpansive, QuadraticProx,
     QuadraticRankOneProx, RowQuadraticProx, ZeroProx, clip, clip_rows,
@@ -93,14 +94,94 @@ def random_quadratic_prox(gen, p, gamma=1.0):
 
 
 class TestQuadraticProx:
-    def test_repeated_calls_equal_the_direct_solve_bit_for_bit(self):
-        # I + gamma Q and gamma c are built once; each call must solve the same system
+    def test_each_call_equals_the_inverse_product_bit_for_bit(self):
+        # the inverse of I + gamma Q and gamma c are built once; each call is one product
         gen = np.random.default_rng(4)
         spec = random_quadratic_prox(gen, 6, gamma=0.7)
+        inverse = np.linalg.inv(np.eye(6) + 0.7 * spec.Q)
         for _ in range(3):
             v = gen.normal(size=6)
-            want = np.linalg.solve(np.eye(6) + 0.7 * spec.Q, v - 0.7 * spec.c)
-            assert spec(v).tobytes() == want.tobytes()
+            got = spec(v)
+            assert got.tobytes() == (inverse @ (v - 0.7 * spec.c)).tobytes()
+            assert got.tobytes() == QuadraticProx(spec.Q, spec.c, 0.7)(v).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 6, 64])
+    def test_result_solves_the_system(self, p):
+        gen = np.random.default_rng(p)
+        spec = random_quadratic_prox(gen, p, gamma=1.3)
+        matrix = np.eye(p) + 1.3 * spec.Q
+        for _ in range(3):
+            v = gen.normal(size=p)
+            rhs = v - 1.3 * spec.c
+            x = spec(v)
+            assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            solved = np.linalg.solve(matrix, rhs)
+            assert np.linalg.norm(x - solved) <= 1e-12 * np.linalg.norm(solved)
+
+    def test_inverse_is_built_once_and_solve_is_never_called(self, monkeypatch):
+        calls = {"inv": 0, "solve": 0}
+        inv, solve = np.linalg.inv, np.linalg.solve
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+        gen = np.random.default_rng(5)
+        spec = random_quadratic_prox(gen, 5)
+        for _ in range(3):
+            spec(gen.normal(size=5))
+        assert calls == {"inv": 1, "solve": 0}
+
+    @pytest.mark.parametrize("Q", [np.ones(3), np.ones((3, 3, 3))], ids=["1-D", "3-D"])
+    def test_q_that_is_not_2d_raises_structural_error(self, Q):
+        with pytest.raises(StructuralError):
+            QuadraticProx(Q=Q, c=np.zeros(3), gamma=1.0)
+
+    def test_non_square_q_raises_structural_error(self):
+        with pytest.raises(StructuralError):
+            QuadraticProx(Q=np.ones((3, 4)), c=np.zeros(3), gamma=1.0)
+
+    @pytest.mark.parametrize("c", [np.zeros(1), np.zeros(4), np.zeros((3, 1)), 0.0],
+                             ids=["(1,)", "(4,)", "(3,1)", "scalar"])
+    def test_c_whose_length_is_not_p_raises_structural_error(self, c):
+        with pytest.raises(StructuralError):
+            QuadraticProx(Q=np.eye(3), c=c, gamma=1.0)
+
+    @pytest.mark.parametrize("v", [np.zeros(4), np.zeros((3, 1)), 1.0],
+                             ids=["(4,)", "(3,1)", "scalar"])
+    def test_v_whose_shape_is_not_p_raises_parameter_error(self, v):
+        spec = QuadraticProx(Q=np.eye(3), c=np.zeros(3), gamma=1.0)
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            spec(v)
+
+    def test_singular_system_raises_model_error_on_the_first_call(self):
+        # I + 2 Q = 0 for Q = -I/2; construction succeeds, the first call raises
+        spec = QuadraticProx(Q=-0.5 * np.eye(3), c=np.zeros(3), gamma=2.0)
+        with pytest.raises(ModelError, match="singular"):
+            spec(np.ones(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: prox_l1(np.ones(2), math.nan),
+    lambda: L1Prox(math.nan),
+    lambda: QuadraticProx(Q=np.eye(2), c=np.zeros(2), gamma=math.nan),
+    lambda: QuadraticRankOneProx(np.ones(2), 1.0, math.nan, 1),
+    lambda: RowQuadraticProx(np.ones((2, 2)), np.ones(2), math.nan),
+    lambda: gradient_step_operator(lambda u: u, beta=math.nan),
+    lambda: gradient_step_operator(lambda u: u, beta=1.0, mu=math.nan),
+    lambda: dpsgd_instance([lambda u: u], beta=math.nan, gamma=0.5, sigma_grad=0.0, K=1, seed=0),
+    lambda: dpcd_instance([lambda u: u] * 2, beta=math.nan, n_blocks=2, block_dim=1,
+                          sigma=0.0, K=1, seed=0),
+], ids=["prox_l1", "L1Prox", "QuadraticProx.gamma", "QuadraticRankOneProx.gamma",
+        "RowQuadraticProx.gamma", "gradient_step_operator.beta", "gradient_step_operator.mu",
+        "dpsgd_instance.beta", "dpcd_instance.beta"])
+def test_nan_parameter_raises(make):
+    with pytest.raises(ParameterError, match="got nan"):
+        make()
 
 
 class TestFirmNonexpansiveness:

@@ -15,9 +15,10 @@
 
 The consensus runs compute with numpy's own loops (``einsum``, ufuncs,
 reductions) and call no BLAS or LAPACK routine. DP-SGD (``G @ x``), the
-engine's ``QuadraticProx`` (a LAPACK solve) and ``general_admm_step`` (``@``)
-do, and their bits may differ with the BLAS kernel, so they are left to the
-benchmark's seed-0 fingerprints.
+engine's ``QuadraticProx`` (a BLAS product with a cached inverse of
+I + gamma Q) and ``general_admm_step`` (``@``) do, and their bits may differ
+with the BLAS kernel, so they are left to the benchmark's seed-0
+fingerprints.
 
 A change that moves one of these values changes a released iterate or the
 noise behind it. The file is re-recorded only by a change that moves those
