@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import math
 import os
 import shutil
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -311,45 +310,35 @@ def _cohort(config: ExperimentConfig, n_train: int) -> int:
     return max(1, int(round(config.sample_fraction * n_train)))
 
 
-def _accountant(config: ExperimentConfig, gamma: float,
-                n_train: int) -> Callable[[float], float]:
-    """sigma -> the DP epsilon the cell's Rényi curve certifies (setting, L, m, K_i derived once)."""
+def _accountant(config: ExperimentConfig, gamma: float, n_train: int) -> privacy.Accountant:
+    """The cell's accountant at the config's grid and delta (setting, L and m derived once)."""
     if config.setting == "centralized" and config.algorithm == "dpsgd":
         # Record-level DP-SGD: K compositions of the (1/n)-subsampled Gaussian
         # mechanism on the clipped gradient (sensitivity 2C).
-        curve = functools.partial(privacy.subsampled_curve, K=config.K, q=1.0 / n_train,
-                                  sensitivity=2.0 * config.clip_threshold, alphas=config.alphas)
-    else:
-        # The effective Lipschitz constant of the clipped release (module docstring).
-        C = config.clip_threshold
-        setting, L = {"centralized": ("centralized", n_train * C / gamma),
-                      "federated": ("federated_central", C / gamma),
-                      "decentralized": ("network", C / gamma)}[config.setting]
-        if config.algorithm == "dpsgd":
-            L = C / (2.0 * gamma)
-        curve = functools.partial(
-            privacy.setting_curve, setting, K=config.K, L=L, gamma=gamma, n=n_train,
-            m=_cohort(config, n_train),
-            K_i=privacy.estimated_participations(config.K, n_train), alphas=config.alphas)
-    return lambda sigma: privacy.rdp_to_dp(curve(sigma), config.delta)
+        return privacy.subsampled_accountant(K=config.K, q=1.0 / n_train,
+                                             sensitivity=2.0 * config.clip_threshold,
+                                             alphas=config.alphas, delta=config.delta)
+    # The effective Lipschitz constant of the clipped release (module docstring).
+    C = config.clip_threshold
+    setting, L = {"centralized": ("centralized", n_train * C / gamma),
+                  "federated": ("federated_central", C / gamma),
+                  "decentralized": ("network", C / gamma)}[config.setting]
+    if config.algorithm == "dpsgd":
+        L = C / (2.0 * gamma)
+    return privacy.accountant(setting, K=config.K, L=L, gamma=gamma, n=n_train,
+                              m=_cohort(config, n_train), alphas=config.alphas, delta=config.delta)
 
 
 def achieved_epsilon(config: ExperimentConfig, sigma: float, gamma: float,
                      n_train: int) -> float:
     """DP epsilon actually certified by the accountant for the noise used."""
-    if sigma == 0.0:
-        return math.inf
-    return _accountant(config, gamma, n_train)(sigma)
+    return math.inf if sigma == 0.0 else _accountant(config, gamma, n_train).epsilon(sigma)
 
 
 def calibrate_noise(config: ExperimentConfig, epsilon: float, gamma: float,
                     n_train: int) -> float:
-    """Noise std meeting (epsilon, delta) for this cell via the accountant.
-
-    Bisects ``achieved_epsilon``'s accountant, so the returned sigma certifies the budget.
-    """
-    privacy.check_budget(epsilon)
-    return privacy.bisect_sigma(_accountant(config, gamma, n_train), epsilon, 1e-6)
+    """Noise std meeting (epsilon, delta) for this cell: its accountant's calibration."""
+    return _accountant(config, gamma, n_train).calibrate(epsilon)
 
 
 def _cell(config: ExperimentConfig) -> tuple[LassoDataset, LassoDataset, float, float]:

@@ -164,20 +164,22 @@ def _cmd_bench(args) -> int:
 
 def _cmd_account(args) -> int:
     outdir = _outdir(args) if args.out else None  # checked before anything is printed
-    curve = privacy.setting_curve(args.setting, args.sigma, **_curve_kwargs(args))
+    accountant = privacy.accountant(args.setting, delta=args.delta, **_curve_kwargs(args))
+    curve = accountant.curve(args.sigma)
     print("alpha,epsilon,provenance")
     for a, e in zip(curve.alphas, curve.epsilons):
         print(f"{format(a, '.17g')},{format(e, '.17g')},{curve.provenance}")
     if args.delta is not None:
-        eps_dp = privacy.rdp_to_dp(curve, args.delta)
-        print(f"# (epsilon, delta)-DP: epsilon={eps_dp:.12g} at delta={args.delta:g}",
-              file=sys.stderr)
+        print(f"# (epsilon, delta)-DP: epsilon={accountant.epsilon(args.sigma):.12g} "
+              f"at delta={args.delta:g}", file=sys.stderr)
     if args.out:
         bench.emit_accountant_csv(curve, outdir / args.out)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    if args.alpha is not None and args.alphas:
+        raise ParameterError("--alphas is the grid of a --delta target; --alpha fixes one order")
     sigma = privacy.calibrate_sigma(args.setting, epsilon=args.epsilon, delta=args.delta,
                                     alpha=args.alpha, **_curve_kwargs(args))
     print(format(sigma, ".12g"))

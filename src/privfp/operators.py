@@ -163,7 +163,7 @@ class QuadraticRankOneProx(ProxSpec):
     def __post_init__(self):
         if not self.gamma > 0:
             raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ParameterError(f"row weight n must be >= 1, got {self.n}")
 
     def __call__(self, v):

@@ -7,9 +7,10 @@ generic building blocks: the Gaussian mechanism, conversion to
 (epsilon, delta)-DP, sensitivity bounds for the splitting update,
 amplification by subsampling (with its literal validity regime), and
 noise calibration. Every function is pure. A per-order formula raises
-ConditionNotMet naming the clause an out-of-regime order fails; a curve
-checks its arguments once and skips such an order without raising (a
-default bench cell calibrates in ~0.6 ms on a 2-vCPU Xeon). The formulas
+ConditionNotMet naming the clause an out-of-regime order fails; a cell's
+``Accountant`` checks its arguments once, skips such an order without
+raising, and calibrates without evaluating the formula below the regime
+floor (a default bench cell in ~0.3 ms on a 2-vCPU Xeon). The formulas
 share one rule for L and gamma (both > 0); calibration has one for the
 budget (NaN is a ParameterError) and one for delta (it lies in (0, 1)).
 """
@@ -17,7 +18,7 @@ budget (NaN is a ParameterError) and one for delta (it lies in (0, 1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import ConditionNotMet, ParameterError, StructuralError
@@ -75,20 +76,21 @@ def _check_orders(alphas: tuple[float, ...]):
             raise ParameterError(f"Rényi order must be > 1, got {a}")
 
 
-def _gaussian_orders(alphas, count: int, what: str, sensitivity: float,
-                     sigma: float) -> tuple[tuple, tuple]:
+def _gaussian(alphas, count: int, what: str, sensitivity: float):
     if count < 0:
         raise ParameterError(f"{what} count must be >= 0, got {count}")
-    _check_sigma(sigma)
     _check_orders(alphas)
     if not sensitivity >= 0:
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
-    return tuple(alphas), tuple(count * (a * sensitivity ** 2 / (2.0 * sigma ** 2)) for a in alphas)
+
+    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
+        return alphas, tuple(count * (a * sensitivity ** 2 / (2.0 * sigma ** 2)) for a in alphas)
+    return Accountant(orders, alphas)
 
 
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
     """Rényi DP of the Gaussian mechanism: alpha * Delta^2 / (2 sigma^2)."""
-    return _gaussian_orders((alpha,), 1, "release", sensitivity, sigma)[1][0]
+    return _gaussian((alpha,), 1, "release", sensitivity).epsilon(sigma)
 
 
 def _check_lipschitz_step(L: float, gamma: float):
@@ -122,10 +124,11 @@ def sensitivity_general(L: float, gamma: float, lam: float, n: int,
 # ---------------------------------------------------------------------------
 # Setting-specific epsilon formulas
 #
-# Each _*_orders checks its arguments (the whole grid included) once and
-# returns (orders, epsilons) at the grid's in-regime orders. A per-order
-# formula calls it with strict=True on a one-order grid, so a dropped order
-# raises ConditionNotMet naming the clause it fails.
+# Each _<formula> checks its arguments (the whole grid included) once and
+# returns an Accountant whose orders(sigma, strict) is the formula at the
+# grid's in-regime orders. A per-order formula is its epsilon on a one-order
+# grid, evaluated strictly, so a dropped order raises ConditionNotMet naming
+# the clause it fails.
 
 
 def _subsampling_orders(alphas, q: float, sigma: float, strict: bool) -> tuple[float, ...]:
@@ -154,20 +157,24 @@ def _subsampling_orders(alphas, q: float, sigma: float, strict: bool) -> tuple[f
 def centralized_epsilon(alpha: float, K: int, L: float, gamma: float,
                         sigma: float, n: int) -> float:
     """Record-level Rényi DP of K centralized rounds: 8*alpha*K*L^2*gamma^2/(sigma^2 n^2)."""
-    return _gaussian_orders((alpha,), K, "round", sensitivity_consensus(L, gamma, 1.0, n),
-                            sigma)[1][0]
+    return _gaussian((alpha,), K, "round", sensitivity_consensus(L, gamma, 1.0, n)).epsilon(sigma)
 
 
-def _subsampled_orders(alphas, q: float, sensitivity: float, sigma: float, strict: bool,
-                       K: int = 1) -> tuple[tuple, tuple]:
+def subsampled_accountant(*, K: int, q: float, sensitivity: float,
+                          alphas: tuple[float, ...] = DEFAULT_ALPHAS,
+                          delta: float | None = None) -> Accountant:
+    """K compositions of the q-subsampled Gaussian mechanism (record-level DP-SGD)."""
     _check_orders(alphas)
     if not 0.0 < q < 1.0:
         raise ParameterError(f"sampling probability must lie in (0, 1), got {q}")
-    _check_sigma(sigma)
     if not sensitivity >= 0:
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
-    grid = _subsampling_orders(alphas, q, sigma, strict)
-    return grid, tuple(K * (2.0 * a * q ** 2 * sensitivity ** 2 / sigma ** 2) for a in grid)
+
+    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
+        grid = _subsampling_orders(alphas, q, sigma, strict)
+        return grid, tuple(K * (2.0 * a * q ** 2 * sensitivity ** 2 / sigma ** 2) for a in grid)
+    return Accountant(orders, alphas, floor=4.0 if q < 0.2 else math.inf, delta=delta,
+                      regime="subsampled", params=f"K={K},q={q:g}")
 
 
 def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> float:
@@ -177,28 +184,30 @@ def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> 
     each clause is checked literally and a violation raises ConditionNotMet
     naming it. Tighter numerically-integrated bounds are out of scope.
     """
-    return _subsampled_orders((alpha,), q, sensitivity, sigma, strict=True)[1][0]
+    return subsampled_accountant(K=1, q=q, sensitivity=sensitivity, alphas=(alpha,)).epsilon(sigma)
 
 
 def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float) -> float:
     """Per-user local Rényi DP over K_i participations: 8*alpha*K_i*L^2*gamma^2/sigma^2."""
-    return _gaussian_orders((alpha,), K_i, "participation",
-                            sensitivity_consensus(L, gamma, 1.0, 1), sigma)[1][0]
+    return _gaussian((alpha,), K_i, "participation",
+                     sensitivity_consensus(L, gamma, 1.0, 1)).epsilon(sigma)
 
 
-def _federated_orders(alphas, K: int, L: float, gamma: float, sigma: float, m: int, n: int,
-                      strict: bool) -> tuple[tuple, tuple]:
+def _federated(alphas, K: int, L: float, gamma: float, m: int | None, n: int):
+    if m is None:
+        raise ParameterError("federated accounting needs the cohort size m")
     _check_lipschitz_step(L, gamma)
     if m < 1 or n < 1 or m > n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if K < 0:
-        raise ParameterError(f"round count must be >= 0, got {K}")
-    _check_sigma(sigma)
+    if K <= 0:  # no round released: zero at every order and no regime (K < 0 raises there)
+        return _gaussian(alphas, K, "round", 0.0)
     _check_orders(alphas)
-    if K == 0:
-        return tuple(alphas), (0.0,) * len(alphas)
-    grid = _subsampling_orders(alphas, m / n, sigma, strict)
-    return grid, tuple(16.0 * a * K * L ** 2 * gamma ** 2 / (sigma ** 2 * n ** 2) for a in grid)
+
+    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
+        grid = _subsampling_orders(alphas, m / n, sigma, strict)
+        return grid, tuple(16.0 * a * K * L ** 2 * gamma ** 2 / (sigma ** 2 * n ** 2)
+                           for a in grid)
+    return Accountant(orders, alphas, floor=4.0 if m / n < 0.2 else math.inf)
 
 
 def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
@@ -208,31 +217,32 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
     Value: 16*alpha*K*L^2*gamma^2/(sigma^2 n^2), i.e. twice the centralized
     bound; valid only in the subsampling regime with q = m/n.
     """
-    return _federated_orders((alpha,), K, L, gamma, sigma, m, n, strict=True)[1][0]
+    return _federated((alpha,), K, L, gamma, m, n).epsilon(sigma)
 
 
 def _network_threshold(alpha: float, L: float, gamma: float) -> float:
     return 2.0 * L * gamma * math.sqrt(alpha * (alpha - 1.0))
 
 
-def _network_orders(alphas, K_i: int, L: float, gamma: float, sigma: float, n: int,
-                    strict: bool) -> tuple[tuple, tuple]:
+def _network(alphas, K_i: int, L: float, gamma: float, n: int):
     _check_orders(alphas)
     _check_lipschitz_step(L, gamma)
     if n < 2:
         raise ParameterError(f"walk needs n >= 2 users, got {n}")
     if K_i < 0:
         raise ParameterError(f"participation count must be >= 0, got {K_i}")
-    _check_sigma(sigma)
-    kept = [a for a in alphas if sigma > _network_threshold(a, L, gamma)]
-    if strict and not kept:
-        threshold = _network_threshold(alphas[0], L, gamma)
-        raise ConditionNotMet("sigma > 2*L*gamma*sqrt(alpha*(alpha-1))",
-                              f"noise std {sigma} does not strictly exceed {threshold:.6g}")
-    if K_i == 0:
-        return tuple(kept), (0.0,) * len(kept)
-    return tuple(kept), tuple(8.0 * a * K_i * L ** 2 * gamma ** 2 * math.log(n) / (sigma ** 2 * n)
-                              for a in kept)
+
+    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
+        kept = tuple(a for a in alphas if sigma > _network_threshold(a, L, gamma))
+        if strict and not kept:
+            threshold = _network_threshold(alphas[0], L, gamma)
+            raise ConditionNotMet("sigma > 2*L*gamma*sqrt(alpha*(alpha-1))",
+                                  f"noise std {sigma} does not strictly exceed {threshold:.6g}")
+        if K_i == 0:
+            return kept, (0.0,) * len(kept)
+        return kept, tuple(8.0 * a * K_i * L ** 2 * gamma ** 2 * math.log(n) / (sigma ** 2 * n)
+                           for a in kept)
+    return Accountant(orders, alphas, _network_threshold(min(alphas), L, gamma), strict_floor=True)
 
 
 def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
@@ -243,7 +253,7 @@ def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
     noise condition sigma > 2*L*gamma*sqrt(alpha*(alpha-1)) (from the weak
     convexity step) and n >= 2.
     """
-    return _network_orders((alpha,), K_i, L, gamma, sigma, n, strict=True)[1][0]
+    return _network((alpha,), K_i, L, gamma, n).epsilon(sigma)
 
 
 def estimated_participations(K: int, n: int) -> int:
@@ -254,51 +264,9 @@ def estimated_participations(K: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Curves per setting and calibration
+# One accountant per cell, and calibration
 
 SETTINGS = ("centralized", "federated_central", "local", "network")
-
-
-def _setting_orders(setting: str, sigma: float, alphas, strict: bool, K: int, L: float,
-                    gamma: float, n: int, m: int | None, K_i: int | None) -> tuple[tuple, tuple]:
-    """The per-setting formula over the grid (K_i defaults to ceil(K/n) where needed)."""
-    if setting == "centralized":
-        return _gaussian_orders(alphas, K, "round", sensitivity_consensus(L, gamma, 1.0, n),
-                                sigma)
-    if setting == "federated_central":
-        if m is None:
-            raise ParameterError("federated accounting needs the cohort size m")
-        return _federated_orders(alphas, K, L, gamma, sigma, m, n, strict)
-    if setting == "local":
-        return _gaussian_orders(alphas, K_i if K_i is not None else K, "participation",
-                                sensitivity_consensus(L, gamma, 1.0, 1), sigma)
-    if setting == "network":
-        return _network_orders(alphas, K_i if K_i is not None else estimated_participations(K, n),
-                               L, gamma, sigma, n, strict)
-    raise ParameterError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
-
-
-def _kept_curve(orders: tuple[tuple, tuple], regime: str, sigma: float,
-                provenance: str) -> RdpCurve:
-    if not orders[0]:
-        raise ConditionNotMet("no valid Rényi order",
-                              f"no grid order satisfies the {regime} regime at sigma={sigma:g}")
-    return RdpCurve(*orders, provenance=provenance)
-
-
-def setting_curve(setting: str, sigma: float, *, K: int, L: float, gamma: float,
-                  n: int, m: int | None = None, K_i: int | None = None,
-                  alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> RdpCurve:
-    """A setting's formula over the grid in one pass, keeping only in-regime orders."""
-    return _kept_curve(_setting_orders(setting, sigma, alphas, False, K, L, gamma, n, m, K_i),
-                       setting, sigma, f"{setting}(K={K},sigma={sigma:g})")
-
-
-def subsampled_curve(sigma: float, *, K: int, q: float, sensitivity: float,
-                     alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> RdpCurve:
-    """K compositions of the q-subsampled Gaussian mechanism over the grid, in one pass."""
-    return _kept_curve(_subsampled_orders(alphas, q, sensitivity, sigma, False, K),
-                       "subsampled", sigma, f"subsampled(K={K},q={q:g},sigma={sigma:g})")
 
 
 def check_budget(epsilon: float):
@@ -317,45 +285,100 @@ _LARGE_SIGMA = 1e8
 SIGMA_REL_TOL = 1e-3
 
 
-def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
-                    alpha: float | None = None, K: int, L: float, gamma: float,
-                    n: int, m: int | None = None, K_i: int | None = None,
-                    alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> float:
-    """Smallest noise std meeting a privacy target, within ``SIGMA_REL_TOL``.
+@dataclass(frozen=True)
+class Accountant:
+    """A cell's sigma -> epsilon map, built once by ``accountant`` or ``subsampled_accountant``:
+    ``orders(sigma, strict)`` is its formula at the grid's in-regime orders, and no order
+    is in regime at sigma < ``floor`` (nor at ``floor`` if ``strict_floor``). A ``delta``
+    of None makes the target Rényi, at a one-order grid."""
 
-    Two target forms: ``(alpha, epsilon)`` fixes a single Rényi order and
-    inverts the formula in closed form (then bumps sigma up to the regime
-    boundary if needed); ``(epsilon, delta)`` bisects sigma so the
-    grid-converted DP epsilon meets the budget. The returned sigma always
-    satisfies account(sigma) <= target; infeasible targets raise
-    ConditionNotMet.
-    """
-    check_budget(epsilon)
-    if (delta is None) == (alpha is None):
-        raise ParameterError("specify exactly one of delta (DP target) or alpha (Rényi target)")
-    if delta is not None:
-        check_delta(delta)
+    orders: Callable[[float, bool], tuple[tuple, tuple]]
+    alphas: tuple[float, ...]
+    floor: float = 0.0
+    strict_floor: bool = False
+    delta: float | None = None
+    regime: str = ""
+    params: str = ""  # a curve's provenance is regime(params,sigma=...)
 
-    def account(sig: float) -> float:
-        if delta is None:  # the formula at one order, raising the clause it fails
-            return _setting_orders(setting, sig, (alpha,), True, K, L, gamma, n, m, K_i)[1][0]
-        curve = setting_curve(setting, sig, K=K, L=L, gamma=gamma, n=n, m=m,
-                              K_i=K_i, alphas=alphas)
-        return rdp_to_dp(curve, delta)
+    def __post_init__(self):
+        if self.delta is not None:
+            check_delta(self.delta)
 
-    if delta is None:
-        # All formulas scale as 1/sigma^2: invert exactly, then honor regime floors.
-        base = account(_LARGE_SIGMA)
-        floor = 4.0 if setting == "federated_central" else \
-            _network_threshold(alpha, L, gamma) * (1 + 1e-12) if setting == "network" else 0.0
+    def curve(self, sigma: float) -> RdpCurve:
+        """The formula over the grid in one pass, keeping only in-regime orders."""
+        _check_sigma(sigma)
+        alphas, epsilons = self.orders(sigma, False)
+        if not alphas:
+            raise ConditionNotMet("no valid Rényi order", f"no grid order satisfies the "
+                                  f"{self.regime} regime at sigma={sigma:g}")
+        return RdpCurve(tuple(alphas), epsilons, f"{self.regime}({self.params},sigma={sigma:g})")
+
+    def epsilon(self, sigma: float) -> float:
+        """The DP epsilon at delta; with delta None, the formula at the one order."""
+        if self.delta is not None:
+            return rdp_to_dp(self.curve(sigma), self.delta)
+        if len(self.alphas) != 1:
+            raise StructuralError(f"a Rényi target needs one order, got {len(self.alphas)}")
+        _check_sigma(sigma)
+        return self.orders(sigma, True)[1][0]
+
+    def _below_floor(self, sigma: float) -> bool:
+        return sigma <= self.floor if self.strict_floor else sigma < self.floor
+
+    def calibrate(self, epsilon: float) -> float:
+        """Smallest noise std meeting the budget, within ``SIGMA_REL_TOL``, or ConditionNotMet."""
+        check_budget(epsilon)
+        if self.delta is not None:  # a sigma below the floor fails without evaluating the formula
+            return bisect_sigma(lambda sig: math.inf if self._below_floor(sig) else
+                                self.epsilon(sig), epsilon, 1e-6)
+        # All formulas scale as 1/sigma^2: invert exactly, then honor the regime floor.
+        base = self.epsilon(_LARGE_SIGMA)
+        floor = self.floor * (1 + 1e-12) if self.strict_floor else self.floor
         if base > 0:
             sigma = max(_LARGE_SIGMA * math.sqrt(base / epsilon) * (1.0 + 1e-12), floor)
         else:
             sigma = floor if floor > 0 else 1e-6
         # returned as is when it meets the target, even below bisection's 1e-6 start
-        return bisect_sigma(account, epsilon, sigma)
+        return bisect_sigma(self.epsilon, epsilon, sigma)
 
-    return bisect_sigma(account, epsilon, 1e-6)
+
+def accountant(setting: str, *, K: int, L: float, gamma: float, n: int,
+               m: int | None = None, K_i: int | None = None,
+               alphas: tuple[float, ...] = DEFAULT_ALPHAS,
+               delta: float | None = None) -> Accountant:
+    """A setting's accountant; K_i defaults to K (local) or ceil(K/n) (network)."""
+    if setting == "centralized":
+        cell = _gaussian(alphas, K, "round", sensitivity_consensus(L, gamma, 1.0, n))
+    elif setting == "federated_central":
+        cell = _federated(alphas, K, L, gamma, m, n)
+    elif setting == "local":
+        cell = _gaussian(alphas, K_i if K_i is not None else K, "participation",
+                         sensitivity_consensus(L, gamma, 1.0, 1))
+    elif setting == "network":
+        cell = _network(alphas, K_i if K_i is not None else estimated_participations(K, n),
+                        L, gamma, n)
+    else:
+        raise ParameterError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+    return replace(cell, delta=delta, regime=setting, params=f"K={K}")
+
+
+def setting_curve(setting: str, sigma: float, *, K: int, L: float, gamma: float,
+                  n: int, m: int | None = None, K_i: int | None = None,
+                  alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> RdpCurve:
+    """A setting's formula over the grid in one pass, keeping only in-regime orders."""
+    return accountant(setting, K=K, L=L, gamma=gamma, n=n, m=m, K_i=K_i, alphas=alphas).curve(sigma)
+
+
+def calibrate_sigma(setting: str, *, epsilon: float, delta: float | None = None,
+                    alpha: float | None = None, K: int, L: float, gamma: float,
+                    n: int, m: int | None = None, K_i: int | None = None,
+                    alphas: tuple[float, ...] = DEFAULT_ALPHAS) -> float:
+    """Smallest noise std meeting an ``(epsilon, delta)`` target over the grid, or an
+    ``(alpha, epsilon)`` target at the one Rényi order alpha (``Accountant.calibrate``)."""
+    if (delta is None) == (alpha is None):
+        raise ParameterError("specify exactly one of delta (DP target) or alpha (Rényi target)")
+    return accountant(setting, K=K, L=L, gamma=gamma, n=n, m=m, K_i=K_i, delta=delta,
+                      alphas=alphas if alpha is None else (alpha,)).calibrate(epsilon)
 
 
 def bisect_sigma(account: Callable[[float], float], epsilon: float, lo: float) -> float:

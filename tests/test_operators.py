@@ -170,6 +170,7 @@ class TestQuadraticProx:
     lambda: L1Prox(math.nan),
     lambda: QuadraticProx(Q=np.eye(2), c=np.zeros(2), gamma=math.nan),
     lambda: QuadraticRankOneProx(np.ones(2), 1.0, math.nan, 1),
+    lambda: QuadraticRankOneProx(np.ones(2), 1.0, 1.0, math.nan),
     lambda: RowQuadraticProx(np.ones((2, 2)), np.ones(2), math.nan),
     lambda: gradient_step_operator(lambda u: u, beta=math.nan),
     lambda: gradient_step_operator(lambda u: u, beta=1.0, mu=math.nan),
@@ -177,8 +178,8 @@ class TestQuadraticProx:
     lambda: dpcd_instance([lambda u: u] * 2, beta=math.nan, n_blocks=2, block_dim=1,
                           sigma=0.0, K=1, seed=0),
 ], ids=["prox_l1", "L1Prox", "QuadraticProx.gamma", "QuadraticRankOneProx.gamma",
-        "RowQuadraticProx.gamma", "gradient_step_operator.beta", "gradient_step_operator.mu",
-        "dpsgd_instance.beta", "dpcd_instance.beta"])
+        "QuadraticRankOneProx.n", "RowQuadraticProx.gamma", "gradient_step_operator.beta",
+        "gradient_step_operator.mu", "dpsgd_instance.beta", "dpcd_instance.beta"])
 def test_nan_parameter_raises(make):
     with pytest.raises(ParameterError, match="got nan"):
         make()

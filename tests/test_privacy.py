@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from privfp import privacy
 from privfp.errors import ConditionNotMet, ParameterError, StructuralError
@@ -423,8 +424,8 @@ class TestOnePassCurve:
             want = _outcome(lambda: _order_by_order(
                 lambda a: K * subsampled_rdp(a, q, sensitivity, sigma), alphas, "subsampled",
                 sigma, f"subsampled(K={K},q={q:g},sigma={sigma:g})"))
-            got = _outcome(lambda: privacy.subsampled_curve(
-                sigma, K=K, q=q, sensitivity=sensitivity, alphas=alphas))
+            got = _outcome(lambda: privacy.subsampled_accountant(
+                K=K, q=q, sensitivity=sensitivity, alphas=alphas).curve(sigma))
             assert got == want, (K, q, sensitivity, sigma, alphas)
 
     @pytest.mark.parametrize("setting", privacy.SETTINGS)
@@ -445,7 +446,7 @@ class TestOnePassCurve:
 
     def test_empty_grid_of_the_subsampled_curve_is_a_structural_error(self):
         with pytest.raises(StructuralError, match="empty alpha grid"):
-            privacy.subsampled_curve(8.0, K=10, q=0.01, sensitivity=1.0, alphas=())
+            privacy.subsampled_accountant(K=10, q=0.01, sensitivity=1.0, alphas=()).curve(8.0)
 
     @pytest.mark.parametrize("call, condition", [
         (lambda: federated_central_epsilon(2.0, 5, 1.0, 0.1, 8.0, 30, 100), "q < 1/5"),
@@ -463,3 +464,49 @@ class TestOnePassCurve:
         with pytest.raises(ConditionNotMet,
                            match=r"^order 4096.0 exceeds the regime cap \S+ at q=0.1, sigma=4.0$"):
             federated_central_epsilon(4096.0, 5, 1.0, 0.1, 4.0, 10, 100)
+
+
+def _check_floor(acct, sigma, skipped):
+    """The DP calibration skips sigma exactly when expected, and a skipped sigma has no curve."""
+    assert acct._below_floor(sigma) == skipped
+    if skipped:
+        with pytest.raises(ConditionNotMet) as info:
+            acct.curve(sigma)
+        assert info.value.condition == "no valid Rényi order"
+
+
+GRIDS = st.sampled_from([DEFAULT_ALPHAS, BENCH_ALPHAS, (64.0, 2.0, 1.5, 700.0, 3.0),
+                         (4096.0, 1.01, 33.3), (2.0,)])
+SIGMAS = st.one_of(st.floats(1e-6, 4.0), st.floats(1e-6, 1e8))
+
+
+class TestRegimeFloor:
+    """Calibration skips exactly the sigmas below an accountant's floor, and none has a curve."""
+
+    @given(K=st.integers(0, 5000), n=st.integers(2, 5000), fraction=st.floats(0.0, 1.0),
+           L=st.floats(0.01, 2.0), gamma=st.floats(0.001, 2000.0), alphas=GRIDS, sigma=SIGMAS)
+    def test_subsampling_floor(self, K, n, fraction, L, gamma, alphas, sigma):
+        m = min(n, max(1, int(fraction * n)))
+        acct = privacy.accountant("federated_central", K=K, L=L, gamma=gamma, n=n, m=m,
+                                  alphas=alphas)
+        # q >= 1/5 puts no order in regime at any sigma; zero rounds have no regime
+        _check_floor(acct, sigma, K > 0 and (m / n >= 0.2 or sigma < 4.0))
+
+    @given(K=st.integers(0, 5000), n=st.integers(2, 5000), sensitivity=st.floats(0.0, 20.0),
+           alphas=GRIDS, sigma=SIGMAS)
+    def test_subsampled_dpsgd_floor(self, K, n, sensitivity, alphas, sigma):
+        acct = privacy.subsampled_accountant(K=K, q=1.0 / n, sensitivity=sensitivity,
+                                             alphas=alphas)
+        _check_floor(acct, sigma, 1.0 / n >= 0.2 or sigma < 4.0)
+
+    @given(K=st.integers(0, 5000), n=st.integers(2, 5000), L=st.floats(0.01, 2.0),
+           gamma=st.floats(0.001, 2000.0), alphas=GRIDS, fraction=st.floats(1e-6, 1.0))
+    def test_network_floor(self, K, n, L, gamma, alphas, fraction):
+        acct = privacy.accountant("network", K=K, L=L, gamma=gamma, n=n, alphas=alphas)
+        low = min(alphas)
+        threshold = 2.0 * L * gamma * math.sqrt(low * (low - 1.0))
+        _check_floor(acct, fraction * threshold, True)
+        _check_floor(acct, threshold, True)
+        just_above = math.nextafter(threshold, math.inf)
+        _check_floor(acct, just_above, False)
+        assert acct.curve(just_above).alphas == (low,)
