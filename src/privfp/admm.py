@@ -7,27 +7,28 @@ solved by iterating, with fresh per-user Gaussian noise eta:
     x_i <- prox_f_i(2 z - u_i)
     u_i <- u_i + 2 lam (clip(x_i - z) + eta_i / 2)
 
-Three drivers share the traced loop ``fixedpoint.iterate`` and differ only
-in who takes part: every user in each round (centralized), a sampled cohort
-whose local deltas the server aggregates (federated), or one user at a time,
-who updates and forwards the model (a random walk). The federated and walk
-runs carry the dual mean ubar = mean_i u_i, add each round's deltas / n to
-it and set z = prox_r(ubar), so a walk token carries ubar with z. Each run
-updates only the participants' rows of its own duals in place; the public
-steps ``federated_round`` and ``decentralized_step`` return a new state over
-a copy. The centralized and federated runs share one batched round kernel
-and allocate its workspace once, two (rows per round, p) arrays, computing
-every round in it; only clipping (the squared entries) and noise (the draw)
-still take one fresh array of that size each. The walk runs a one-row
-kernel on 1-D views of the holder's dual row, with no workspace, so a step
-costs O(p); its bits equal those of the batched kernel over that one row.
-The walk's holders and noise depend only on the seed and the step, never on
-the data, so the run draws them 128 steps at a time into one array per run.
-One step of a matrix-constrained generalization (arbitrary A x + B z = c
-coupling), ``general_admm_step``, is provided with a consensus
-instantiation that reproduces the specialized round bit-for-bit under a
-shared seed. Every run returns only the public variable z (and a trace or
-state); the data-adjacent x iterates never leave a round.
+The last line is the engine's ``fixedpoint.noisy_update`` with s = 2 lam,
+Delta = clip(x_i - z) and e = eta_i / 2. Three drivers share it and the
+traced loop ``fixedpoint.iterate``, and differ only in who takes part: every
+user in each round (centralized), a sampled cohort whose local deltas the
+server aggregates (federated), or one user at a time, who updates and
+forwards the model (a random walk). The federated and walk runs carry the
+dual mean ubar = mean_i u_i, add each round's deltas / n to it and set
+z = prox_r(ubar), so a walk token carries ubar with z. Each run updates only
+the participants' rows of its own duals in place (a full round with one
+in-place add); the public steps ``federated_round`` and
+``decentralized_step`` return a new state over a copy. The centralized and
+federated runs share one batched round kernel, computed in a workspace of
+two (rows per round, p) arrays allocated once; only clipping and noise take
+a fresh array of that size each. The walk's one-row kernel works on a 1-D
+view of the holder's dual row, so a step costs O(p), with the bits of the
+batched kernel over that row; its holders and noise depend only on the seed
+and the step, so the run draws them 128 steps at a time into one array.
+``general_admm_step``, one step of the splitting under a matrix constraint
+A x + B z = c, updates through ``noisy_update`` with Delta = A x + B z - c;
+its consensus instantiation reproduces the centralized round bit for bit
+under a shared seed. Every run returns only the public variable z (and a
+trace or state); the data-adjacent x iterates never leave a round.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import RunTrace, _checked_rows, iterate
+from .fixedpoint import RunTrace, _checked_rows, iterate, noisy_update
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 _WALK_BLOCK = 128  # walk steps whose holders and noise are drawn in one pass
@@ -142,41 +143,34 @@ def _check_step(lam: float, sigma: float):
     rng.check_sigma(sigma)
 
 
-def _workspace(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (m, p) arrays in which ``_round_deltas`` computes a round of m rows."""
-    return np.empty((m, p)), np.empty((m, p))
+def _round_deltas(problem, U, rows, z_ref, sigma, seed, k, work=None):
+    """clip(x_i - z_ref) for each i in rows, stacked, and round k's noise on those rows
+    halved (None at sigma = 0): the displacement and noise of the round's ``noisy_update``.
 
-
-def _round_deltas(problem, U, rows, z_ref, lam, sigma, seed, k, work=None):
-    """2*lam*(clip(x_i - z_ref) + eta_i/2) for each i in rows, stacked.
-
-    Computed in place in ``work``, a ``_workspace(len(rows), p)`` that a run
-    reuses every round, and returned as its second array; without ``work``
-    the call allocates its own. U is not modified. Each in-place step does
-    the arithmetic of the expression above in the same order, up to swapped
-    operands of + and *, so the bits do not depend on ``work``.
+    Computed in place in ``work``, a (2, len(rows), p) array that a run reuses every
+    round (the call allocates its own without it), and returned as its second half. U
+    is not modified. Each in-place step does the arithmetic of the expression above in
+    the same order, up to swapped operands of + and *, so the bits do not depend on work.
     """
-    _check_step(lam, sigma)
-    V, D = _workspace(len(rows), U.shape[1]) if work is None else work
+    V, D = np.empty((2, len(rows), U.shape[1])) if work is None else work
     np.take(U, rows, axis=0, out=V, mode="wrap")  # rows are in range; "raise" would buffer
     np.subtract(2.0 * z_ref, V, out=V)
     problem.local_solves(V, rows, out=D)
     D -= z_ref
     if problem.clip_threshold is not None:
         clip_rows(D, problem.clip_threshold)
-    if sigma > 0:
-        eta = rng.gaussian_rows(seed, k, rows, sigma, U.shape[1])
+    eta = rng.gaussian_rows(seed, k, rows, sigma, U.shape[1]) if sigma > 0 else None
+    if eta is not None:
         eta *= 0.5
-        D += eta
-    D *= 2.0 * lam
-    return D
+    return D, eta
 
 
 def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
     """Round k in place: rows of U update against z; returns the new dual mean
     ubar + sum of deltas / n and z = prox_r of it (ubar is not modified)."""
-    deltas = _round_deltas(problem, U, rows, z, lam, sigma, seed, k, work)
-    U[rows] += deltas
+    _check_step(lam, sigma)
+    deltas = noisy_update(U, rows, *_round_deltas(problem, U, rows, z, sigma, seed, k, work),
+                          2.0 * lam)
     ubar = ubar + deltas.sum(axis=0) / problem.n
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
@@ -197,27 +191,18 @@ def _walk_draws(n, lam, sigma, seed, k, holder, eta):
     return holders, list(eta)
 
 
-def _walk_delta(problem, u, z, i, lam, eta):
-    """``_round_deltas`` over rows [i] bit for bit, for holder i with dual row u (not modified)
-    and halved noise row eta: the same arithmetic in the same order on 1-D arrays."""
+def _walk_step(problem, U, ubar, z, i, lam, eta):
+    """Walk step in place, ``_advance`` over rows [i] bit for bit: holder i (an int in
+    range) updates the 1-D view of its dual row with the batched kernel's arithmetic, in
+    the same order, and its halved noise row eta; returns (ubar, z)."""
+    u = U[i]
     d = problem.local_solve(2.0 * z - u, i) - z  # a spec may return an array it keeps
     thr = problem.clip_threshold
     if thr is not None:
         nrm = math.sqrt(np.add.reduce(d * d))
         if nrm > thr:  # a NaN norm leaves d as it is, as in clip_rows
             d *= thr / nrm
-    if eta is not None:
-        d += eta
-    d *= 2.0 * lam
-    return d
-
-
-def _walk_step(problem, U, ubar, z, i, lam, eta):
-    """Walk step in place, ``_advance`` over rows [i] bit for bit: holder i (an int in
-    range) updates its row of U through ``_walk_delta``; returns (ubar, z)."""
-    u = U[i]
-    d = _walk_delta(problem, u, z, i, lam, eta)
-    u += d
+    d = noisy_update(u, None, d, eta, 2.0 * lam)
     ubar = ubar + d / problem.n
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
@@ -239,13 +224,15 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
     """
     if u0.n_blocks != problem.n:
         raise StructuralError(f"u0 has {u0.n_blocks} blocks for {problem.n} users")
+    _check_step(lam, sigma)
     U = u0.data.copy()
     all_rows = np.arange(problem.n)
-    work = _workspace(problem.n, U.shape[1])
+    work = np.empty((2, problem.n, U.shape[1]))
 
     def advance(k):
         z = np.asarray(problem.prox_r(U.mean(axis=0)), dtype=float)
-        np.add(U, _round_deltas(problem, U, all_rows, z, lam, sigma, seed, k, work), out=U)
+        noisy_update(U, None, *_round_deltas(problem, U, all_rows, z, sigma, seed, k, work),
+                     2.0 * lam)
         return all_rows, z
 
     return iterate(K, problem.n, advance, objective)
@@ -291,7 +278,7 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
         nonlocal ubar, z, work
         rows = simnet.sample_users(problem.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
         if work is None:  # allocated once sample_users has checked m
-            work = _workspace(m, U.shape[1])
+            work = np.empty((2, m, U.shape[1]))
         ubar, z = _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work)
         return rows, z
 
@@ -385,15 +372,12 @@ class GeneralAdmmState:
 def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
                       lam: float, sigma: float, seed: int,
                       noise_blocks: int = 1) -> GeneralAdmmState:
-    """One step of the matrix-constrained splitting.
-
-    z from g_argmin, x from f_argmin, then
-    u <- u + 2 lam (A x + B z - c + eta/2). Noise is drawn as
-    ``noise_blocks`` stacked per-(step, block) substreams so that the
-    consensus instantiation (one block per user) shares draws with the
-    specialized drivers under the same seed. ``noise_blocks`` must be >= 1
-    and divide the size of u, whatever sigma is.
-    """
+    """One step of the matrix-constrained splitting: z from g_argmin, x from f_argmin, then
+    u <- u + 2 lam (A x + B z - c + eta/2) through ``fixedpoint.noisy_update`` (no noise
+    at sigma = 0), on a copy of state.u. Noise is drawn as ``noise_blocks`` stacked
+    per-(step, block) substreams so that the consensus instantiation (one block per user)
+    shares draws with the specialized drivers under the same seed. ``noise_blocks`` must
+    be >= 1 and divide the size of u, whatever sigma is."""
     _check_step(lam, sigma)
     u = np.asarray(state.u, dtype=float)
     if noise_blocks < 1:
@@ -403,9 +387,11 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
     z = np.asarray(problem.g_argmin(u), dtype=float)
     x = np.asarray(problem.f_argmin(z, u), dtype=float)
     residual = problem.A @ x + problem.B @ z - problem.c
-    eta = rng.gaussian_rows(seed, state.k, range(noise_blocks), sigma, u.size // noise_blocks).ravel()
-    new_u = u + 2.0 * lam * (residual + 0.5 * eta)
-    return GeneralAdmmState(u=new_u, z=z, k=state.k + 1)
+    eta = None if sigma == 0.0 else 0.5 * rng.gaussian_rows(
+        seed, state.k, range(noise_blocks), sigma, u.size // noise_blocks).ravel()
+    u = u.copy()  # the argmin maps may keep u or return views of it
+    noisy_update(u, None, residual, eta, 2.0 * lam)
+    return GeneralAdmmState(u=u, z=z, k=state.k + 1)
 
 
 def consensus_as_general(problem: ConsensusProblem, p: int) -> GeneralAdmmProblem:

@@ -1,26 +1,26 @@
-"""Noisy block-coordinate fixed-point engine.
+"""Noisy block-coordinate fixed-point engine and the one noisy update of every run.
 
 The engine iterates
 
-    u[k+1, b] = u[k, b] + rho[k, b] * lam * (R_b(u_k) + eta[k+1, b] - u[k, b])
+    u[k+1, b] = u[k, b] + rho[k, b] * lam * ((R_b(u_k) - u[k, b]) + eta[k+1, b])
 
-with one step size lam for the whole run, where rho is a random
-block-activation mask and eta fresh Gaussian noise drawn from a
-per-(iteration, block) substream so that schedules and evaluation order
-cannot perturb noise assignment. The schedules are
-``AllBlocks``, ``BernoulliPerBlock`` and ``SingleUniform``. Only the active
-rows of R(u_k) are used: when the operator handle has an ``apply_blocks``
-map the engine evaluates those rows alone, otherwise it applies the full
-``apply`` and keeps them. ``iterate`` is the one traced loop: ``run``, the
-three ``admm`` runs and both ``bench`` DP-SGD baselines call it with a step
-that returns the indices of its active blocks and the released iterate.
-The returned ``RunTrace`` keeps those indices as returned (an int per walk
-step, one shared array per centralized run), so a trace costs O(K)
-bookkeeping plus the indices themselves, and builds the (n,) activation
-masks only when they are read. Asked to, it also copies every released
-iterate into blocks of under 128 KiB: the library's only store of iterate
-snapshots. Stochastic gradient and coordinate-descent instantiations are
-provided.
+with one step size lam, a random block-activation mask rho from a schedule
+(``AllBlocks``, ``BernoulliPerBlock``, ``SingleUniform``) and fresh Gaussian
+noise eta from a per-(iteration, block) substream, so that schedules and
+evaluation order cannot perturb noise assignment. Only the active rows of
+R(u_k) are used: ``apply_blocks`` evaluates them alone when the operator
+handle has it, otherwise the full ``apply`` runs and they are kept.
+
+``noisy_update`` is every noisy run's update u <- u + s (Delta + e) on its
+active rows, with e None at sigma = 0: the engine's (s = lam,
+Delta = R(u)_b - u_b, e = eta), the consensus runs' of ``admm``, batched and
+walk (s = 2 lam, Delta = clip(x_i - z), e = eta_i / 2), and
+``admm.general_admm_step``'s (s = 2 lam, Delta = A x + B z - c, e = eta / 2).
+``iterate`` is the one traced loop of ``run``, the three ``admm`` runs and
+both ``bench`` DP-SGD baselines. Its ``RunTrace`` keeps each step's active
+indices as returned, builds (n,) masks only when they are read and, asked
+to, holds the library's only store of iterate snapshots. Stochastic gradient
+and coordinate-descent instantiations are provided.
 """
 
 from __future__ import annotations
@@ -192,35 +192,56 @@ class RunTrace:
 # Engine
 
 
+def noisy_update(u: np.ndarray, rows, delta: np.ndarray, eta: np.ndarray | None,
+                 s: float) -> np.ndarray:
+    """Adds D = s (delta + eta) in place to the active rows of u, an array the run owns,
+    and returns D, formed in delta's buffer (a float array the caller owns).
+
+    ``rows`` None adds D to all of u (every row of an (n, p) array with one in-place add,
+    or the walk's 1-D view of one row); an index array adds row j of D to row ``rows[j]``.
+    ``eta`` is None at sigma = 0: no noise pass. Each form runs ``delta += eta``,
+    ``delta *= s``, ``u[rows] += delta``."""
+    if eta is not None:
+        delta += eta
+    delta *= s
+    if rows is None:
+        u += delta
+    else:
+        u[rows] += delta
+    return delta
+
+
 def step(u: BlockVector, operator: OperatorHandle, cfg: IterationConfig, k: int) -> BlockVector:
-    """One noisy block-coordinate update; inactive blocks are returned bit-unchanged."""
+    """One noisy block-coordinate update of a copy of u; inactive blocks are returned bit-unchanged."""
     if k < 0 or k >= cfg.K:
         raise ParameterError(f"iteration index {k} out of range for K={cfg.K}")
-    return BlockVector(_update(u, operator, cfg, k)[0])
+    out = u.copy()
+    _update(out.data, operator, cfg, k)
+    return out
 
 
-def _update(u, operator, cfg, k):
-    """The data after step k and its active rows, all computed from u; u is not modified."""
-    rows = np.flatnonzero(cfg.schedule.mask(u.n_blocks, cfg.seed, k))
-    target = _active_targets(u, operator, k, rows)
-    old, new = u.data.take(rows, axis=0), u.data.copy()
-    eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, u.block_dim)
-    new[rows] = old + cfg.lam * (target + eta - old)
-    return new, rows
+def _update(data, operator, cfg, k):
+    """Step k in place on the run-owned (B, p) float array data; returns the active rows."""
+    rows = np.flatnonzero(cfg.schedule.mask(len(data), cfg.seed, k))
+    delta = data.take(rows, axis=0)
+    np.subtract(_active_targets(data, operator, k, rows), delta, out=delta)
+    eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, data.shape[1]) if cfg.sigma > 0 else None
+    noisy_update(data, rows, delta, eta, cfg.lam)
+    return rows
 
 
-def _active_targets(u, operator, k, rows):
+def _active_targets(data, operator, k, rows):
     """The operator rows of the active blocks: ``apply_blocks`` when the handle has
     one, else the rows of the full ``apply``."""
     full = operator.apply_blocks is None
     if full:
-        target, expected = np.asarray(operator.apply(u.flat, k), dtype=float), u.flat.shape
+        target, expected = np.asarray(operator.apply(data.ravel(), k), dtype=float), (data.size,)
     else:
-        target = np.asarray(operator.apply_blocks(u.flat, k, rows), dtype=float)
-        expected = (len(rows), u.block_dim)
+        target = np.asarray(operator.apply_blocks(data.ravel(), k, rows), dtype=float)
+        expected = (len(rows), data.shape[1])
     if target.shape != expected:
         raise StructuralError(f"operator returned shape {target.shape}, expected {expected}")
-    return target.reshape(u.data.shape).take(rows, axis=0) if full else target
+    return target.reshape(data.shape).take(rows, axis=0) if full else target
 
 
 _NO_ROWS = np.empty(0, dtype=int)
@@ -277,32 +298,18 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
 def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,
         reference: np.ndarray | None = None,
         record_iterates: bool = False) -> tuple[BlockVector, RunTrace]:
-    """Apply ``step`` K times through ``iterate``; bit-identical traces for identical seeds.
-
-    Parameters
-    ----------
-    u0 : BlockVector
-        Initial point (left unchanged).
-    operator : OperatorHandle
-        The (possibly iteration-dependent) map applied at every step.
-    cfg : IterationConfig
-        Step size, noise level, schedule, and seed.
-    reference : array, optional
-        Squared distance to this point is recorded after each step.
-    record_iterates : bool
-        Keep a copy of every iterate in the trace (off by default; memory).
-    """
-    u = u0
+    """Apply ``step`` K times through ``iterate`` to one copy of u0 (left unchanged),
+    updated in place; bit-identical traces for identical seeds. The trace records the
+    squared distance to ``reference`` after each step when given, and with
+    ``record_iterates`` a copy of every iterate (memory)."""
+    data = u0.data.copy()
 
     def advance(k):
-        nonlocal u
-        data, rows = _update(u, operator, cfg, k)
-        u = BlockVector(data)
-        return rows, u.flat
+        return _update(data, operator, cfg, k), data.ravel()
 
-    trace = iterate(cfg.K, u0.n_blocks, advance, reference=reference,
+    trace = iterate(cfg.K, len(data), advance, reference=reference,
                     record_iterates=record_iterates)[1]
-    return u, trace
+    return BlockVector(data), trace
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +335,16 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
     if not 0.0 < gamma < 2.0 / beta:
         raise ParameterError(f"step gamma must lie in (0, 2/beta), got {gamma}")
     rng.check_sigma(sigma_grad)
+    if order not in ("cyclic", "uniform"):
+        raise ParameterError(f"unknown item order {order!r}")
     n_items = len(item_grads)
+    if n_items == 0:
+        raise ParameterError("need at least one item gradient")
 
     def item_at(k: int) -> int:
         if order == "cyclic":
             return k % n_items
-        if order == "uniform":
-            return simnet.walk_next(n_items, rng._reset_to(seed, rng.SCHEDULE, k, 2))
-        raise ParameterError(f"unknown item order {order!r}")
+        return simnet.walk_next(n_items, rng._reset_to(seed, rng.SCHEDULE, k, 2))
 
     def apply(u, k=0):
         u = np.asarray(u, dtype=float)

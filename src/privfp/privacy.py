@@ -164,6 +164,8 @@ def subsampled_accountant(*, K: int, q: float, sensitivity: float,
                           alphas: tuple[float, ...] = DEFAULT_ALPHAS,
                           delta: float | None = None) -> Accountant:
     """K compositions of the q-subsampled Gaussian mechanism (record-level DP-SGD)."""
+    if K < 0:
+        raise ParameterError(f"round count must be >= 0, got {K}")
     _check_orders(alphas)
     if not 0.0 < q < 1.0:
         raise ParameterError(f"sampling probability must lie in (0, 1), got {q}")

@@ -102,6 +102,17 @@ def reference_round_deltas(problem: ConsensusProblem, U: np.ndarray, rows, z: np
     return 2.0 * lam * dev
 
 
+def reference_engine_increment(u: np.ndarray, apply, rows, lam: float, sigma: float,
+                               seed: int, k: int) -> np.ndarray:
+    """lam ((T(u)_b - u_b) + eta_b) for each active block b in rows of the (B, p) array u,
+    one expression from fresh arrays: the oracle for the engine's step k."""
+    target = np.asarray(apply(u.ravel(), k), dtype=float).reshape(u.shape)[rows]
+    if sigma > 0:
+        eta = np.stack([rng.gaussian_block(seed, k, int(b), sigma, u.shape[1]) for b in rows])
+        return lam * ((target - u[rows]) + eta)
+    return lam * (target - u[rows])
+
+
 def absolute_loss_prox(d: float, level: float):
     """Prox of level * |x - d| (translation of the soft threshold)."""
     return lambda v, d=d, t=level: d + prox_l1(v - d, t)

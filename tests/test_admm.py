@@ -13,7 +13,7 @@ from helpers import (
 from privfp import admm, rng, simnet
 from privfp.admm import (
     AdmmState, ConsensusProblem, GeneralAdmmProblem, GeneralAdmmState, _advance,
-    _round_deltas, _walk_delta, _walk_draws, _walk_step,
+    _walk_draws, _walk_step,
     centralized_run, consensus_as_general, decentralized_run, decentralized_step,
     federated_round, federated_run, general_admm_step,
     initial_state,
@@ -611,7 +611,7 @@ class TestWalkKernel:
     @pytest.mark.parametrize("clip", ["off", "binds", "at-threshold", "nan-entry"])
     @pytest.mark.parametrize("form", ["rows", "specs"])
     @pytest.mark.parametrize("p", [1, 2, 6, 63, 64, 65, 1000])
-    def test_walk_delta_equals_the_batched_delta(self, p, form, clip, sigma):
+    def test_walk_delta_equals_the_batched_delta(self, monkeypatch, p, form, clip, sigma):
         gen = np.random.default_rng(10 * p + 1)
         U, z, i, lam = 3.0 * gen.normal(size=(5, p)), gen.normal(size=p), 3, 0.7
         if clip == "nan-entry":
@@ -622,11 +622,21 @@ class TestWalkKernel:
         if clip != "off":
             threshold = {"binds": 0.5 * norm, "at-threshold": norm, "nan-entry": 1.0}[clip]
             problem = dataclasses.replace(problem, clip_threshold=threshold)
-        U_before = U.copy()
-        got = _walk_delta(problem, U[i], z, i, lam, _walk_noise(9, 4, i, lam, sigma, p))
-        want = _round_deltas(problem, U, np.array([i]), z, lam, sigma, 9, 4)[0]
+        deltas, update = [], admm.noisy_update
+
+        def recorded(*args):
+            deltas.append(update(*args).copy())
+            return deltas[-1]
+
+        monkeypatch.setattr(admm, "noisy_update", recorded)
+        U_walk, U_batched, ubar = U.copy(), U.copy(), U.mean(axis=0)
+        walk = _walk_step(problem, U_walk, ubar, z, i, lam, _walk_noise(9, 4, i, lam, sigma, p))
+        batched = _advance(problem, U_batched, ubar, z, np.array([i]), lam, sigma, 9, 4)
+        got, want = deltas[0], deltas[1][0]
         assert got.tobytes() == want.tobytes()
-        assert U.tobytes() == U_before.tobytes()
+        assert U_walk.tobytes() == U_batched.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, batched))
+        assert np.delete(U_walk, i, axis=0).tobytes() == np.delete(U, i, axis=0).tobytes()
         assert np.isnan(got).any() == (clip == "nan-entry")
         if sigma == 0.0 and clip in ("off", "at-threshold"):  # a norm at the threshold is not clipped
             assert got.tobytes() == (dev * (2.0 * lam)).tobytes()

@@ -304,6 +304,15 @@ class TestDpsgdInstance:
         with pytest.raises(ParameterError):
             dpsgd_instance([lambda u: u], beta=1.0, gamma=2.0, sigma_grad=0.0, K=1, seed=0)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"order": "bogus"}, "unknown item order 'bogus'"),
+        ({"item_grads": []}, "need at least one item gradient"),
+    ], ids=["unknown-order", "no-items"])
+    def test_rejected_when_built_not_at_the_first_apply(self, change, message):
+        kwargs = dict(item_grads=[lambda u: u], beta=1.0, gamma=0.5, sigma_grad=0.0, K=1, seed=0)
+        with pytest.raises(ParameterError, match=message):
+            dpsgd_instance(**{**kwargs, **change})
+
 
 class TestDpcdInstance:
     def make(self, B, p, sigma, K, seed, schedule=None):
@@ -344,9 +353,10 @@ class TestDpcdInstance:
         for k in range(K):
             mask = cfg.schedule.mask(B, seed, k)
             for b in np.flatnonzero(mask):
+                # the engine's update at lam = 1: u_b + ((T_b(u) - u_b) + eta), T_b(u) = u_b - 2 u_b
                 eta = rng.gaussian_block(seed, k, int(b), 0.25, p)
-                x[b] = x[b] - 2.0 * x[b] + eta
-            assert np.max(np.abs(trace.iterates[k].reshape(B, p) - x)) < 1e-12
+                x[b] = x[b] + 1.0 * (((x[b] - 2.0 * x[b]) - x[b]) + eta)
+            assert trace.iterates[k].tobytes() == x.tobytes()
 
     def test_inactive_coordinates_bit_frozen(self):
         B, p = 5, 3

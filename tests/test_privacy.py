@@ -448,6 +448,14 @@ class TestOnePassCurve:
         with pytest.raises(StructuralError, match="empty alpha grid"):
             privacy.subsampled_accountant(K=10, q=0.01, sensitivity=1.0, alphas=()).curve(8.0)
 
+    @pytest.mark.parametrize("K", [-1, -5000])
+    def test_negative_round_count_of_the_subsampled_curve_is_a_parameter_error(self, K):
+        # as the centralized formula does; before the check, K = -1 gave a curve of -0.0
+        with pytest.raises(ParameterError, match=f"^round count must be >= 0, got {K}$"):
+            privacy.subsampled_accountant(K=K, q=0.01, sensitivity=0.0)
+        with pytest.raises(ParameterError, match=f"^round count must be >= 0, got {K}$"):
+            setting_curve("centralized", 8.0, K=K, L=1.0, gamma=1.0, n=100)
+
     @pytest.mark.parametrize("call, condition", [
         (lambda: federated_central_epsilon(2.0, 5, 1.0, 0.1, 8.0, 30, 100), "q < 1/5"),
         (lambda: federated_central_epsilon(2.0, 5, 1.0, 0.1, 3.9, 10, 100), "sigma >= 4"),

@@ -11,13 +11,20 @@
 - ``runs``: the released z of ``centralized_run`` and ``federated_run``
   (K = 40) and of ``decentralized_run`` (K = 300, so the walk's last draw
   block is partial) on that cell, at sigma in {0, 0.5}, clipping off and at
-  0.1, plus the sha256 of each walk's ``emit_observations_csv`` file.
+  0.1, plus the sha256 of each walk's ``emit_observations_csv`` file;
+- ``engine``: the final iterate of ``fixedpoint.run`` with the reflection
+  through a soft threshold, at sigma = 0.5 and lam = 0.7, under
+  ``BernoulliPerBlock(0.5)`` and under ``SingleUniform``. This section was
+  recorded later, when the engine's update became ``fixedpoint.noisy_update``:
+  that change moved the engine's noisy bits on purpose, from
+  old + lam (T + eta - old) to old + lam ((T - old) + eta), and left every
+  other section as it was.
 
-The consensus runs compute with numpy's own loops (``einsum``, ufuncs,
-reductions) and call no BLAS or LAPACK routine. DP-SGD (``G @ x``), the
-engine's ``QuadraticProx`` (a BLAS product with a cached inverse of
-I + gamma Q) and ``general_admm_step`` (``@``) do, and their bits may differ
-with the BLAS kernel, so they are left to the benchmark's seed-0
+The consensus runs and the engine section compute with numpy's own loops
+(``einsum``, ufuncs, reductions) and call no BLAS or LAPACK routine. DP-SGD
+(``G @ x``), the engine's ``QuadraticProx`` (a BLAS product with a cached
+inverse of I + gamma Q) and ``general_admm_step`` (``@``) do, and their bits
+may differ with the BLAS kernel, so they are left to the benchmark's seed-0
 fingerprints.
 
 A change that moves one of these values changes a released iterate or the
@@ -32,8 +39,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privfp import admm, bench, rng
+from privfp import admm, bench, fixedpoint, rng
 from privfp.blocks import BlockVector
+from privfp.operators import L1Prox, reflect
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "replay.json").read_text())
 
@@ -41,6 +49,7 @@ SEED, LAM, K, K_WALK, M = 3, 0.5, 40, 300, 6
 RUNS = {f"{driver} sigma={sigma:g} clip={clip}": (driver, sigma, clip)
         for driver in ("centralized", "federated", "decentralized")
         for sigma in (0.0, 0.5) for clip in (None, 0.1)}
+SCHEDULES = {"bernoulli": fixedpoint.BernoulliPerBlock(0.5), "single": fixedpoint.SingleUniform()}
 
 
 def _hexes(values) -> list[str]:
@@ -77,6 +86,14 @@ def run_outputs(driver: str, sigma: float, clip: float | None, tmp_path: Path) -
     return {"z": _hexes(z), "observations_sha256": digest}
 
 
+def engine_output(schedule: fixedpoint.BlockSchedule) -> list[str]:
+    """The final iterate of a noisy engine run over 6 blocks of 4 under ``schedule``."""
+    u0 = BlockVector(np.arange(24.0).reshape(6, 4) / 8.0 - 1.5)
+    cfg = fixedpoint.IterationConfig(K=30, sigma=0.5, lam=0.7, schedule=schedule, seed=SEED)
+    u, _ = fixedpoint.run(u0, reflect(L1Prox(0.2)), cfg)
+    return _hexes(u.data)
+
+
 @pytest.mark.parametrize("draw", GOLDEN["noise"],
                          ids=[f"{d['seed']}-{d['k']}-{len(d['blocks'])}-{d['sigma']}"
                               for d in GOLDEN["noise"]])
@@ -87,3 +104,8 @@ def test_noise_rows(draw):
 @pytest.mark.parametrize("key", RUNS)
 def test_released_iterate(key, tmp_path):
     assert run_outputs(*RUNS[key], tmp_path) == GOLDEN["runs"][key]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_engine_iterate(schedule):
+    assert engine_output(SCHEDULES[schedule]) == GOLDEN["engine"][schedule]

@@ -46,6 +46,18 @@ class TestSampleUsers:
         with pytest.raises(ParameterError):
             sample_users(5, 6, np.random.default_rng(0))
 
+    # numpy (2.4) draws m of n without replacement by Floyd's algorithm, or for n > 10000
+    # by a partial shuffle of arange(n); with its final shuffle on it takes the partial
+    # shuffle from m > n // 50, without it only from m > n // 20. So skipping the
+    # shuffle keeps the sorted cohort on (900, 90), (60, 7), (20000, 300) and
+    # (20000, 9000), but picks another cohort for 20000 // 50 < m <= 20000 // 20.
+    @pytest.mark.parametrize("n, m", [(900, 90), (900, 400), (60, 7), (20000, 300),
+                                      (20000, 401), (20000, 1000), (20000, 9000)])
+    def test_cohort_is_the_sorted_shuffled_choice(self, n, m):
+        for seed in range(200 if n < 10000 else 20):
+            want = np.sort(schedule_rng(seed, 0).choice(n, size=m, replace=False))
+            assert sample_users(n, m, schedule_rng(seed, 0)).tobytes() == want.tobytes()
+
 
 class TestWalkNext:
     def test_single_user(self):
