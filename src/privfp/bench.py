@@ -4,10 +4,11 @@ Generates unit-row-design Lasso data, solves it privately with the
 consensus splitting or a proximal DP-SGD baseline in the centralized,
 federated, or decentralized setting, calibrates noise through the
 accountant for a grid of (epsilon, delta) budgets, and exports results as
-CSV. Both DP-SGD baselines run through ``fixedpoint.iterate``, the loop of
-every run, so a non-finite iterate raises ModelError naming the round. A
-high-precision in-repo proximal-gradient solver provides the non-private
-reference.
+CSV. Both DP-SGD baselines run through ``fixedpoint.iterate`` (a non-finite
+iterate raises ModelError naming the round) and step by ``noisy_update`` with
+s = -step, then soft-threshold: one item's Delta = clipped gradient, e = eta;
+a cohort's Delta = mean(clipped gradients + per-user noise), e = None. An
+in-repo proximal-gradient solver gives the high-precision non-private reference.
 
 Accounting under clipping: clipping the shared quantity replaces the
 theoretical per-contribution displacement bound, so the accountant is fed
@@ -36,7 +37,7 @@ import numpy as np
 from . import admm, privacy, rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import iterate
+from .fixedpoint import iterate, noisy_update
 from .operators import L1Prox, RowQuadraticProx, clip, clip_rows, prox_l1
 
 # Rényi grid for the bench: the default grid extended upward so budgets
@@ -68,8 +69,8 @@ class LassoDataset:
 def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
               noise_std: float = 0.1, seed: int = 0) -> LassoDataset:
     """Rows uniform on the unit sphere; sparse uniform ground truth; Gaussian label noise."""
-    if support_size > p:
-        raise ParameterError(f"support size {support_size} exceeds dimension {p}")
+    if not 0 <= support_size <= p:
+        raise ParameterError(f"support size must lie in [0, p={p}], got {support_size}")
     if n < 1 or p < 1 or not noise_std >= 0:
         raise ParameterError("need n >= 1, p >= 1, noise_std >= 0")
     gen = rng.substream(seed, rng.DATA, 0, 0)
@@ -186,8 +187,9 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
         nonlocal x
         i = simnet.walk_next(dataset.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
         g = clip((dataset.A[i] @ x - dataset.b[i]) * dataset.A[i], clip_threshold)
-        eta = rng.gaussian_block(seed, k, 0, sigma, dataset.p)
-        x = prox_l1(x - step * (g + eta), step * kappa)
+        eta = rng.gaussian_rows(seed, k, (0,), sigma, dataset.p)[0] if sigma > 0 else None
+        noisy_update(x, None, g, eta, -step)
+        x = prox_l1(x, step * kappa)
         return 0, x
 
     return iterate(K, 1, advance)[0]
@@ -209,7 +211,8 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
         clip_rows(G, clip_threshold)
         if sigma > 0:
             G += rng.gaussian_rows(seed, k, rows, sigma, dataset.p)
-        x = prox_l1(x - step * G.mean(axis=0), step * kappa)
+        noisy_update(x, None, G.mean(axis=0), None, -step)
+        x = prox_l1(x, step * kappa)
         return rows, x
 
     return iterate(K, dataset.n, advance)[0]

@@ -14,8 +14,10 @@ handle has it, otherwise the full ``apply`` runs and they are kept.
 ``noisy_update`` is every noisy run's update u <- u + s (Delta + e) on its
 active rows, with e None at sigma = 0: the engine's (s = lam,
 Delta = R(u)_b - u_b, e = eta), the consensus runs' of ``admm``, batched and
-walk (s = 2 lam, Delta = clip(x_i - z), e = eta_i / 2), and
-``admm.general_admm_step``'s (s = 2 lam, Delta = A x + B z - c, e = eta / 2).
+walk (s = 2 lam, Delta = clip(x_i - z), e = eta_i / 2),
+``admm.general_admm_step``'s (s = 2 lam, Delta = A x + B z - c, e = eta / 2),
+and ``bench``'s DP-SGD steps before the soft threshold (s = -step; one item's
+Delta = clipped g_i, e = eta; a cohort's Delta = mean_i (clipped g_i + eta_i), e = None).
 ``iterate`` is the one traced loop of ``run``, the three ``admm`` runs and
 both ``bench`` DP-SGD baselines. Its ``RunTrace`` keeps each step's active
 indices as returned, builds (n,) masks only when they are read and, asked

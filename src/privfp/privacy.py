@@ -11,8 +11,9 @@ ConditionNotMet naming the clause an out-of-regime order fails; a cell's
 ``Accountant`` checks its arguments once, skips such an order without
 raising, and calibrates without evaluating the formula below the regime
 floor (a default bench cell in ~0.3 ms on a 2-vCPU Xeon). The formulas
-share one rule for L and gamma (both > 0); calibration has one for the
-budget (NaN is a ParameterError) and one for delta (it lies in (0, 1)).
+share one rule for L and gamma (both > 0; they, L*gamma and a sensitivity
+have finite squares); calibration has one for the budget (NaN is a
+ParameterError) and one for delta (it lies in (0, 1)).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import ConditionNotMet, ParameterError, StructuralError
-from .rng import check_sigma
+from .rng import MAX_SIGMA, check_sigma
 
 # Default Rényi order grid; callers may extend it (conversion minimizes over it).
 DEFAULT_ALPHAS: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -64,8 +65,8 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
 
 def _check_sigma(sigma: float):
     check_sigma(sigma)
-    if sigma == 0.0:
-        raise ParameterError(f"noise std sigma must be > 0 to be accounted, got {sigma}")
+    if sigma * sigma == 0.0:  # every formula divides by sigma ** 2
+        raise ParameterError(f"noise std sigma must have a square > 0 to be accounted, got {sigma}")
 
 
 def _check_orders(alphas: tuple[float, ...]):
@@ -76,12 +77,16 @@ def _check_orders(alphas: tuple[float, ...]):
             raise ParameterError(f"Rényi order must be > 1, got {a}")
 
 
+def _check_sensitivity(sensitivity: float):
+    if not 0.0 <= sensitivity <= MAX_SIGMA:
+        raise ParameterError(f"sensitivity must be >= 0 with a finite square, got {sensitivity}")
+
+
 def _gaussian(alphas, count: int, what: str, sensitivity: float):
     if count < 0:
         raise ParameterError(f"{what} count must be >= 0, got {count}")
     _check_orders(alphas)
-    if not sensitivity >= 0:
-        raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
+    _check_sensitivity(sensitivity)
 
     def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
         return alphas, tuple(count * (a * sensitivity ** 2 / (2.0 * sigma ** 2)) for a in alphas)
@@ -94,11 +99,16 @@ def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
 
 
 def _check_lipschitz_step(L: float, gamma: float):
-    """The rule of every formula for L and gamma: both > 0 (so not NaN)."""
+    """The rule of every formula for L and gamma: both > 0 (so not NaN), and L, gamma
+    and L*gamma each with a finite square (a float ``**`` raises where ``*`` gives inf)."""
     if not L > 0:
         raise ParameterError(f"Lipschitz constant L must be > 0, got {L}")
     if not gamma > 0:
         raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
+    for what, value in (("Lipschitz constant L", L), ("prox step gamma", gamma),
+                        ("L*gamma", L * gamma)):
+        if not value <= MAX_SIGMA:
+            raise ParameterError(f"{what} must have a finite square, got {value}")
 
 
 def sensitivity_consensus(L: float, gamma: float, lam: float, n: int) -> float:
@@ -169,8 +179,7 @@ def subsampled_accountant(*, K: int, q: float, sensitivity: float,
     _check_orders(alphas)
     if not 0.0 < q < 1.0:
         raise ParameterError(f"sampling probability must lie in (0, 1), got {q}")
-    if not sensitivity >= 0:
-        raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
+    _check_sensitivity(sensitivity)
 
     def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
         grid = _subsampling_orders(alphas, q, sigma, strict)

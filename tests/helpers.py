@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from privfp import rng
+from privfp import admm, bench, fixedpoint, rng
 from privfp.admm import AdmmState, ConsensusProblem
 from privfp.blocks import BlockVector
 from privfp.errors import ParameterError, StructuralError
@@ -143,3 +143,20 @@ def consensus_displacement_audit(n: int, L: float, gamma: float, lam: float,
         out_prime = one_round_u(make(data_prime), U, lam)
         worst = max(worst, float(np.linalg.norm(out - out_prime)))
     return worst
+
+
+def record_noisy_updates(monkeypatch) -> list[dict]:
+    """Route ``noisy_update`` through a recorder in every module that calls it; returns
+    the list it appends each call's rows (None or an array), Delta as passed, eta and D to."""
+    calls, real = [], fixedpoint.noisy_update
+
+    def recorded(u, rows, delta, eta, s):
+        before = delta.copy()
+        d = real(u, rows, delta, eta, s)
+        calls.append({"rows": None if rows is None else np.array(rows), "delta": before,
+                      "eta": eta, "d": d.copy()})
+        return d
+
+    for module in (fixedpoint, admm, bench):
+        monkeypatch.setattr(module, "noisy_update", recorded)
+    return calls

@@ -17,7 +17,7 @@ from privfp.bench import (
 )
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import RunTrace
-from privfp.operators import prox_l1
+from privfp.operators import clip_rows, prox_l1
 
 
 class TestGenLasso:
@@ -37,9 +37,10 @@ class TestGenLasso:
         b = gen_lasso(n=30, p=6, support_size=2, noise_std=0.1, seed=9)
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
 
-    def test_oversized_support(self):
-        with pytest.raises(ParameterError):
-            gen_lasso(n=10, p=4, support_size=5)
+    @pytest.mark.parametrize("support_size", [5, -1])
+    def test_support_size_outside_zero_to_p_rejected(self, support_size):
+        with pytest.raises(ParameterError, match="support size must lie in"):
+            gen_lasso(n=10, p=4, support_size=support_size)
 
 
 class TestSplit:
@@ -121,6 +122,25 @@ class TestDpsgdBaseline:
             g = (data.A[i] @ x - data.b[i]) * data.A[i]
             x = prox_l1(x - step * (g + rng.gaussian_block(seed, k, 0, sigma, 5)), step * kappa)
         assert np.array_equal(got, x)
+
+    @pytest.mark.parametrize("sigma, step, clip_threshold, m", [
+        (0.0, 0.37, 0.1, 7), (0.7, 0.1, 10.0, 1), (0.7, 1.0, 0.1, 30), (30.39, 0.37, 10.0, 7)])
+    def test_cohort_loop_keeps_the_bits_of_the_subtracted_step(self, sigma, step,
+                                                                clip_threshold, m):
+        # x + (-step) * mean, formed by noisy_update, is x - step * mean to the bit
+        data = gen_lasso(n=40, p=6, support_size=2, seed=4)
+        kappa, K, seed = 0.02, 40, 3
+        got = dpsgd_federated(data, kappa, step, clip_threshold, sigma, K, m, seed)
+        x = np.zeros(6)
+        for k in range(K):
+            rows = simnet.sample_users(data.n, m, schedule_rng(seed, k))
+            G = data.A[rows]
+            G *= (G @ x - data.b[rows])[:, None]
+            clip_rows(G, clip_threshold)
+            if sigma > 0:
+                G += rng.gaussian_rows(seed, k, rows, sigma, 6)
+            x = prox_l1(x - step * G.mean(axis=0), step * kappa)
+        assert got.tobytes() == x.tobytes()
 
     def test_seeded_determinism(self):
         data = gen_lasso(n=25, p=4, support_size=2, seed=1)

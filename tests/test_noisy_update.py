@@ -1,36 +1,23 @@
 """Every noisy run forms its increment through ``fixedpoint.noisy_update``, once per round.
 
-A wrapper around ``noisy_update`` records each call's row form, noise and increment D.
-Each run calls it once per round or step, and its increments, rebuilt one round at a
-time by the oracles of ``helpers`` (``reference_round_deltas`` for the consensus runs
-and the general splitting, ``reference_engine_increment`` for the engine), equal the
-recorded ones byte for byte, as do the released iterates.
+A recorder around ``noisy_update`` (``helpers.record_noisy_updates``) takes each call's
+row form, displacement, noise and increment D. Each run calls it once per round or step, and its increments, rebuilt one
+round at a time by the oracles of ``helpers`` (``reference_round_deltas`` for the
+consensus runs and the general splitting, ``reference_engine_increment`` for the engine)
+or by the DP-SGD oracles below, equal the recorded ones byte for byte, as do the
+released iterates. The DP-SGD oracles also give each round's displacement and noise.
 """
 
 import numpy as np
 import pytest
 
-from helpers import reference_engine_increment, reference_round_deltas, schedule_rng
-from privfp import admm, fixedpoint, simnet
+from helpers import (record_noisy_updates, reference_engine_increment, reference_round_deltas,
+                     schedule_rng)
+from privfp import admm, bench, fixedpoint, rng, simnet
 from privfp.blocks import BlockVector
-from privfp.operators import L1Prox, QuadraticProx, reflect
+from privfp.operators import L1Prox, QuadraticProx, clip, clip_rows, prox_l1, reflect
 
 N, P, K, LAM, SEED = 6, 3, 12, 0.7, 5
-
-
-def spy(monkeypatch):
-    """Route ``noisy_update`` through a recorder in every module that calls it."""
-    calls, real = [], fixedpoint.noisy_update
-
-    def recorded(u, rows, delta, eta, s):
-        d = real(u, rows, delta, eta, s)
-        calls.append({"rows": None if rows is None else np.array(rows), "eta": eta,
-                      "d": d.copy()})
-        return d
-
-    for module in (fixedpoint, admm):
-        monkeypatch.setattr(module, "noisy_update", recorded)
-    return calls
 
 
 def consensus(clip):
@@ -153,23 +140,65 @@ def engine_step(sigma):
     return u.data, [(rows, d)], want
 
 
+DATA = bench.gen_lasso(n=N, p=P, support_size=1, seed=2)
+KAPPA, STEP, CLIP, M = 0.05, 0.3, 0.5, 3
+
+
+def dpsgd_one_item(sigma):
+    """Round k: item i from SCHEDULE (k, 0), Delta = its clipped gradient, e = noise block 0."""
+    got = bench.dpsgd_baseline(DATA, KAPPA, STEP, CLIP, sigma, K, SEED)
+    x, out = np.zeros(P), []
+    for k in range(K):
+        i = simnet.walk_next(N, schedule_rng(SEED, k))
+        g = clip((DATA.A[i] @ x - DATA.b[i]) * DATA.A[i], CLIP)
+        eta = rng.gaussian_block(SEED, k, 0, sigma, P) if sigma > 0 else None
+        d = -STEP * (g if eta is None else g + eta)
+        x = prox_l1(x + d, STEP * KAPPA)
+        out.append((None, d, g, eta))
+    return got, out, x
+
+
+def dpsgd_cohort(sigma):
+    """Round k: cohort from SCHEDULE (k, 0), Delta = mean of clipped gradients plus each
+    user's noise block, e = None."""
+    got = bench.dpsgd_federated(DATA, KAPPA, STEP, CLIP, sigma, K, M, SEED)
+    x, out = np.zeros(P), []
+    for k in range(K):
+        rows = simnet.sample_users(N, M, schedule_rng(SEED, k))
+        G = clip_rows((DATA.A[rows] @ x - DATA.b[rows])[:, None] * DATA.A[rows], CLIP)
+        if sigma > 0:
+            G = G + np.stack([rng.gaussian_block(SEED, k, int(i), sigma, P) for i in rows])
+        delta = G.mean(axis=0)
+        d = -STEP * delta
+        x = prox_l1(x + d, STEP * KAPPA)
+        out.append((None, d, delta, None))
+    return got, out, x
+
+
 RUNS = {"centralized_run": centralized, "federated_run": federated,
         "federated_round": federated_round, "decentralized_run": decentralized,
         "decentralized_step": decentralized_step, "fixedpoint.run": engine_run,
-        "fixedpoint.step": engine_step, "general_admm_step": general}
+        "fixedpoint.step": engine_step, "general_admm_step": general,
+        "bench.dpsgd_baseline": dpsgd_one_item, "bench.dpsgd_federated": dpsgd_cohort}
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.4])
 @pytest.mark.parametrize("name", RUNS)
 def test_one_update_per_round_with_the_oracle_increments(monkeypatch, name, sigma):
-    calls = spy(monkeypatch)
+    calls = record_noisy_updates(monkeypatch)
     got, want_calls, want = RUNS[name](sigma)
     assert len(calls) == len(want_calls)
-    for call, (rows, d) in zip(calls, want_calls):
+    for call, (rows, d, *delta_eta) in zip(calls, want_calls):
         assert (call["rows"] is None) == (rows is None)
         if rows is not None:
             assert call["rows"].tolist() == np.asarray(rows).tolist()
-        assert (call["eta"] is None) == (sigma == 0.0)  # a noiseless run takes no noise pass
+        if delta_eta:  # an oracle that gives Delta and e pins them
+            delta, eta = delta_eta
+            assert call["delta"].tobytes() == delta.tobytes()
+            assert (call["eta"] is None) == (eta is None)
+            assert eta is None or call["eta"].tobytes() == eta.tobytes()
+        else:
+            assert (call["eta"] is None) == (sigma == 0.0)  # a noiseless run takes no noise pass
         assert call["d"].tobytes() == d.tobytes()
     assert got.tobytes() == want.tobytes()
 

@@ -31,7 +31,7 @@ class TestGaussianRdp:
             gaussian_rdp(1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf, 1e200])
+@pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf, 1e200, 1e-170])
 @pytest.mark.parametrize("formula", [
     lambda sigma: gaussian_rdp(1.0, sigma, 2.0),
     lambda sigma: subsampled_rdp(2.0, 0.1, 1.0, sigma),
@@ -63,6 +63,24 @@ def test_sigma_outside_finite_positive_range_rejected(formula, sigma):
 def test_nan_order_sensitivity_or_value_rejected(call):
     with pytest.raises(ParameterError):
         call(math.nan)
+
+
+@pytest.mark.parametrize("setting", privacy.SETTINGS)
+@pytest.mark.parametrize("L, gamma, what", [
+    (1e200, 1.0, "Lipschitz constant L"), (1e-100, 1e160, "prox step gamma"),
+    (1e150, 1e150, "L\\*gamma")])
+def test_every_formula_rejects_L_gamma_or_their_product_with_an_overflowing_square(
+        setting, L, gamma, what):
+    with pytest.raises(ParameterError, match=f"{what} must have a finite square"):
+        setting_curve(setting, 8.0, K=5, L=L, gamma=gamma, n=100, m=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: centralized_epsilon(2.0, 1, 1e154, 1.0, 1.0, 1),  # 4 L gamma / n = 4e154
+    lambda: subsampled_rdp(2.0, 0.1, 1e200, 8.0)])
+def test_sensitivity_with_an_overflowing_square_rejected(call):
+    with pytest.raises(ParameterError, match="sensitivity must be >= 0 with a finite square"):
+        call()
 
 
 class TestRdpToDp:
