@@ -19,10 +19,11 @@ walk (s = 2 lam, Delta = clip(x_i - z), e = eta_i / 2),
 and ``bench``'s DP-SGD steps before the soft threshold (s = -step; one item's
 Delta = clipped g_i, e = eta; a cohort's Delta = mean_i (clipped g_i + eta_i), e = None).
 ``iterate`` is the one traced loop of ``run``, the three ``admm`` runs and
-both ``bench`` DP-SGD baselines. Its ``RunTrace`` keeps each step's active
-indices as returned, builds (n,) masks only when they are read and, asked
-to, holds the library's only store of iterate snapshots. Stochastic gradient
-and coordinate-descent instantiations are provided.
+both ``bench`` DP-SGD baselines. It builds one frozen ``RunTrace`` after its
+last round, which keeps each step's active indices as returned, builds (n,)
+masks only when they are read and, asked to, holds the library's only store
+of iterate snapshots: one read-only (K, ...) array. Stochastic gradient and
+coordinate-descent instantiations are provided.
 """
 
 from __future__ import annotations
@@ -119,13 +120,9 @@ class IterationConfig:
             raise ParameterError(f"step size must be a number in (0, 1], got {self.lam}")
 
 
-_BLOCK_BYTES = 120 * 1024  # per block of recorded iterates: under glibc's 128 KiB mmap threshold
-_FLOAT = np.dtype(float)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunTrace:
-    """Per-iteration record of a run over ``n_blocks`` blocks (append-only while running).
+    """Per-iteration record of a finished run over ``n_blocks`` blocks.
 
     ``active_rows[k]`` holds the active block indices of iteration k as the
     step returned them: an int or an integer array, kept by reference, so a
@@ -136,19 +133,20 @@ class RunTrace:
     substream used (block b at iteration k reads stream (seed, k, b)), so a
     trace is sufficient to replay draws.
 
-    ``record`` copies an iterate, as floats, into a row of a block of at most
-    ``_BLOCK_BYTES`` (or one row); a shape other than the first's raises
-    ``StructuralError`` naming the round. ``iterates`` is one list of
-    read-only row views, extended when read (O(1) indexing; do not modify it).
+    ``iterates`` is one read-only float array whose row k is iteration k's
+    released iterate, or an empty array when the run recorded none.
     """
 
     n_blocks: int = 0
     active_rows: list = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     dist_sq: list[float] = field(default_factory=list)
-    _blocks: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    _views: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    _count: int = field(default=0, init=False, repr=False)
+    iterates: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self):
+        iterates = np.asarray(self.iterates, dtype=float).view()  # a view: the caller's flags stay
+        iterates.flags.writeable = False
+        object.__setattr__(self, "iterates", iterates)
 
     @property
     def active(self) -> list[np.ndarray]:
@@ -156,35 +154,6 @@ class RunTrace:
         for mask, rows in zip(masks, self.active_rows):
             mask[rows] = True
         return masks
-
-    @property
-    def iterates(self) -> list[np.ndarray]:
-        views = self._views
-        while len(views) < self._count:
-            b, r = divmod(len(views), len(self._blocks[0]))
-            block = self._blocks[b].view()
-            block.flags.writeable = False
-            views.extend(block[r:r + self._count - len(views)])
-        return views
-
-    def record(self, rows, obj=None, dist=None, iterate=None):
-        if iterate is not None:  # stored first, so that a wrong shape records nothing
-            x, blocks, j = iterate, self._blocks, self._count
-            if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-                x = np.asarray(x, dtype=float)  # so that copying into the row cannot fail
-            if blocks and x.shape != blocks[0].shape[1:]:
-                raise StructuralError(f"iterate of round {len(self.active_rows)} has shape "
-                                      f"{x.shape}, expected {blocks[0].shape[1:]}")
-            per = len(blocks[0]) if blocks else max(1, _BLOCK_BYTES // max(1, x.nbytes))
-            if j % per == 0:
-                blocks.append(np.empty((per, *x.shape)))
-            blocks[-1][j % per] = x
-            self._count = j + 1
-        self.active_rows.append(rows)
-        if obj is not None:
-            self.objective.append(float(obj))
-        if dist is not None:
-            self.dist_sq.append(float(dist))
 
     def __len__(self):
         return len(self.active_rows)
@@ -282,19 +251,30 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
     a sequence or an int array, distinct and in [0, n)) and the released
     iterate, which must be finite. The trace keeps an int or an integer array
     by reference (a view as a copy), so ``advance`` must not modify an index
-    array after returning it. With ``record_iterates`` the trace keeps a copy
-    of each released iterate (``RunTrace.iterates``), all of one shape."""
+    array after returning it. With ``record_iterates`` each released iterate is
+    copied, as floats, into row k of one (K, ...) array allocated at round 0
+    (``RunTrace.iterates``); a shape other than round 0's raises
+    ``StructuralError`` naming the round."""
     if K < 1:
         raise ParameterError(f"iteration count must be >= 1, got {K}")
-    trace = RunTrace(n_blocks=n)
+    rows, objs, dists, store = [], [], [], np.empty(0)
     for k in range(K):
         active, x = advance(k)
         if not np.isfinite(x).all():
             raise ModelError(f"released iterate is not finite at round {k}")
-        trace.record(_checked_rows(active, n, k), obj=None if objective is None else objective(x),
-                     dist=None if reference is None else float(np.sum((x - np.ravel(reference)) ** 2)),
-                     iterate=x if record_iterates else None)
-    return x, trace
+        rows.append(_checked_rows(active, n, k))
+        if objective is not None:
+            objs.append(float(objective(x)))
+        if reference is not None:
+            dists.append(float(np.sum((x - np.ravel(reference)) ** 2)))
+        if record_iterates:
+            if k == 0:
+                store = np.empty((K, *np.shape(x)))
+            elif np.shape(x) != store.shape[1:]:
+                raise StructuralError(f"iterate of round {k} has shape {np.shape(x)}, "
+                                      f"expected {store.shape[1:]}")
+            store[k] = x
+    return x, RunTrace(n_blocks=n, active_rows=rows, objective=objs, dist_sq=dists, iterates=store)
 
 
 def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,

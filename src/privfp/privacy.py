@@ -349,6 +349,8 @@ class Accountant:
             sigma = max(_LARGE_SIGMA * math.sqrt(base / epsilon) * (1.0 + 1e-12), floor)
         else:
             sigma = floor if floor > 0 else 1e-6
+        if not sigma <= MAX_SIGMA:  # the formula overflowed, or no accountable sigma is enough
+            raise ConditionNotMet("feasible sigma", "no noise level meets the target in regime")
         # returned as is when it meets the target, even below bisection's 1e-6 start
         return bisect_sigma(self.epsilon, epsilon, sigma)
 

@@ -3,11 +3,11 @@
 Uniform user subsampling for federated rounds, the uniform random walk
 over the complete graph for decentralized runs, and per-user observation
 logs recording what each user sees (the basis of the network-privacy
-view). A log is a read-only view of the walk's ``RunTrace``, which keeps
-every holder and every released z, plus the one fact the trace lacks: the
-holder drawn for the step after the last. The walk interface is a single
-"draw the next user" call so other topologies can slot in later without
-touching the solvers.
+view). A log is a read-only view of the walk's frozen ``RunTrace``, which
+keeps every holder and every released z (one read-only (K, p) array), plus
+the one fact the trace lacks: the holder drawn for the step after the last.
+The walk interface is a single "draw the next user" call so other
+topologies can slot in later without touching the solvers.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def record_observation(trace: RunTrace, last: int) -> ObservationLog:
     """The observation log of a walk whose trace recorded an iterate in each of its
     K >= 1 rounds (``StructuralError`` otherwise); ``last``, in [0, n) (``ParameterError``
     otherwise), is the holder drawn for step K. A run calls it once, after its last step."""
-    if not trace._count == len(trace) > 0:  # the count: len(iterates) would build the views
-        raise StructuralError(f"a walk's log needs an iterate per round, got {trace._count} "
+    if not len(trace.iterates) == len(trace) > 0:
+        raise StructuralError(f"a walk's log needs an iterate per round, got {len(trace.iterates)} "
                               f"for {len(trace)} rounds")
     if not 0 <= last < trace.n_blocks:
         raise ParameterError(f"last holder {last} out of range for n={trace.n_blocks}")

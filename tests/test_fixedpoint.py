@@ -569,8 +569,9 @@ class TestTraceKeepsIndices:
             iterate(3, 4, advance)
 
 
-class TestIterateStore:
-    """Recorded iterates are copied into blocks under 128 KiB and read back as read-only rows."""
+class TestRunTrace:
+    """``iterate`` builds one frozen trace after its last round; recorded iterates are
+    float copies in one read-only (K, ...) array."""
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
     def test_shape_change_raises_naming_the_round(self, shape):
@@ -581,25 +582,51 @@ class TestIterateStore:
             iterate(4, 1, advance, record_iterates=True)
 
     @pytest.mark.parametrize("p", [64, 512])  # the walk's rows and the engine's
-    def test_blocks_stay_under_the_mmap_threshold(self, p):
+    def test_rows_are_copies_of_a_reused_buffer(self, p):
         gen = np.random.default_rng(p)
-        xs = [gen.normal(size=p) for _ in range(1000)]
-        _, trace = iterate(len(xs), 1, lambda k: (0, xs[k]), record_iterates=True)
-        blocks = {id(row.base): row.base.nbytes for row in trace.iterates}
-        assert len(blocks) > 1 and max(blocks.values()) < 128 * 1024
-        assert [row.tobytes() for row in trace.iterates] == [x.tobytes() for x in xs]
+        xs = [gen.normal(size=p) for _ in range(300)]
+        buf = np.empty(p)
 
-    def test_rows_are_read_only_float_copies_in_one_list(self):
-        trace = fixedpoint.RunTrace(n_blocks=1)
+        def advance(k):  # one buffer, overwritten each round, as ``run`` releases its data
+            buf[:] = xs[k]
+            return 0, buf
+
+        x, trace = iterate(len(xs), 1, advance, record_iterates=True)
+        x[:] = np.nan  # a write to the returned iterate leaves the trace alone
+        assert trace.iterates.shape == (len(xs), p)
+        assert [row.tobytes() for row in trace.iterates] == [v.tobytes() for v in xs]
+
+    def test_iterates_are_read_only_floats(self):
         x = np.array([1, 2], dtype=np.int8)
-        trace.record(0, iterate=x)
+
+        def advance(k):
+            return 0, (x, [3, 4])[k]
+
+        _, trace = iterate(2, 1, advance, record_iterates=True)
         x[0] = 7
-        trace.record(0, iterate=[3, 4])
-        rows = trace.iterates
-        assert rows is trace.iterates  # built once, so indexing it is O(1)
-        assert [r.dtype for r in rows] == [np.dtype(float)] * 2
-        assert [r.tolist() for r in rows] == [[1.0, 2.0], [3.0, 4.0]]
+        assert trace.iterates.dtype == float and trace.iterates.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         with pytest.raises(ValueError):
-            rows[0][0] = 9.0
-        trace.record(0, iterate=np.zeros(2))  # recording still works after a read
-        assert len(trace.iterates) == 3 and trace.iterates[1].tolist() == [3.0, 4.0]
+            trace.iterates[0][0] = 9.0
+        with pytest.raises(ValueError):
+            trace.iterates[1] = 0.0
+
+    def test_a_run_that_records_nothing_has_an_empty_array(self):
+        _, trace = iterate(3, 2, lambda k: (k % 2, np.ones(2)), objective=np.sum)
+        assert len(trace) == 3 and trace.objective == [2.0] * 3 and trace.dist_sq == []
+        assert trace.iterates.size == 0 and not trace.iterates.flags.writeable
+
+    def test_fields_are_frozen(self):
+        _, trace = iterate(2, 1, lambda k: (0, np.zeros(1)), record_iterates=True)
+        for f in dataclasses.fields(fixedpoint.RunTrace):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, f.name, getattr(trace, f.name))
+        assert not hasattr(trace, "record")
+
+    def test_constructor_holds_a_read_only_float_view(self):
+        data = np.zeros((2, 3))
+        trace = fixedpoint.RunTrace(n_blocks=1, active_rows=[0, 0], iterates=data)
+        assert np.shares_memory(trace.iterates, data) and data.flags.writeable
+        with pytest.raises(ValueError):
+            trace.iterates[0, 0] = 1.0
+        listed = fixedpoint.RunTrace(iterates=[[1, 2]])
+        assert listed.iterates.dtype == float and not listed.iterates.flags.writeable

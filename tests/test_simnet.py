@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from helpers import schedule_rng
-from privfp import admm, fixedpoint
+from privfp import admm
 from privfp.errors import ParameterError, StructuralError
-from privfp.fixedpoint import RunTrace, SingleUniform
+from privfp.fixedpoint import RunTrace, SingleUniform, iterate
 from privfp.operators import ZeroProx
 from privfp.simnet import participation_counts, record_observation, sample_users, walk_next
 
@@ -130,23 +130,25 @@ def _walk(n, K, seed=4, p=1):
     return admm.decentralized_run(problem, p, 0.5, 0.3, K, seed)[1:]
 
 
+def _trace(n, holders, zs):
+    """The trace of a len(holders)-round run whose round k releases zs[k] held by holders[k]."""
+    return iterate(len(holders), n, lambda k: (holders[k], zs[k]), record_iterates=True)[1]
+
+
 class TestObservationLog:
     """The log is a view of a trace: event k hands z_k, the iterate of step k - 1, to the
     holder of step k, and the last event to the holder drawn after the last step."""
 
-    ROWS = fixedpoint._BLOCK_BYTES // (8 * 1024)  # iterates of 1024 floats per block
-
-    @pytest.mark.parametrize("count", [1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
-    def test_reads_match_a_dict_of_lists_across_block_edges(self, count):
-        n, p = 7, 1024
+    @pytest.mark.parametrize("count", [1, 2, 3, 40])
+    def test_reads_match_a_dict_of_lists(self, count):
+        n, p = 7, 16
         gen = np.random.default_rng(count)
-        trace, oracle = RunTrace(n_blocks=n), {}
         holders = [int(h) for h in gen.integers(n, size=count + 1)]
+        zs = [gen.normal(size=p) for _ in range(count)]
+        oracle = {}
         for k in range(count):
-            z = gen.normal(size=p)
-            trace.record(holders[k], iterate=z)
-            oracle.setdefault(holders[k + 1], []).append((k + 1, z.copy()))
-        log = record_observation(trace, holders[-1])
+            oracle.setdefault(holders[k + 1], []).append((k + 1, zs[k]))
+        log = record_observation(_trace(n, holders[:-1], zs), holders[-1])
         assert log.n == n and log.total_events() == count
         assert _plain(log.events) == _plain(oracle)
         assert list(log.events) == list(oracle)  # users in order of first event
@@ -156,11 +158,14 @@ class TestObservationLog:
                                       [len(oracle.get(user, [])) for user in range(n)])
 
     def test_rows_are_read_only_copies(self):
-        trace, z = RunTrace(n_blocks=2), np.arange(3.0)
-        trace.record(0, iterate=z)
-        z[:] = -1.0
-        trace.record(1, iterate=z)
-        log = record_observation(trace, 0)
+        z = np.arange(3.0)
+
+        def advance(k):  # round 1 overwrites the array round 0 released
+            if k == 1:
+                z[:] = -1.0
+            return k, z
+
+        log = record_observation(iterate(2, 2, advance, record_iterates=True)[1], 0)
         (k, row), = log.sequence(1)
         assert k == 1 and row.tolist() == [0.0, 1.0, 2.0]
         with pytest.raises(ValueError):
@@ -172,31 +177,25 @@ class TestObservationLog:
             log.last = 1  # a frozen view
 
     def test_single_event(self):
-        trace = RunTrace(n_blocks=4)
-        trace.record(0, iterate=np.array([1.0, 2.0]))
-        log = record_observation(trace, 2)
+        log = record_observation(_trace(4, [0], [np.array([1.0, 2.0])]), 2)
         assert len(log.sequence(2)) == 1
         k, z = log.sequence(2)[0]
         assert k == 1
         np.testing.assert_array_equal(z, [1.0, 2.0])
 
     def test_isolation_between_users(self):
-        trace = RunTrace(n_blocks=3)
-        trace.record(1, iterate=np.zeros(1))
-        trace.record(0, iterate=np.ones(1))
-        log = record_observation(trace, 0)
+        log = record_observation(_trace(3, [1, 0], [np.zeros(1), np.ones(1)]), 0)
         assert log.sequence(1) == [] and log.sequence(2) == []
         assert [k for k, _ in log.sequence(0)] == [1, 2]
 
     def test_snapshots_stored_by_value(self):
-        trace, z = RunTrace(n_blocks=2), np.array([1.0])
-        trace.record(0, iterate=z)
+        z = np.array([1.0])
+        trace = _trace(2, [0], [z])
         z[0] = 99.0
         assert record_observation(trace, 0).sequence(0)[0][1][0] == 1.0
 
     def test_out_of_range_user(self):
-        trace = RunTrace(n_blocks=2)
-        trace.record(0, iterate=np.zeros(1))
+        trace = _trace(2, [0], [np.zeros(1)])
         for last in (2, -1):
             with pytest.raises(ParameterError, match=f"last holder {last} out of range"):
                 record_observation(trace, last)
@@ -208,10 +207,15 @@ class TestObservationLog:
 
     @pytest.mark.parametrize("recorded", [0, 1, 2])
     def test_a_trace_without_an_iterate_per_round_is_rejected(self, recorded):
-        trace = RunTrace(n_blocks=3)
-        for k in range(3 if recorded else 0):
-            trace.record(k, iterate=np.zeros(2) if k < recorded else None)
-        with pytest.raises(StructuralError, match=f"got {recorded} for {3 if recorded else 0}"):
+        rounds = 3 if recorded else 0
+        trace = RunTrace(n_blocks=3, active_rows=list(range(rounds)),
+                         iterates=np.zeros((recorded, 2)))
+        with pytest.raises(StructuralError, match=f"got {recorded} for {rounds}"):
+            record_observation(trace, 0)
+
+    def test_a_run_without_recorded_iterates_is_rejected(self):
+        trace = iterate(3, 3, lambda k: (k, np.zeros(2)))[1]
+        with pytest.raises(StructuralError, match="got 0 for 3"):
             record_observation(trace, 0)
 
     def test_walk_sized_log_holds_about_512_bytes_per_iterate(self):
@@ -224,17 +228,15 @@ class TestObservationLog:
         finally:
             tracemalloc.stop()
         assert log.total_events() == K
-        # the (p,) rows, their blocks' unused tail and the holder list's pointers
+        # the (K, p) store and the holder list's pointers
         assert held <= 1.1 * K * p * 8
 
 
 class TestObservationStore:
-    """The trace's block store, read through the log."""
+    """The trace's iterate store, read through the log."""
 
     def test_numpy_integers_and_integer_snapshots_are_accepted(self):
-        trace = RunTrace(n_blocks=3)
-        trace.record(np.int32(0), iterate=np.array([3, 4], dtype=np.int8))
-        trace.record(np.int64(2), iterate=[5, 6])
+        trace = _trace(3, [np.int32(0), np.int64(2)], [np.array([3, 4], dtype=np.int8), [5, 6]])
         log = record_observation(trace, np.uint16(2))
         (k, z), (_, z_list) = log.sequence(2)
         assert k == 1 and type(k) is int
@@ -244,10 +246,7 @@ class TestObservationStore:
 
 class TestParticipationCounts:
     def test_round_robin(self):
-        trace = RunTrace(n_blocks=5)
-        for k in range(5):
-            trace.record(k, iterate=np.zeros(1))
-        counts = participation_counts(record_observation(trace, 0))
+        counts = participation_counts(record_observation(_trace(5, range(5), [np.zeros(1)] * 5), 0))
         np.testing.assert_array_equal(counts, np.ones(5, dtype=int))
 
     def test_uniform_walk_average(self):
