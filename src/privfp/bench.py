@@ -74,7 +74,10 @@ def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
     if n < 1 or p < 1 or not noise_std >= 0:
         raise ParameterError("need n >= 1, p >= 1, noise_std >= 0")
     gen = rng.substream(seed, rng.DATA, 0, 0)
-    A = gen.normal(size=(n, p))
+    try:
+        A = gen.normal(size=(n, p))
+    except (ValueError, MemoryError) as exc:  # a shape numpy rejects or cannot allocate
+        raise ParameterError(f"an n={n} by p={p} design cannot be allocated") from exc
     A /= np.linalg.norm(A, axis=1, keepdims=True)
     x_true = np.zeros(p)
     support = gen.choice(p, size=support_size, replace=False)

@@ -133,18 +133,20 @@ class RunTrace:
     substream used (block b at iteration k reads stream (seed, k, b)), so a
     trace is sufficient to replay draws.
 
+    ``objective`` and ``dist_sq`` hold one float per round when the run
+    tracked them. Every field is immutable: the sequences are tuples, and
     ``iterates`` is one read-only float array whose row k is iteration k's
     released iterate, or an empty array when the run recorded none.
     """
 
     n_blocks: int = 0
-    active_rows: list = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    dist_sq: list[float] = field(default_factory=list)
+    active_rows: tuple = ()
+    objective: tuple[float, ...] = ()
+    dist_sq: tuple[float, ...] = ()
     iterates: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        iterates = np.asarray(self.iterates, dtype=float).view()  # a view: the caller's flags stay
+        iterates = self.iterates.view()  # a view: the caller's flags stay
         iterates.flags.writeable = False
         object.__setattr__(self, "iterates", iterates)
 
@@ -274,7 +276,8 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
                 raise StructuralError(f"iterate of round {k} has shape {np.shape(x)}, "
                                       f"expected {store.shape[1:]}")
             store[k] = x
-    return x, RunTrace(n_blocks=n, active_rows=rows, objective=objs, dist_sq=dists, iterates=store)
+    return x, RunTrace(n_blocks=n, active_rows=tuple(rows), objective=tuple(objs),
+                       dist_sq=tuple(dists), iterates=store)
 
 
 def run(u0: BlockVector, operator: OperatorHandle, cfg: IterationConfig,

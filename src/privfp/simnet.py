@@ -70,8 +70,8 @@ class ObservationLog:
     def total_events(self) -> int:
         return len(self.trace)
 
-    def _users(self) -> list[int]:  # the receiver of each hand-off, in step order
-        return self.trace.active_rows[1:] + [self.last]
+    def _users(self) -> tuple[int, ...]:  # the receiver of each hand-off, in step order
+        return (*self.trace.active_rows[1:], self.last)
 
 
 def record_observation(trace: RunTrace, last: int) -> ObservationLog:

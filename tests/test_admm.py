@@ -754,7 +754,7 @@ class TestBlockAheadWalk:
         assert z.tobytes() == want_zs[-1].tobytes()
         assert [a.tobytes() for a in zs] == [a.tobytes() for a in want_zs]
         assert states[0].u.data.tobytes() == want_U.tobytes()
-        assert trace.active_rows == holders and all(type(h) is int for h in holders)
+        assert trace.active_rows == tuple(holders) and all(type(h) is int for h in holders)
         got = log.events
         assert list(got) == list(events)  # users in order of their first event
         for user, seq in events.items():

@@ -297,7 +297,7 @@ class TestCsvExport:
         assert float(rows[0]["epsilon"]) == curve.epsilons[0]
 
     def test_trace_csv(self, tmp_path):
-        trace = RunTrace(active_rows=[0, 0], objective=[1.5, 1.0], dist_sq=[0.25, 0.125])
+        trace = RunTrace(active_rows=(0, 0), objective=(1.5, 1.0), dist_sq=(0.25, 0.125))
         path = tmp_path / "trace.csv"
         emit_trace_csv(trace, path)
         with open(path) as fh:
@@ -314,8 +314,8 @@ class TestCsvExport:
                 reads.append(None)
                 return super().events
 
-        trace = RunTrace(n_blocks=3, active_rows=[1, 2, 0],
-                         iterates=[[0.5, -1.0], [1.0, 2.0], [0.25, 0.0]])
+        trace = RunTrace(n_blocks=3, active_rows=(1, 2, 0),
+                         iterates=np.array([[0.5, -1.0], [1.0, 2.0], [0.25, 0.0]]))
         # hand-offs: z_1 to the holder of step 1 (2), z_2 to 0, z_3 to the last holder (2)
         log = CountingLog(trace, last=2)
         path = tmp_path / "obs.csv"

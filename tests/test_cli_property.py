@@ -1,20 +1,22 @@
 """Property test of the CLI's whole input space: every argv ends in a documented exit code.
 
 Each example starts from a valid small command of one subcommand, replaces one to three
-flags with edge values (or drops them), and runs it through ``cli.main``. The run must
+flags with edge values (or drops them), and runs it through ``cli.main``. Every single
+replacement on the first valid command is an explicit example, so each edge value of each
+flag is run whatever hypothesis draws. The run must
 return a documented code, with any nonzero one ending stderr in an ``error category=``
 line, or stop in argparse's usage error (exit 2). Any other exception fails the test.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privfp import bench, privacy
 from privfp.cli import main
 
 EDGES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", str(2 ** 63))
-SIZE_EDGES = tuple(v for v in EDGES if v != str(2 ** 63))  # K, and n and p of a run
+K_EDGES = tuple(v for v in EDGES if v != str(2 ** 63))  # a run allocates its (K, p) store at once
 LISTS = ("", " ", ",", "1,,2", "1 x", "nan 2", "0.5 inf", "-1", "1e300 1e-300", str(2 ** 63))
 DOCUMENTED_CODES = (0, 2, 3, 4, 5, 6)
 
@@ -24,9 +26,9 @@ DOCUMENTED_CODES = (0, 2, 3, 4, 5, 6)
 _EXPERIMENT = {
     "--setting": (bench.SETTINGS, ("bogus",)),
     "--algorithm": (bench.ALGORITHMS, ("bogus",)),
-    "--n": (("20", "40"), SIZE_EDGES),
-    "--p": (("2", "4"), SIZE_EDGES),
-    "--K": (("1", "5"), SIZE_EDGES),
+    "--n": (("20", "40"), EDGES),
+    "--p": (("2", "4"), EDGES),
+    "--K": (("1", "5"), K_EDGES),
     "--support-size": (("1", "2"), EDGES),
     "--noise-std": (("0.1",), EDGES),
     "--lam": (("0.1", "1"), EDGES),
@@ -46,7 +48,7 @@ _EXPERIMENT = {
 }
 _CURVE = {
     "--setting": (privacy.SETTINGS, ("bogus",)),
-    "--K": (("1", "100"), SIZE_EDGES),
+    "--K": (("1", "100"), K_EDGES),
     "--L": (("1", "1e154"), EDGES),
     "--gamma": (("0.1", "1"), EDGES),
     "--n": (("10", "100"), EDGES),
@@ -65,6 +67,19 @@ SWITCHES = {"solve": ("--trace-out", "--observations-out", "--out"),
             "bench": ("--compare", "--tune"), "account": ("--out",), "calibrate": ()}
 
 
+def _argv(command, values):
+    return [command] + [word for flag, value in values.items() if value for word in (flag, value)]
+
+
+def single_edges(command):
+    """The first valid command with one flag replaced by each of its edges, or dropped."""
+    flags = FLAGS[command]
+    base = {flag: valid[0] for flag, (valid, _) in flags.items()}
+    for flag, (_, edges) in flags.items():
+        for value in edges + ("",):
+            yield _argv(command, dict(base, **{flag: value}))
+
+
 @st.composite
 def argvs(draw, command):
     flags = FLAGS[command]
@@ -72,10 +87,7 @@ def argvs(draw, command):
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3,
                               unique=True)):
         values[flag] = draw(st.sampled_from(flags[flag][1] + ("",)))
-    argv = [command]
-    for flag, value in values.items():
-        if value:
-            argv += [flag, value]
+    argv = _argv(command, values)
     for switch in SWITCHES[command]:
         if draw(st.booleans()):
             argv += [switch, "x.csv"] if switch.endswith("out") else [switch]
@@ -88,8 +100,6 @@ def test_every_argv_ends_in_a_documented_exit(command, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PRIVFP_OUTDIR", raising=False)
 
-    @settings(derandomize=True, max_examples=150, database=None)
-    @given(argv=argvs(command))
     def check(argv):
         if command != "calibrate":
             argv = argv + ["--outdir", str(tmp_path / "out")]
@@ -104,4 +114,7 @@ def test_every_argv_ends_in_a_documented_exit(command, tmp_path, monkeypatch, ca
         if code:
             assert err.splitlines()[-1].startswith("error category="), argv
 
-    check()
+    check = given(argv=argvs(command))(check)
+    for argv in single_edges(command):
+        check = example(argv=argv)(check)
+    settings(derandomize=True, max_examples=150, database=None)(check)()

@@ -612,21 +612,22 @@ class TestRunTrace:
 
     def test_a_run_that_records_nothing_has_an_empty_array(self):
         _, trace = iterate(3, 2, lambda k: (k % 2, np.ones(2)), objective=np.sum)
-        assert len(trace) == 3 and trace.objective == [2.0] * 3 and trace.dist_sq == []
+        assert len(trace) == 3 and trace.objective == (2.0,) * 3 and trace.dist_sq == ()
         assert trace.iterates.size == 0 and not trace.iterates.flags.writeable
 
     def test_fields_are_frozen(self):
-        _, trace = iterate(2, 1, lambda k: (0, np.zeros(1)), record_iterates=True)
+        _, trace = iterate(2, 1, lambda k: (0, np.zeros(1)), objective=np.sum,
+                           reference=np.zeros(1), record_iterates=True)
+        assert all(type(seq) is tuple and len(seq) == 2
+                   for seq in (trace.active_rows, trace.objective, trace.dist_sq))
         for f in dataclasses.fields(fixedpoint.RunTrace):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, f.name, getattr(trace, f.name))
         assert not hasattr(trace, "record")
 
-    def test_constructor_holds_a_read_only_float_view(self):
+    def test_constructor_holds_a_read_only_view(self):
         data = np.zeros((2, 3))
-        trace = fixedpoint.RunTrace(n_blocks=1, active_rows=[0, 0], iterates=data)
+        trace = fixedpoint.RunTrace(n_blocks=1, active_rows=(0, 0), iterates=data)
         assert np.shares_memory(trace.iterates, data) and data.flags.writeable
         with pytest.raises(ValueError):
             trace.iterates[0, 0] = 1.0
-        listed = fixedpoint.RunTrace(iterates=[[1, 2]])
-        assert listed.iterates.dtype == float and not listed.iterates.flags.writeable

@@ -208,7 +208,7 @@ class TestObservationLog:
     @pytest.mark.parametrize("recorded", [0, 1, 2])
     def test_a_trace_without_an_iterate_per_round_is_rejected(self, recorded):
         rounds = 3 if recorded else 0
-        trace = RunTrace(n_blocks=3, active_rows=list(range(rounds)),
+        trace = RunTrace(n_blocks=3, active_rows=tuple(range(rounds)),
                          iterates=np.zeros((recorded, 2)))
         with pytest.raises(StructuralError, match=f"got {recorded} for {rounds}"):
             record_observation(trace, 0)
