@@ -4,12 +4,13 @@ The engine iterates
 
     u[k+1, b] = u[k, b] + rho[k, b] * lam * ((R_b(u_k) - u[k, b]) + eta[k+1, b])
 
-with one step size lam, a random block-activation mask rho from a schedule
-(``AllBlocks``, ``BernoulliPerBlock``, ``SingleUniform``) and fresh Gaussian
-noise eta from a per-(iteration, block) substream, so that schedules and
-evaluation order cannot perturb noise assignment. Only the active rows of
-R(u_k) are used: ``apply_blocks`` evaluates them alone when the operator
-handle has it, otherwise the full ``apply`` runs and they are kept.
+with one step size lam, the active blocks (rho[k, b] = 1) of a schedule's ``rows``
+(None for ``AllBlocks``, an int for ``SingleUniform``, an int array for
+``BernoulliPerBlock``) and fresh Gaussian noise eta from a per-(iteration, block)
+substream, so that schedules and evaluation order cannot perturb noise
+assignment. A step touches only its active blocks, and uses only those rows of
+R(u_k): ``apply_blocks`` evaluates them alone when the operator handle has it,
+otherwise the full ``apply`` runs and they are kept.
 
 ``noisy_update`` is every noisy run's update u <- u + s (Delta + e) on its
 active rows, with e None at sigma = 0: the engine's (s = lam,
@@ -44,10 +45,20 @@ from .operators import NonExpansive, OperatorHandle
 
 
 class BlockSchedule:
-    """Distribution over activation masks rho_k in {0,1}^B."""
+    """Distribution over each step's active blocks: ``rows`` gives them as None for all,
+    an int for one or an int array of distinct indices, ``mask`` as rho_k in {0,1}^B.
+    A subclass overrides one of the two; the base class builds the other from it."""
+
+    def rows(self, n_blocks: int, seed: int, k: int):
+        if type(self).mask is BlockSchedule.mask:
+            raise NotImplementedError("a block schedule overrides rows or mask")
+        return np.flatnonzero(self.mask(n_blocks, seed, k))
 
     def mask(self, n_blocks: int, seed: int, k: int) -> np.ndarray:
-        raise NotImplementedError
+        rows = self.rows(n_blocks, seed, k)
+        m = np.zeros(n_blocks, dtype=bool)
+        m[slice(None) if rows is None else rows] = True
+        return m
 
     def activation_probability(self, n_blocks: int) -> float:
         """Per-step marginal probability that any given block is active."""
@@ -56,8 +67,10 @@ class BlockSchedule:
 
 @dataclass(frozen=True)
 class AllBlocks(BlockSchedule):
-    def mask(self, n_blocks, seed, k):
-        return np.ones(n_blocks, dtype=bool)
+    def rows(self, n_blocks, seed, k):
+        return None
+
+    mask = BlockSchedule.mask  # in the class dict, where the benchmark tracer wraps it
 
     def activation_probability(self, n_blocks):
         return 1.0
@@ -84,10 +97,10 @@ class BernoulliPerBlock(BlockSchedule):
 class SingleUniform(BlockSchedule):
     """Exactly one block, uniform over {1..B}."""
 
-    def mask(self, n_blocks, seed, k):
-        m = np.zeros(n_blocks, dtype=bool)
-        m[simnet.walk_next(n_blocks, rng._reset_to(seed, rng.SCHEDULE, k, 0))] = True
-        return m
+    def rows(self, n_blocks, seed, k):
+        return simnet.walk_next(n_blocks, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+
+    mask = BlockSchedule.mask  # in the class dict, where the benchmark tracer wraps it
 
     def activation_probability(self, n_blocks):
         return 1.0 / n_blocks
@@ -170,8 +183,9 @@ def noisy_update(u: np.ndarray, rows, delta: np.ndarray, eta: np.ndarray | None,
     """Adds D = s (delta + eta) in place to the active rows of u, an array the run owns,
     and returns D, formed in delta's buffer (a float array the caller owns).
 
-    ``rows`` None adds D to all of u (every row of an (n, p) array with one in-place add,
-    or the walk's 1-D view of one row); an index array adds row j of D to row ``rows[j]``.
+    ``rows`` None adds D to all of u: every row of an (n, p) array with one in-place add, or
+    one block's view (the walk's 1-D row, the engine's (1, p) rows for a schedule's int);
+    an index array adds row j of D to row ``rows[j]``.
     ``eta`` is None at sigma = 0: no noise pass. Each form runs ``delta += eta``,
     ``delta *= s``, ``u[rows] += delta``."""
     if eta is not None:
@@ -194,27 +208,36 @@ def step(u: BlockVector, operator: OperatorHandle, cfg: IterationConfig, k: int)
 
 
 def _update(data, operator, cfg, k):
-    """Step k in place on the run-owned (B, p) float array data; returns the active rows."""
-    rows = np.flatnonzero(cfg.schedule.mask(len(data), cfg.seed, k))
-    delta = data.take(rows, axis=0)
-    np.subtract(_active_targets(data, operator, k, rows), delta, out=delta)
-    eta = rng.gaussian_rows(cfg.seed, k, rows, cfg.sigma, data.shape[1]) if cfg.sigma > 0 else None
-    noisy_update(data, rows, delta, eta, cfg.lam)
+    """Step k in place on the run-owned (B, p) float array data; returns the active rows
+    (``arange(B)`` for all). All blocks and one block step on a view of data; an index
+    array's rows are gathered and added back."""
+    rows = cfg.schedule.rows(len(data), cfg.seed, k)
+    if rows is None:
+        rows = ids = np.arange(len(data))
+        sel = slice(None)
+    elif isinstance(rows, (int, np.integer)):
+        ids, sel = np.array([rows]), slice(rows, rows + 1)
+    else:
+        ids = sel = rows
+    view, u = isinstance(sel, slice), data[sel]
+    delta = _active_targets(data, operator, k, ids, sel) - u
+    eta = rng.gaussian_rows(cfg.seed, k, ids, cfg.sigma, data.shape[1]) if cfg.sigma > 0 else None
+    noisy_update(u if view else data, None if view else sel, delta, eta, cfg.lam)
     return rows
 
 
-def _active_targets(data, operator, k, rows):
-    """The operator rows of the active blocks: ``apply_blocks`` when the handle has
-    one, else the rows of the full ``apply``."""
+def _active_targets(data, operator, k, ids, sel):
+    """The operator rows of the blocks ``ids``: ``apply_blocks`` when the handle has
+    one, else rows ``sel`` of the full ``apply``."""
     full = operator.apply_blocks is None
     if full:
         target, expected = np.asarray(operator.apply(data.ravel(), k), dtype=float), (data.size,)
     else:
-        target = np.asarray(operator.apply_blocks(data.ravel(), k, rows), dtype=float)
-        expected = (len(rows), data.shape[1])
+        target = np.asarray(operator.apply_blocks(data.ravel(), k, ids), dtype=float)
+        expected = (len(ids), data.shape[1])
     if target.shape != expected:
         raise StructuralError(f"operator returned shape {target.shape}, expected {expected}")
-    return target.reshape(data.shape).take(rows, axis=0) if full else target
+    return target.reshape(data.shape)[sel] if full else target
 
 
 _NO_ROWS = np.empty(0, dtype=int)
@@ -271,7 +294,11 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
             dists.append(float(np.sum((x - np.ravel(reference)) ** 2)))
         if record_iterates:
             if k == 0:
-                store = np.empty((K, *np.shape(x)))
+                try:
+                    store = np.empty((K, *np.shape(x)))
+                except (ValueError, MemoryError) as exc:  # a shape numpy rejects or cannot allocate
+                    raise ParameterError(f"K={K} iterates need a store of shape {(K, *np.shape(x))}, "
+                                         "which cannot be allocated") from exc
             elif np.shape(x) != store.shape[1:]:
                 raise StructuralError(f"iterate of round {k} has shape {np.shape(x)}, "
                                       f"expected {store.shape[1:]}")

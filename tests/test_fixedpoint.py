@@ -31,8 +31,8 @@ def affine_op(scale, offset):
 class FrozenSchedule(AllBlocks):
     """All blocks inactive; for the masking edge case."""
 
-    def mask(self, n_blocks, seed, k):
-        return np.zeros(n_blocks, dtype=bool)
+    def rows(self, n_blocks, seed, k):
+        return np.empty(0, dtype=int)
 
 
 class TestStep:
@@ -218,6 +218,34 @@ class TestRunIsALoopOfStep:
 
 
 class TestSchedules:
+    @pytest.mark.parametrize("schedule", [AllBlocks(), BernoulliPerBlock(0.3), SingleUniform()],
+                             ids=["all", "bernoulli", "single"])
+    def test_mask_is_the_set_of_rows_on_the_schedule_stream(self, schedule):
+        """``mask`` is the bool view of ``rows``, and both read the (seed, k) schedule stream
+        as a fresh substream does: all blocks, a uniform draw per block, one walk target."""
+        n = 12
+        for seed in range(5):
+            for k in range(50):
+                rows = schedule.rows(n, seed, k)
+                from_rows = np.zeros(n, dtype=bool)
+                from_rows[slice(None) if rows is None else rows] = True
+                gen = rng.substream(seed, rng.SCHEDULE, k, 0)
+                want = np.zeros(n, dtype=bool)
+                if isinstance(schedule, AllBlocks):
+                    want[:] = True
+                elif isinstance(schedule, BernoulliPerBlock):
+                    want = gen.random(n) < schedule.q
+                else:
+                    want[int(gen.integers(n))] = True
+                assert schedule.mask(n, seed, k).tobytes() == from_rows.tobytes() == want.tobytes()
+
+    def test_a_schedule_defines_rows_or_mask(self):
+        class Neither(fixedpoint.BlockSchedule):
+            pass
+
+        with pytest.raises(NotImplementedError, match="rows or mask"):
+            Neither().mask(3, 0, 0)
+
     def test_all_blocks(self):
         assert AllBlocks().mask(5, 0, 0).all()
         assert AllBlocks().activation_probability(5) == 1.0
@@ -426,7 +454,7 @@ class TestBlockEvaluation:
             assert got.shape == (len(rows), self.p)
             assert got.tobytes() == full[rows].tobytes()
 
-    @pytest.mark.parametrize("schedule", [SingleUniform(), BernoulliPerBlock(0.5)])
+    @pytest.mark.parametrize("schedule", [SingleUniform(), BernoulliPerBlock(0.5), AllBlocks()])
     def test_one_gradient_per_active_block(self, schedule):
         calls = []
         grads, beta = self.coupled_grads(calls)
@@ -580,6 +608,20 @@ class TestRunTrace:
 
         with pytest.raises(StructuralError, match=re.escape(f"iterate of round 2 has shape {shape}")):
             iterate(4, 1, advance, record_iterates=True)
+
+    # a store past any address space (numpy's MemoryError), and one it cannot shape (ValueError)
+    @pytest.mark.parametrize("K, p", [(10**12, 4096), (2**63, 4)])
+    def test_store_too_large_is_a_parameter_error_at_round_0(self, K, p):
+        rounds = []
+
+        def advance(k):
+            rounds.append(k)
+            return 0, np.zeros(p)
+
+        with pytest.raises(ParameterError, match=re.escape(f"K={K} iterates need a store of "
+                                                           f"shape ({K}, {p})")):
+            iterate(K, 1, advance, record_iterates=True)
+        assert rounds == [0]
 
     @pytest.mark.parametrize("p", [64, 512])  # the walk's rows and the engine's
     def test_rows_are_copies_of_a_reused_buffer(self, p):

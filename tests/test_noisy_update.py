@@ -6,7 +6,13 @@ round at a time by the oracles of ``helpers`` (``reference_round_deltas`` for th
 consensus runs and the general splitting, ``reference_engine_increment`` for the engine)
 or by the DP-SGD oracles below, equal the recorded ones byte for byte, as do the
 released iterates. The DP-SGD oracles also give each round's displacement and noise.
+The engine runs under each of its three schedules, through a handle with and without
+``apply_blocks``: a step over one block or all blocks adds to a view of u (rows None),
+a Bernoulli step by index.
 """
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -108,36 +114,46 @@ def general(sigma):
     return new.u, [(None, d.ravel())], U.ravel() + d.ravel()
 
 
-def engine_cfg(sigma):
-    return fixedpoint.IterationConfig(K=K, sigma=sigma, lam=LAM,
-                                      schedule=fixedpoint.BernoulliPerBlock(0.5), seed=SEED)
+def engine_cfg(sigma, schedule):
+    return fixedpoint.IterationConfig(K=K, sigma=sigma, lam=LAM, schedule=schedule, seed=SEED)
 
 
 OPERATOR = reflect(L1Prox(0.2))
+BLOCK_OPERATOR = dataclasses.replace(
+    OPERATOR, apply_blocks=lambda u, k, rows: OPERATOR.apply(u, k).reshape(N, P)[rows])
+ENGINE_SCHEDULES = {"bernoulli": fixedpoint.BernoulliPerBlock(0.5),
+                    "single": fixedpoint.SingleUniform(), "all": fixedpoint.AllBlocks()}
 
 
-def engine_run(sigma):
-    cfg = engine_cfg(sigma)
-    u, _ = fixedpoint.run(BlockVector(u0()), OPERATOR, cfg)
+def engine_rows(schedule, k):
+    """Step k's active rows, and the rows the step passes: None where it adds to a view of
+    u (one block or all blocks), the index array where it gathers and adds back."""
+    rows = np.flatnonzero(schedule.mask(N, SEED, k))
+    return rows, rows if isinstance(schedule, fixedpoint.BernoulliPerBlock) else None
+
+
+def engine_run(sigma, schedule=ENGINE_SCHEDULES["bernoulli"], operator=OPERATOR):
+    cfg = engine_cfg(sigma, schedule)
+    u, _ = fixedpoint.run(BlockVector(u0()), operator, cfg)
     U, out = u0(), []
     for k in range(K):
-        rows = np.flatnonzero(cfg.schedule.mask(N, SEED, k))
+        rows, passed = engine_rows(schedule, k)
         d = reference_engine_increment(U, OPERATOR.apply, rows, LAM, sigma, SEED, k)
         U[rows] += d
-        out.append((rows, d))
+        out.append((passed, d))
     return u.data, out, U
 
 
-def engine_step(sigma):
-    cfg = engine_cfg(sigma)
+def engine_step(sigma, schedule=ENGINE_SCHEDULES["bernoulli"], operator=OPERATOR):
+    cfg = engine_cfg(sigma, schedule)
     before = u0()
-    u = fixedpoint.step(BlockVector(before), OPERATOR, cfg, 3)
+    u = fixedpoint.step(BlockVector(before), operator, cfg, 3)
     assert before.tobytes() == u0().tobytes()  # step updates a copy
-    rows = np.flatnonzero(cfg.schedule.mask(N, SEED, 3))
+    rows, passed = engine_rows(schedule, 3)
     d = reference_engine_increment(before, OPERATOR.apply, rows, LAM, sigma, SEED, 3)
     want = before.copy()
     want[rows] += d
-    return u.data, [(rows, d)], want
+    return u.data, [(passed, d)], want
 
 
 DATA = bench.gen_lasso(n=N, p=P, support_size=1, seed=2)
@@ -180,6 +196,13 @@ RUNS = {"centralized_run": centralized, "federated_run": federated,
         "decentralized_step": decentralized_step, "fixedpoint.run": engine_run,
         "fixedpoint.step": engine_step, "general_admm_step": general,
         "bench.dpsgd_baseline": dpsgd_one_item, "bench.dpsgd_federated": dpsgd_cohort}
+# The engine under every schedule, through a handle with and without ``apply_blocks``.
+RUNS.update({f"{name} {schedule} {handle}":
+             functools.partial(oracle, schedule=ENGINE_SCHEDULES[schedule], operator=operator)
+             for name, oracle in (("fixedpoint.run", engine_run), ("fixedpoint.step", engine_step))
+             for schedule in ENGINE_SCHEDULES
+             for handle, operator in (("apply", OPERATOR), ("apply_blocks", BLOCK_OPERATOR))
+             if (schedule, handle) != ("bernoulli", "apply")})
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.4])

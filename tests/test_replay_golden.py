@@ -18,7 +18,9 @@
   recorded later, when the engine's update became ``fixedpoint.noisy_update``:
   that change moved the engine's noisy bits on purpose, from
   old + lam (T + eta - old) to old + lam ((T - old) + eta), and left every
-  other section as it was.
+  other section as it was. Its ``all`` key (the same run under ``AllBlocks``)
+  was added later still, recorded at commit 10b9ec3, before the engine
+  stepped one block and all blocks on views of the iterate.
 
 The consensus runs and the engine section compute with numpy's own loops
 (``einsum``, ufuncs, reductions) and call no BLAS or LAPACK routine. DP-SGD
@@ -49,7 +51,8 @@ SEED, LAM, K, K_WALK, M = 3, 0.5, 40, 300, 6
 RUNS = {f"{driver} sigma={sigma:g} clip={clip}": (driver, sigma, clip)
         for driver in ("centralized", "federated", "decentralized")
         for sigma in (0.0, 0.5) for clip in (None, 0.1)}
-SCHEDULES = {"bernoulli": fixedpoint.BernoulliPerBlock(0.5), "single": fixedpoint.SingleUniform()}
+SCHEDULES = {"bernoulli": fixedpoint.BernoulliPerBlock(0.5), "single": fixedpoint.SingleUniform(),
+             "all": fixedpoint.AllBlocks()}
 
 
 def _hexes(values) -> list[str]:
