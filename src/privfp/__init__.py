@@ -1,7 +1,7 @@
 """Differentially private optimization as noisy fixed-point iterations.
 
 Modules: ``operators`` (proximal maps, reflections, gradient steps),
-``fixedpoint`` (the noisy block-coordinate engine, its three block
+``fixedpoint`` (the noisy block-coordinate engine, its five block
 schedules and its SGD/CD instantiations), ``admm`` (private consensus
 splitting in centralized, federated, and decentralized form), ``privacy``
 (Rényi-DP accountant and noise calibration), ``utility`` (mean-square

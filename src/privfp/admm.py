@@ -22,8 +22,9 @@ federated runs share one batched round kernel, computed in a workspace of
 two (rows per round, p) arrays allocated once; only clipping and noise take
 a fresh array of that size each. The walk's one-row kernel works on a 1-D
 view of the holder's dual row, so a step costs O(p), with the bits of the
-batched kernel over that row; its holders and noise depend only on the seed
-and the step, so the run draws them 128 steps at a time into one array.
+batched kernel over that row. Users are drawn by the engine's schedules
+(``FixedCohort(m)``, the ``RandomWalk``); a walk draws its holders and noise,
+which depend only on the seed and the step, 128 steps at a time.
 ``general_admm_step``, one step of the splitting under a matrix constraint
 A x + B z = c, updates through ``noisy_update`` with Delta = A x + B z - c;
 its consensus instantiation reproduces the centralized round bit for bit
@@ -42,10 +43,11 @@ import numpy as np
 from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import RunTrace, _checked_rows, iterate, noisy_update
+from .fixedpoint import FixedCohort, RandomWalk, RunTrace, _checked_rows, iterate, noisy_update
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 _WALK_BLOCK = 128  # walk steps whose holders and noise are drawn in one pass
+_WALK = RandomWalk()
 
 # ---------------------------------------------------------------------------
 # Problems and state
@@ -176,14 +178,12 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
 
 
 def _walk_draws(n, lam, sigma, seed, k, holder, eta):
-    """Checks lam and sigma, then draws walk steps k, ..., k + m - 1 (m = len(eta), holder
-    given at step k): returns the holders of steps k, ..., k + m, each next one from SCHEDULE
-    (step, 0), and the m halved noise rows from NOISE (step, holder), written into eta
-    (None at sigma = 0). Neither depends on the data, so a run draws them ahead."""
+    """Checks lam and sigma; returns the holders of walk steps k, ..., k + m (m = len(eta)):
+    the given one, then ``RandomWalk``'s, and the m halved noise rows of steps k, ..., k + m - 1
+    from NOISE (step, holder), written into eta (None at sigma = 0); a run draws them ahead."""
     _check_step(lam, sigma)
     steps = range(k, k + len(eta))
-    holders = [holder, *(simnet.walk_next(n, rng._reset_to(seed, rng.SCHEDULE, j, 0))
-                         for j in steps)]
+    holders = [holder, *(_WALK.rows(n, seed, j + 1) for j in steps)]
     if sigma == 0.0:
         return holders, [None] * len(eta)
     rng._normal_rows(seed, [(0, 0, j, i) for j, i in zip(steps, holders)], sigma, eta)
@@ -269,15 +269,15 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
                   u0: BlockVector | None = None,
                   objective: Callable[[np.ndarray], float] | None = None,
                   ) -> tuple[np.ndarray, RunTrace]:
-    """K federated rounds with uniform m-of-n user sampling; returns z_K."""
+    """K federated rounds, each over a ``FixedCohort(m)`` of the n users; returns z_K."""
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
-    work = None
+    cohort, work = FixedCohort(m), None
 
     def advance(k):
         nonlocal ubar, z, work
-        rows = simnet.sample_users(problem.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
-        if work is None:  # allocated once sample_users has checked m
+        rows = cohort.rows(problem.n, seed, k)
+        if work is None:  # allocated once the cohort has checked m <= n
             work = np.empty((2, m, U.shape[1]))
         ubar, z = _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work)
         return rows, z
@@ -294,8 +294,8 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     """The user currently holding z updates locally, then forwards it.
 
     Only block i changes; the dual mean ubar absorbs (1/n) of the delta and
-    z = prox_r(ubar); the next holder is uniform over all users and is
-    returned with the new state. The step is a one-step block of
+    z = prox_r(ubar); the next holder, ``RandomWalk``'s for step k + 1 (uniform over
+    all users), is returned with the new state. The step is a one-step block of
     ``decentralized_run``'s draw and kernel. ``state`` is left unchanged:
     the step updates a copy. The holder i must be an integer in [0, n), as
     ``fixedpoint.iterate`` requires of a step's active indices.
@@ -314,14 +314,14 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
                       ) -> tuple[np.ndarray, RunTrace, simnet.ObservationLog]:
     """K random-walk steps; returns z_K, the trace, and the observation log.
 
-    The first holder is drawn from SCHEDULE (0, 1), the rest and the noise by one
-    ``_walk_draws`` per _WALK_BLOCK steps into one array per run. The trace records every
-    released z; the log, a view of it and the holder drawn for step K, is built once the
-    run has ended, so a run stopped by an error returns none."""
+    Step k's holder is ``RandomWalk().rows(n, seed, k)``: the first is drawn here, the rest
+    and the noise by one ``_walk_draws`` per _WALK_BLOCK steps into one array per run. The
+    trace records every released z; the log, a view of it and the holder of step K, is built
+    once the run has ended, so a run stopped by an error returns none."""
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
     eta = np.empty((_WALK_BLOCK, U.shape[1]))
-    holders, noise = [simnet.walk_next(problem.n, rng._reset_to(seed, rng.SCHEDULE, 0, 1))], []
+    holders, noise = [_WALK.rows(problem.n, seed, 0)], []
 
     def advance(k):
         nonlocal ubar, z, holders, noise

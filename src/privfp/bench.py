@@ -4,10 +4,10 @@ Generates unit-row-design Lasso data, solves it privately with the
 consensus splitting or a proximal DP-SGD baseline in the centralized,
 federated, or decentralized setting, calibrates noise through the
 accountant for a grid of (epsilon, delta) budgets, and exports results as
-CSV. Both DP-SGD baselines run through ``fixedpoint.iterate`` (a non-finite
-iterate raises ModelError naming the round) and step by ``noisy_update`` with
-s = -step, then soft-threshold: one item's Delta = clipped gradient, e = eta;
-a cohort's Delta = mean(clipped gradients + per-user noise), e = None. An
+CSV. Both DP-SGD baselines draw through ``SingleUniform`` or ``FixedCohort(m)``, run
+through ``fixedpoint.iterate`` (a non-finite iterate raises ModelError naming the round)
+and step by ``noisy_update`` with s = -step, then soft-threshold: one item's Delta =
+clipped gradient, e = eta; a cohort's Delta = mean(clipped gradients + noise), e = None. An
 in-repo proximal-gradient solver gives the high-precision non-private reference.
 
 Accounting under clipping: clipping the shared quantity replaces the
@@ -34,10 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import admm, privacy, rng, simnet
+from . import admm, privacy, rng
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import iterate, noisy_update
+from .fixedpoint import FixedCohort, SingleUniform, iterate, noisy_update
 from .operators import L1Prox, RowQuadraticProx, clip, clip_rows, prox_l1
 
 # Rényi grid for the bench: the default grid extended upward so budgets
@@ -184,11 +184,11 @@ def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
 
     A one-block iteration through ``iterate``: step k's noise reads block 0."""
     _check_dpsgd(step, clip_threshold, sigma)
-    x = np.zeros(dataset.p)
+    x, items = np.zeros(dataset.p), SingleUniform()
 
     def advance(k):
         nonlocal x
-        i = simnet.walk_next(dataset.n, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+        i = items.rows(dataset.n, seed, k)
         g = clip((dataset.A[i] @ x - dataset.b[i]) * dataset.A[i], clip_threshold)
         eta = rng.gaussian_rows(seed, k, (0,), sigma, dataset.p)[0] if sigma > 0 else None
         noisy_update(x, None, g, eta, -step)
@@ -204,11 +204,11 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
     """Federated proximal DP-SGD through ``iterate``: per round, a sampled cohort of users
     each releases a clipped per-item gradient plus noise; the server averages and steps."""
     _check_dpsgd(step, clip_threshold, sigma)
-    x = np.zeros(dataset.p)
+    x, cohort = np.zeros(dataset.p), FixedCohort(m)
 
     def advance(k):
         nonlocal x
-        rows = simnet.sample_users(dataset.n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+        rows = cohort.rows(dataset.n, seed, k)
         G = dataset.A[rows]
         G *= (G @ x - dataset.b[rows])[:, None]  # the cohort's per-item gradients
         clip_rows(G, clip_threshold)

@@ -5,12 +5,12 @@ The engine iterates
     u[k+1, b] = u[k, b] + rho[k, b] * lam * ((R_b(u_k) - u[k, b]) + eta[k+1, b])
 
 with one step size lam, the active blocks (rho[k, b] = 1) of a schedule's ``rows``
-(None for ``AllBlocks``, an int for ``SingleUniform``, an int array for
-``BernoulliPerBlock``) and fresh Gaussian noise eta from a per-(iteration, block)
-substream, so that schedules and evaluation order cannot perturb noise
-assignment. A step touches only its active blocks, and uses only those rows of
-R(u_k): ``apply_blocks`` evaluates them alone when the operator handle has it,
-otherwise the full ``apply`` runs and they are kept.
+and fresh Gaussian noise eta from a per-(iteration, block) substream, so that
+schedules and evaluation order cannot perturb noise assignment. The five schedules
+are the library's only draw of a round's participants; ``admm`` and ``bench``
+draw through them too. A step touches only its active blocks, and uses only those
+rows of R(u_k): ``apply_blocks`` evaluates them alone when the operator handle
+has it, otherwise the full ``apply`` runs and they are kept.
 
 ``noisy_update`` is every noisy run's update u <- u + s (Delta + e) on its
 active rows, with e None at sigma = 0: the engine's (s = lam,
@@ -21,10 +21,8 @@ and ``bench``'s DP-SGD steps before the soft threshold (s = -step; one item's
 Delta = clipped g_i, e = eta; a cohort's Delta = mean_i (clipped g_i + eta_i), e = None).
 ``iterate`` is the one traced loop of ``run``, the three ``admm`` runs and
 both ``bench`` DP-SGD baselines. It builds one frozen ``RunTrace`` after its
-last round, which keeps each step's active indices as returned, builds (n,)
-masks only when they are read and, asked to, holds the library's only store
-of iterate snapshots: one read-only (K, ...) array. Stochastic gradient and
-coordinate-descent instantiations are provided.
+last round, which holds, asked to, the library's only store of iterate
+snapshots. Stochastic gradient and coordinate-descent instantiations are provided.
 """
 
 from __future__ import annotations
@@ -45,14 +43,11 @@ from .operators import NonExpansive, OperatorHandle
 
 
 class BlockSchedule:
-    """Distribution over each step's active blocks: ``rows`` gives them as None for all,
-    an int for one or an int array of distinct indices, ``mask`` as rho_k in {0,1}^B.
-    A subclass overrides one of the two; the base class builds the other from it."""
+    """Each step's active blocks: ``rows``, the one method a schedule defines, gives None
+    (all), an int or an int array of distinct indices; ``mask`` is its bool view rho_k."""
 
     def rows(self, n_blocks: int, seed: int, k: int):
-        if type(self).mask is BlockSchedule.mask:
-            raise NotImplementedError("a block schedule overrides rows or mask")
-        return np.flatnonzero(self.mask(n_blocks, seed, k))
+        raise NotImplementedError("a block schedule defines rows")
 
     def mask(self, n_blocks: int, seed: int, k: int) -> np.ndarray:
         rows = self.rows(n_blocks, seed, k)
@@ -86,11 +81,28 @@ class BernoulliPerBlock(BlockSchedule):
         if not 0.0 < self.q <= 1.0:
             raise ParameterError(f"activation probability must be in (0, 1], got {self.q}")
 
-    def mask(self, n_blocks, seed, k):
-        return rng._reset_to(seed, rng.SCHEDULE, k, 0).random(n_blocks) < self.q
+    def rows(self, n_blocks, seed, k):
+        return np.flatnonzero(rng._reset_to(seed, rng.SCHEDULE, k, 0).random(n_blocks) < self.q)
 
     def activation_probability(self, n_blocks):
         return self.q
+
+
+@dataclass(frozen=True)
+class FixedCohort(BlockSchedule):
+    """m distinct blocks, uniform without replacement (sorted): a federated round's cohort."""
+
+    m: int
+
+    def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ParameterError(f"cohort size must be an integer >= 1, got {self.m}")
+
+    def rows(self, n_blocks, seed, k):
+        return simnet.sample_users(n_blocks, self.m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
+
+    def activation_probability(self, n_blocks):
+        return self.m / n_blocks
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,15 @@ class SingleUniform(BlockSchedule):
 
     def activation_probability(self, n_blocks):
         return 1.0 / n_blocks
+
+
+@dataclass(frozen=True)
+class RandomWalk(SingleUniform):
+    """A walk's holder: step 0's uniform at SCHEDULE (0, 1), step k's SingleUniform's at k - 1."""
+
+    def rows(self, n_blocks, seed, k):
+        return (super().rows(n_blocks, seed, k - 1) if k else
+                simnet.walk_next(n_blocks, rng._reset_to(seed, rng.SCHEDULE, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +293,16 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
             record_iterates: bool = False) -> tuple[np.ndarray, RunTrace]:
     """The traced loop of every run; returns the last released iterate and the trace.
 
-    ``advance(k)`` performs step k and returns its active block indices (an int,
-    a sequence or an int array, distinct and in [0, n)) and the released
-    iterate, which must be finite. The trace keeps an int or an integer array
-    by reference (a view as a copy), so ``advance`` must not modify an index
-    array after returning it. With ``record_iterates`` each released iterate is
-    copied, as floats, into row k of one (K, ...) array allocated at round 0
-    (``RunTrace.iterates``); a shape other than round 0's raises
-    ``StructuralError`` naming the round."""
+    ``advance(k)`` performs step k < K, for K in [1, 2**63 - 1] (else ``ParameterError``),
+    and returns its active block indices (an int, a sequence or an int array, distinct, in
+    [0, n)) and the released iterate, which must be finite. The trace keeps an index array
+    by reference (a view as a copy): ``advance`` must not modify it after returning it. With
+    ``record_iterates`` each released iterate is copied, as floats, into row k of one (K, ...)
+    array allocated at round 0; another shape raises ``StructuralError`` naming the round."""
     if K < 1:
         raise ParameterError(f"iteration count must be >= 1, got {K}")
+    if K > 2**63 - 1 and not record_iterates:  # a recording run's store rejects it at round 0
+        raise ParameterError(f"iteration count must be <= 2**63 - 1, got K={K}")
     rows, objs, dists, store = [], [], [], np.empty(0)
     for k in range(K):
         active, x = advance(k)

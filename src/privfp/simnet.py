@@ -1,13 +1,12 @@
 """Scheduling and topology simulation for multi-user runs.
 
-Uniform user subsampling for federated rounds, the uniform random walk
-over the complete graph for decentralized runs, and per-user observation
-logs recording what each user sees (the basis of the network-privacy
-view). A log is a read-only view of the walk's frozen ``RunTrace``, which
-keeps every holder and every released z (one read-only (K, p) array), plus
-the one fact the trace lacks: the holder drawn for the step after the last.
-The walk interface is a single "draw the next user" call so other
-topologies can slot in later without touching the solvers.
+Uniform user subsampling and the uniform random walk over the complete
+graph, which runs draw through ``fixedpoint``'s ``FixedCohort`` and
+``RandomWalk`` schedules, and per-user observation logs recording what each
+user sees (the basis of the network-privacy view). A log is a read-only view
+of the walk's frozen ``RunTrace``, which keeps every holder and every
+released z (one read-only (K, p) array), plus the one fact the trace lacks:
+the holder drawn for the step after the last.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from privfp.admm import (
 )
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
-from privfp.fixedpoint import RunTrace
+from privfp.fixedpoint import FixedCohort, RandomWalk, RunTrace
 from privfp.operators import (
     L1Prox, QuadraticProx, QuadraticRankOneProx, RowQuadraticProx, ZeroProx,
 )
@@ -297,6 +297,12 @@ class TestFederated:
         with pytest.raises(ParameterError, match="cohort size"):
             federated_run(problem, 1, m, 0.5, 0.0, 2, seed=0)
 
+    @pytest.mark.parametrize("m", [2.5, True, "2"], ids=repr)
+    def test_run_rejects_a_cohort_size_that_is_not_an_integer(self, m):
+        problem, _ = simple_problem(3, 1)
+        with pytest.raises(ParameterError, match="cohort size must be an integer >= 1"):
+            federated_run(problem, 1, m, 0.5, 0.0, 2, seed=0)
+
     def test_run_is_deterministic(self):
         problem, _ = simple_problem(10, 2)
         a, _ = federated_run(problem, 2, m=3, lam=0.5, sigma=0.5, K=20, seed=9)
@@ -357,6 +363,26 @@ class TestDecentralized:
             assert len(s1) == len(s2)
             for (k1, z1), (k2, z2) in zip(s1, s2):
                 assert k1 == k2 and np.array_equal(z1, z2)
+
+
+class TestRunsDrawThroughSchedules:
+    """A run's participants are its schedule's rows, round for round."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    def test_federated_rounds_are_the_cohorts_rows(self, seed):
+        problem, _ = simple_problem(10, 2)
+        _, trace = federated_run(problem, 2, 4, 0.5, 0.3, 20, seed)
+        cohort = FixedCohort(4)
+        for k, rows in enumerate(trace.active_rows):
+            assert rows.tolist() == cohort.rows(10, seed, k).tolist()
+
+    @pytest.mark.parametrize("K", [1, 128, 130])
+    def test_walk_holders_and_last_are_the_walks_rows(self, K):
+        problem, _ = simple_problem(7, 2)
+        _, trace, log = decentralized_run(problem, 2, 0.5, 0.3, K, 2**63 + 5)
+        walk = RandomWalk()
+        assert trace.active_rows == tuple(walk.rows(7, 2**63 + 5, k) for k in range(K))
+        assert log.last == walk.rows(7, 2**63 + 5, K)
 
 
 class TestStepIndexRule:

@@ -171,6 +171,12 @@ class TestDpsgdBaseline:
         with pytest.raises(ParameterError, match="step > 0 and clip_threshold > 0"):
             dpsgd_federated(data, 0.02, step, clip_threshold, 0.5, 5, m=2, seed=0)
 
+    @pytest.mark.parametrize("m", [2.5, True, 0], ids=repr)
+    def test_cohort_size_that_is_not_an_integer_of_at_least_one_rejected(self, m):
+        data = gen_lasso(n=20, p=3, support_size=1, seed=3)
+        with pytest.raises(ParameterError, match="cohort size must be an integer >= 1"):
+            dpsgd_federated(data, 0.02, 0.2, 1.0, 0.5, 5, m=m, seed=0)
+
     def test_zero_rounds_rejected(self):
         data = gen_lasso(n=20, p=3, support_size=1, seed=3)
         with pytest.raises(ParameterError, match="iteration count"):

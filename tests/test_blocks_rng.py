@@ -10,7 +10,9 @@ from helpers import noise_rng, schedule_rng
 from privfp import admm, rng
 from privfp.blocks import BlockVector
 from privfp.errors import StructuralError
-from privfp.fixedpoint import BernoulliPerBlock, SingleUniform, dpsgd_instance
+from privfp.fixedpoint import (
+    BernoulliPerBlock, FixedCohort, RandomWalk, SingleUniform, dpsgd_instance,
+)
 from privfp.operators import ZeroProx
 from privfp.simnet import sample_users, walk_next
 
@@ -260,7 +262,12 @@ def _uniform_item(seed, k):
 
 def _cohort(seed, k, n=1000, m=90):
     """The cohort mask federated_run and dpsgd_federated draw at round k."""
-    return _one_hot(n, sample_users(n, m, rng._reset_to(seed, rng.SCHEDULE, k, 0)))
+    return FixedCohort(m).mask(n, seed, k)
+
+
+def _walk_holder_oracle(seed, k):
+    """The walk's holder of step k: drawn at (0, 1) for step 0, then at (k - 1, 0)."""
+    return walk_next(1000, schedule_rng(seed, 0, tag=1) if k == 0 else schedule_rng(seed, k - 1))
 
 
 def _walk_holder(seed, k):
@@ -277,6 +284,8 @@ SCHEDULE_SITES = {
     "walk_holder": (_walk_holder, lambda seed, k: walk_next(1000, schedule_rng(seed, k))),
     "sample_users": (_cohort,
                      lambda seed, k: _one_hot(1000, sample_users(1000, 90, schedule_rng(seed, k)))),
+    "random_walk": (lambda seed, k: RandomWalk().mask(1000, seed, k),
+                    lambda seed, k: _one_hot(1000, _walk_holder_oracle(seed, k))),
     "bernoulli": (lambda seed, k: BernoulliPerBlock(0.3).mask(1000, seed, k),
                   lambda seed, k: schedule_rng(seed, k).random(1000) < 0.3),
     "uniform_item_order": (_uniform_item,

@@ -46,6 +46,15 @@ def test_contract_row(capsys, tmp_path, monkeypatch, row):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("setting", privacy.SETTINGS)
+def test_accounting_holds_no_iteration_bound(capsys, setting):
+    """K above a run's bound of 2**63 - 1 is still a round count the accountant takes."""
+    curve = ("--K", str(2**63), "--L", "1", "--gamma", "0.1", "--n", "100", "--m", "10")
+    assert run_cli(capsys, "account", "--setting", setting, "--sigma", "5", *curve)[0] == 0
+    assert run_cli(capsys, "calibrate", "--setting", setting, "--epsilon", "1",
+                   "--delta", "1e-6", *curve)[0] == 0
+
+
 class TestAccount:
     def test_prints_curve(self, capsys):
         code, out, _ = run_cli(capsys, "account", "--setting", "centralized",

@@ -10,8 +10,8 @@ from privfp import admm, bench, fixedpoint, rng
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
 from privfp.fixedpoint import (
-    AllBlocks, BernoulliPerBlock, IterationConfig, SingleUniform, dpcd_instance,
-    dpsgd_instance, iterate, run, step,
+    AllBlocks, BernoulliPerBlock, FixedCohort, IterationConfig, RandomWalk, SingleUniform,
+    dpcd_instance, dpsgd_instance, iterate, run, step,
 )
 from privfp.operators import (
     L1Prox, NonExpansive, OperatorHandle, QuadraticProx, ZeroProx, reflect_compose,
@@ -199,16 +199,24 @@ class TestRunIsALoopOfStep:
         assert u_view.data.tobytes() == u_copy.data.tobytes()
         assert step(u0, view, cfg, 0).data.tobytes() == step(u0, copied, cfg, 0).data.tobytes()
 
-    def test_zero_one_integer_masks_act_as_boolean(self):
-        class IntMasks(BernoulliPerBlock):
-            def mask(self, n_blocks, seed, k):
-                return super().mask(n_blocks, seed, k).astype(int)
+    @pytest.mark.parametrize("schedule, retyped", [
+        (BernoulliPerBlock(0.5), lambda rows: rows.astype(np.int32)),
+        (BernoulliPerBlock(0.5), lambda rows: rows.astype(np.uint64)),
+        (FixedCohort(2), lambda rows: rows.astype(np.int16)),
+        (SingleUniform(), np.int64),
+        (RandomWalk(), np.uint8),
+    ], ids=["int32", "uint64", "cohort-int16", "numpy-int", "walk-uint8"])
+    def test_rows_of_any_integer_type_act_alike(self, schedule, retyped):
+        class Retyped(type(schedule)):
+            def rows(self, n_blocks, seed, k):
+                return retyped(super().rows(n_blocks, seed, k))
 
         u0, op = BlockVector(np.ones((4, 2))), affine_op(0.5, 0.3)
-        u_int, t_int = run(u0, op, IterationConfig(K=8, sigma=0.2, schedule=IntMasks(0.5), seed=4))
-        u_bool, t_bool = run(u0, op, IterationConfig(K=8, sigma=0.2, schedule=BernoulliPerBlock(0.5), seed=4))
-        assert u_int.data.tobytes() == u_bool.data.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(t_int.active, t_bool.active))
+        fields = dataclasses.asdict(schedule)
+        u_int, t_int = run(u0, op, IterationConfig(K=8, sigma=0.2, schedule=Retyped(**fields), seed=4))
+        u_own, t_own = run(u0, op, IterationConfig(K=8, sigma=0.2, schedule=schedule, seed=4))
+        assert u_int.data.tobytes() == u_own.data.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(t_int.active, t_own.active))
 
     def test_non_finite_iterate_raises_naming_the_round(self):
         # u <- 1e100 u: 1 -> 1e100 -> 1e200 -> 1e300 -> inf at the fourth step (round 3)
@@ -218,11 +226,14 @@ class TestRunIsALoopOfStep:
 
 
 class TestSchedules:
-    @pytest.mark.parametrize("schedule", [AllBlocks(), BernoulliPerBlock(0.3), SingleUniform()],
-                             ids=["all", "bernoulli", "single"])
+    @pytest.mark.parametrize("schedule", [AllBlocks(), BernoulliPerBlock(0.3), SingleUniform(),
+                                          FixedCohort(5), RandomWalk()],
+                             ids=["all", "bernoulli", "single", "cohort", "walk"])
     def test_mask_is_the_set_of_rows_on_the_schedule_stream(self, schedule):
         """``mask`` is the bool view of ``rows``, and both read the (seed, k) schedule stream
-        as a fresh substream does: all blocks, a uniform draw per block, one walk target."""
+        as a fresh substream does: all blocks, a uniform draw per block, one walk target, a
+        sorted cohort drawn without replacement, and the walk's holder, which is step 0's
+        draw at (0, 1) and then the walk target drawn at step k - 1."""
         n = 12
         for seed in range(5):
             for k in range(50):
@@ -235,16 +246,36 @@ class TestSchedules:
                     want[:] = True
                 elif isinstance(schedule, BernoulliPerBlock):
                     want = gen.random(n) < schedule.q
+                elif isinstance(schedule, FixedCohort):
+                    want[gen.choice(n, size=schedule.m, replace=False)] = True
+                    assert rows.tolist() == sorted(rows.tolist())
+                elif isinstance(schedule, RandomWalk):
+                    tag = (0, 1) if k == 0 else (k - 1, 0)
+                    want[int(rng.substream(seed, rng.SCHEDULE, *tag).integers(n))] = True
                 else:
                     want[int(gen.integers(n))] = True
                 assert schedule.mask(n, seed, k).tobytes() == from_rows.tobytes() == want.tobytes()
 
-    def test_a_schedule_defines_rows_or_mask(self):
+    def test_a_schedule_defines_rows(self):
         class Neither(fixedpoint.BlockSchedule):
             pass
 
-        with pytest.raises(NotImplementedError, match="rows or mask"):
-            Neither().mask(3, 0, 0)
+        for method in (Neither().rows, Neither().mask):
+            with pytest.raises(NotImplementedError, match="defines rows"):
+                method(3, 0, 0)
+
+    @pytest.mark.parametrize("m", [2.5, True, False, 0, -1, "3", None, np.float64(2.0)],
+                             ids=repr)
+    def test_cohort_size_must_be_an_integer_of_at_least_one(self, m):
+        with pytest.raises(ParameterError, match=f"cohort size must be an integer >= 1, got {m}"):
+            FixedCohort(m)
+
+    def test_cohort_larger_than_the_blocks_fails_at_its_first_draw(self):
+        cohort = FixedCohort(np.int64(4))
+        assert cohort.rows(4, 0, 0).tolist() == [0, 1, 2, 3]
+        assert cohort.activation_probability(8) == 0.5
+        with pytest.raises(ParameterError, match="1 <= m <= n, got m=4, n=3"):
+            cohort.rows(3, 0, 0)
 
     def test_all_blocks(self):
         assert AllBlocks().mask(5, 0, 0).all()
@@ -454,7 +485,8 @@ class TestBlockEvaluation:
             assert got.shape == (len(rows), self.p)
             assert got.tobytes() == full[rows].tobytes()
 
-    @pytest.mark.parametrize("schedule", [SingleUniform(), BernoulliPerBlock(0.5), AllBlocks()])
+    @pytest.mark.parametrize("schedule", [SingleUniform(), BernoulliPerBlock(0.5), AllBlocks(),
+                                          FixedCohort(2), RandomWalk()])
     def test_one_gradient_per_active_block(self, schedule):
         calls = []
         grads, beta = self.coupled_grads(calls)
@@ -622,6 +654,27 @@ class TestRunTrace:
                                                            f"shape ({K}, {p})")):
             iterate(K, 1, advance, record_iterates=True)
         assert rounds == [0]
+
+    def test_K_above_the_bound_is_a_parameter_error_before_round_0(self):
+        rounds = []
+        with pytest.raises(ParameterError, match=re.escape(f"<= 2**63 - 1, got K={2**63}")):
+            iterate(2**63, 1, lambda k: rounds.append(k) or (0, np.zeros(1)))
+        assert rounds == []
+
+    # Every driver: a run that records no iterates fails before its first round, the walk
+    # (which records them) when its store is allocated at round 0; both name K.
+    @pytest.mark.parametrize("driver", [
+        lambda K: admm.centralized_run(consensus(6, 3), BlockVector.zeros(6, 3), 0.5, 0.4, K, 3),
+        lambda K: admm.federated_run(consensus(9, 3), 3, 4, 0.5, 0.4, K, 3),
+        lambda K: admm.decentralized_run(consensus(9, 3), 3, 0.5, 0.4, K, 3),
+        lambda K: run(BlockVector(np.ones((5, 3))), affine_op(0.5, 0.2), IterationConfig(K=K)),
+        lambda K: bench.dpsgd_baseline(LASSO, 0.01, 0.1, 1.0, 0.4, K, 5),
+        lambda K: bench.dpsgd_federated(LASSO, 0.01, 0.1, 1.0, 0.4, K, 7, 5),
+    ], ids=["centralized", "federated", "decentralized", "engine", "dpsgd_baseline",
+            "dpsgd_federated"])
+    def test_every_driver_rejects_K_of_2_to_the_63(self, driver):
+        with pytest.raises(ParameterError, match=f"K={2**63}"):
+            driver(2**63)
 
     @pytest.mark.parametrize("p", [64, 512])  # the walk's rows and the engine's
     def test_rows_are_copies_of_a_reused_buffer(self, p):

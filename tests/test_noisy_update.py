@@ -6,9 +6,9 @@ round at a time by the oracles of ``helpers`` (``reference_round_deltas`` for th
 consensus runs and the general splitting, ``reference_engine_increment`` for the engine)
 or by the DP-SGD oracles below, equal the recorded ones byte for byte, as do the
 released iterates. The DP-SGD oracles also give each round's displacement and noise.
-The engine runs under each of its three schedules, through a handle with and without
+The engine runs under each of its five schedules, through a handle with and without
 ``apply_blocks``: a step over one block or all blocks adds to a view of u (rows None),
-a Bernoulli step by index.
+a Bernoulli or cohort step by index.
 """
 
 import dataclasses
@@ -122,14 +122,16 @@ OPERATOR = reflect(L1Prox(0.2))
 BLOCK_OPERATOR = dataclasses.replace(
     OPERATOR, apply_blocks=lambda u, k, rows: OPERATOR.apply(u, k).reshape(N, P)[rows])
 ENGINE_SCHEDULES = {"bernoulli": fixedpoint.BernoulliPerBlock(0.5),
-                    "single": fixedpoint.SingleUniform(), "all": fixedpoint.AllBlocks()}
+                    "single": fixedpoint.SingleUniform(), "all": fixedpoint.AllBlocks(),
+                    "cohort": fixedpoint.FixedCohort(3), "walk": fixedpoint.RandomWalk()}
 
 
 def engine_rows(schedule, k):
     """Step k's active rows, and the rows the step passes: None where it adds to a view of
     u (one block or all blocks), the index array where it gathers and adds back."""
     rows = np.flatnonzero(schedule.mask(N, SEED, k))
-    return rows, rows if isinstance(schedule, fixedpoint.BernoulliPerBlock) else None
+    by_index = isinstance(schedule, (fixedpoint.BernoulliPerBlock, fixedpoint.FixedCohort))
+    return rows, rows if by_index else None
 
 
 def engine_run(sigma, schedule=ENGINE_SCHEDULES["bernoulli"], operator=OPERATOR):

@@ -2,10 +2,14 @@
 
 A public top-level function, class or constant of ``src/privfp`` must be
 referenced somewhere in ``src/privfp`` or ``benchmarks/*.py`` beyond its own
-definition: as a name, an attribute, an imported name, or (in
-``benchmarks/``, whose tracer looks functions up by name) a string. Names
-that only tests, an acceptance criterion or a planned ROADMAP direction read
-are listed in ``KEPT`` with that reason; anything else is dead surface.
+definition. Only a qualified reference counts: ``module.name`` through an
+imported privfp module, an import of the name from its module, the bare name
+inside its own module, or (in ``benchmarks/``, whose tracer looks functions up
+by name) a string. So an attribute of another object that happens to share
+the name (``config.step``) reads nothing. Names that only tests, an acceptance
+criterion or a planned ROADMAP direction read are listed in ``KEPT`` with that
+reason; anything else is dead surface. The same scan checks that only
+``fixedpoint``'s schedules draw a round's participants.
 """
 
 import ast
@@ -35,6 +39,7 @@ KEPT = {
     "utility_bound": "direction 4 logs it beside the realized error",
     "step_size_range": "direction 4 decides which utility step sizes it reads",
     "recommended_step_size": "direction 4 decides which utility step sizes it reads",
+    "step": "tests step the engine once; bench's config.step is another name",
 }
 
 
@@ -51,42 +56,74 @@ def _defined(stmt) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
-def _references(node, strings: bool) -> set[str]:
-    found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            found.add(sub.name.rpartition(".")[2])
-        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            found.add(sub.value)
-    return found
+def _source_module(node: ast.ImportFrom) -> str | None:
+    """The privfp module a ``from ... import`` reads names from (None for the package or
+    a module outside privfp)."""
+    if node.level == 1 and node.module:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("privfp."):
+        return node.module.partition(".")[2]
+    return None
 
 
-def _scan():
-    """(public names of the library, names referenced outside their own definition)."""
+def _module_aliases(tree) -> dict[str, str]:
+    """Local names the file binds to privfp modules (``from . import rng``,
+    ``from privfp import admm``), wherever the import stands."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and ((node.level == 1 and node.module is None)
+                 or (node.level == 0 and node.module == "privfp"))
+            for alias in node.names}
+
+
+def _file_references(path) -> tuple[set, set]:
+    """(the (module, name) pairs a library file defines as public, the (module, name)
+    pairs the file references beyond their own definitions). A string s of a
+    benchmark file is the pair ("*", s)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module = path.stem if path in LIBRARY else None
+    aliases = _module_aliases(tree)
     public, referenced = set(), set()
-    for path in LIBRARY + BENCHMARKS:
-        in_library = path in LIBRARY
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            own = _defined(stmt) if in_library else []
-            public.update(own)
-            referenced |= _references(stmt, strings=not in_library) - set(own)
+    for stmt in tree.body:
+        own = {(module, name) for name in _defined(stmt)} if module else set()
+        public |= own
+        found = set()
+        for sub in ast.walk(stmt):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id in aliases):
+                found.add((aliases[sub.value.id], sub.attr))
+            elif isinstance(sub, ast.ImportFrom) and _source_module(sub):
+                found |= {(_source_module(sub), alias.name) for alias in sub.names}
+            elif module and isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                found.add((module, sub.id))
+            elif not module and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                found.add(("*", sub.value))
+        referenced |= found - own
     return public, referenced
 
 
+def _scan():
+    """(the public (module, name) pairs of the library, those referenced outside their
+    own definition)."""
+    public, referenced = set(), set()
+    for path in LIBRARY + BENCHMARKS:
+        defined, found = _file_references(path)
+        public |= defined
+        referenced |= found
+    return public, {(module, name) for module, name in public
+                    if (module, name) in referenced or ("*", name) in referenced}
+
+
 def test_every_public_name_has_a_reader_or_a_reason():
-    public, referenced = _scan()
-    unread = sorted(public - referenced - set(KEPT))
+    public, read = _scan()
+    unread = sorted({name for _, name in public - read} - set(KEPT))
     assert unread == [], f"public names with no reader in src/privfp or benchmarks: {unread}"
 
 
 def test_every_kept_name_exists_and_still_needs_its_reason():
-    public, referenced = _scan()
-    assert sorted(set(KEPT) - public) == []
-    assert sorted(set(KEPT) & referenced) == []
+    public, read = _scan()
+    assert sorted(set(KEPT) - {name for _, name in public}) == []
+    assert sorted(set(KEPT) & {name for _, name in read}) == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
@@ -98,3 +135,13 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     missing = [name for owner, attr, name, _ in tracing.privfp_targets()
                if not callable(vars(owner).get(attr))]
     assert missing == []
+
+
+def test_only_fixedpoint_draws_a_rounds_participants():
+    """A round's participants come from a ``fixedpoint`` schedule: outside ``rng`` and
+    ``simnet``, which define them, no other module reads the schedule stream's domain or
+    the cohort and walk draws."""
+    draws = {("rng", "SCHEDULE"), ("simnet", "sample_users"), ("simnet", "walk_next")}
+    readers = sorted(path.stem for path in LIBRARY if path.stem not in ("rng", "simnet")
+                     and _file_references(path)[1] & draws)
+    assert readers == ["fixedpoint"]
