@@ -23,8 +23,8 @@ two (rows per round, p) arrays allocated once; only clipping and noise take
 a fresh array of that size each. The walk's one-row kernel works on a 1-D
 view of the holder's dual row, so a step costs O(p), with the bits of the
 batched kernel over that row. Users are drawn by the engine's schedules
-(``FixedCohort(m)``, the ``RandomWalk``); a walk draws its holders and noise,
-which depend only on the seed and the step, 128 steps at a time.
+(``FixedCohort(m)``, the ``RandomWalk``), noise rows by ``rng.gaussian_rows``;
+a walk draws both, which depend only on the seed and step, 128 steps at a time.
 ``general_admm_step``, one step of the splitting under a matrix constraint
 A x + B z = c, updates through ``noisy_update`` with Delta = A x + B z - c;
 its consensus instantiation reproduces the centralized round bit for bit
@@ -43,7 +43,8 @@ import numpy as np
 from . import rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import FixedCohort, RandomWalk, RunTrace, _checked_rows, iterate, noisy_update
+from .fixedpoint import (FixedCohort, RandomWalk, RunTrace, _checked_rows, check_step_size, iterate,
+                         noisy_update)
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 _WALK_BLOCK = 128  # walk steps whose holders and noise are drawn in one pass
@@ -128,7 +129,7 @@ class AdmmState:
 
 def initial_state(problem: ConsensusProblem, p: int,
                   u0: BlockVector | None = None) -> AdmmState:
-    """Zero duals by default; z0 = prox_r(mean of u0)."""
+    """Zero (n, p) duals, or a copy of u0, whose width overrides p; z0 = prox_r(mean of u0)."""
     u = BlockVector.zeros(problem.n, p) if u0 is None else u0.copy()
     if u.n_blocks != problem.n:
         raise StructuralError(f"u0 has {u.n_blocks} blocks for {problem.n} users")
@@ -140,8 +141,7 @@ def initial_state(problem: ConsensusProblem, p: int,
 
 
 def _check_step(lam: float, sigma: float):
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"step size must lie in (0, 1], got {lam}")
+    check_step_size(lam)
     rng.check_sigma(sigma)
 
 
@@ -177,16 +177,16 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
-def _walk_draws(n, lam, sigma, seed, k, holder, eta):
-    """Checks lam and sigma; returns the holders of walk steps k, ..., k + m (m = len(eta)):
-    the given one, then ``RandomWalk``'s, and the m halved noise rows of steps k, ..., k + m - 1
-    from NOISE (step, holder), written into eta (None at sigma = 0); a run draws them ahead."""
+def _walk_draws(n, lam, sigma, seed, k, holder, m, size):
+    """Checks lam and sigma; returns the holders of walk steps k, ..., k + m: the given one,
+    then ``RandomWalk``'s, and the m halved noise rows (size wide) of steps k, ..., k + m - 1,
+    one ``rng.gaussian_rows`` draw at (step, holder) (None each at sigma = 0); a run draws ahead."""
     _check_step(lam, sigma)
-    steps = range(k, k + len(eta))
+    steps = range(k, k + m)
     holders = [holder, *(_WALK.rows(n, seed, j + 1) for j in steps)]
     if sigma == 0.0:
-        return holders, [None] * len(eta)
-    rng._normal_rows(seed, [(0, 0, j, i) for j, i in zip(steps, holders)], sigma, eta)
+        return holders, [None] * m
+    eta = rng.gaussian_rows(seed, steps, holders[:-1], sigma, size)
     eta *= 0.5
     return holders, list(eta)
 
@@ -302,8 +302,8 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     """
     _checked_rows([i], problem.n, state.k)
     U = state.u.data.copy()
-    (_, next_user), (eta,) = _walk_draws(problem.n, lam, sigma, seed, state.k, int(i),
-                                         np.empty((1, U.shape[1])))
+    (_, next_user), (eta,) = _walk_draws(problem.n, lam, sigma, seed, state.k, int(i), 1,
+                                         U.shape[1])
     ubar, z = _walk_step(problem, U, state.ubar, state.z, int(i), lam, eta)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
@@ -315,19 +315,19 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
     """K random-walk steps; returns z_K, the trace, and the observation log.
 
     Step k's holder is ``RandomWalk().rows(n, seed, k)``: the first is drawn here, the rest
-    and the noise by one ``_walk_draws`` per _WALK_BLOCK steps into one array per run. The
+    and the noise by one ``_walk_draws`` per _WALK_BLOCK steps, rows as wide as the duals. The
     trace records every released z; the log, a view of it and the holder of step K, is built
     once the run has ended, so a run stopped by an error returns none."""
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
-    eta = np.empty((_WALK_BLOCK, U.shape[1]))
     holders, noise = [_WALK.rows(problem.n, seed, 0)], []
 
     def advance(k):
         nonlocal ubar, z, holders, noise
         j = k % _WALK_BLOCK
         if j == 0:  # a block starts at the last one's final holder
-            holders, noise = _walk_draws(problem.n, lam, sigma, seed, k, holders[-1], eta[:K - k])
+            holders, noise = _walk_draws(problem.n, lam, sigma, seed, k, holders[-1],
+                                         min(_WALK_BLOCK, K - k), U.shape[1])
         ubar, z = _walk_step(problem, U, ubar, z, holders[j], lam, noise[j])
         return holders[j], z
 

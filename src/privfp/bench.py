@@ -26,6 +26,7 @@ import contextlib
 import csv
 import itertools
 import math
+import numbers
 import os
 import shutil
 import time
@@ -277,6 +278,9 @@ class ExperimentConfig:
         for name in ("epsilons", "seeds"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must not be empty")
+        for seed in (*self.seeds, self.data_seed):  # rng keys a seed mod 2**64: others alias
+            if type(seed) is bool or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+                raise ParameterError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
         for eps in self.epsilons:  # solve calibrates at min(epsilons) only; NaN, inf fail anywhere
             if not eps < math.inf:
                 privacy.check_budget(eps)

@@ -147,11 +147,21 @@ class IterationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ParameterError(f"iteration count must be >= 1, got {self.K}")
+        _check_iterations(self.K)
         rng.check_sigma(self.sigma)
-        if not isinstance(self.lam, numbers.Real) or not 0.0 < self.lam <= 1.0:
-            raise ParameterError(f"step size must be a number in (0, 1], got {self.lam}")
+        check_step_size(self.lam)
+
+
+def _check_iterations(K):
+    """The one iteration-count rule: an integer >= 1, a numpy integer too, not a bool."""
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 1:
+        raise ParameterError(f"iteration count must be an integer >= 1, got K={K!r}")
+
+
+def check_step_size(lam):
+    """The one step-size rule of the engine, the consensus runs and the accountant."""
+    if not isinstance(lam, numbers.Real) or not 0.0 < lam <= 1.0:
+        raise ParameterError(f"step size must be a number in (0, 1], got {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,14 +303,13 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
             record_iterates: bool = False) -> tuple[np.ndarray, RunTrace]:
     """The traced loop of every run; returns the last released iterate and the trace.
 
-    ``advance(k)`` performs step k < K, for K in [1, 2**63 - 1] (else ``ParameterError``),
+    ``advance(k)`` performs step k < K, K an integer in [1, 2**63 - 1] (else ``ParameterError``),
     and returns its active block indices (an int, a sequence or an int array, distinct, in
     [0, n)) and the released iterate, which must be finite. The trace keeps an index array
     by reference (a view as a copy): ``advance`` must not modify it after returning it. With
     ``record_iterates`` each released iterate is copied, as floats, into row k of one (K, ...)
     array allocated at round 0; another shape raises ``StructuralError`` naming the round."""
-    if K < 1:
-        raise ParameterError(f"iteration count must be >= 1, got {K}")
+    _check_iterations(K)
     if K > 2**63 - 1 and not record_iterates:  # a recording run's store rejects it at round 0
         raise ParameterError(f"iteration count must be <= 2**63 - 1, got K={K}")
     rows, objs, dists, store = [], [], [], np.empty(0)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import ConditionNotMet, ParameterError, StructuralError
+from .fixedpoint import check_step_size
 from .rng import MAX_SIGMA, check_sigma
 
 # Default Rényi order grid; callers may extend it (conversion minimizes over it).
@@ -116,8 +117,7 @@ def sensitivity_consensus(L: float, gamma: float, lam: float, n: int) -> float:
     _check_lipschitz_step(L, gamma)
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"step size must lie in (0, 1], got {lam}")
+    check_step_size(lam)
     return 4.0 * lam * L * gamma / n
 
 

@@ -8,12 +8,13 @@ order, and any parallel evaluation: replaying ``(seed, k, b)`` always
 reproduces the same draw.
 
 ``substream`` returns a fresh generator that the caller owns. Per-round
-draws (``gaussian_block`` noise, and every schedule's cohorts, walk
-holders, masks and item orders) instead reuse one Philox generator per
-thread, which ``_reset_to`` sets to the draw's address; values are those
-of a fresh ``substream`` at that address. ``_normal_rows`` fills a block's
-rows from a list of counters with the key set once; ``gaussian_rows`` (one
-round's blocks) and the random walk (a block of steps' holders) draw through it.
+draws (noise, and every schedule's cohorts, walk holders, masks and item
+orders) instead reuse one Philox generator per thread, which ``_reset_to``
+sets to the draw's address; values are those of a fresh ``substream`` at
+that address. ``gaussian_rows`` is the one draw of a run's noise rows, each
+at its own (step, block) address: one round's blocks, or a block of walk
+steps and their holders. Only this module knows the counter layout of an
+address.
 """
 
 from __future__ import annotations
@@ -82,28 +83,24 @@ def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.nda
     return _reset_to(seed, NOISE, k, b).normal(0.0, sigma, size)
 
 
-def gaussian_rows(seed: int, k: int, blocks, sigma: float, size: int) -> np.ndarray:
-    """Round k's noise for many blocks: row j is ``gaussian_block(seed, k, blocks[j], sigma, size)``
-    byte for byte (sigma < 0 raises its ValueError, NaN gives NaN rows), drawn by
-    ``_normal_rows`` from a counter list built once; one row is one ``normal`` draw."""
+def gaussian_rows(seed: int, k, blocks, sigma: float, size: int) -> np.ndarray:
+    """Noise rows: row j is ``gaussian_block(seed, k_j, blocks[j], sigma, size)`` byte for byte,
+    where k_j is k (one step for a round's blocks) or k[j] (k a sequence of one step per row);
+    sigma < 0 raises its ValueError, NaN gives NaN rows. One row is one ``normal`` draw."""
     if sigma == 0.0:
         return np.zeros((len(blocks), size))
     if sigma < 0.0:
         raise ValueError("scale < 0")
-    k = int(k) & _MASK64  # a numpy integer k would overflow the mask
+    one_step = isinstance(k, (int, np.integer))
     if len(blocks) == 1:  # normal scales in C; the block scaling costs two ufunc calls
+        k = int(k if one_step else k[0])  # a numpy integer k would overflow the mask
         return _reset_to(seed, NOISE, k, int(blocks[0])).normal(0.0, sigma, (1, size))
-    counters = [(0, 0, k, int(b) & _MASK64) for b in blocks]
-    return _normal_rows(seed, counters, sigma, np.empty((len(blocks), size)))
-
-
-def _normal_rows(seed: int, counters, sigma: float, out: np.ndarray) -> np.ndarray:
-    """Fill row j of out with ``gaussian_block(seed, k, b, sigma, size)`` (byte for byte for
-    sigma != 0), where ``counters[j] = (0, 0, k, b)``, k and b in [0, 2**64): the key is set
-    once, each row sets its counter and takes standard normals in place, out is scaled once."""
+    steps = [int(k) & _MASK64] * len(blocks) if one_step else [int(j) & _MASK64 for j in k]
+    counters = [(0, 0, j, int(b) & _MASK64) for j, b in zip(steps, blocks, strict=True)]
+    out = np.empty((len(blocks), size))
     gen = _reset_to(seed, NOISE, 0, 0)
     state, words = _thread.state, _thread.state["state"]
-    for row, counter in zip(out, counters):
+    for row, counter in zip(out, counters):  # key set once: each row resets its counter only
         words["counter"] = counter
         gen.bit_generator.state = state
         gen.standard_normal(out=row)

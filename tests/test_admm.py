@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from privfp.admm import (
 )
 from privfp.blocks import BlockVector
 from privfp.errors import ModelError, ParameterError, StructuralError
-from privfp.fixedpoint import FixedCohort, RandomWalk, RunTrace
+from privfp.fixedpoint import FixedCohort, IterationConfig, RandomWalk, RunTrace
 from privfp.operators import (
     L1Prox, QuadraticProx, QuadraticRankOneProx, RowQuadraticProx, ZeroProx,
 )
@@ -627,7 +628,7 @@ def _walk_problem(form, p, clip=None):
 
 def _walk_noise(seed, k, i, lam, sigma, p, n=5):
     """Holder i's halved noise row at walk step k as the walk draws it (None at sigma = 0)."""
-    return _walk_draws(n, lam, sigma, seed, k, i, np.empty((1, p)))[1][0]
+    return _walk_draws(n, lam, sigma, seed, k, i, 1, p)[1][0]
 
 
 class TestWalkKernel:
@@ -688,6 +689,36 @@ class TestWalkKernel:
                                    clip_threshold=0.5)
         decentralized_run(problem, 2, 0.5, 0.3, 20, seed=3)
         assert target.tolist() == [1.0, -2.0]
+
+
+# Each entry point that takes the splitting step size, called with lam; each checks it
+# through the engine's one rule before it reads lam.
+_STEP_SIZE_READERS = {
+    "centralized_run": lambda lam: centralized_run(
+        simple_problem(3, 2)[0], BlockVector.zeros(3, 2), lam, 0.3, 4, 1),
+    "federated_run": lambda lam: federated_run(simple_problem(3, 2)[0], 2, 2, lam, 0.3, 4, 1),
+    "decentralized_run": lambda lam: decentralized_run(simple_problem(3, 2)[0], 2, lam, 0.3, 4, 1),
+    "federated_round": lambda lam: federated_round(
+        simple_problem(3, 2)[0], initial_state(simple_problem(3, 2)[0], 2), [0, 2], lam, 0.3, 1),
+    "decentralized_step": lambda lam: decentralized_step(
+        simple_problem(3, 2)[0], initial_state(simple_problem(3, 2)[0], 2), 1, lam, 0.3, 1),
+    "general_admm_step": lambda lam: general_admm_step(
+        consensus_as_general(simple_problem(3, 2)[0], 2),
+        GeneralAdmmState(u=np.zeros(6), z=np.zeros(2)), lam, 0.3, 1),
+    "sensitivity_consensus": lambda lam: sensitivity_consensus(1.0, 0.1, lam, 10),
+    "IterationConfig": lambda lam: IterationConfig(K=2, lam=lam),
+}
+
+
+@pytest.mark.parametrize("reader", list(_STEP_SIZE_READERS))
+@pytest.mark.parametrize("lam", ["0.5", None, [0.5], np.array(0.5), 1.5, 0.0, math.nan],
+                         ids=repr)
+def test_every_reader_of_the_step_size_applies_one_rule(reader, lam):
+    with pytest.raises(ParameterError, match=re.escape(f"step size must be a number in (0, 1], "
+                                                       f"got {lam!r}")):
+        _STEP_SIZE_READERS[reader](lam)
+    for ok in (0.5, np.float64(1.0), 1):  # the rule's members run (sigma > 0 draws noise)
+        _STEP_SIZE_READERS[reader](ok)
 
 
 class TestWalkStepChecks:
@@ -793,18 +824,26 @@ class TestBlockAheadWalk:
     @pytest.mark.parametrize("K", [1, 128, 300])
     def test_noise_is_drawn_once_per_block_and_never_at_sigma_zero(self, monkeypatch, K):
         draws = []
-        normal_rows = rng._normal_rows
-        monkeypatch.setattr(rng, "_normal_rows",
-                            lambda seed, counters, sigma, out: draws.append(len(out))
-                            or normal_rows(seed, counters, sigma, out))
-        for name in ("gaussian_block", "gaussian_rows"):
-            monkeypatch.setattr(rng, name, lambda *args, name=name: pytest.fail(f"walk drew {name}"))
+        gaussian_rows = rng.gaussian_rows
+        monkeypatch.setattr(rng, "gaussian_rows",
+                            lambda seed, k, blocks, sigma, size: draws.append(len(blocks))
+                            or gaussian_rows(seed, k, blocks, sigma, size))
+        monkeypatch.setattr(rng, "gaussian_block", lambda *args: pytest.fail("walk drew gaussian_block"))
         problem = _walk_problem("rows", 6, clip=0.3)
         decentralized_run(problem, 6, 0.5, 0.0, K, seed=3)
         decentralized_step(problem, initial_state(problem, 6), 2, 0.5, 0.0, seed=3)
         assert draws == []
         decentralized_run(problem, 6, 0.5, 0.4, K, seed=3)
         assert draws == [128] * (K // 128) + [K % 128] * (K % 128 > 0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    def test_a_u0_sizes_the_noise_rows_whatever_p_says(self, sigma):
+        problem, u0 = _walk_problem("rows", 6), np.random.default_rng(5).normal(size=(5, 6))
+        want = decentralized_run(problem, 6, 0.5, sigma, 130, 3, u0=BlockVector(u0))
+        for p in (1, 7, 10**15):
+            got = decentralized_run(problem, p, 0.5, sigma, 130, 3, u0=BlockVector(u0))
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].iterates.tobytes() == want[1].iterates.tobytes()
 
     @pytest.mark.parametrize("K", [1, 300])
     def test_run_builds_its_log_once_and_calls_only_walk_next_per_step(self, monkeypatch, K):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -261,6 +262,21 @@ class TestRunExperiment:
         # IndexError (solve_once) instead of a parameter error
         with pytest.raises(ParameterError, match=field):
             ExperimentConfig(sigma=0.0, **{field: ()})
+
+    # rng keys a seed mod 2**64, so a seed outside [0, 2**64) would replay one inside it
+    @pytest.mark.parametrize("seeds, data_seed", [
+        ((-1,), 0), ((0, 2**64), 0), ((2**64 + 3,), 0), ((True,), 0), ((1.0,), 0), ((np.float64(2),), 0),
+        ((0,), -1), ((0,), 2**64), ((0,), False), ((0,), 0.0), ((0,), None),
+    ], ids=repr)
+    def test_seed_outside_0_to_2_to_the_64_rejected(self, seeds, data_seed):
+        bad = next(s for s in (*seeds, data_seed) if not (type(s) is int and 0 <= s < 2**64))
+        with pytest.raises(ParameterError, match=re.escape(f"a seed must be an integer in "
+                                                           f"[0, 2**64), got {bad!r}")):
+            ExperimentConfig(seeds=seeds, data_seed=data_seed)
+
+    def test_seeds_at_the_ends_of_the_range_accepted(self):
+        config = ExperimentConfig(seeds=(0, np.uint64(2**64 - 1), 2**64 - 1), data_seed=np.int64(5))
+        assert config.seeds[1] == 2**64 - 1 and config.data_seed == 5
 
     def test_decentralized_budget_path(self):
         config = ExperimentConfig(setting="decentralized", algorithm="admm",

@@ -86,13 +86,14 @@ class TestGaussianRows:
                                        rng.MAX_SIGMA, 1075.8])
     @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
     def test_per_row_addresses_equal_gaussian_block_bit_for_bit(self, seed, sigma):
-        # the shared loop the walk fills its noise block with: each row its own (k, b)
+        # one step per row, as the walk draws a block of steps: each row its own (k, b)
         addresses = [(0, 4), (3, 4), (2**64 - 1, 2**40), (3, 0), (7, 4), (0, 4)]
-        out = np.full((len(addresses), 9), 5.0)
-        got = rng._normal_rows(seed, [(0, 0, k, b) for k, b in addresses], sigma, out)
-        want = np.stack([rng.gaussian_block(seed, k, b, sigma, 9) for k, b in addresses])
-        assert got is out
-        assert got.tobytes() == want.tobytes()
+        for rows in (addresses, addresses[2:3]):  # a single row takes the one-row path
+            steps, blocks = zip(*rows)
+            want = np.stack([rng.gaussian_block(seed, k, b, sigma, 9) for k, b in rows])
+            for k in (steps, np.array(steps, dtype=np.uint64)):
+                got = rng.gaussian_rows(seed, k, np.array(blocks), sigma, 9)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [np.int64(3), np.uint64(3), np.int32(3), np.int64(2**63 - 1),
                                    np.uint64(2**64 - 1)], ids=repr)

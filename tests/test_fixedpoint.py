@@ -550,6 +550,18 @@ def consensus(n, p):
 
 
 LASSO = bench.gen_lasso(n=30, p=4, support_size=2, noise_std=0.05, seed=8)
+DRIVERS = {  # every driver, run for K rounds
+    "centralized": lambda K: admm.centralized_run(consensus(6, 3), BlockVector.zeros(6, 3), 0.5,
+                                                  0.4, K, 3),
+    "federated": lambda K: admm.federated_run(consensus(9, 3), 3, 4, 0.5, 0.4, K, 3),
+    "decentralized": lambda K: admm.decentralized_run(consensus(9, 3), 3, 0.5, 0.4, K, 3),
+    "engine": lambda K: run(BlockVector(np.ones((5, 3))), affine_op(0.5, 0.2), IterationConfig(K=K)),
+    "dpsgd_baseline": lambda K: bench.dpsgd_baseline(LASSO, 0.01, 0.1, 1.0, 0.4, K, 5),
+    "dpsgd_federated": lambda K: bench.dpsgd_federated(LASSO, 0.01, 0.1, 1.0, 0.4, K, 7, 5),
+}
+EVERY_DRIVER = pytest.mark.parametrize("driver", list(DRIVERS.values()), ids=list(DRIVERS))
+# Not an iteration count: floats (integral ones too), bools, strings, None and numpy floats.
+NOT_AN_ITERATION_COUNT = [2.5, 3.0, True, False, "3", None, np.float64(3.0), np.bool_(True)]
 
 # Each run that goes through ``iterate``: the module whose ``iterate`` it calls, and the call.
 TRACED_RUNS = {
@@ -663,18 +675,35 @@ class TestRunTrace:
 
     # Every driver: a run that records no iterates fails before its first round, the walk
     # (which records them) when its store is allocated at round 0; both name K.
-    @pytest.mark.parametrize("driver", [
-        lambda K: admm.centralized_run(consensus(6, 3), BlockVector.zeros(6, 3), 0.5, 0.4, K, 3),
-        lambda K: admm.federated_run(consensus(9, 3), 3, 4, 0.5, 0.4, K, 3),
-        lambda K: admm.decentralized_run(consensus(9, 3), 3, 0.5, 0.4, K, 3),
-        lambda K: run(BlockVector(np.ones((5, 3))), affine_op(0.5, 0.2), IterationConfig(K=K)),
-        lambda K: bench.dpsgd_baseline(LASSO, 0.01, 0.1, 1.0, 0.4, K, 5),
-        lambda K: bench.dpsgd_federated(LASSO, 0.01, 0.1, 1.0, 0.4, K, 7, 5),
-    ], ids=["centralized", "federated", "decentralized", "engine", "dpsgd_baseline",
-            "dpsgd_federated"])
+    @EVERY_DRIVER
     def test_every_driver_rejects_K_of_2_to_the_63(self, driver):
         with pytest.raises(ParameterError, match=f"K={2**63}"):
             driver(2**63)
+
+    @EVERY_DRIVER
+    @pytest.mark.parametrize("K", NOT_AN_ITERATION_COUNT, ids=repr)
+    def test_every_driver_rejects_a_K_that_is_not_an_integer(self, driver, K):
+        with pytest.raises(ParameterError, match=re.escape(f"must be an integer >= 1, got K={K!r}")):
+            driver(K)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("K", NOT_AN_ITERATION_COUNT, ids=repr)
+    def test_K_that_is_not_an_integer_is_a_parameter_error_before_round_0(self, K, record):
+        rounds = []
+        with pytest.raises(ParameterError, match=re.escape(f"iteration count must be an integer "
+                                                           f">= 1, got K={K!r}")):
+            iterate(K, 1, lambda k: rounds.append(k) or (0, np.zeros(1)), record_iterates=record)
+        assert rounds == []
+
+    @pytest.mark.parametrize("K", [np.int64(3), np.uint64(3), np.int8(3)], ids=repr)
+    def test_a_numpy_integer_K_runs_K_rounds_as_the_int_does(self, K):
+        for driver in DRIVERS.values():
+            want, got = driver(3), driver(K)
+            if isinstance(want, tuple):  # a run's result, its trace and (the walk) its log
+                assert len(got[1]) == len(want[1]) == 3
+                want, got = want[0], got[0]
+            want, got = (np.asarray(getattr(x, "data", x)) for x in (want, got))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", [64, 512])  # the walk's rows and the engine's
     def test_rows_are_copies_of_a_reused_buffer(self, p):

@@ -9,7 +9,8 @@ by name) a string. So an attribute of another object that happens to share
 the name (``config.step``) reads nothing. Names that only tests, an acceptance
 criterion or a planned ROADMAP direction read are listed in ``KEPT`` with that
 reason; anything else is dead surface. The same scan checks that only
-``fixedpoint``'s schedules draw a round's participants.
+``fixedpoint``'s schedules draw a round's participants, and that only ``rng``
+turns a noise address into rows.
 """
 
 import ast
@@ -145,3 +146,14 @@ def test_only_fixedpoint_draws_a_rounds_participants():
     readers = sorted(path.stem for path in LIBRARY if path.stem not in ("rng", "simnet")
                      and _file_references(path)[1] & draws)
     assert readers == ["fixedpoint"]
+
+
+def test_only_rng_turns_a_noise_address_into_rows():
+    """A run's noise rows come from ``rng.gaussian_rows``: outside ``rng`` no module reads
+    the noise stream's domain or a private ``rng`` name, so only ``rng`` knows the counter
+    layout of an address. The one exception is the schedules' stream, which ``fixedpoint``
+    resets through ``rng._reset_to``."""
+    readers = sorted((path.stem, name) for path in LIBRARY if path.stem != "rng"
+                     for module, name in _file_references(path)[1]
+                     if module == "rng" and (name == "NOISE" or name.startswith("_")))
+    assert readers == [("fixedpoint", "_reset_to")]
