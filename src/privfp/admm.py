@@ -40,11 +40,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import rng, simnet
+from . import errors, rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
-from .fixedpoint import (FixedCohort, RandomWalk, RunTrace, _checked_rows, check_step_size, iterate,
-                         noisy_update)
+from .fixedpoint import FixedCohort, RandomWalk, RunTrace, _checked_rows, iterate, noisy_update
 from .operators import ProxSpec, RowQuadraticProx, clip_rows
 
 _WALK_BLOCK = 128  # walk steps whose holders and noise are drawn in one pass
@@ -79,8 +78,8 @@ class ConsensusProblem:
         object.__setattr__(self, "n", len(self.prox_f))
         if self.n < 1:
             raise ParameterError("need at least one per-item prox")
-        if self.clip_threshold is not None and not self.clip_threshold > 0:
-            raise ParameterError(f"clipping threshold must be > 0, got {self.clip_threshold}")
+        if self.clip_threshold is not None:
+            errors.real(self.clip_threshold, "clipping threshold", "> 0")
 
     def local_solves(self, V: np.ndarray, rows: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -140,11 +139,6 @@ def initial_state(problem: ConsensusProblem, p: int,
 # The round kernels: batched for the centralized and federated runs, one row for the walk
 
 
-def _check_step(lam: float, sigma: float):
-    check_step_size(lam)
-    rng.check_sigma(sigma)
-
-
 def _round_deltas(problem, U, rows, z_ref, sigma, seed, k, work=None):
     """clip(x_i - z_ref) for each i in rows, stacked, and round k's noise on those rows
     halved (None at sigma = 0): the displacement and noise of the round's ``noisy_update``.
@@ -170,18 +164,16 @@ def _round_deltas(problem, U, rows, z_ref, sigma, seed, k, work=None):
 def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
     """Round k in place: rows of U update against z; returns the new dual mean
     ubar + sum of deltas / n and z = prox_r of it (ubar is not modified)."""
-    _check_step(lam, sigma)
     deltas = noisy_update(U, rows, *_round_deltas(problem, U, rows, z, sigma, seed, k, work),
                           2.0 * lam)
     ubar = ubar + deltas.sum(axis=0) / problem.n
     return ubar, np.asarray(problem.prox_r(ubar), dtype=float)
 
 
-def _walk_draws(n, lam, sigma, seed, k, holder, m, size):
-    """Checks lam and sigma; returns the holders of walk steps k, ..., k + m: the given one,
-    then ``RandomWalk``'s, and the m halved noise rows (size wide) of steps k, ..., k + m - 1,
-    one ``rng.gaussian_rows`` draw at (step, holder) (None each at sigma = 0); a run draws ahead."""
-    _check_step(lam, sigma)
+def _walk_draws(n, sigma, seed, k, holder, m, size):
+    """The holders of walk steps k, ..., k + m: the given one, then ``RandomWalk``'s, and the
+    m halved noise rows (size wide) of steps k, ..., k + m - 1, one ``rng.gaussian_rows`` draw
+    at (step, holder) (None each at sigma = 0); a run draws ahead."""
     steps = range(k, k + m)
     holders = [holder, *(_WALK.rows(n, seed, j + 1) for j in steps)]
     if sigma == 0.0:
@@ -224,7 +216,7 @@ def centralized_run(problem: ConsensusProblem, u0: BlockVector, lam: float,
     """
     if u0.n_blocks != problem.n:
         raise StructuralError(f"u0 has {u0.n_blocks} blocks for {problem.n} users")
-    _check_step(lam, sigma)
+    errors.noisy_run(lam, sigma, seed)
     U = u0.data.copy()
     all_rows = np.arange(problem.n)
     work = np.empty((2, problem.n, U.shape[1]))
@@ -256,6 +248,7 @@ def federated_round(problem: ConsensusProblem, state: AdmmState,
     integer in [0, n), as ``fixedpoint.iterate`` requires of a step's
     active indices; repeats count once.
     """
+    errors.noisy_run(lam, sigma, seed)
     rows = np.unique(_checked_rows(list(sampled), problem.n, state.k))
     if rows.size == 0:
         raise ParameterError("sampled user set must not be empty")
@@ -270,6 +263,7 @@ def federated_run(problem: ConsensusProblem, p: int, m: int, lam: float,
                   objective: Callable[[np.ndarray], float] | None = None,
                   ) -> tuple[np.ndarray, RunTrace]:
     """K federated rounds, each over a ``FixedCohort(m)`` of the n users; returns z_K."""
+    errors.noisy_run(lam, sigma, seed)
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
     cohort, work = FixedCohort(m), None
@@ -300,10 +294,10 @@ def decentralized_step(problem: ConsensusProblem, state: AdmmState, i: int,
     the step updates a copy. The holder i must be an integer in [0, n), as
     ``fixedpoint.iterate`` requires of a step's active indices.
     """
+    errors.noisy_run(lam, sigma, seed)
     _checked_rows([i], problem.n, state.k)
     U = state.u.data.copy()
-    (_, next_user), (eta,) = _walk_draws(problem.n, lam, sigma, seed, state.k, int(i), 1,
-                                         U.shape[1])
+    (_, next_user), (eta,) = _walk_draws(problem.n, sigma, seed, state.k, int(i), 1, U.shape[1])
     ubar, z = _walk_step(problem, U, state.ubar, state.z, int(i), lam, eta)
     return AdmmState(u=BlockVector(U), z=z, k=state.k + 1, ubar=ubar), next_user
 
@@ -318,6 +312,7 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
     and the noise by one ``_walk_draws`` per _WALK_BLOCK steps, rows as wide as the duals. The
     trace records every released z; the log, a view of it and the holder of step K, is built
     once the run has ended, so a run stopped by an error returns none."""
+    errors.noisy_run(lam, sigma, seed)
     state = initial_state(problem, p, u0)
     U, ubar, z = state.u.data, state.ubar, state.z
     holders, noise = [_WALK.rows(problem.n, seed, 0)], []
@@ -326,7 +321,7 @@ def decentralized_run(problem: ConsensusProblem, p: int, lam: float, sigma: floa
         nonlocal ubar, z, holders, noise
         j = k % _WALK_BLOCK
         if j == 0:  # a block starts at the last one's final holder
-            holders, noise = _walk_draws(problem.n, lam, sigma, seed, k, holders[-1],
+            holders, noise = _walk_draws(problem.n, sigma, seed, k, holders[-1],
                                          min(_WALK_BLOCK, K - k), U.shape[1])
         ubar, z = _walk_step(problem, U, ubar, z, holders[j], lam, noise[j])
         return holders[j], z
@@ -358,7 +353,7 @@ class GeneralAdmmProblem:
     omega_A: float
 
     def __post_init__(self):
-        if self.omega_A <= 0:
+        if not errors.real(self.omega_A, "smallest singular value omega_A") > 0:
             raise ModelError("constraint matrix A must be full rank (omega_A > 0)")
 
 
@@ -378,10 +373,9 @@ def general_admm_step(problem: GeneralAdmmProblem, state: GeneralAdmmState,
     per-(step, block) substreams so that the consensus instantiation (one block per user)
     shares draws with the specialized drivers under the same seed. ``noise_blocks`` must
     be >= 1 and divide the size of u, whatever sigma is."""
-    _check_step(lam, sigma)
+    errors.noisy_run(lam, sigma, seed)
+    errors.count(noise_blocks, "noise block count", 1)
     u = np.asarray(state.u, dtype=float)
-    if noise_blocks < 1:
-        raise ParameterError(f"noise block count must be >= 1, got {noise_blocks}")
     if u.size % noise_blocks != 0:
         raise StructuralError(f"u of size {u.size} does not split into {noise_blocks} noise blocks")
     z = np.asarray(problem.g_argmin(u), dtype=float)

@@ -26,7 +26,6 @@ import contextlib
 import csv
 import itertools
 import math
-import numbers
 import os
 import shutil
 import time
@@ -35,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import admm, privacy, rng
+from . import admm, errors, privacy, rng
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
 from .fixedpoint import FixedCohort, SingleUniform, iterate, noisy_update
@@ -70,11 +69,10 @@ class LassoDataset:
 def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
               noise_std: float = 0.1, seed: int = 0) -> LassoDataset:
     """Rows uniform on the unit sphere; sparse uniform ground truth; Gaussian label noise."""
-    if not 0 <= support_size <= p:
-        raise ParameterError(f"support size must lie in [0, p={p}], got {support_size}")
-    if n < 1 or p < 1 or not noise_std >= 0:
-        raise ParameterError("need n >= 1, p >= 1, noise_std >= 0")
-    gen = rng.substream(seed, rng.DATA, 0, 0)
+    errors.count(support_size, "support size", 0, ("p", errors.count(p, "dimension p", 1)))
+    errors.count(n, "row count n", 1)
+    errors.real(noise_std, "noise_std", ">= 0")
+    gen = rng.substream(errors.seed(seed), rng.DATA, 0, 0)
     try:
         A = gen.normal(size=(n, p))
     except (ValueError, MemoryError) as exc:  # a shape numpy rejects or cannot allocate
@@ -90,8 +88,8 @@ def gen_lasso(n: int = 1000, p: int = 64, support_size: int = 8,
 def train_test_split(dataset: LassoDataset, test_fraction: float = 0.1,
                      seed: int = 0) -> tuple[LassoDataset, LassoDataset]:
     """Disjoint, seeded row split (train first); both parts keep at least one row."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ParameterError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    errors.real(test_fraction, "test fraction", "(0, 1)")
+    errors.seed(seed)
     n_test = max(1, int(round(dataset.n * test_fraction)))
     if n_test >= dataset.n:
         raise ParameterError(f"test fraction {test_fraction} of n={dataset.n} rows leaves "
@@ -163,6 +161,7 @@ def optimality_gap(dataset: LassoDataset, x: np.ndarray, kappa: float) -> np.nda
 def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
                             clip_threshold: float | None = None) -> admm.ConsensusProblem:
     """Consensus-splitting formulation of the Lasso on this dataset."""
+    errors.real(kappa, "kappa", "finite >= 0")
     return admm.ConsensusProblem(
         prox_f=RowQuadraticProx(dataset.A, dataset.b, gamma),
         prox_r=L1Prox(threshold=gamma * kappa / (2.0 * dataset.n)),
@@ -173,18 +172,16 @@ def lasso_consensus_problem(dataset: LassoDataset, kappa: float, gamma: float,
 # Proximal DP-SGD baseline
 
 
-def _check_dpsgd(step: float, clip_threshold: float, sigma: float):
-    if not step > 0 or not clip_threshold > 0:
-        raise ParameterError("need step > 0 and clip_threshold > 0")
-    rng.check_sigma(sigma)
-
-
 def dpsgd_baseline(dataset: LassoDataset, kappa: float, step: float,
                    clip_threshold: float, sigma: float, K: int, seed: int) -> np.ndarray:
     """Proximal DP-SGD: noisy clipped gradient of one uniform item, then soft threshold.
 
     A one-block iteration through ``iterate``: step k's noise reads block 0."""
-    _check_dpsgd(step, clip_threshold, sigma)
+    errors.real(kappa, "kappa", "finite >= 0")
+    errors.real(step, "DP-SGD step", "> 0")
+    errors.real(clip_threshold, "clipping threshold", "> 0")
+    errors.real(sigma, "noise std sigma", "square >= 0")
+    errors.seed(seed)
     x, items = np.zeros(dataset.p), SingleUniform()
 
     def advance(k):
@@ -204,7 +201,11 @@ def dpsgd_federated(dataset: LassoDataset, kappa: float, step: float,
                     seed: int) -> np.ndarray:
     """Federated proximal DP-SGD through ``iterate``: per round, a sampled cohort of users
     each releases a clipped per-item gradient plus noise; the server averages and steps."""
-    _check_dpsgd(step, clip_threshold, sigma)
+    errors.real(kappa, "kappa", "finite >= 0")
+    errors.real(step, "DP-SGD step", "> 0")
+    errors.real(clip_threshold, "clipping threshold", "> 0")
+    errors.real(sigma, "noise std sigma", "square >= 0")
+    errors.seed(seed)
     x, cohort = np.zeros(dataset.p), FixedCohort(m)
 
     def advance(k):
@@ -278,23 +279,17 @@ class ExperimentConfig:
         for name in ("epsilons", "seeds"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must not be empty")
-        for seed in (*self.seeds, self.data_seed):  # rng keys a seed mod 2**64: others alias
-            if type(seed) is bool or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-                raise ParameterError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
+        for seed in (*self.seeds, self.data_seed):
+            errors.seed(seed)
         for eps in self.epsilons:  # solve calibrates at min(epsilons) only; NaN, inf fail anywhere
-            if not eps < math.inf:
-                privacy.check_budget(eps)
-        privacy.check_delta(self.delta)
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ParameterError(f"sample fraction must lie in (0, 1], got {self.sample_fraction}")
-        for name in ("gamma_scale", "clip_threshold"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ParameterError(f"{name} must be a finite number > 0, got {value}")
-        for name in ("kappa", "kappa_fraction"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ParameterError(f"{name} must be a finite number >= 0, got {value}")
+            errors.real(eps, "privacy budget epsilon", "budget")
+        errors.real(self.delta, "delta", "(0, 1)")
+        errors.real(self.sample_fraction, "sample fraction", "(0, 1]")
+        errors.real(self.gamma_scale, "gamma_scale", "finite > 0")
+        errors.real(self.clip_threshold, "clip_threshold", "finite > 0")
+        if self.kappa is not None:
+            errors.real(self.kappa, "kappa", "finite >= 0")
+        errors.real(self.kappa_fraction, "kappa_fraction", "finite >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from . import errors
+from .errors import ParameterError, StructuralError
 
 
 @dataclass
@@ -22,9 +23,12 @@ class BlockVector:
 
     @classmethod
     def zeros(cls, n_blocks: int, block_dim: int) -> "BlockVector":
-        if n_blocks < 1 or block_dim < 1:
-            raise StructuralError("need n_blocks >= 1 and block_dim >= 1")
-        return cls(np.zeros((n_blocks, block_dim)))
+        shape = (errors.count(n_blocks, "block count", 1),
+                 errors.count(block_dim, "block width", 1))
+        try:
+            return cls(np.zeros(shape))
+        except (ValueError, MemoryError) as exc:  # a shape numpy rejects or cannot allocate
+            raise ParameterError(f"blocks of shape {shape} cannot be allocated") from exc
 
     @property
     def n_blocks(self) -> int:

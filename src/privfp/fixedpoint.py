@@ -27,13 +27,12 @@ snapshots. Stochastic gradient and coordinate-descent instantiations are provide
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import rng, simnet
+from . import errors, rng, simnet
 from .blocks import BlockVector
 from .errors import ModelError, ParameterError, StructuralError
 from .operators import NonExpansive, OperatorHandle
@@ -78,8 +77,7 @@ class BernoulliPerBlock(BlockSchedule):
     q: float
 
     def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ParameterError(f"activation probability must be in (0, 1], got {self.q}")
+        errors.real(self.q, "activation probability q", "(0, 1]")
 
     def rows(self, n_blocks, seed, k):
         return np.flatnonzero(rng._reset_to(seed, rng.SCHEDULE, k, 0).random(n_blocks) < self.q)
@@ -95,8 +93,7 @@ class FixedCohort(BlockSchedule):
     m: int
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
-            raise ParameterError(f"cohort size must be an integer >= 1, got {self.m}")
+        errors.count(self.m, "cohort size", 1)
 
     def rows(self, n_blocks, seed, k):
         return simnet.sample_users(n_blocks, self.m, rng._reset_to(seed, rng.SCHEDULE, k, 0))
@@ -147,21 +144,8 @@ class IterationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_iterations(self.K)
-        rng.check_sigma(self.sigma)
-        check_step_size(self.lam)
-
-
-def _check_iterations(K):
-    """The one iteration-count rule: an integer >= 1, a numpy integer too, not a bool."""
-    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 1:
-        raise ParameterError(f"iteration count must be an integer >= 1, got K={K!r}")
-
-
-def check_step_size(lam):
-    """The one step-size rule of the engine, the consensus runs and the accountant."""
-    if not isinstance(lam, numbers.Real) or not 0.0 < lam <= 1.0:
-        raise ParameterError(f"step size must be a number in (0, 1], got {lam!r}")
+        errors.rounds(self.K)
+        errors.noisy_run(self.lam, self.sigma, self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +215,7 @@ def noisy_update(u: np.ndarray, rows, delta: np.ndarray, eta: np.ndarray | None,
 
 def step(u: BlockVector, operator: OperatorHandle, cfg: IterationConfig, k: int) -> BlockVector:
     """One noisy block-coordinate update of a copy of u; inactive blocks are returned bit-unchanged."""
-    if k < 0 or k >= cfg.K:
-        raise ParameterError(f"iteration index {k} out of range for K={cfg.K}")
+    k = int(errors.count(k, "iteration index k", 0, ("K - 1", cfg.K - 1)))  # rng masks an int
     out = u.copy()
     _update(out.data, operator, cfg, k)
     return out
@@ -309,9 +292,7 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
     by reference (a view as a copy): ``advance`` must not modify it after returning it. With
     ``record_iterates`` each released iterate is copied, as floats, into row k of one (K, ...)
     array allocated at round 0; another shape raises ``StructuralError`` naming the round."""
-    _check_iterations(K)
-    if K > 2**63 - 1 and not record_iterates:  # a recording run's store rejects it at round 0
-        raise ParameterError(f"iteration count must be <= 2**63 - 1, got K={K}")
+    errors.rounds(K, bounded=not record_iterates)  # a recording run's store bounds K at round 0
     rows, objs, dists, store = [], [], [], np.empty(0)
     for k in range(K):
         active, x = advance(k)
@@ -372,11 +353,10 @@ def dpsgd_instance(item_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
 
     ``order`` selects items: "cyclic" passes or "uniform" draws.
     """
-    if not beta > 0:
-        raise ParameterError(f"smoothness beta must be > 0, got {beta}")
-    if not 0.0 < gamma < 2.0 / beta:
-        raise ParameterError(f"step gamma must lie in (0, 2/beta), got {gamma}")
-    rng.check_sigma(sigma_grad)
+    errors.real(beta, "smoothness beta", "> 0")
+    errors.real(gamma, "step gamma", "> 0")
+    errors.real(gamma * beta / 2.0, "engine step size gamma*beta/2", "(0, 1)")
+    errors.real(sigma_grad, "gradient noise std sigma_grad", "square >= 0")
     if order not in ("cyclic", "uniform"):
         raise ParameterError(f"unknown item order {order!r}")
     n_items = len(item_grads)
@@ -410,10 +390,9 @@ def dpcd_instance(coord_grads: Sequence[Callable[[np.ndarray], np.ndarray]],
     gradient per active block. The default schedule activates a single
     uniform block per step.
     """
-    if not beta > 0:
-        raise ParameterError(f"smoothness beta must be > 0, got {beta}")
-    if n_blocks <= 1:
-        raise ParameterError(f"coordinate instantiation needs more than one block, got {n_blocks}")
+    errors.real(beta, "smoothness beta", "> 0")
+    errors.count(n_blocks, "block count n_blocks", 2)
+    errors.count(block_dim, "block width block_dim", 1)
     if len(coord_grads) != n_blocks:
         raise StructuralError(
             f"{len(coord_grads)} block gradients supplied for {n_blocks} blocks")

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import errors
 from .errors import ModelError, ParameterError, StructuralError
 
 # ---------------------------------------------------------------------------
@@ -33,8 +34,7 @@ class Contractive:
     tau: float
 
     def __post_init__(self):
-        if not 0.0 <= self.tau < 1.0:
-            raise ParameterError(f"contraction factor must be in [0, 1), got {self.tau}")
+        errors.real(self.tau, "contraction factor tau", "[0, 1)")
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class Averaged:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ParameterError(f"averaging weight must be in (0, 1), got {self.lam}")
+        errors.real(self.lam, "averaging weight lam", "(0, 1)")
 
 
 OperatorClass = NonExpansive | Contractive | Averaged
@@ -78,16 +77,17 @@ class OperatorHandle:
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
     """Soft thresholding: sign(v) * max(|v| - threshold, 0), componentwise."""
-    if not threshold >= 0:
-        raise ParameterError(f"soft-threshold level must be >= 0, got {threshold}")
+    return _soft_threshold(v, errors.real(threshold, "soft-threshold level", ">= 0"))
+
+
+def _soft_threshold(v, threshold):
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
 def clip(v: np.ndarray, threshold: float) -> np.ndarray:
     """Radial projection onto the Euclidean ball of radius threshold."""
-    if not threshold > 0:
-        raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
+    errors.real(threshold, "clipping threshold", "> 0")
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
     if norm <= threshold:
@@ -100,8 +100,7 @@ def clip_rows(X: np.ndarray, threshold: float) -> np.ndarray:
 
     Rows inside the ball keep their bits.
     """
-    if not threshold > 0:
-        raise ParameterError(f"clipping threshold must be > 0, got {threshold}")
+    errors.real(threshold, "clipping threshold", "> 0")
     # what np.linalg.norm(X, axis=1) evaluates, without its argument handling
     norms = np.sqrt(np.add.reduce(X * X, axis=1))
     if (norms > threshold).any():
@@ -137,11 +136,10 @@ class L1Prox(ProxSpec):
     threshold: float
 
     def __post_init__(self):
-        if not self.threshold >= 0:
-            raise ParameterError(f"L1 threshold must be >= 0, got {self.threshold}")
+        errors.real(self.threshold, "L1 threshold", ">= 0")
 
-    def __call__(self, v):
-        return prox_l1(v, self.threshold)
+    def __call__(self, v):  # its threshold is checked once, at construction
+        return _soft_threshold(v, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,8 @@ class QuadraticRankOneProx(ProxSpec):
     n: int
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
-        if not self.n >= 1:
-            raise ParameterError(f"row weight n must be >= 1, got {self.n}")
+        errors.real(self.gamma, "prox step gamma", "> 0")
+        errors.count(self.n, "row weight n", 1)
 
     def __call__(self, v):
         a = np.asarray(self.a, dtype=float)
@@ -184,8 +180,7 @@ class RowQuadraticProx:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, gamma: float):
-        if not gamma > 0:
-            raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
+        errors.real(gamma, "prox step gamma", "> 0")
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.shape != self.A.shape[:1]:
@@ -234,8 +229,7 @@ class QuadraticProx(ProxSpec):
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"prox step gamma must be > 0, got {self.gamma}")
+        errors.real(self.gamma, "prox step gamma", "> 0")
         shape = np.shape(self.Q)
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.c) != shape[:1]:
             raise StructuralError(f"Q of shape {shape} and c of shape {np.shape(self.c)} "
@@ -276,8 +270,7 @@ def reflect_compose(prox1: ProxSpec, prox2: ProxSpec, lam: float) -> OperatorHan
     minimizing the sum of the two underlying functions; its fixed points u*
     map to minimizers through the second prox, x* = prox2(u*).
     """
-    if not 0.0 < lam < 1.0:
-        raise ParameterError(f"averaging weight must be in (0, 1), got {lam}")
+    errors.real(lam, "averaging weight lam", "(0, 1)")
     r1 = reflect(prox1)
     r2 = reflect(prox2)
 
@@ -296,10 +289,8 @@ def gradient_step_operator(grad: Callable[[np.ndarray], np.ndarray], beta: float
     non-expansive; declaring strong convexity mu > 0 shortens the step to
     2/(beta+mu) and the operator becomes (beta-mu)/(beta+mu)-contractive.
     """
-    if not beta > 0:
-        raise ParameterError(f"smoothness beta must be > 0, got {beta}")
-    if not mu >= 0:
-        raise ParameterError(f"strong convexity mu must be >= 0, got {mu}")
+    errors.real(beta, "smoothness beta", "> 0")
+    errors.real(mu, "strong convexity mu", ">= 0")
     step = 2.0 / (beta + mu)
 
     def apply(u, k=0):

@@ -10,10 +10,9 @@ noise calibration. Every function is pure. A per-order formula raises
 ConditionNotMet naming the clause an out-of-regime order fails; a cell's
 ``Accountant`` checks its arguments once, skips such an order without
 raising, and calibrates without evaluating the formula below the regime
-floor (a default bench cell in ~0.3 ms on a 2-vCPU Xeon). The formulas
-share one rule for L and gamma (both > 0; they, L*gamma and a sensitivity
-have finite squares); calibration has one for the budget (NaN is a
-ParameterError) and one for delta (it lies in (0, 1)).
+floor (a default bench cell in ~0.3 ms on a 2-vCPU Xeon). Each per-order
+formula is its setting's ``accountant`` at a one-order grid, so the
+arguments of every formula pass the rules of ``errors`` in one place.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .errors import ConditionNotMet, ParameterError, StructuralError
-from .fixedpoint import check_step_size
-from .rng import MAX_SIGMA, check_sigma
+from . import errors
+from .errors import ConditionNotMet, ModelError, ParameterError, StructuralError
 
 # Default Rényi order grid; callers may extend it (conversion minimizes over it).
 DEFAULT_ALPHAS: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -41,22 +39,15 @@ class RdpCurve:
     def __post_init__(self):
         if len(self.alphas) != len(self.epsilons):
             raise StructuralError("alpha grid and epsilon values differ in length")
-        _check_orders(self.alphas)
-        for e in self.epsilons:
-            if not e >= 0:
-                raise ParameterError(f"epsilon values must be >= 0, got {e}")
-
-
-def check_delta(delta: float):
-    """The one rule for delta: it lies in (0, 1), so a NaN fails too."""
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+        if len(self.alphas) == 0:
+            raise StructuralError("empty alpha grid")
+        errors.reals(self.alphas, "Rényi order", "> 1")
+        errors.reals(self.epsilons, "epsilon value", ">= 0")
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
     """Best (epsilon, delta)-DP implied by the curve: min over alpha of eps + ln(1/delta)/(alpha-1)."""
-    check_delta(delta)
-    log_inv_delta = math.log(1.0 / delta)
+    log_inv_delta = math.log(1.0 / errors.real(delta, "delta", "(0, 1)"))
     return min(e + log_inv_delta / (a - 1.0) for a, e in zip(curve.alphas, curve.epsilons))
 
 
@@ -64,30 +55,8 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
 # Elementary mechanisms and sensitivities
 
 
-def _check_sigma(sigma: float):
-    check_sigma(sigma)
-    if sigma * sigma == 0.0:  # every formula divides by sigma ** 2
-        raise ParameterError(f"noise std sigma must have a square > 0 to be accounted, got {sigma}")
-
-
-def _check_orders(alphas: tuple[float, ...]):
-    if len(alphas) == 0:
-        raise StructuralError("empty alpha grid")
-    for a in alphas:
-        if not a > 1:
-            raise ParameterError(f"Rényi order must be > 1, got {a}")
-
-
-def _check_sensitivity(sensitivity: float):
-    if not 0.0 <= sensitivity <= MAX_SIGMA:
-        raise ParameterError(f"sensitivity must be >= 0 with a finite square, got {sensitivity}")
-
-
-def _gaussian(alphas, count: int, what: str, sensitivity: float):
-    if count < 0:
-        raise ParameterError(f"{what} count must be >= 0, got {count}")
-    _check_orders(alphas)
-    _check_sensitivity(sensitivity)
+def _gaussian(alphas, count: int, sensitivity: float):
+    errors.real(sensitivity, "sensitivity", "square >= 0")
 
     def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
         return alphas, tuple(count * (a * sensitivity ** 2 / (2.0 * sigma ** 2)) for a in alphas)
@@ -96,49 +65,36 @@ def _gaussian(alphas, count: int, what: str, sensitivity: float):
 
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
     """Rényi DP of the Gaussian mechanism: alpha * Delta^2 / (2 sigma^2)."""
-    return _gaussian((alpha,), 1, "release", sensitivity).epsilon(sigma)
-
-
-def _check_lipschitz_step(L: float, gamma: float):
-    """The rule of every formula for L and gamma: both > 0 (so not NaN), and L, gamma
-    and L*gamma each with a finite square (a float ``**`` raises where ``*`` gives inf)."""
-    if not L > 0:
-        raise ParameterError(f"Lipschitz constant L must be > 0, got {L}")
-    if not gamma > 0:
-        raise ParameterError(f"prox step gamma must be > 0, got {gamma}")
-    for what, value in (("Lipschitz constant L", L), ("prox step gamma", gamma),
-                        ("L*gamma", L * gamma)):
-        if not value <= MAX_SIGMA:
-            raise ParameterError(f"{what} must have a finite square, got {value}")
+    return _gaussian((alpha,), 1, sensitivity).epsilon(sigma)
 
 
 def sensitivity_consensus(L: float, gamma: float, lam: float, n: int) -> float:
     """One-step output displacement bound 4*lam*L*gamma/n of the consensus update."""
-    _check_lipschitz_step(L, gamma)
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    check_step_size(lam)
+    errors.real(L, "Lipschitz constant L", "square > 0")
+    errors.real(gamma, "prox step gamma", "square > 0")
+    errors.real(L * gamma, "L*gamma", "square > 0")
+    errors.count(n, "population n", 1)
+    errors.real(lam, "step size", "(0, 1]")
     return 4.0 * lam * L * gamma / n
 
 
 def sensitivity_general(L: float, gamma: float, lam: float, n: int,
                         A_norm: float, omega_A: float) -> float:
     """Displacement bound 4*lam*L*gamma*||A||_2 / (n * omega_A) for the matrix-constrained update."""
-    if omega_A <= 0:
-        raise ParameterError("constraint matrix must be full rank (omega_A > 0)")
-    if A_norm <= 0:
-        raise ParameterError(f"spectral norm must be > 0, got {A_norm}")
+    if not errors.real(omega_A, "smallest singular value omega_A") > 0:
+        raise ModelError("constraint matrix must be full rank (omega_A > 0)")
+    errors.real(A_norm, "spectral norm", "> 0")
     return sensitivity_consensus(L, gamma, lam, n) * A_norm / omega_A
 
 
 # ---------------------------------------------------------------------------
 # Setting-specific epsilon formulas
 #
-# Each _<formula> checks its arguments (the whole grid included) once and
-# returns an Accountant whose orders(sigma, strict) is the formula at the
-# grid's in-regime orders. A per-order formula is its epsilon on a one-order
-# grid, evaluated strictly, so a dropped order raises ConditionNotMet naming
-# the clause it fails.
+# Each _<formula> returns an Accountant whose orders(sigma, strict) is the
+# formula at the grid's in-regime orders; ``accountant`` has checked its
+# arguments, and the Accountant checks the grid. A per-order formula is its
+# setting's epsilon on a one-order grid, evaluated strictly, so a dropped order
+# raises ConditionNotMet naming the clause it fails.
 
 
 def _subsampling_orders(alphas, q: float, sigma: float, strict: bool) -> tuple[float, ...]:
@@ -167,19 +123,16 @@ def _subsampling_orders(alphas, q: float, sigma: float, strict: bool) -> tuple[f
 def centralized_epsilon(alpha: float, K: int, L: float, gamma: float,
                         sigma: float, n: int) -> float:
     """Record-level Rényi DP of K centralized rounds: 8*alpha*K*L^2*gamma^2/(sigma^2 n^2)."""
-    return _gaussian((alpha,), K, "round", sensitivity_consensus(L, gamma, 1.0, n)).epsilon(sigma)
+    return accountant("centralized", K=K, L=L, gamma=gamma, n=n, alphas=(alpha,)).epsilon(sigma)
 
 
 def subsampled_accountant(*, K: int, q: float, sensitivity: float,
                           alphas: tuple[float, ...] = DEFAULT_ALPHAS,
                           delta: float | None = None) -> Accountant:
     """K compositions of the q-subsampled Gaussian mechanism (record-level DP-SGD)."""
-    if K < 0:
-        raise ParameterError(f"round count must be >= 0, got {K}")
-    _check_orders(alphas)
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"sampling probability must lie in (0, 1), got {q}")
-    _check_sensitivity(sensitivity)
+    errors.count(K, "round count", 0)
+    errors.real(q, "sampling probability q", "(0, 1)")
+    errors.real(sensitivity, "sensitivity", "square >= 0")
 
     def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
         grid = _subsampling_orders(alphas, q, sigma, strict)
@@ -200,19 +153,14 @@ def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> 
 
 def local_epsilon(alpha: float, K_i: int, L: float, gamma: float, sigma: float) -> float:
     """Per-user local Rényi DP over K_i participations: 8*alpha*K_i*L^2*gamma^2/sigma^2."""
-    return _gaussian((alpha,), K_i, "participation",
-                     sensitivity_consensus(L, gamma, 1.0, 1)).epsilon(sigma)
+    return accountant("local", K=0, K_i=errors.count(K_i, "participation count", 0),
+                      L=L, gamma=gamma, n=1, alphas=(alpha,)).epsilon(sigma)
 
 
 def _federated(alphas, K: int, L: float, gamma: float, m: int | None, n: int):
-    if m is None:
-        raise ParameterError("federated accounting needs the cohort size m")
-    _check_lipschitz_step(L, gamma)
-    if m < 1 or n < 1 or m > n:
-        raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if K <= 0:  # no round released: zero at every order and no regime (K < 0 raises there)
-        return _gaussian(alphas, K, "round", 0.0)
-    _check_orders(alphas)
+    errors.count(m, "cohort size", 1, ("n", n))
+    if K == 0:  # no round released: zero at every order and no regime
+        return _gaussian(alphas, K, 0.0)
 
     def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
         grid = _subsampling_orders(alphas, m / n, sigma, strict)
@@ -228,7 +176,8 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
     Value: 16*alpha*K*L^2*gamma^2/(sigma^2 n^2), i.e. twice the centralized
     bound; valid only in the subsampling regime with q = m/n.
     """
-    return _federated((alpha,), K, L, gamma, m, n).epsilon(sigma)
+    return accountant("federated_central", K=K, L=L, gamma=gamma, n=n, m=m,
+                      alphas=(alpha,)).epsilon(sigma)
 
 
 def _network_threshold(alpha: float, L: float, gamma: float) -> float:
@@ -236,13 +185,6 @@ def _network_threshold(alpha: float, L: float, gamma: float) -> float:
 
 
 def _network(alphas, K_i: int, L: float, gamma: float, n: int):
-    _check_orders(alphas)
-    _check_lipschitz_step(L, gamma)
-    if n < 2:
-        raise ParameterError(f"walk needs n >= 2 users, got {n}")
-    if K_i < 0:
-        raise ParameterError(f"participation count must be >= 0, got {K_i}")
-
     def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
         kept = tuple(a for a in alphas if sigma > _network_threshold(a, L, gamma))
         if strict and not kept:
@@ -253,7 +195,8 @@ def _network(alphas, K_i: int, L: float, gamma: float, n: int):
             return kept, (0.0,) * len(kept)
         return kept, tuple(8.0 * a * K_i * L ** 2 * gamma ** 2 * math.log(n) / (sigma ** 2 * n)
                            for a in kept)
-    return Accountant(orders, alphas, _network_threshold(min(alphas), L, gamma), strict_floor=True)
+    cell = Accountant(orders, alphas, strict_floor=True)  # checks the grid that min reads
+    return replace(cell, floor=_network_threshold(min(alphas), L, gamma))
 
 
 def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
@@ -264,31 +207,19 @@ def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
     noise condition sigma > 2*L*gamma*sqrt(alpha*(alpha-1)) (from the weak
     convexity step) and n >= 2.
     """
-    return _network((alpha,), K_i, L, gamma, n).epsilon(sigma)
+    return accountant("network", K=0, K_i=errors.count(K_i, "participation count", 0),
+                      L=L, gamma=gamma, n=n, alphas=(alpha,)).epsilon(sigma)
 
 
 def estimated_participations(K: int, n: int) -> int:
     """ceil(K/n): upper estimate of per-user participations in a K-step uniform walk."""
-    if K < 0 or n < 1:
-        raise ParameterError("need K >= 0 and n >= 1")
-    return -(-K // n)
+    return -(-errors.count(K, "round count", 0) // errors.count(n, "population n", 1))
 
 
 # ---------------------------------------------------------------------------
 # One accountant per cell, and calibration
 
 SETTINGS = ("centralized", "federated_central", "local", "network")
-
-
-def check_budget(epsilon: float):
-    """The one budget rule of noise calibration: a NaN or infinite budget is a
-    ParameterError, one <= 0 is out of regime (ConditionNotMet)."""
-    if math.isnan(epsilon):
-        raise ParameterError(f"privacy budget epsilon must be a number, got {epsilon}")
-    if epsilon == math.inf:
-        raise ParameterError(f"privacy budget epsilon must be finite, got {epsilon}")
-    if epsilon <= 0:
-        raise ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
 
 
 _LARGE_SIGMA = 1e8
@@ -312,12 +243,15 @@ class Accountant:
     params: str = ""  # a curve's provenance is regime(params,sigma=...)
 
     def __post_init__(self):
+        if len(self.alphas) == 0:
+            raise StructuralError("empty alpha grid")
+        errors.reals(self.alphas, "Rényi order", "> 1")
         if self.delta is not None:
-            check_delta(self.delta)
+            errors.real(self.delta, "delta", "(0, 1)")
 
     def curve(self, sigma: float) -> RdpCurve:
         """The formula over the grid in one pass, keeping only in-regime orders."""
-        _check_sigma(sigma)
+        errors.real(sigma, "noise std sigma", "accountable")
         alphas, epsilons = self.orders(sigma, False)
         if not alphas:
             raise ConditionNotMet("no valid Rényi order", f"no grid order satisfies the "
@@ -330,15 +264,17 @@ class Accountant:
             return rdp_to_dp(self.curve(sigma), self.delta)
         if len(self.alphas) != 1:
             raise StructuralError(f"a Rényi target needs one order, got {len(self.alphas)}")
-        _check_sigma(sigma)
+        errors.real(sigma, "noise std sigma", "accountable")
         return self.orders(sigma, True)[1][0]
 
     def _below_floor(self, sigma: float) -> bool:
         return sigma <= self.floor if self.strict_floor else sigma < self.floor
 
     def calibrate(self, epsilon: float) -> float:
-        """Smallest noise std meeting the budget, within ``SIGMA_REL_TOL``, or ConditionNotMet."""
-        check_budget(epsilon)
+        """Smallest noise std meeting the budget, within ``SIGMA_REL_TOL``, or ConditionNotMet;
+        a NaN or infinite budget is a ParameterError, one <= 0 out of regime."""
+        if errors.real(epsilon, "privacy budget epsilon", "budget") <= 0:
+            raise ConditionNotMet("epsilon > 0", "privacy budget must be strictly positive")
         if self.delta is not None:  # a sigma below the floor fails without evaluating the formula
             return bisect_sigma(lambda sig: math.inf if self._below_floor(sig) else
                                 self.epsilon(sig), epsilon, 1e-6)
@@ -349,7 +285,7 @@ class Accountant:
             sigma = max(_LARGE_SIGMA * math.sqrt(base / epsilon) * (1.0 + 1e-12), floor)
         else:
             sigma = floor if floor > 0 else 1e-6
-        if not sigma <= MAX_SIGMA:  # the formula overflowed, or no accountable sigma is enough
+        if not sigma * sigma < math.inf:  # the formula overflowed, or no accountable sigma is enough
             raise ConditionNotMet("feasible sigma", "no noise level meets the target in regime")
         # returned as is when it meets the target, even below bisection's 1e-6 start
         return bisect_sigma(self.epsilon, epsilon, sigma)
@@ -359,19 +295,23 @@ def accountant(setting: str, *, K: int, L: float, gamma: float, n: int,
                m: int | None = None, K_i: int | None = None,
                alphas: tuple[float, ...] = DEFAULT_ALPHAS,
                delta: float | None = None) -> Accountant:
-    """A setting's accountant; K_i defaults to K (local) or ceil(K/n) (network)."""
+    """A setting's accountant; K_i defaults to K (local) or ceil(K/n) (network).
+    Every per-order formula is one at a one-order grid, so its arguments are checked here."""
+    if setting not in SETTINGS:
+        raise ParameterError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+    errors.count(K, "round count", 0)
+    errors.count(n, "population n", 2 if setting == "network" else 1)
+    local = sensitivity_consensus(L, gamma, 1.0, 1)  # checks L, gamma and L*gamma
     if setting == "centralized":
-        cell = _gaussian(alphas, K, "round", sensitivity_consensus(L, gamma, 1.0, n))
+        cell = _gaussian(alphas, K, sensitivity_consensus(L, gamma, 1.0, n))
     elif setting == "federated_central":
         cell = _federated(alphas, K, L, gamma, m, n)
     elif setting == "local":
-        cell = _gaussian(alphas, K_i if K_i is not None else K, "participation",
-                         sensitivity_consensus(L, gamma, 1.0, 1))
-    elif setting == "network":
-        cell = _network(alphas, K_i if K_i is not None else estimated_participations(K, n),
-                        L, gamma, n)
+        cell = _gaussian(alphas, errors.count(K if K_i is None else K_i, "participation count", 0),
+                         local)
     else:
-        raise ParameterError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+        cell = _network(alphas, errors.count(estimated_participations(K, n) if K_i is None
+                                             else K_i, "participation count", 0), L, gamma, n)
     return replace(cell, delta=delta, regime=setting, params=f"K={K}")
 
 

@@ -19,12 +19,9 @@ address.
 
 from __future__ import annotations
 
-import sys
 import threading
 
 import numpy as np
-
-from .errors import ParameterError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -33,19 +30,10 @@ NOISE = 0x01
 SCHEDULE = 0x02
 DATA = 0x03
 
-# Largest noise std whose variance sigma^2 is a finite float.
-MAX_SIGMA = sys.float_info.max ** 0.5
-
-
-def check_sigma(sigma: float) -> None:
-    """The one noise-std rule of drivers and accountant: 0 <= sigma <= MAX_SIGMA (so not NaN)."""
-    if not 0.0 <= sigma <= MAX_SIGMA:
-        raise ParameterError(f"noise std sigma must be >= 0 with a finite square, got {sigma}")
-
 
 def substream(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
     """Generator for the (domain, iteration k, block b) substream of seed."""
-    key = np.array([seed & _MASK64, domain & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, domain & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, k & _MASK64, b & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
@@ -70,7 +58,7 @@ def _reset_to(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
                                  "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                                  "has_uint32": 0, "uinteger": 0}
     words = state["state"]
-    words["key"] = (seed & _MASK64, domain & _MASK64)
+    words["key"] = (int(seed) & _MASK64, domain & _MASK64)  # a numpy seed would overflow it
     words["counter"] = (0, 0, k & _MASK64, b & _MASK64)
     gen.bit_generator.state = state
     return gen

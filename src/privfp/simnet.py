@@ -16,25 +16,24 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from . import errors
+from .errors import StructuralError
 
 if TYPE_CHECKING:
     from .fixedpoint import RunTrace
 
+_INT64 = ("int64 max", 2**63 - 1)  # the largest bound numpy draws an integer below
+
 
 def sample_users(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform subset of m of n user indices, without replacement (sorted)."""
-    if n < 1:
-        raise ParameterError(f"population must be >= 1, got {n}")
-    if not 1 <= m <= n:
-        raise ParameterError(f"cohort size must satisfy 1 <= m <= n, got m={m}, n={n}")
+    errors.count(m, "cohort size", 1, ("n", errors.count(n, "population n", 1, _INT64)))
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
 def walk_next(n: int, rng: np.random.Generator) -> int:
     """Next walk target, uniform over all n users (self-loops allowed)."""
-    if n < 1:
-        raise ParameterError(f"population must be >= 1, got {n}")
+    errors.count(n, "population n", 1, _INT64)
     return int(rng.integers(n))
 
 
@@ -80,8 +79,7 @@ def record_observation(trace: RunTrace, last: int) -> ObservationLog:
     if not len(trace.iterates) == len(trace) > 0:
         raise StructuralError(f"a walk's log needs an iterate per round, got {len(trace.iterates)} "
                               f"for {len(trace)} rounds")
-    if not 0 <= last < trace.n_blocks:
-        raise ParameterError(f"last holder {last} out of range for n={trace.n_blocks}")
+    errors.count(last, "last holder", 0, ("n - 1", trace.n_blocks - 1))
     return ObservationLog(trace, last)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConditionNotMet, ParameterError
+from . import errors
+from .errors import ConditionNotMet
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,13 @@ class UtilityParams:
     k: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.tau < 1.0:
-            raise ParameterError(f"contraction factor must be in [0, 1), got {self.tau}")
-        if not 0.0 < self.q <= 1.0:
-            raise ParameterError(f"activation probability must be in (0, 1], got {self.q}")
-        if not self.sigma >= 0 or not self.zeta >= 0:
-            raise ParameterError("noise and error scales must be >= 0")
-        if self.p < 1 or not self.D >= 0 or self.k < 0:
-            raise ParameterError("need p >= 1, D >= 0, k >= 0")
+        errors.real(self.tau, "contraction factor tau", "[0, 1)")
+        errors.real(self.q, "activation probability q", "(0, 1]")
+        errors.real(self.sigma, "noise std sigma", "square >= 0")
+        errors.real(self.zeta, "operator error zeta", "square >= 0")
+        errors.real(self.D, "initial distance D", ">= 0")
+        errors.count(self.p, "block dimension p", 1)
+        errors.count(self.k, "iteration count k", 0)
 
 
 def _noise_scale(q, sigma, zeta, p):

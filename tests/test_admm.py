@@ -626,9 +626,9 @@ def _walk_problem(form, p, clip=None):
     return ConsensusProblem(prox_f=prox_f, prox_r=L1Prox(0.05), clip_threshold=clip)
 
 
-def _walk_noise(seed, k, i, lam, sigma, p, n=5):
+def _walk_noise(seed, k, i, sigma, p, n=5):
     """Holder i's halved noise row at walk step k as the walk draws it (None at sigma = 0)."""
-    return _walk_draws(n, lam, sigma, seed, k, i, 1, p)[1][0]
+    return _walk_draws(n, sigma, seed, k, i, 1, p)[1][0]
 
 
 class TestWalkKernel:
@@ -657,7 +657,7 @@ class TestWalkKernel:
 
         monkeypatch.setattr(admm, "noisy_update", recorded)
         U_walk, U_batched, ubar = U.copy(), U.copy(), U.mean(axis=0)
-        walk = _walk_step(problem, U_walk, ubar, z, i, lam, _walk_noise(9, 4, i, lam, sigma, p))
+        walk = _walk_step(problem, U_walk, ubar, z, i, lam, _walk_noise(9, 4, i, sigma, p))
         batched = _advance(problem, U_batched, ubar, z, np.array([i]), lam, sigma, 9, 4)
         got, want = deltas[0], deltas[1][0]
         assert got.tobytes() == want.tobytes()
@@ -678,7 +678,7 @@ class TestWalkKernel:
         z = problem.prox_r(ubar)
         U_batched = U.copy()
         want = _advance(problem, U_batched, ubar, z, np.array([2]), 0.7, 0.5, 9, 4)
-        got = _walk_step(problem, U, ubar, z, 2, 0.7, _walk_noise(9, 4, 2, 0.7, 0.5, 6))[:2]
+        got = _walk_step(problem, U, ubar, z, 2, 0.7, _walk_noise(9, 4, 2, 0.5, 6))[:2]
         assert U.tobytes() == U_batched.tobytes()
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -692,7 +692,7 @@ class TestWalkKernel:
 
 
 # Each entry point that takes the splitting step size, called with lam; each checks it
-# through the engine's one rule before it reads lam.
+# through the one step-size rule of errors.real before it reads lam.
 _STEP_SIZE_READERS = {
     "centralized_run": lambda lam: centralized_run(
         simple_problem(3, 2)[0], BlockVector.zeros(3, 2), lam, 0.3, 4, 1),
@@ -714,8 +714,8 @@ _STEP_SIZE_READERS = {
 @pytest.mark.parametrize("lam", ["0.5", None, [0.5], np.array(0.5), 1.5, 0.0, math.nan],
                          ids=repr)
 def test_every_reader_of_the_step_size_applies_one_rule(reader, lam):
-    with pytest.raises(ParameterError, match=re.escape(f"step size must be a number in (0, 1], "
-                                                       f"got {lam!r}")):
+    kind = "lie in (0, 1]" if isinstance(lam, float) else "be a real number"
+    with pytest.raises(ParameterError, match=re.escape(f"step size must {kind}, got {lam!r}")):
         _STEP_SIZE_READERS[reader](lam)
     for ok in (0.5, np.float64(1.0), 1):  # the rule's members run (sigma > 0 draws noise)
         _STEP_SIZE_READERS[reader](ok)
@@ -757,14 +757,14 @@ class TestWalkStepChecks:
 
     @pytest.mark.parametrize("case", list(BAD))
     def test_walk_step_leaves_the_duals_unchanged(self, case):
+        # the walk's kernel checks nothing: the run checks lam and sigma before its first step
         lam, sigma = self.BAD[case]
         problem = _walk_problem("rows", 4, clip=0.3)
-        U = np.random.default_rng(3).normal(size=(5, 4))
-        U_before = U.copy()
+        u0 = BlockVector(np.random.default_rng(3).normal(size=(5, 4)))
+        U_before = u0.data.copy()
         with pytest.raises(ParameterError):
-            _walk_step(problem, U, U.mean(axis=0), np.zeros(4), 1, lam,
-                       _walk_noise(1, 0, 1, lam, sigma, 4))
-        assert U.tobytes() == U_before.tobytes()
+            decentralized_run(problem, 4, lam, sigma, 5, seed=1, u0=u0)
+        assert u0.data.tobytes() == U_before.tobytes()
 
 
 def _walk_replay(problem, u0, lam, sigma, K, seed):

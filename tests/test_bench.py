@@ -163,19 +163,33 @@ class TestDpsgdBaseline:
         with pytest.raises(ParameterError, match="sigma"):
             dpsgd_federated(data, 0.02, 0.2, 1.0, sigma, 5, m=2, seed=0)
 
-    @pytest.mark.parametrize("step, clip_threshold", [(math.nan, 1.0), (0.2, math.nan)],
+    @pytest.mark.parametrize("step, clip_threshold, message",
+                             [(math.nan, 1.0, "DP-SGD step must be > 0, got nan"),
+                              (0.2, math.nan, "clipping threshold must be > 0, got nan")],
                              ids=["nan_step", "nan_clip"])
-    def test_nan_step_or_clip_rejected(self, step, clip_threshold):
+    def test_nan_step_or_clip_rejected(self, step, clip_threshold, message):
         data = gen_lasso(n=20, p=3, support_size=1, seed=3)
-        with pytest.raises(ParameterError, match="step > 0 and clip_threshold > 0"):
+        with pytest.raises(ParameterError, match=message):
             dpsgd_baseline(data, 0.02, step, clip_threshold, 0.5, 5, seed=0)
-        with pytest.raises(ParameterError, match="step > 0 and clip_threshold > 0"):
+        with pytest.raises(ParameterError, match=message):
             dpsgd_federated(data, 0.02, step, clip_threshold, 0.5, 5, m=2, seed=0)
+
+    @pytest.mark.parametrize("kappa", [-0.1, math.nan, math.inf, "0.1", None], ids=repr)
+    def test_kappa_rejected_by_name(self, kappa):
+        # kappa, not the soft threshold step * kappa it sets, is named with its value
+        data = gen_lasso(n=20, p=3, support_size=1, seed=3)
+        kind = "finite and >= 0" if isinstance(kappa, float) else "a real number"
+        message = re.escape(f"kappa must be {kind}, got {kappa!r}")
+        with pytest.raises(ParameterError, match=message):
+            dpsgd_baseline(data, kappa, 0.5, 1.0, 0.5, 5, seed=0)
+        with pytest.raises(ParameterError, match=message):
+            dpsgd_federated(data, kappa, 0.5, 1.0, 0.5, 5, m=2, seed=0)
 
     @pytest.mark.parametrize("m", [2.5, True, 0], ids=repr)
     def test_cohort_size_that_is_not_an_integer_of_at_least_one_rejected(self, m):
         data = gen_lasso(n=20, p=3, support_size=1, seed=3)
-        with pytest.raises(ParameterError, match="cohort size must be an integer >= 1"):
+        with pytest.raises(ParameterError,
+                           match=f"cohort size must be (an integer )?>= 1, got {m!r}"):
             dpsgd_federated(data, 0.02, 0.2, 1.0, 0.5, 5, m=m, seed=0)
 
     def test_zero_rounds_rejected(self):
@@ -400,11 +414,12 @@ class TestCellAccounting:
     def test_calibration_evaluates_no_formula_below_the_floor(self, monkeypatch):
         # No order is in the subsampling regime at sigma < 4, so the bisection
         # counts such a sigma as failing without evaluating the formula; every
-        # evaluation checks its sigma first. 23 of the path's 44 sigmas lie below 4.
+        # evaluation checks its sigma first, through the accountable-sigma rule of
+        # errors.real. 23 of the path's 44 sigmas lie below 4.
         evaluated = []
-        check = privacy._check_sigma
-        monkeypatch.setattr(privacy, "_check_sigma",
-                            lambda sigma: evaluated.append(sigma) or check(sigma))
+        check = privacy.errors.real
+        monkeypatch.setattr(privacy.errors, "real", lambda value, what, domain=None: (
+            domain == "accountable" and evaluated.append(value)) or check(value, what, domain))
         config = bench.tuned_config("admm")
         sigma = bench.calibrate_noise(config, 0.1, config.gamma_scale * 2.0 * 900, 900)
         assert sigma == 1075.8389764990234

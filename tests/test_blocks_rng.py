@@ -16,6 +16,8 @@ from privfp.fixedpoint import (
 from privfp.operators import ZeroProx
 from privfp.simnet import sample_users, walk_next
 
+MAX_ROOT = sys.float_info.max ** 0.5  # the largest noise std whose square is finite
+
 
 class TestBlockVector:
     def test_rectangular_layout_enforced(self):
@@ -71,7 +73,7 @@ class TestGaussianRows:
     """gaussian_rows is the one multi-block draw: row j is gaussian_block at blocks[j]."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7, float("nan"), -0.0, float("inf"), 5e-324, 1e-310,
-                                       rng.MAX_SIGMA, 1075.8])
+                                       MAX_ROOT, 1075.8])
     @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
     def test_rows_equal_stacked_blocks_bit_for_bit(self, seed, sigma):
         # unsorted, with a repeat; and single blocks, which take the one-row path
@@ -83,7 +85,7 @@ class TestGaussianRows:
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.7, float("nan"), -0.0, float("inf"), 5e-324, 1e-310,
-                                       rng.MAX_SIGMA, 1075.8])
+                                       MAX_ROOT, 1075.8])
     @pytest.mark.parametrize("seed", [-3, 2**63 + 11, 2**64 - 1])
     def test_per_row_addresses_equal_gaussian_block_bit_for_bit(self, seed, sigma):
         # one step per row, as the walk draws a block of steps: each row its own (k, b)
@@ -256,8 +258,9 @@ def _one_hot(n, active):
 def _uniform_item(seed, k):
     """The item dpsgd_instance's uniform order applies at step k (item i has gradient -i)."""
     grads = [lambda u, i=i: np.full(1, -float(i)) for i in range(50)]
-    handle, _ = dpsgd_instance(grads, beta=2.0, gamma=0.5, sigma_grad=0.0, K=1, seed=seed,
-                               order="uniform")
+    # a run takes a seed in [0, 2**64); the draw keys it mod 2**64 as the oracle does
+    handle, _ = dpsgd_instance(grads, beta=2.0, gamma=0.5, sigma_grad=0.0, K=1,
+                               seed=seed % 2**64, order="uniform")
     return int(handle.apply(np.zeros(1), k)[0])
 
 
@@ -274,7 +277,7 @@ def _walk_holder_oracle(seed, k):
 def _walk_holder(seed, k):
     problem = admm.ConsensusProblem(prox_f=(ZeroProx(),) * 1000, prox_r=ZeroProx())
     state = admm.AdmmState(u=BlockVector.zeros(1000, 1), z=np.zeros(1), k=k)
-    return admm.decentralized_step(problem, state, 0, 0.5, 0.0, seed)[1]
+    return admm.decentralized_step(problem, state, 0, 0.5, 0.0, seed % 2**64)[1]
 
 
 # Each schedule site that draws from the reused generator, beside the same draw

@@ -267,14 +267,15 @@ class TestSchedules:
     @pytest.mark.parametrize("m", [2.5, True, False, 0, -1, "3", None, np.float64(2.0)],
                              ids=repr)
     def test_cohort_size_must_be_an_integer_of_at_least_one(self, m):
-        with pytest.raises(ParameterError, match=f"cohort size must be an integer >= 1, got {m}"):
+        with pytest.raises(ParameterError, match=re.escape("cohort size must be ") + "(an integer )?"
+                           + re.escape(f">= 1, got {m!r}")):
             FixedCohort(m)
 
     def test_cohort_larger_than_the_blocks_fails_at_its_first_draw(self):
         cohort = FixedCohort(np.int64(4))
         assert cohort.rows(4, 0, 0).tolist() == [0, 1, 2, 3]
         assert cohort.activation_probability(8) == 0.5
-        with pytest.raises(ParameterError, match="1 <= m <= n, got m=4, n=3"):
+        with pytest.raises(ParameterError, match=re.escape("cohort size must lie in [1, n=3], got ")):
             cohort.rows(3, 0, 0)
 
     def test_all_blocks(self):

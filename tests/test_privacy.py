@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from privfp import privacy
-from privfp.errors import ConditionNotMet, ParameterError, StructuralError
+from privfp.errors import ConditionNotMet, ModelError, ParameterError, StructuralError
 from privfp.privacy import (
     DEFAULT_ALPHAS, RdpCurve, calibrate_sigma,
     centralized_epsilon, estimated_participations, federated_central_epsilon,
@@ -133,7 +134,8 @@ class TestSensitivities:
         assert sensitivity_general(1.0, 1.0, 1.0, 1, 2.0, 0.5) == pytest.approx(16.0, rel=1e-15)
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(ParameterError):
+        # a model error, as for GeneralAdmmProblem: the constraint matrix is rank deficient
+        with pytest.raises(ModelError, match="full rank"):
             sensitivity_general(1.0, 1.0, 1.0, 1, 2.0, 0.0)
 
 
@@ -349,7 +351,8 @@ class TestCalibrate:
 
     def test_negative_infinite_budget_is_out_of_regime(self):
         with pytest.raises(ConditionNotMet):
-            privacy.check_budget(-math.inf)
+            privacy.accountant("centralized", K=200, L=0.1, gamma=1.0, n=900,
+                               delta=1e-6).calibrate(-math.inf)
 
     def test_network_target_respects_noise_floor(self):
         sigma = calibrate_sigma("network", epsilon=10.0, alpha=2.0, K=10, L=1.0,
@@ -536,3 +539,48 @@ class TestRegimeFloor:
         just_above = math.nextafter(threshold, math.inf)
         _check_floor(acct, just_above, False)
         assert acct.curve(just_above).alphas == (low,)
+
+
+# One K per accountant: every setting's accountant and the subsampled one, at a cell
+# whose calibration meets epsilon = 1 at delta = 1e-6.
+_K_ACCOUNTANTS = {
+    **{setting: (lambda K, setting=setting: privacy.accountant(
+        setting, K=K, L=0.1, gamma=1.0, n=100, m=10, delta=1e-6)) for setting in privacy.SETTINGS},
+    "subsampled": lambda K: privacy.subsampled_accountant(K=K, q=0.01, sensitivity=0.2,
+                                                          delta=1e-6),
+}
+
+
+class TestRoundCount:
+    """The accountant's K is a count: an integer (a numpy one too, not a bool) >= 0, with no
+    upper bound, so K = 0 releases nothing and K = 2**63 still calibrates."""
+
+    @pytest.mark.parametrize("K", [2.5, True, "3", None], ids=repr)
+    @pytest.mark.parametrize("name", list(_K_ACCOUNTANTS))
+    def test_a_K_that_is_not_an_integer_is_a_parameter_error(self, name, K):
+        with pytest.raises(ParameterError, match=f"round count must be an integer >= 0, "
+                                                 f"got {re.escape(repr(K))}"):
+            _K_ACCOUNTANTS[name](K)
+
+    @pytest.mark.parametrize("name", list(_K_ACCOUNTANTS))
+    def test_zero_rounds_cost_nothing(self, name):
+        assert set(_K_ACCOUNTANTS[name](0).curve(8.0).epsilons) == {0.0}
+
+    @pytest.mark.parametrize("name", list(_K_ACCOUNTANTS))
+    def test_a_numpy_K_calibrates_as_its_int_bit_for_bit(self, name):
+        sigma = _K_ACCOUNTANTS[name](3).calibrate(1.0)
+        assert _K_ACCOUNTANTS[name](np.int64(3)).calibrate(1.0).hex() == sigma.hex()
+
+    @pytest.mark.parametrize("name", list(_K_ACCOUNTANTS))
+    def test_K_of_2_to_the_63_calibrates(self, name):
+        assert _K_ACCOUNTANTS[name](2**63).calibrate(1.0) > _K_ACCOUNTANTS[name](3).calibrate(1.0)
+
+    @pytest.mark.parametrize("K", [2.5, True, "3", None], ids=repr)
+    def test_estimated_participations_counts_integers_only(self, K):
+        with pytest.raises(ParameterError, match="round count must be an integer >= 0"):
+            privacy.estimated_participations(K, 10)
+
+    def test_estimated_participations(self):
+        assert privacy.estimated_participations(0, 10) == 0
+        assert privacy.estimated_participations(np.int64(25), 10) == 3
+        assert privacy.estimated_participations(2**63, 2) == 2**62

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -197,7 +198,8 @@ class TestObservationLog:
     def test_out_of_range_user(self):
         trace = _trace(2, [0], [np.zeros(1)])
         for last in (2, -1):
-            with pytest.raises(ParameterError, match=f"last holder {last} out of range"):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"last holder must lie in [0, n - 1=1], got {last}")):
                 record_observation(trace, last)
 
     def test_seeded_replay_reconstructs_identical_log(self):
