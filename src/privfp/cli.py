@@ -170,7 +170,7 @@ def _cmd_account(args) -> int:
     for a, e in zip(curve.alphas, curve.epsilons):
         print(f"{format(a, '.17g')},{format(e, '.17g')},{curve.provenance}")
     if args.delta is not None:
-        print(f"# (epsilon, delta)-DP: epsilon={accountant.epsilon(args.sigma):.12g} "
+        print(f"# (epsilon, delta)-DP: epsilon={privacy.rdp_to_dp(curve, args.delta):.12g} "
               f"at delta={args.delta:g}", file=sys.stderr)
     if args.out:
         bench.emit_accountant_csv(curve, outdir / args.out)

@@ -8,11 +8,12 @@ generic building blocks: the Gaussian mechanism, conversion to
 amplification by subsampling (with its literal validity regime), and
 noise calibration. Every function is pure. A per-order formula raises
 ConditionNotMet naming the clause an out-of-regime order fails; a cell's
-``Accountant`` checks its arguments once, skips such an order without
-raising, and calibrates without evaluating the formula below the regime
-floor (a default bench cell in ~0.3 ms on a 2-vCPU Xeon). Each per-order
-formula is its setting's ``accountant`` at a one-order grid, so the
-arguments of every formula pass the rules of ``errors`` in one place.
+``Accountant`` checks its arguments and computes its sigma-free terms once,
+skips an out-of-regime order without raising, and calibrates with no curve
+built and no formula evaluated below the regime floor (a default bench cell
+in 0.09-0.19 ms on a 2-vCPU Xeon). Each per-order formula is its setting's
+``accountant`` at a one-order grid, so the arguments of every formula pass
+the rules of ``errors`` in one place.
 """
 
 from __future__ import annotations
@@ -47,20 +48,39 @@ class RdpCurve:
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
     """Best (epsilon, delta)-DP implied by the curve: min over alpha of eps + ln(1/delta)/(alpha-1)."""
-    log_inv_delta = math.log(1.0 / errors.real(delta, "delta", "(0, 1)"))
-    return min(e + log_inv_delta / (a - 1.0) for a, e in zip(curve.alphas, curve.epsilons))
+    return min(_converted(zip(curve.alphas, curve.epsilons), errors.real(delta, "delta", "(0, 1)")))
+
+
+def _converted(pairs, delta: float) -> list[float]:
+    """eps + ln(1/delta)/(alpha-1) at each (alpha, eps) pair, the values rdp_to_dp minimizes."""
+    log_inv_delta = math.log(1.0 / delta)
+    return [e + log_inv_delta / (a - 1.0) for a, e in pairs]
+
+
+def _grid(alphas):
+    """The Rényi orders a cell's formula reads, checked before it computes a term from them."""
+    if len(alphas) == 0:
+        raise StructuralError("empty alpha grid")
+    return errors.reals(alphas, "Rényi order", "> 1")
 
 
 # ---------------------------------------------------------------------------
 # Elementary mechanisms and sensitivities
 
 
+def _cell(alphas, in_regime, count: int, scale: Callable[[float], float], **kwargs):
+    """The Accountant of epsilon = count * (x / scale(sigma)) at the (alpha, x) pairs, x the
+    sigma-free numerator at alpha, that in_regime(sigma, strict) keeps (a count of 1 is exact)."""
+    def orders(sigma: float, strict: bool = False) -> list[tuple]:
+        kept, s = in_regime(sigma, strict), scale(sigma)
+        return [(a, count * (x / s)) for a, x in kept]
+    return Accountant(orders, alphas, **kwargs)
+
+
 def _gaussian(alphas, count: int, sensitivity: float):
     errors.real(sensitivity, "sensitivity", "square >= 0")
-
-    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
-        return alphas, tuple(count * (a * sensitivity ** 2 / (2.0 * sigma ** 2)) for a in alphas)
-    return Accountant(orders, alphas)
+    terms = [(a, a * sensitivity ** 2) for a in _grid(alphas)]
+    return _cell(alphas, lambda sigma, strict: terms, count, lambda sigma: 2.0 * sigma ** 2)
 
 
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> float:
@@ -90,34 +110,40 @@ def sensitivity_general(L: float, gamma: float, lam: float, n: int,
 # ---------------------------------------------------------------------------
 # Setting-specific epsilon formulas
 #
-# Each _<formula> returns an Accountant whose orders(sigma, strict) is the
-# formula at the grid's in-regime orders; ``accountant`` has checked its
-# arguments, and the Accountant checks the grid. A per-order formula is its
-# setting's epsilon on a one-order grid, evaluated strictly, so a dropped order
-# raises ConditionNotMet naming the clause it fails.
+# Each _<formula> returns an Accountant (``_cell``); ``accountant`` has checked its arguments.
+# Once the grid is checked, a formula computes its sigma-free terms per order, each the float
+# expression it writes, so a sigma costs only its own terms and the divisions. A per-order
+# formula is its setting's epsilon on a one-order grid, evaluated strictly, so a dropped
+# order raises ConditionNotMet naming the clause it fails.
 
 
-def _subsampling_orders(alphas, q: float, sigma: float, strict: bool) -> tuple[float, ...]:
-    if not q < 0.2:
-        if strict:
-            raise ConditionNotMet("q < 1/5", f"sampling probability {q} is not below 1/5")
-        return ()
-    if not sigma >= 4.0:
-        if strict:
-            raise ConditionNotMet("sigma >= 4", f"noise std {sigma} is below 4")
-        return ()
-    kept = []
-    for a in alphas:
-        M = math.log(1.0 + 1.0 / (q * (a - 1.0)))
-        alpha_cap = (M ** 2 * sigma ** 2 / 2.0 - math.log(5.0 * sigma ** 2)) \
-            / (M + math.log(q * a) + 1.0 / (2.0 * sigma ** 2))
-        if a <= alpha_cap:
-            kept.append(a)
-        elif strict:
-            raise ConditionNotMet(
-                "alpha <= (M^2 sigma^2/2 - log(5 sigma^2)) / (M + log(q alpha) + 1/(2 sigma^2))",
-                f"order {a} exceeds the regime cap {alpha_cap:.4g} at q={q}, sigma={sigma}")
-    return tuple(kept)
+def _subsampling(alphas, q: float, numerator: Callable[[float], float]):
+    """in_regime(sigma, strict) of the subsampled Gaussian, from (alpha, M^2, M + ln(q alpha))."""
+    Ms = [(a, math.log(1.0 + 1.0 / (q * (a - 1.0)))) for a in _grid(alphas)]
+    terms = [(a, M ** 2, M + math.log(q * a), numerator(a)) for a, M in Ms]
+
+    def in_regime(sigma: float, strict: bool) -> list[tuple]:
+        if not q < 0.2:
+            if strict:
+                raise ConditionNotMet("q < 1/5", f"sampling probability {q} is not below 1/5")
+            return []
+        if not sigma >= 4.0:
+            if strict:
+                raise ConditionNotMet("sigma >= 4", f"noise std {sigma} is below 4")
+            return []
+        s2 = sigma ** 2
+        log_5s2, half_inv_s2 = math.log(5.0 * s2), 1.0 / (2.0 * s2)
+        kept = []
+        for a, M2, M_log_qa, x in terms:
+            alpha_cap = (M2 * s2 / 2.0 - log_5s2) / (M_log_qa + half_inv_s2)
+            if a <= alpha_cap:
+                kept.append((a, x))
+            elif strict:
+                raise ConditionNotMet("alpha <= (M^2 sigma^2/2 - log(5 sigma^2)) / "
+                                      "(M + log(q alpha) + 1/(2 sigma^2))", f"order {a} exceeds "
+                                      f"the regime cap {alpha_cap:.4g} at q={q}, sigma={sigma}")
+        return kept
+    return in_regime
 
 
 def centralized_epsilon(alpha: float, K: int, L: float, gamma: float,
@@ -133,12 +159,9 @@ def subsampled_accountant(*, K: int, q: float, sensitivity: float,
     errors.count(K, "round count", 0)
     errors.real(q, "sampling probability q", "(0, 1)")
     errors.real(sensitivity, "sensitivity", "square >= 0")
-
-    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
-        grid = _subsampling_orders(alphas, q, sigma, strict)
-        return grid, tuple(K * (2.0 * a * q ** 2 * sensitivity ** 2 / sigma ** 2) for a in grid)
-    return Accountant(orders, alphas, floor=4.0 if q < 0.2 else math.inf, delta=delta,
-                      regime="subsampled", params=f"K={K},q={q:g}")
+    return _cell(alphas, _subsampling(alphas, q, lambda a: 2.0 * a * q ** 2 * sensitivity ** 2),
+                 K, lambda sigma: sigma ** 2, floor=4.0 if q < 0.2 else math.inf, delta=delta,
+                 regime="subsampled", params=f"K={K},q={q:g}")
 
 
 def subsampled_rdp(alpha: float, q: float, sensitivity: float, sigma: float) -> float:
@@ -161,12 +184,8 @@ def _federated(alphas, K: int, L: float, gamma: float, m: int | None, n: int):
     errors.count(m, "cohort size", 1, ("n", n))
     if K == 0:  # no round released: zero at every order and no regime
         return _gaussian(alphas, K, 0.0)
-
-    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
-        grid = _subsampling_orders(alphas, m / n, sigma, strict)
-        return grid, tuple(16.0 * a * K * L ** 2 * gamma ** 2 / (sigma ** 2 * n ** 2)
-                           for a in grid)
-    return Accountant(orders, alphas, floor=4.0 if m / n < 0.2 else math.inf)
+    return _cell(alphas, _subsampling(alphas, m / n, lambda a: 16.0 * a * K * L ** 2 * gamma ** 2),
+                 1, lambda sigma: sigma ** 2 * n ** 2, floor=4.0 if m / n < 0.2 else math.inf)
 
 
 def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
@@ -180,23 +199,18 @@ def federated_central_epsilon(alpha: float, K: int, L: float, gamma: float,
                       alphas=(alpha,)).epsilon(sigma)
 
 
-def _network_threshold(alpha: float, L: float, gamma: float) -> float:
-    return 2.0 * L * gamma * math.sqrt(alpha * (alpha - 1.0))
-
-
 def _network(alphas, K_i: int, L: float, gamma: float, n: int):
-    def orders(sigma: float, strict: bool = False) -> tuple[tuple, tuple]:
-        kept = tuple(a for a in alphas if sigma > _network_threshold(a, L, gamma))
+    terms = [(a, 2.0 * L * gamma * math.sqrt(a * (a - 1.0)),
+              8.0 * a * K_i * L ** 2 * gamma ** 2 * math.log(n)) for a in _grid(alphas)]
+
+    def in_regime(sigma: float, strict: bool) -> list[tuple]:
+        kept = [(a, x) for a, threshold, x in terms if sigma > threshold]
         if strict and not kept:
-            threshold = _network_threshold(alphas[0], L, gamma)
             raise ConditionNotMet("sigma > 2*L*gamma*sqrt(alpha*(alpha-1))",
-                                  f"noise std {sigma} does not strictly exceed {threshold:.6g}")
-        if K_i == 0:
-            return kept, (0.0,) * len(kept)
-        return kept, tuple(8.0 * a * K_i * L ** 2 * gamma ** 2 * math.log(n) / (sigma ** 2 * n)
-                           for a in kept)
-    cell = Accountant(orders, alphas, strict_floor=True)  # checks the grid that min reads
-    return replace(cell, floor=_network_threshold(min(alphas), L, gamma))
+                                  f"noise std {sigma} does not strictly exceed {terms[0][1]:.6g}")
+        return kept
+    return _cell(alphas, in_regime, 1, lambda sigma: sigma ** 2 * n,
+                 floor=min(t for _, t, _ in terms), strict_floor=True)  # lowest order's
 
 
 def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
@@ -230,11 +244,11 @@ SIGMA_REL_TOL = 1e-3
 @dataclass(frozen=True)
 class Accountant:
     """A cell's sigma -> epsilon map, built once by ``accountant`` or ``subsampled_accountant``:
-    ``orders(sigma, strict)`` is its formula at the grid's in-regime orders, and no order
-    is in regime at sigma < ``floor`` (nor at ``floor`` if ``strict_floor``). A ``delta``
-    of None makes the target Rényi, at a one-order grid."""
+    ``orders(sigma, strict)`` is its formula's (alpha, epsilon) pairs at the checked grid's
+    in-regime orders, and none is in regime at sigma < ``floor`` (nor at ``floor`` if
+    ``strict_floor``). A ``delta`` of None makes the target Rényi, at a one-order grid."""
 
-    orders: Callable[[float, bool], tuple[tuple, tuple]]
+    orders: Callable[[float, bool], list[tuple]]
     alphas: tuple[float, ...]
     floor: float = 0.0
     strict_floor: bool = False
@@ -243,29 +257,35 @@ class Accountant:
     params: str = ""  # a curve's provenance is regime(params,sigma=...)
 
     def __post_init__(self):
-        if len(self.alphas) == 0:
-            raise StructuralError("empty alpha grid")
-        errors.reals(self.alphas, "Rényi order", "> 1")
         if self.delta is not None:
             errors.real(self.delta, "delta", "(0, 1)")
 
-    def curve(self, sigma: float) -> RdpCurve:
-        """The formula over the grid in one pass, keeping only in-regime orders."""
+    def _orders_at(self, sigma: float) -> list[tuple]:
         errors.real(sigma, "noise std sigma", "accountable")
-        alphas, epsilons = self.orders(sigma, False)
-        if not alphas:
+        pairs = self.orders(sigma, False)
+        if not pairs:
             raise ConditionNotMet("no valid Rényi order", f"no grid order satisfies the "
                                   f"{self.regime} regime at sigma={sigma:g}")
-        return RdpCurve(tuple(alphas), epsilons, f"{self.regime}({self.params},sigma={sigma:g})")
+        return pairs
+
+    def curve(self, sigma: float) -> RdpCurve:
+        """The formula over the grid in one pass, keeping only in-regime orders."""
+        alphas, epsilons = zip(*self._orders_at(sigma))
+        return RdpCurve(alphas, epsilons, f"{self.regime}({self.params},sigma={sigma:g})")
 
     def epsilon(self, sigma: float) -> float:
-        """The DP epsilon at delta; with delta None, the formula at the one order."""
+        """The DP epsilon at delta, the curve's ``rdp_to_dp`` with no curve built; with delta
+        None, the formula at the one order."""
         if self.delta is not None:
-            return rdp_to_dp(self.curve(sigma), self.delta)
+            pairs = self._orders_at(sigma)
+            converted = _converted(pairs, self.delta)
+            if not sum(converted) >= 0:  # a NaN epsilon (inf / inf) fails as a curve's check does
+                errors.reals([e for _, e in pairs], "epsilon value", ">= 0")
+            return min(converted)
         if len(self.alphas) != 1:
             raise StructuralError(f"a Rényi target needs one order, got {len(self.alphas)}")
         errors.real(sigma, "noise std sigma", "accountable")
-        return self.orders(sigma, True)[1][0]
+        return self.orders(sigma, True)[0][1]
 
     def _below_floor(self, sigma: float) -> bool:
         return sigma <= self.floor if self.strict_floor else sigma < self.floor

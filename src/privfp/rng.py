@@ -34,7 +34,7 @@ DATA = 0x03
 def substream(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
     """Generator for the (domain, iteration k, block b) substream of seed."""
     key = np.array([int(seed) & _MASK64, domain & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, k & _MASK64, b & _MASK64], dtype=np.uint64)
+    counter = np.array([0, 0, int(k) & _MASK64, int(b) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
@@ -58,8 +58,8 @@ def _reset_to(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
                                  "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                                  "has_uint32": 0, "uinteger": 0}
     words = state["state"]
-    words["key"] = (int(seed) & _MASK64, domain & _MASK64)  # a numpy seed would overflow it
-    words["counter"] = (0, 0, k & _MASK64, b & _MASK64)
+    words["key"] = (int(seed) & _MASK64, domain & _MASK64)  # a numpy integer would overflow it
+    words["counter"] = (0, 0, int(k) & _MASK64, int(b) & _MASK64)
     gen.bit_generator.state = state
     return gen
 
@@ -81,8 +81,8 @@ def gaussian_rows(seed: int, k, blocks, sigma: float, size: int) -> np.ndarray:
         raise ValueError("scale < 0")
     one_step = isinstance(k, (int, np.integer))
     if len(blocks) == 1:  # normal scales in C; the block scaling costs two ufunc calls
-        k = int(k if one_step else k[0])  # a numpy integer k would overflow the mask
-        return _reset_to(seed, NOISE, k, int(blocks[0])).normal(0.0, sigma, (1, size))
+        gen = _reset_to(seed, NOISE, k if one_step else k[0], blocks[0])
+        return gen.normal(0.0, sigma, (1, size))
     steps = [int(k) & _MASK64] * len(blocks) if one_step else [int(j) & _MASK64 for j in k]
     counters = [(0, 0, j, int(b) & _MASK64) for j, b in zip(steps, blocks, strict=True)]
     out = np.empty((len(blocks), size))

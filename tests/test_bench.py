@@ -425,6 +425,26 @@ class TestCellAccounting:
         assert sigma == 1075.8389764990234
         assert len(evaluated) == 21 and min(evaluated) >= 4.0
 
+    def test_calibration_builds_no_curve(self, monkeypatch):
+        # The bisection's 21 in-regime steps each evaluate the formula once, on the
+        # accountant's sigma-free terms, and convert at delta without a curve.
+        evaluated, curves = [], []
+        build = privacy.accountant
+
+        def counted(*args, **kwargs):
+            acct = build(*args, **kwargs)
+
+            def orders(sigma, strict=False):
+                evaluated.append(sigma)
+                return acct.orders(sigma, strict)
+            return dataclasses.replace(acct, orders=orders)
+        monkeypatch.setattr(privacy, "accountant", counted)
+        monkeypatch.setattr(privacy.RdpCurve, "__post_init__", lambda curve: curves.append(curve))
+        config = bench.tuned_config("admm")
+        sigma = bench.calibrate_noise(config, 0.1, config.gamma_scale * 2.0 * 900, 900)
+        assert sigma.hex() == "0x1.0cf5b1ca7c5acp+10"
+        assert len(evaluated) == 21 and curves == []
+
     def test_nonpositive_budget_rejected(self):
         config = ExperimentConfig(setting="centralized", algorithm="dpsgd")
         with pytest.raises(privacy.ConditionNotMet) as info:

@@ -63,6 +63,26 @@ class TestSubstreams:
         scaled = noise_rng(5, 2, 1).normal(0.0, 2.5, 1000)
         np.testing.assert_allclose(scaled, 2.5 * unit, rtol=1e-12)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32], ids=lambda t: t.__name__)
+    def test_a_numpy_integer_step_draws_as_its_int(self, integer):
+        # a numpy step (or block) used to escape the 64-bit mask as OverflowError
+        draws = {
+            "SingleUniform": lambda k, b: SingleUniform().rows(5, 0, k),
+            "BernoulliPerBlock": lambda k, b: BernoulliPerBlock(0.5).rows(5, 0, k),
+            "FixedCohort": lambda k, b: FixedCohort(2).rows(5, 0, k),
+            "RandomWalk": lambda k, b: RandomWalk().rows(5, 0, k),
+            "substream": lambda k, b: rng.substream(0, rng.DATA, k, b).random(4),
+            "gaussian_block": lambda k, b: rng.gaussian_block(0, k, b, 1.0, 4),
+            "gaussian_rows": lambda k, b: rng.gaussian_rows(0, k, [b, 0], 1.0, 4),
+            "gaussian_rows one row": lambda k, b: rng.gaussian_rows(0, k, [b], 1.0, 4),
+            "gaussian_rows per row": lambda k, b: rng.gaussian_rows(0, [k, k], [b, 0], 1.0, 4),
+        }
+        for k, b in ((0, 0), (3, 1), (7, 2)):
+            for name, draw in draws.items():
+                want = np.asarray(draw(k, b))
+                got = np.asarray(draw(integer(k), integer(b)))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, k, b)
+
 
 def fresh_draw(seed, k, b, sigma, size):
     """Oracle: a newly built generator for the (k, b) noise substream."""

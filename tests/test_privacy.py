@@ -584,3 +584,62 @@ class TestRoundCount:
         assert privacy.estimated_participations(0, 10) == 0
         assert privacy.estimated_participations(np.int64(25), 10) == 3
         assert privacy.estimated_participations(2**63, 2) == 2**62
+
+
+def _dp_outcome(convert):
+    """A DP epsilon as exact bits, or the ConditionNotMet it raises (condition, message)."""
+    try:
+        return float(convert()).hex()
+    except ConditionNotMet as exc:
+        return exc.condition, str(exc)
+
+
+def _sigmas_around(acct, gen):
+    """Seeded sigmas: either side of the accountant's floor and of 4, at each order's regime
+    cap (where the curve gains that order), and log-uniform over [0.5, 1e5]."""
+    around = [acct.floor, 4.0]
+    for a in acct.alphas:  # bisect the sigma at which order a enters the curve
+        lo, hi = 1e-3, 1e8
+        for _ in range(120):  # down to adjacent floats
+            mid = 0.5 * (lo + hi)
+            try:
+                entered = a in acct.curve(mid).alphas
+            except ConditionNotMet:
+                entered = False
+            lo, hi = (lo, mid) if entered else (mid, hi)
+        around.append(hi)
+    sigmas = [s for x in around if 0 < x < math.inf
+              for s in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    return sigmas + list(10 ** gen.uniform(math.log10(0.5), 5.0, 40))
+
+
+def _dp_accountants(gen, alphas):
+    """Every setting's accountant and the subsampled one, at seeded arguments and at K = 0."""
+    n = int(gen.integers(20, 3000))
+    delta = float(10 ** gen.uniform(-9, -2))
+    for K in (int(gen.integers(1, 3000)), 0):
+        params = dict(K=K, L=float(gen.uniform(0.001, 2.0)), gamma=float(gen.uniform(0.01, 50.0)),
+                      n=n, m=max(1, int(gen.uniform(0.01, 0.19) * n)), alphas=alphas, delta=delta)
+        for setting in privacy.SETTINGS:
+            yield privacy.accountant(setting, **params)
+        yield privacy.subsampled_accountant(K=K, q=1.0 / n, sensitivity=float(gen.uniform(0, 5)),
+                                            alphas=alphas, delta=delta)
+
+
+class TestEpsilonWithoutACurve:
+    """Accountant.epsilon(sigma) builds no curve, yet equals rdp_to_dp of the curve at sigma
+    bit for bit, or both raise the same ConditionNotMet."""
+
+    @pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (64.0, 2.0, 1.5, 700.0, 3.0, 4096.0)],
+                             ids=["default-grid", "custom-grid"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equals_the_conversion_of_the_curve(self, seed, alphas):
+        gen = np.random.default_rng(seed)
+        lengths = set()
+        for acct in _dp_accountants(gen, alphas):
+            for sigma in _sigmas_around(acct, gen):
+                got = _dp_outcome(lambda: acct.epsilon(sigma))
+                want = _dp_outcome(lambda: privacy.rdp_to_dp(acct.curve(sigma), acct.delta))
+                assert got == want, (acct.regime, acct.params, sigma)
+                lengths.add(len(acct.curve(sigma).alphas) if isinstance(got, str) else 0)
+        assert lengths == set(range(len(alphas) + 1))  # no order, each count between, all
