@@ -5,7 +5,7 @@ Modules: ``operators`` (proximal maps, reflections, gradient steps),
 schedules and its SGD/CD instantiations), ``admm`` (private consensus
 splitting in centralized, federated, and decentralized form), ``privacy``
 (Rényi-DP accountant and noise calibration), ``utility`` (mean-square
-error bounds and step sizes), ``rng`` (counter-based random substreams),
+error bounds), ``rng`` (counter-based random substreams),
 ``blocks`` (block vectors), ``simnet`` (sampling, random walks,
 observation logs), and ``bench`` (the synthetic Lasso benchmark and CSV
 export). The ``privfp`` CLI wraps solve/bench/account/calibrate.

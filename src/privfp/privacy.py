@@ -227,7 +227,8 @@ def network_rdp_epsilon(alpha: float, K_i: int, L: float, gamma: float,
 
 def estimated_participations(K: int, n: int) -> int:
     """ceil(K/n): upper estimate of per-user participations in a K-step uniform walk."""
-    return -(-errors.count(K, "round count", 0) // errors.count(n, "population n", 1))
+    # int(): an unbounded int floor-divided by a numpy integer overflows a C long
+    return -(-int(errors.count(K, "round count", 0)) // int(errors.count(n, "population n", 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Mean-square error bounds for the noisy block-coordinate iteration.
 
 Evaluates the linear-convergence-plus-noise-floor bound for contractive
-operators and the admissible step-size interval with its recommended
-value. All quantities are derived from the contraction factor tau, the
-block activation probability q, and the combined noise scale
+operators. All quantities are derived from the contraction factor tau,
+the block activation probability q, and the combined noise scale
 (sigma * sqrt(p) + zeta) / sqrt(q).
 """
 
@@ -47,21 +46,17 @@ class UtilityParams:
         errors.count(self.k, "iteration count k", 0)
 
 
-def _noise_scale(q, sigma, zeta, p):
-    """sigma_1 = (sigma*sqrt(p) + zeta)/sqrt(q), the per-activation noise magnitude."""
-    return (sigma * math.sqrt(p) + zeta) / math.sqrt(q)
-
-
 def excess_noise_ratio(tau: float, q: float, sigma: float, zeta: float, p: int) -> float:
-    """c > 0 such that sigma_1 = (1+c)(1-tau); the guard for every noisy-regime formula.
+    """c > 0 such that sigma_1 = (sigma*sqrt(p) + zeta)/sqrt(q) = (1+c)(1-tau).
 
-    Raises ConditionNotMet when sigma*sqrt(p) + zeta <= sqrt(q)*(1 - tau),
-    i.e. when the noise is too small for the closed-form analysis (the
-    noiseless transient is then the right tool, see ``noiseless_decay``);
-    inputs outside ``UtilityParams``' ranges raise ParameterError.
+    The guard for the noisy-regime bound. Raises ConditionNotMet when
+    sigma*sqrt(p) + zeta <= sqrt(q)*(1 - tau), i.e. when the noise is too
+    small for the closed-form analysis (the noiseless transient is then the
+    right tool, see ``noiseless_decay``); inputs outside ``UtilityParams``'
+    ranges raise ParameterError.
     """
     UtilityParams(tau=tau, q=q, sigma=sigma, zeta=zeta, p=p)
-    s1 = _noise_scale(q, sigma, zeta, p)
+    s1 = (sigma * math.sqrt(p) + zeta) / math.sqrt(q)
     c = s1 / (1.0 - tau) - 1.0
     if c <= 0:
         raise ConditionNotMet(
@@ -92,48 +87,15 @@ def utility_bound(params: UtilityParams) -> ErrorBound:
     transient = (1 - q^2 (1-tau)/8)^k * D
     floor     = 8 * ((sqrt(p) sigma + zeta) / (sqrt(q) (1-tau))
                      + (p sigma^2 + zeta^2) / (q^3 (1-tau)^3))
+
+    When q^3 (1-tau)^3 underflows to 0 the floor is ``math.inf``: the bound
+    is then vacuous, not wrong.
     """
     excess_noise_ratio(params.tau, params.q, params.sigma, params.zeta, params.p)
     one_minus_tau = 1.0 - params.tau
-    transient = noiseless_decay(params.tau, params.q, params.k, params.D)
+    cubed = params.q ** 3 * one_minus_tau ** 3
     floor = 8.0 * (
         (math.sqrt(params.p) * params.sigma + params.zeta) / (math.sqrt(params.q) * one_minus_tau)
-        + (params.p * params.sigma ** 2 + params.zeta ** 2) / (params.q ** 3 * one_minus_tau ** 3)
-    )
-    return ErrorBound(transient=transient, floor=floor)
-
-
-# ---------------------------------------------------------------------------
-# Step size selection
-
-
-def step_size_range(tau: float, q: float, sigma: float, zeta: float, p: int) -> tuple[float, float]:
-    """Open interval of step sizes for which the averaged update contracts in mean square."""
-    c = excess_noise_ratio(tau, q, sigma, zeta, p)
-    b = math.sqrt(1.0 - q * (1.0 - tau))
-    lo = (1.0 + c - q) / ((1.0 + c) * (1.0 - b))
-    hi = lo * (0.5 + 0.5 * math.sqrt(
-        1.0 + 4.0 * (1.0 + c) * (1.0 - b) / ((1.0 - tau) * (1.0 + c - q) ** 2)))
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class StepSize:
-    """Recommended step size; ``clamped`` caps the raw value at 1 for the engine."""
-
-    raw: float
-    clamped: float
-    was_clamped: bool
-
-
-def recommended_step_size(tau: float, q: float, sigma: float, zeta: float, p: int) -> StepSize:
-    """The analyzed step size lam* = (1/(1-b)) * (1 - q/(2(1+c))).
-
-    The raw value can exceed 1 while iteration configs only accept (0, 1];
-    both the raw value and its clamp are reported rather than silently
-    altering either.
-    """
-    c = excess_noise_ratio(tau, q, sigma, zeta, p)
-    b = math.sqrt(1.0 - q * (1.0 - tau))
-    raw = (1.0 / (1.0 - b)) * (1.0 - q / (2.0 * (1.0 + c)))
-    return StepSize(raw=raw, clamped=min(raw, 1.0), was_clamped=raw > 1.0)
+        + ((params.p * params.sigma ** 2 + params.zeta ** 2) / cubed if cubed else math.inf))
+    return ErrorBound(transient=noiseless_decay(params.tau, params.q, params.k, params.D),
+                      floor=floor)

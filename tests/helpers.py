@@ -6,7 +6,9 @@ from privfp import admm, bench, fixedpoint, rng
 from privfp.admm import AdmmState, ConsensusProblem
 from privfp.blocks import BlockVector
 from privfp.errors import ParameterError, StructuralError
-from privfp.operators import RowQuadraticProx, ZeroProx, clip, prox_l1
+from privfp.operators import (
+    NonExpansive, OperatorHandle, RowQuadraticProx, ZeroProx, clip, prox_l1,
+)
 
 
 def noise_rng(seed: int, k: int, b: int) -> np.random.Generator:
@@ -33,6 +35,22 @@ def empirical_lipschitz(apply, dim: int, seed: int = 0) -> float:
             continue
         worst = max(worst, np.linalg.norm(np.asarray(apply(u)) - np.asarray(apply(v))) / gap)
     return worst
+
+
+def contractive_block_operator(B: int, pb: int, mu: float, beta_s: float, seed: int):
+    """A gradient step on a seeded separable quadratic over B blocks of pb, with curvatures
+    in [mu, beta_s] and step 2/(beta_s + mu); returns it with its contraction factor tau.
+    Its fixed point is 0."""
+    gen = np.random.default_rng(seed)
+    scales = gen.uniform(mu, beta_s, size=(B, pb))
+    step = 2.0 / (beta_s + mu)
+    tau = (beta_s - mu) / (beta_s + mu)
+
+    def apply(u, k=0):
+        U = np.asarray(u).reshape(B, pb)
+        return (U - step * scales * U).ravel()
+
+    return OperatorHandle(apply=apply, kind=NonExpansive()), tau
 
 
 def z_update(state: AdmmState, problem: ConsensusProblem) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import consensus_displacement_audit
+from helpers import consensus_displacement_audit, contractive_block_operator
 from privfp import admm, bench, privacy, rng
 from privfp.blocks import BlockVector
 from privfp.errors import ConditionNotMet
@@ -19,9 +19,9 @@ from privfp.fixedpoint import (
     dpsgd_instance, run,
 )
 from privfp.operators import (
-    L1Prox, NonExpansive, OperatorHandle, QuadraticProx, QuadraticRankOneProx,
-    ZeroProx, prox_l1, reflect_compose,
+    L1Prox, QuadraticProx, QuadraticRankOneProx, ZeroProx, prox_l1, reflect_compose,
 )
+from privfp.utility import noiseless_decay
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -180,23 +180,10 @@ def test_criterion_5_sensitivity_audit():
            f"{violations} combos violated the displacement bound")
 
 
-def _contractive_block_operator(B, pb, mu, beta_s, seed):
-    gen = np.random.default_rng(seed)
-    scales = gen.uniform(mu, beta_s, size=(B, pb))
-    step = 2.0 / (beta_s + mu)
-    tau = (beta_s - mu) / (beta_s + mu)
-
-    def apply(u, k=0):
-        U = np.asarray(u).reshape(B, pb)
-        return (U - step * scales * U).ravel()
-
-    return OperatorHandle(apply=apply, kind=NonExpansive()), tau
-
-
 def test_criterion_6_utility_bound_shape():
     B, pb = 4, 3
     mu, beta_s = 0.5, 2.0
-    operator, tau = _contractive_block_operator(B, pb, mu, beta_s, seed=0)
+    operator, tau = contractive_block_operator(B, pb, mu, beta_s, seed=0)
     u0 = BlockVector(np.random.default_rng(3).normal(size=(B, pb)) * 2.0)
     D = float(np.sum(u0.flat ** 2))
     schedules = [(1.0, AllBlocks()), (0.5, BernoulliPerBlock(0.5)), (1.0 / B, SingleUniform())]
@@ -211,7 +198,7 @@ def test_criterion_6_utility_bound_shape():
                                   schedule=schedule, seed=seed)
             _, trace = run(u0, operator, cfg, reference=np.zeros(B * pb))
             means += np.array([trace.dist_sq[k - 1] for k in checkpoints]) / n_seeds
-        bounds = np.array([(1 - q ** 2 * (1 - tau) / 8.0) ** k * D for k in checkpoints])
+        bounds = np.array([noiseless_decay(tau, q, k, D) for k in checkpoints])
         if not np.all(means <= bounds * 1.05):
             decay_ok = False
         details.append(f"q={q:g}: mean/bound ratios "

@@ -64,6 +64,8 @@ ROUNDS = ints(1, 2**63 - 1)
 SEED = ints(0, 2**64 - 1)
 RUN = {"lam": (0.5, STEP), "sigma": (0.3, SQUARE), "seed": (1, SEED)}
 CURVE = {"L": (1.0, LIPSCHITZ), "gamma": (0.1, LIPSCHITZ)}
+UTILITY = {"tau": (0.5, reals(lambda v: 0 <= v < 1)), "q": (0.5, STEP), "sigma": (1.0, SQUARE),
+           "zeta": (0.1, SQUARE), "p": (2, ints(1)), "D": (1.0, NONNEGATIVE), "k": (3, ints(0))}
 
 DATA = bench.gen_lasso(n=12, p=3, support_size=2, seed=1)
 PROBLEM = bench.lasso_consensus_problem(DATA, 0.01, 24.0, clip_threshold=0.5)
@@ -201,9 +203,12 @@ ENTRY_POINTS = {
     "clip": (lambda **kw: operators.clip(np.arange(3.0), **kw), {"threshold": (0.5, POSITIVE)}),
     "clip_rows": (lambda **kw: operators.clip_rows(np.ones((2, 3)), **kw),
                   {"threshold": (0.5, POSITIVE)}),
-    "UtilityParams": (utility.UtilityParams, {
-        "tau": (0.5, reals(lambda v: 0 <= v < 1)), "q": (0.5, STEP), "sigma": (0.1, SQUARE),
-        "zeta": (0.1, SQUARE), "p": (2, ints(1)), "D": (1.0, NONNEGATIVE), "k": (3, ints(0))}),
+    "UtilityParams": (utility.UtilityParams, UTILITY),
+    "utility_bound": (lambda **kw: utility.utility_bound(utility.UtilityParams(**kw)), UTILITY),
+    "noiseless_decay": (utility.noiseless_decay,
+                        {key: UTILITY[key] for key in ("tau", "q", "k", "D")}),
+    "excess_noise_ratio": (utility.excess_noise_ratio,
+                           {key: UTILITY[key] for key in ("tau", "q", "sigma", "zeta", "p")}),
     "sample_users": (lambda **kw: simnet.sample_users(rng=np.random.default_rng(0), **kw),
                      {"n": (10, ints(1, 2**63 - 1)), "m": (3, ints(1, 10))}),
     "walk_next": (lambda **kw: simnet.walk_next(rng=np.random.default_rng(0), **kw),

@@ -585,6 +585,13 @@ class TestRoundCount:
         assert privacy.estimated_participations(np.int64(25), 10) == 3
         assert privacy.estimated_participations(2**63, 2) == 2**62
 
+    def test_a_K_past_int64_over_a_numpy_n_counts_as_over_an_int(self):
+        # ceil(10**30 / 10), with K past a C long and n a numpy integer
+        assert privacy.estimated_participations(10**30, np.int64(10)) == 10**29
+        cells = [privacy.accountant("network", K=10**30, n=n, L=1.0, gamma=0.1)
+                 for n in (np.int64(10), 10)]
+        assert cells[0].curve(1e20).epsilons == cells[1].curve(1e20).epsilons
+
 
 def _dp_outcome(convert):
     """A DP epsilon as exact bits, or the ConditionNotMet it raises (condition, message)."""

@@ -37,9 +37,8 @@ KEPT = {
     "network_rdp_epsilon": "criterion 4 checks the per-order formula and its guard",
     "participation_counts": "direction 2 charges the walk its participation counts",
     "gradient_step_operator": "direction 4 reads the kind it declares (Contractive if mu > 0)",
-    "utility_bound": "direction 4 logs it beside the realized error",
-    "step_size_range": "direction 4 decides which utility step sizes it reads",
-    "recommended_step_size": "direction 4 decides which utility step sizes it reads",
+    "utility_bound": "test_utility's audit checks it against realized error; "
+                     "direction 4 logs it beside the realized error",
     "step": "tests step the engine once; bench's config.step is another name",
 }
 

@@ -3,22 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import contractive_block_operator
+from privfp.blocks import BlockVector
 from privfp.errors import ConditionNotMet, ParameterError
-from privfp.utility import (
-    ErrorBound, UtilityParams, excess_noise_ratio, noiseless_decay, recommended_step_size,
-    step_size_range, utility_bound,
-)
-
-
-def draw_valid_params(gen):
-    """Random parameters satisfying the noisy-regime guard."""
-    tau = float(gen.uniform(0.0, 0.98))
-    q = float(gen.uniform(0.05, 1.0))
-    p = int(gen.integers(1, 16))
-    # force sigma*sqrt(p) > sqrt(q)*(1-tau) with margin
-    sigma = float(gen.uniform(1.01, 20.0)) * math.sqrt(q) * (1 - tau) / math.sqrt(p)
-    zeta = float(gen.uniform(0.0, 1.0))
-    return tau, q, sigma, zeta, p
+from privfp.fixedpoint import AllBlocks, BernoulliPerBlock, IterationConfig, SingleUniform, run
+from privfp.utility import UtilityParams, excess_noise_ratio, noiseless_decay, utility_bound
 
 
 class TestUtilityBound:
@@ -47,6 +36,13 @@ class TestUtilityBound:
         f2 = utility_bound(UtilityParams(tau=0.5, q=1.0, sigma=2 * big, p=2)).floor
         assert f2 / f1 == pytest.approx(4.0, rel=1e-3)
 
+    @pytest.mark.parametrize("q, sigma", [(1e-110, 1.0), (1e-300, 1.0), (1e-200, 1e-100)])
+    def test_floor_is_infinite_when_the_cube_of_q_underflows(self, q, sigma):
+        # q^3 (1 - tau)^3 rounds to 0: the bound is vacuous, not a ZeroDivisionError
+        bound = utility_bound(UtilityParams(tau=0.5, q=q, sigma=sigma, D=2.0, k=5))
+        assert bound.floor == math.inf and bound.total == math.inf
+        assert bound.transient == noiseless_decay(0.5, q, 5, 2.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             UtilityParams(tau=1.0, q=1.0, sigma=1.0)
@@ -54,49 +50,7 @@ class TestUtilityBound:
             UtilityParams(tau=0.5, q=0.0, sigma=1.0)
 
 
-class TestStepSize:
-    def test_reference_recommended_value(self):
-        # sigma_1 = 2 (1 - tau) means c = 1; at tau = 0.75, q = 1
-        got = recommended_step_size(tau=0.75, q=1.0, sigma=0.5, zeta=0.0, p=1)
-        b = math.sqrt(0.75)
-        assert got.raw == pytest.approx((1 / (1 - b)) * 0.75, rel=1e-12)
-        assert got.raw == pytest.approx(5.5981, rel=1e-4)
-        assert got.was_clamped and got.clamped == 1.0
-
-    def test_unclamped_when_strongly_contractive(self):
-        # tau = 0, q = 1: b = 0 and the recommended step drops below 1
-        got = recommended_step_size(tau=0.0, q=1.0, sigma=4.0, zeta=0.0, p=1)
-        assert got.raw < 1.0 and not got.was_clamped
-        assert got.clamped == got.raw
-
-    def test_recommended_lies_in_open_interval(self):
-        gen = np.random.default_rng(42)
-        checked = 0
-        while checked < 1000:
-            tau, q, sigma, zeta, p = draw_valid_params(gen)
-            try:
-                lo, hi = step_size_range(tau, q, sigma, zeta, p)
-                star = recommended_step_size(tau, q, sigma, zeta, p).raw
-            except ConditionNotMet:
-                continue
-            assert lo < star < hi
-            assert lo < hi
-            checked += 1
-
-    def test_limit_large_excess_noise(self):
-        # q -> 1 with c -> infinity: the lower endpoint approaches 1/(1-b)
-        tau, q = 0.6, 1.0
-        b = math.sqrt(1 - q * (1 - tau))
-        lo, _ = step_size_range(tau, q, sigma=1e9, zeta=0.0, p=1)
-        assert lo == pytest.approx(1 / (1 - b), rel=1e-6)
-
-    def test_guard(self):
-        with pytest.raises(ConditionNotMet):
-            step_size_range(0.5, 1.0, sigma=0.0, zeta=0.0, p=1)
-
-
-@pytest.mark.parametrize("fn", [excess_noise_ratio, step_size_range, recommended_step_size],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [excess_noise_ratio], ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("bad", [dict(sigma=-1.0, zeta=5.0), dict(q=0.0), dict(q=-0.1),
                                  dict(p=-1), dict(tau=1.5), dict(sigma=math.nan),
                                  dict(zeta=math.nan)],
@@ -110,3 +64,40 @@ def test_out_of_range_inputs_rejected_as_utility_params_rejects_them(fn, bad):
 def test_nan_initial_distance_rejected():
     with pytest.raises(ParameterError):
         UtilityParams(tau=0.5, q=0.5, sigma=1.0, D=math.nan)
+
+
+class TestAuditAgainstRealizedError:
+    """The bound against the realized ||u_K - u*||^2 of engine runs on criterion 6's
+    contractive operator (tau = 0.6, fixed point 0), B = 4 blocks of p = 3, lam = 1."""
+
+    B, P, K, SEEDS = 4, 3, 300, 40
+    OPERATOR, TAU = contractive_block_operator(B, P, 0.5, 2.0, seed=0)
+    U0 = BlockVector(np.random.default_rng(3).normal(size=(B, P)) * 2.0)
+
+    def params(self, q, sigma):
+        return UtilityParams(tau=self.TAU, q=q, sigma=sigma, p=self.P,
+                             D=float(np.sum(self.U0.flat ** 2)), k=self.K)
+
+    @pytest.mark.parametrize("sigma", [0.5, 3.0])
+    @pytest.mark.parametrize("q, schedule", [(1.0, AllBlocks()), (0.5, BernoulliPerBlock(0.5)),
+                                             (0.25, SingleUniform())],
+                             ids=["AllBlocks", "BernoulliPerBlock", "SingleUniform"])
+    def test_mean_error_plus_three_standard_errors_lies_within_the_bound(self, q, schedule,
+                                                                         sigma):
+        finals = []
+        for seed in range(self.SEEDS):
+            cfg = IterationConfig(K=self.K, sigma=sigma, lam=1.0, schedule=schedule, seed=seed)
+            u, _ = run(self.U0, self.OPERATOR, cfg)
+            finals.append(float(np.sum(u.flat ** 2)))
+        mean = float(np.mean(finals))
+        upper = mean + 3.0 * float(np.std(finals, ddof=1)) / math.sqrt(self.SEEDS)
+        bound = utility_bound(self.params(q, sigma)).total
+        print(f"utility audit q={q:g} sigma={sigma:g}: realized {mean:.4g}, bound {bound:.4g}, "
+              f"bound/realized {bound / mean:.1f}")
+        assert upper <= bound
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 0.25])
+    def test_low_noise_is_out_of_regime(self, q):
+        # sigma sqrt(p) = 0.17 does not exceed sqrt(q)(1 - tau) = 0.4, 0.28 and 0.2
+        with pytest.raises(ConditionNotMet):
+            utility_bound(self.params(q, 0.1))
