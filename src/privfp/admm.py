@@ -24,7 +24,8 @@ a fresh array of that size each. The walk's one-row kernel works on a 1-D
 view of the holder's dual row, so a step costs O(p), with the bits of the
 batched kernel over that row. Users are drawn by the engine's schedules
 (``FixedCohort(m)``, the ``RandomWalk``), noise rows by ``rng.gaussian_rows``;
-a walk draws both, which depend only on the seed and step, 128 steps at a time.
+a walk draws both, which depend only on the seed and step, 128 steps at a time,
+its holders through one address loop (``RandomWalk.block``).
 ``general_admm_step``, one step of the splitting under a matrix constraint
 A x + B z = c, updates through ``noisy_update`` with Delta = A x + B z - c;
 its consensus instantiation reproduces the centralized round bit for bit
@@ -171,14 +172,13 @@ def _advance(problem, U, ubar, z, rows, lam, sigma, seed, k, work=None):
 
 
 def _walk_draws(n, sigma, seed, k, holder, m, size):
-    """The holders of walk steps k, ..., k + m: the given one, then ``RandomWalk``'s, and the
-    m halved noise rows (size wide) of steps k, ..., k + m - 1, one ``rng.gaussian_rows`` draw
-    at (step, holder) (None each at sigma = 0); a run draws ahead."""
-    steps = range(k, k + m)
-    holders = [holder, *(_WALK.rows(n, seed, j + 1) for j in steps)]
+    """The holders of walk steps k, ..., k + m: the given one, then ``RandomWalk.block``'s,
+    and the m halved noise rows (size wide) of steps k, ..., k + m - 1, one
+    ``rng.gaussian_rows`` draw at (step, holder) (None each at sigma = 0); a run draws ahead."""
+    holders = [holder, *_WALK.block(n, seed, k, m)]
     if sigma == 0.0:
         return holders, [None] * m
-    eta = rng.gaussian_rows(seed, steps, holders[:-1], sigma, size)
+    eta = rng.gaussian_rows(seed, range(k, k + m), holders[:-1], sigma, size)
     eta *= 0.5
     return holders, list(eta)
 

@@ -8,9 +8,10 @@ with one step size lam, the active blocks (rho[k, b] = 1) of a schedule's ``rows
 and fresh Gaussian noise eta from a per-(iteration, block) substream, so that
 schedules and evaluation order cannot perturb noise assignment. The five schedules
 are the library's only draw of a round's participants; ``admm`` and ``bench``
-draw through them too. A step touches only its active blocks, and uses only those
-rows of R(u_k): ``apply_blocks`` evaluates them alone when the operator handle
-has it, otherwise the full ``apply`` runs and they are kept.
+draw through them too, a walk a block's holders at a time through one address
+loop (``RandomWalk.block``). A step touches only its active blocks, and uses
+only those rows of R(u_k): ``apply_blocks`` evaluates them alone when the
+operator handle has it, otherwise the full ``apply`` runs and they are kept.
 
 ``noisy_update`` is every noisy run's update u <- u + s (Delta + e) on its
 active rows, with e None at sigma = 0: the engine's (s = lam,
@@ -122,6 +123,12 @@ class RandomWalk(SingleUniform):
     def rows(self, n_blocks, seed, k):
         return (super().rows(n_blocks, seed, k - 1) if k else
                 simnet.walk_next(n_blocks, rng._reset_to(seed, rng.SCHEDULE, 0, 1)))
+
+    def block(self, n_blocks, seed, k, m):
+        """The holders of steps k + 1, ..., k + m: ``rows(n_blocks, seed, j)`` for each j,
+        drawn through one ``rng.schedule_steps`` loop."""
+        return [simnet.walk_next(n_blocks, gen)
+                for gen in rng.schedule_steps(seed, range(int(k), int(k) + m))]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +303,7 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
     rows, objs, dists, store = [], [], [], np.empty(0)
     for k in range(K):
         active, x = advance(k)
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise ModelError(f"released iterate is not finite at round {k}")
         rows.append(_checked_rows(active, n, k))
         if objective is not None:
@@ -310,8 +317,8 @@ def iterate(K: int, n: int, advance: Callable[[int], tuple],
                 except (ValueError, MemoryError) as exc:  # a shape numpy rejects or cannot allocate
                     raise ParameterError(f"K={K} iterates need a store of shape {(K, *np.shape(x))}, "
                                          "which cannot be allocated") from exc
-            elif np.shape(x) != store.shape[1:]:
-                raise StructuralError(f"iterate of round {k} has shape {np.shape(x)}, "
+            elif (shape := x.shape if type(x) is np.ndarray else np.shape(x)) != store.shape[1:]:
+                raise StructuralError(f"iterate of round {k} has shape {shape}, "
                                       f"expected {store.shape[1:]}")
             store[k] = x
     return x, RunTrace(n_blocks=n, active_rows=tuple(rows), objective=tuple(objs),

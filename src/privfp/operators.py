@@ -187,7 +187,7 @@ class RowQuadraticProx:
             raise StructuralError(f"targets of shape {self.b.shape} do not match "
                                   f"a design of shape {self.A.shape}")
         self.gamma, self.n = gamma, len(self.A)
-        self._sq_norms = np.einsum("ij,ij->i", self.A, self.A)
+        self._denoms = 2.0 * self.n / self.gamma + np.einsum("ij,ij->i", self.A, self.A)
 
     def __len__(self) -> int:
         return len(self.A)
@@ -200,8 +200,7 @@ class RowQuadraticProx:
         """
         targets = self.b[rows]  # raises for an out-of-range row, so the take below may wrap
         A = np.take(self.A, rows, axis=0, out=out, mode="wrap")
-        A *= ((targets - np.einsum("ij,ij->i", A, V))
-              / (2.0 * self.n / self.gamma + self._sq_norms[rows]))[:, None]
+        A *= ((targets - np.einsum("ij,ij->i", A, V)) / self._denoms[rows])[:, None]
         A += V
         return A
 
@@ -209,8 +208,7 @@ class RowQuadraticProx:
         """The prox of row i at the 1-D v, in a new array: ``rows(v[None], [i])[0]``
         bit for bit, without the batch's gathers."""
         a = self.A[i]
-        x = a * ((self.b[i] - np.einsum("j,j->", a, v))
-                 / (2.0 * self.n / self.gamma + self._sq_norms[i]))
+        x = a * ((self.b[i] - np.einsum("j,j->", a, v)) / self._denoms[i])
         x += v
         return x
 

@@ -13,8 +13,9 @@ orders) instead reuse one Philox generator per thread, which ``_reset_to``
 sets to the draw's address; values are those of a fresh ``substream`` at
 that address. ``gaussian_rows`` is the one draw of a run's noise rows, each
 at its own (step, block) address: one round's blocks, or a block of walk
-steps and their holders. Only this module knows the counter layout of an
-address.
+steps and their holders. A walk draws a block's holders through
+``schedule_steps``, one address loop over its steps. Only this module knows
+the counter layout of an address.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def substream(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-# Each thread's reused generator and the state dict that resets it, built on
-# its first draw; callers consume the generator inside one call and never
+# Each thread's reused generator, its bit generator and the state dict that resets it,
+# built on its first draw; callers consume the generator inside one call and never
 # store it, so no holder sees its state reset.
 _thread = threading.local()
 
@@ -49,9 +50,10 @@ def _reset_to(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
 
     Consume it before the next reset on this thread."""
     try:
-        gen, state = _thread.gen, _thread.state
+        gen, bits, state = _thread.gen, _thread.bits, _thread.state
     except AttributeError:
-        gen = _thread.gen = np.random.Generator(np.random.Philox(0))
+        bits = _thread.bits = np.random.Philox(0)
+        gen = _thread.gen = np.random.Generator(bits)
         # Empty buffer and no cached half word, as in a fresh Philox(key, counter);
         # the setter copies the values out, so only the key and counter change per draw.
         state = _thread.state = {"bit_generator": "Philox", "state": {},
@@ -60,8 +62,20 @@ def _reset_to(seed: int, domain: int, k: int, b: int) -> np.random.Generator:
     words = state["state"]
     words["key"] = (int(seed) & _MASK64, domain & _MASK64)  # a numpy integer would overflow it
     words["counter"] = (0, 0, int(k) & _MASK64, int(b) & _MASK64)
-    gen.bit_generator.state = state
+    bits.state = state
     return gen
+
+
+def schedule_steps(seed: int, steps: range):
+    """This thread's generator as ``_reset_to(seed, SCHEDULE, k, 0)`` leaves it, for each k of
+    steps in turn. Key and counter are set at every address, so a draw on this thread between
+    two yields moves no value; consume each generator before taking the next."""
+    gen, bits, state = _reset_to(seed, SCHEDULE, 0, 0), _thread.bits, _thread.state
+    words, key = state["state"], state["state"]["key"]
+    for k in steps:
+        words["key"], words["counter"] = key, (0, 0, k & _MASK64, 0)
+        bits.state = state
+        yield gen
 
 
 def gaussian_block(seed: int, k: int, b: int, sigma: float, size: int) -> np.ndarray:
@@ -87,10 +101,10 @@ def gaussian_rows(seed: int, k, blocks, sigma: float, size: int) -> np.ndarray:
     counters = [(0, 0, j, int(b) & _MASK64) for j, b in zip(steps, blocks, strict=True)]
     out = np.empty((len(blocks), size))
     gen = _reset_to(seed, NOISE, 0, 0)
-    state, words = _thread.state, _thread.state["state"]
+    bits, state, words = _thread.bits, _thread.state, _thread.state["state"]
     for row, counter in zip(out, counters):  # key set once: each row resets its counter only
         words["counter"] = counter
-        gen.bit_generator.state = state
+        bits.state = state
         gen.standard_normal(out=row)
     out *= sigma
     out += 0.0  # Generator.normal returns 0.0 + sigma * z: -0.0 becomes 0.0

@@ -24,7 +24,7 @@ class UtilityParams:
     sigma: privacy noise std (>= 0).
     zeta: bound on the root mean-square operator error (>= 0).
     p: block dimension.
-    D: initial squared distance to the fixed point.
+    D: initial squared distance to the fixed point (finite, >= 0).
     k: iteration count.
     """
 
@@ -41,7 +41,7 @@ class UtilityParams:
         errors.real(self.q, "activation probability q", "(0, 1]")
         errors.real(self.sigma, "noise std sigma", "square >= 0")
         errors.real(self.zeta, "operator error zeta", "square >= 0")
-        errors.real(self.D, "initial distance D", ">= 0")
+        errors.real(self.D, "initial distance D", "finite >= 0")
         errors.count(self.p, "block dimension p", 1)
         errors.count(self.k, "iteration count k", 0)
 

@@ -28,6 +28,8 @@ from privfp.operators import (
 from privfp.privacy import sensitivity_consensus
 from privfp import bench
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def simple_problem(n, p, prox_r=None, clip=None):
     """n identical quadratic pulls towards distinct targets."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import noise_rng, schedule_rng
-from privfp import admm, rng
+from privfp import admm, rng, simnet
 from privfp.blocks import BlockVector
 from privfp.errors import StructuralError
 from privfp.fixedpoint import (
@@ -15,6 +15,8 @@ from privfp.fixedpoint import (
 )
 from privfp.operators import ZeroProx
 from privfp.simnet import sample_users, walk_next
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MAX_ROOT = sys.float_info.max ** 0.5  # the largest noise std whose square is finite
 
@@ -310,6 +312,9 @@ SCHEDULE_SITES = {
                      lambda seed, k: _one_hot(1000, sample_users(1000, 90, schedule_rng(seed, k)))),
     "random_walk": (lambda seed, k: RandomWalk().mask(1000, seed, k),
                     lambda seed, k: _one_hot(1000, _walk_holder_oracle(seed, k))),
+    "walk_block": (lambda seed, k: np.array(RandomWalk().block(1000, seed, k, 3)),
+                   lambda seed, k: np.array([_walk_holder_oracle(seed, j)
+                                             for j in range(k + 1, k + 4)])),
     "bernoulli": (lambda seed, k: BernoulliPerBlock(0.3).mask(1000, seed, k),
                   lambda seed, k: schedule_rng(seed, k).random(1000) < 0.3),
     "uniform_item_order": (_uniform_item,
@@ -347,15 +352,16 @@ class TestReusedScheduleGenerator:
 
     def test_two_threads_match_sequential_loop(self):
         steps = range(200)
-        want = [(SCHEDULE_SITES["sample_users"][1](8, k), fresh_draw(8, k, 1, 1.0, 33))
-                for k in steps]
+        want = [(SCHEDULE_SITES["sample_users"][1](8, k), fresh_draw(8, k, 1, 1.0, 33),
+                 SCHEDULE_SITES["walk_block"][1](8, k)) for k in steps]
         got = [None] * len(steps)
         start = threading.Barrier(2)
 
         def draw(parity):
             start.wait(timeout=10)
             for k in range(parity, len(steps), 2):
-                got[k] = (_cohort(8, k), rng.gaussian_block(8, k, 1, 1.0, 33))
+                got[k] = (_cohort(8, k), rng.gaussian_block(8, k, 1, 1.0, 33),
+                          SCHEDULE_SITES["walk_block"][0](8, k))
 
         threads = [threading.Thread(target=draw, args=(parity,)) for parity in (0, 1)]
         interval = sys.getswitchinterval()
@@ -368,9 +374,10 @@ class TestReusedScheduleGenerator:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for (mask, noise), (want_mask, want_noise) in zip(got, want):
+        for (mask, noise, holders), (want_mask, want_noise, want_holders) in zip(got, want):
             np.testing.assert_array_equal(mask, want_mask)
             np.testing.assert_array_equal(noise, want_noise)
+            np.testing.assert_array_equal(holders, want_holders)
 
     def test_draws_build_at_most_one_bit_generator(self, monkeypatch):
         built = []
@@ -381,11 +388,12 @@ class TestReusedScheduleGenerator:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        sites = [SCHEDULE_SITES[name][0] for name in ("walk_next", "sample_users", "bernoulli")]
+        sites = [SCHEDULE_SITES[name][0]
+                 for name in ("walk_next", "sample_users", "bernoulli", "walk_block")]
 
         def draws():
             for k in range(100):
-                sites[k % 3](3, k)
+                sites[k % 4](3, k)
 
         # a new thread has no generator yet, so its first draw builds one
         worker = threading.Thread(target=draws)
@@ -396,6 +404,32 @@ class TestReusedScheduleGenerator:
         before = len(built)
         schedule_rng(3, 0)
         assert len(built) == before + 1  # the wrapper sees every construction
+
+
+class TestWalkBlockDraw:
+    """``RandomWalk.block`` draws a block's holders through one address loop; each holder
+    is the one ``RandomWalk.rows`` draws for its step."""
+
+    @pytest.mark.parametrize("m", [1, 128])
+    @pytest.mark.parametrize("k", [0, 127, 128, 2**64 - 2], ids=["0", "127", "128", "2**64-2"])
+    @pytest.mark.parametrize("n", [1, 2, 900])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 11, 2**64 - 1, np.uint64(7)], ids=repr)
+    def test_matches_rows_step_by_step(self, seed, n, k, m):
+        # near 2**64 the block runs past it: its addresses wrap as those of rows do
+        want = [RandomWalk().rows(n, seed, j) for j in range(k + 1, k + m + 1)]
+        assert RandomWalk().block(n, seed, k, m) == want
+
+    def test_noise_draw_between_two_holders_moves_none(self, monkeypatch):
+        want = RandomWalk().block(900, 5, 40, 128)
+        real = simnet.walk_next
+
+        def walk_next_then_noise(n, gen):  # a noise draw on this thread after each holder
+            holder = real(n, gen)
+            rng.gaussian_rows(9, 3, [holder, 1, 2], 1.0, 4)
+            return holder
+
+        monkeypatch.setattr(simnet, "walk_next", walk_next_then_noise)
+        assert RandomWalk().block(900, 5, 40, 128) == want
 
 
 def _state_words(gen):
@@ -422,13 +456,15 @@ class TestResetStateReuse:
     def test_four_threads_interleaving_noise_and_schedule_draws(self):
         def draws(seed, k):
             return (rng.gaussian_block(seed, k, k % 5, 1.0, 9), _cohort(seed, k, 200, 30),
-                    SingleUniform().mask(200, seed, k), BernoulliPerBlock(0.3).mask(50, seed, k))
+                    SingleUniform().mask(200, seed, k), BernoulliPerBlock(0.3).mask(50, seed, k),
+                    np.array(RandomWalk().block(200, seed, k, 3)))
 
         def oracle(seed, k):
             return (fresh_draw(seed, k, k % 5, 1.0, 9),
                     _one_hot(200, sample_users(200, 30, schedule_rng(seed, k))),
                     _one_hot(200, walk_next(200, schedule_rng(seed, k))),
-                    schedule_rng(seed, k).random(50) < 0.3)
+                    schedule_rng(seed, k).random(50) < 0.3,
+                    np.array([walk_next(200, schedule_rng(seed, j)) for j in range(k, k + 3)]))
 
         seeds, steps = (11, -4, 2**63 + 1, 2**64 - 1), range(150)
         want = {seed: [oracle(seed, k) for k in steps] for seed in seeds}

@@ -17,6 +17,8 @@ from privfp.operators import (
     L1Prox, NonExpansive, OperatorHandle, QuadraticProx, ZeroProx, reflect_compose,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def identity_op():
     return OperatorHandle(apply=lambda u, k=0: np.asarray(u, dtype=float),
@@ -642,17 +644,48 @@ class TestTraceKeepsIndices:
             iterate(3, 4, advance)
 
 
+# A released iterate as a 1-D array, one block row, B block rows or a Python list.
+RELEASE_FORMS = pytest.mark.parametrize("form", [np.asarray, lambda v: np.asarray(v)[None],
+                                                 lambda v: np.tile(v, (3, 1)), list],
+                                        ids=["1-D", "(1, p)", "(B, p)", "list"])
+
+
 class TestRunTrace:
     """``iterate`` builds one frozen trace after its last round; recorded iterates are
     float copies in one read-only (K, ...) array."""
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), (), (1, 2)])
     def test_shape_change_raises_naming_the_round(self, shape):
         def advance(k):
             return 0, np.ones(shape) if k == 2 else np.zeros(2)
 
         with pytest.raises(StructuralError, match=re.escape(f"iterate of round 2 has shape {shape}")):
             iterate(4, 1, advance, record_iterates=True)
+
+    @pytest.mark.parametrize("release", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0], ids=repr)
+    def test_a_list_of_another_shape_raises_naming_the_round(self, release):
+        def advance(k):
+            return 0, release if k == 2 else [0.0, 0.0]
+
+        with pytest.raises(StructuralError, match=re.escape(f"iterate of round 2 has shape "
+                                                            f"{np.shape(release)}")):
+            iterate(4, 1, advance, record_iterates=True)
+
+    @RELEASE_FORMS
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("bad", [[0.0, math.nan], [math.inf, 1.0], [1.0, -math.inf],
+                                     [-math.inf, math.inf]], ids=["nan", "inf", "-inf", "both-inf"])
+    def test_non_finite_release_raises_naming_the_round(self, bad, record, form):
+        def advance(k):
+            return 0, form(bad if k == 2 else [1.0, 2.0])
+
+        with pytest.raises(ModelError, match="not finite at round 2$"):
+            iterate(4, 1, advance, record_iterates=record)
+
+    @RELEASE_FORMS
+    def test_entries_near_the_float_max_pass(self, form):
+        x, trace = iterate(3, 1, lambda k: (0, form([1e308, 1e308])), record_iterates=True)
+        assert np.array_equal(x, form([1e308, 1e308])) and np.all(trace.iterates == 1e308)
 
     # a store past any address space (numpy's MemoryError), and one it cannot shape (ValueError)
     @pytest.mark.parametrize("K, p", [(10**12, 4096), (2**63, 4)])

@@ -65,7 +65,7 @@ SEED = ints(0, 2**64 - 1)
 RUN = {"lam": (0.5, STEP), "sigma": (0.3, SQUARE), "seed": (1, SEED)}
 CURVE = {"L": (1.0, LIPSCHITZ), "gamma": (0.1, LIPSCHITZ)}
 UTILITY = {"tau": (0.5, reals(lambda v: 0 <= v < 1)), "q": (0.5, STEP), "sigma": (1.0, SQUARE),
-           "zeta": (0.1, SQUARE), "p": (2, ints(1)), "D": (1.0, NONNEGATIVE), "k": (3, ints(0))}
+           "zeta": (0.1, SQUARE), "p": (2, ints(1)), "D": (1.0, FINITE_NONNEGATIVE), "k": (3, ints(0))}
 
 DATA = bench.gen_lasso(n=12, p=3, support_size=2, seed=1)
 PROBLEM = bench.lasso_consensus_problem(DATA, 0.01, 24.0, clip_threshold=0.5)

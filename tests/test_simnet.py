@@ -12,6 +12,8 @@ from privfp.fixedpoint import RunTrace, SingleUniform, iterate
 from privfp.operators import ZeroProx
 from privfp.simnet import participation_counts, record_observation, sample_users, walk_next
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestSampleUsers:
     def test_full_population(self):

@@ -66,6 +66,14 @@ def test_nan_initial_distance_rejected():
         UtilityParams(tau=0.5, q=0.5, sigma=1.0, D=math.nan)
 
 
+def test_infinite_initial_distance_rejected_where_it_gave_nan():
+    # the decay factor underflows to 0 at k = 2**63, and 0 * inf is NaN
+    with pytest.raises(ParameterError, match="initial distance D must be finite"):
+        noiseless_decay(0.5, 0.5, 2**63, math.inf)
+    with pytest.raises(ParameterError, match="initial distance D must be finite"):
+        utility_bound(UtilityParams(tau=0.5, q=0.5, sigma=1.0, D=math.inf, k=2**63))
+
+
 class TestAuditAgainstRealizedError:
     """The bound against the realized ||u_K - u*||^2 of engine runs on criterion 6's
     contractive operator (tau = 0.6, fixed point 0), B = 4 blocks of p = 3, lam = 1."""
